@@ -18,8 +18,8 @@ from .dataio import (
     split_dataset,
     write_xmc_dataset,
 )
-from .initializers import AopPrecompute, InitStrategy, aop_init, bias_init, ovap_init, zero_init
-from .losses import ActiveSet, MarginLoss, active_set, ddphi, dphi, phi, quad_approx_error
+from .initializers import AopPrecompute, InitStrategy, aop_init, bias_init, zero_init
+from .losses import ActiveSet, MarginLoss, active_set, ddphi, dphi, phi
 from .metrics import EvalResult, evaluate, macro_binary_pr, precision_at_k
 from .solver import (
     BinaryProblem,
@@ -38,7 +38,6 @@ from .trainer import (
     TrainConfig,
     TrainReport,
     load_model,
-    predict_scores,
     predict_topk,
     save_model,
     train_ova,
@@ -81,12 +80,9 @@ __all__ = [
     "macro_binary_pr",
     "newton_cg",
     "objective",
-    "ovap_init",
     "phi",
     "precision_at_k",
-    "predict_scores",
     "predict_topk",
-    "quad_approx_error",
     "save_model",
     "split_dataset",
     "train_ova",

@@ -164,19 +164,18 @@ def _cmd_train(args) -> int:
         f"hvp touches {report.total_hvp_touches}"
     )
     if report.n_failed:
-        print(f"warning: {report.n_failed} labels hit numerical failures (see report)",
-              file=sys.stderr)
+        print(f"numerical failure: {report.n_failed} labels failed; the model was written "
+              "anyway (see report)", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = _load_for_model(model, args.data)
-    if not 1 <= args.k <= model.n_labels:
-        raise ConfigError(f"k={args.k} out of range for {model.n_labels} labels")
+    rows = predict_topk(model, ds.features, args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i in range(ds.n):
-            pairs = predict_topk(model, ds.features.row(i), args.k)
+        for pairs in rows:
             fh.write(" ".join(f"{j}:{score:.6g}" for j, score in pairs) + "\n")
     return EXIT_OK
 

@@ -157,6 +157,13 @@ def load_xmc_dataset(path) -> Dataset:
 
     indices = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.int64)
     data = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        pos = int(np.argmin(finite))
+        row = int(np.searchsorted(indptr, pos, side="right")) - 1
+        raise ParseError(
+            f"non-finite value {float(data[pos])} for feature {int(indices[pos])}", row + 2
+        )
     features = SparseMatrix(indptr, indices, data, d)
     return Dataset(features=features, labels=labels, n_labels=l)
 

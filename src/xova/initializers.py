@@ -109,27 +109,17 @@ def ovap_solve(
     cfg: solver.SolverConfig,
     stop_rel: float = 0.01,
 ) -> tuple[DenseVector, solver.SolverTrace]:
-    """Like :func:`ovap_init` but also returns the solver trace."""
+    """Solve the virtual all-negative label from zero with a loose criterion.
+
+    The vector is computed once per dataset and reused as the starting
+    vector for every label; the solver trace is returned with it.
+    """
     if np.any(all_negative_problem.signs != -1.0):
         raise ConfigError("the ovap problem must have every sign equal to -1")
     loose = replace(cfg, eps_outer=stop_rel)
     w0 = np.zeros(all_negative_problem.dim, dtype=np.float64)
     grad0_ref = float(np.linalg.norm(solver.gradient(all_negative_problem, w0)))
     return solver.newton_cg(all_negative_problem, w0, loose, grad0_ref)
-
-
-def ovap_init(
-    all_negative_problem: solver.BinaryProblem,
-    cfg: solver.SolverConfig,
-    stop_rel: float = 0.01,
-) -> DenseVector:
-    """Solve the virtual all-negative label from zero with a loose criterion.
-
-    The result is computed once per dataset and reused as the starting
-    vector for every label.
-    """
-    w, _ = ovap_solve(all_negative_problem, cfg, stop_rel)
-    return w
 
 
 def aop_init(

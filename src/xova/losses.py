@@ -74,20 +74,6 @@ def ddphi(loss: MarginLoss, m):
     return out if out.ndim else float(out)
 
 
-def quad_approx_error(loss: MarginLoss, m0, delta):
-    """Second-order Taylor model at ``m0`` minus the true loss at ``m0 + delta``.
-
-    Positive values mean the quadratic model over-estimates the loss in that
-    direction (steps get shrunk by the line search); negative values mean it
-    under-estimates (steps look better than they are).
-    """
-    m0 = np.asarray(m0, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    model = phi(loss, m0) + delta * dphi(loss, m0) + 0.5 * delta * delta * ddphi(loss, m0)
-    out = model - phi(loss, m0 + delta)
-    return out if np.ndim(out) else float(out)
-
-
 @dataclass(frozen=True)
 class ActiveSet:
     """Sorted instance indices with a nonzero curvature contribution."""
@@ -97,12 +83,6 @@ class ActiveSet:
     @property
     def size(self) -> int:
         return int(self.indices.shape[0])
-
-
-def active_mask(loss: MarginLoss, margins: np.ndarray) -> np.ndarray:
-    if loss is MarginLoss.SQUARED_HINGE:
-        return margins < 1.0
-    return np.ones(margins.shape[0], dtype=bool)
 
 
 def active_set(loss: MarginLoss, margins: np.ndarray) -> ActiveSet:

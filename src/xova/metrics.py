@@ -9,9 +9,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import ConfigError, DimensionMismatchError
-from .trainer import OvaModel, topk_from_scores
-
-_BLOCK_ROWS = 512
+from .trainer import OvaModel, score_blocks, topk_from_scores
 
 
 @dataclass
@@ -54,15 +52,6 @@ def _check_compatible(model: OvaModel, test: Dataset) -> None:
         )
 
 
-def _score_blocks(model: OvaModel, test: Dataset):
-    """Yield (row offset, dense block of scores) over the test set."""
-    wt = model.weight_matrix().T.tocsc()
-    X = test.features.to_scipy()
-    for lo in range(0, test.n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, test.n)
-        yield lo, (X[lo:hi] @ wt).toarray()
-
-
 def precision_at_k(model: OvaModel, test: Dataset, ks: list[int]) -> dict[int, float]:
     """Mean over test instances of ``|top-k predictions & relevant| / k``."""
     _check_compatible(model, test)
@@ -75,7 +64,7 @@ def precision_at_k(model: OvaModel, test: Dataset, ks: list[int]) -> dict[int, f
         return {k: 0.0 for k in ks}
     kmax = ks[-1]
     hit_sums = {k: 0.0 for k in ks}
-    for lo, block in _score_blocks(model, test):
+    for lo, block in score_blocks(model, test.features):
         for r in range(block.shape[0]):
             top = topk_from_scores(block[r], kmax)
             relevant = set(int(j) for j in test.labels[lo + r])
@@ -98,7 +87,7 @@ def macro_binary_pr(model: OvaModel, test: Dataset) -> tuple[float, float]:
     tp = np.zeros(l, dtype=np.int64)
     fp = np.zeros(l, dtype=np.int64)
     fn = np.zeros(l, dtype=np.int64)
-    for lo, block in _score_blocks(model, test):
+    for lo, block in score_blocks(model, test.features):
         pred = block > 0.0
         rel = np.zeros(pred.shape, dtype=bool)
         for r in range(pred.shape[0]):

@@ -15,6 +15,7 @@ rows is exact, not an approximation.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -133,21 +134,51 @@ def margins(problem: BinaryProblem, w: DenseVector) -> np.ndarray:
     return problem.signs * problem.features.matvec(w)
 
 
+# The kernels below take inputs the caller has already computed (the margins
+# ``m`` of ``w``, the active rows, ``X w`` and ``X d``), so that newton_cg and
+# the public wrappers after them run the same code without extra passes.
+
+
+def _objective(problem: BinaryProblem, w: DenseVector, m: np.ndarray) -> float:
+    return 0.5 * float(np.dot(w, w)) + problem.c * float(np.sum(losses.phi(problem.loss, m)))
+
+
+def _gradient(problem: BinaryProblem, w: DenseVector, m: np.ndarray) -> DenseVector:
+    coef = problem.c * losses.dphi(problem.loss, m) * problem.signs
+    return w + problem.features.rmatvec(coef)
+
+
+def _curvature(
+    problem: BinaryProblem, m: np.ndarray, active_idx: np.ndarray
+) -> tuple[SparseMatrix, np.ndarray]:
+    """The active rows and their curvature weights ``C * phi''(margin_i)``."""
+    sub = problem.features.submatrix(active_idx)
+    return sub, problem.c * losses.ddphi(problem.loss, m[active_idx])
+
+
+def _hvp(sub: SparseMatrix, dd: np.ndarray, d: DenseVector) -> DenseVector:
+    return d + sub.rmatvec(dd * sub.matvec(d))
+
+
+def _trial_objective(
+    problem: BinaryProblem, w: DenseVector, xw: np.ndarray, direction: DenseVector, xdir: np.ndarray
+) -> Callable[[float], float]:
+    """``lam -> L(w + lam * direction)``, from ``X w`` and ``X direction``."""
+
+    def eval_at(lam: float) -> float:
+        return _objective(problem, w + lam * direction, problem.signs * (xw + lam * xdir))
+
+    return eval_at
+
+
 def objective(problem: BinaryProblem, w: DenseVector) -> float:
     """``0.5 * |w|^2 + C * sum phi(margin_i)``."""
-    m = margins(problem, w)
-    return 0.5 * float(np.dot(w, w)) + problem.c * float(np.sum(losses.phi(problem.loss, m)))
-
-
-def _objective_from_margins(problem: BinaryProblem, w: DenseVector, m: np.ndarray) -> float:
-    return 0.5 * float(np.dot(w, w)) + problem.c * float(np.sum(losses.phi(problem.loss, m)))
+    return _objective(problem, w, margins(problem, w))
 
 
 def gradient(problem: BinaryProblem, w: DenseVector) -> DenseVector:
     """``w + C * sum phi'(margin_i) * y_i * x_i``."""
-    m = margins(problem, w)
-    coef = problem.c * losses.dphi(problem.loss, m) * problem.signs
-    return w + problem.features.rmatvec(coef)
+    return _gradient(problem, w, margins(problem, w))
 
 
 def hessian_vec(
@@ -160,10 +191,8 @@ def hessian_vec(
     """
     if d.shape[0] != problem.dim:
         raise DimensionMismatchError(f"direction length {d.shape[0]} != dim {problem.dim}")
-    m = margins(problem, w)
-    sub = problem.features.submatrix(active.indices)
-    dd = problem.c * losses.ddphi(problem.loss, m[active.indices])
-    return d + sub.rmatvec(dd * sub.matvec(d))
+    sub, dd = _curvature(problem, margins(problem, w), active.indices)
+    return _hvp(sub, dd, d)
 
 
 def cg_solve(
@@ -245,16 +274,11 @@ def line_search(
 ) -> tuple[float, bool]:
     """Backtracking search over ``w + lambda * direction`` for one problem."""
     xw = problem.features.matvec(w)
+    m = problem.signs * xw
     xdir = problem.features.matvec(direction)
-    loss0 = _objective_from_margins(problem, w, problem.signs * xw)
-    g_dot_dir = float(np.dot(gradient(problem, w), direction))
-
-    def eval_at(lam: float) -> float:
-        w_trial = w + lam * direction
-        m_trial = problem.signs * (xw + lam * xdir)
-        return _objective_from_margins(problem, w_trial, m_trial)
-
-    return backtracking_search(eval_at, loss0, g_dot_dir, cfg)
+    eval_at = _trial_objective(problem, w, xw, direction, xdir)
+    g_dot_dir = float(np.dot(_gradient(problem, w, m), direction))
+    return backtracking_search(eval_at, _objective(problem, w, m), g_dot_dir, cfg)
 
 
 def _compute_active(loss: MarginLoss, m: np.ndarray) -> np.ndarray:
@@ -267,65 +291,46 @@ def newton_cg(
     w0: DenseVector,
     cfg: SolverConfig,
     grad0_ref: float,
-    *,
-    use_active_set: bool = True,
-    collect_trace: bool = True,
 ) -> tuple[DenseVector, SolverTrace]:
     """Minimize the regularized margin loss starting from ``w0``.
 
     ``grad0_ref`` is the gradient norm at the zero vector for this problem;
     the outer loop stops once ``|grad| <= eps_outer * grad0_ref``, so every
     initialization strategy targets the same stopping surface.
-
-    ``use_active_set=False`` keeps the full instance range in every
-    Hessian-vector product (the curvature coefficients of inactive rows are
-    still zero); it exists to check that the implicit mining is exact.
     """
     if w0.shape[0] != problem.dim:
         raise DimensionMismatchError(f"w0 length {w0.shape[0]} != dim {problem.dim}")
     X = problem.features
-    y = problem.signs
-    c = problem.c
     n = problem.n
     t_start = time.perf_counter()
 
     w = np.array(w0, dtype=np.float64, copy=True)
     xw = X.matvec(w)
     trace = SolverTrace(grad0_ref=grad0_ref)
-    m = y * xw
-    loss_val = _objective_from_margins(problem, w, m)
+    m = problem.signs * xw
+    loss_val = _objective(problem, w, m)
     if not np.isfinite(loss_val):
         raise NumericalError("non-finite objective at the initial point", w_last=w, trace=trace)
     trace.initial_loss = loss_val
 
-    outer = 0
     while True:
-        coef = c * losses.dphi(problem.loss, m) * y
-        grad = w + X.rmatvec(coef)
+        grad = _gradient(problem, w, m)
         gnorm = float(np.linalg.norm(grad))
         if not np.isfinite(gnorm):
             raise NumericalError("non-finite gradient", w_last=w, trace=trace)
         if gnorm <= cfg.eps_outer * grad0_ref:
             trace.termination = TERM_CONVERGED
             break
-        if outer >= cfg.max_outer:
+        if trace.outer_iters >= cfg.max_outer:
             trace.termination = TERM_MAX_OUTER
             break
         t_iter = time.perf_counter()
 
-        if use_active_set:
-            active_idx = _compute_active(problem.loss, m)
-        else:
-            active_idx = np.arange(n, dtype=np.int64)
+        active_idx = _compute_active(problem.loss, m)
         n_active = int(active_idx.shape[0])
-        sub = X.submatrix(active_idx)
-        dd = c * losses.ddphi(problem.loss, m[active_idx])
+        sub, dd = _curvature(problem, m, active_idx)
         diag = 1.0 + sub.rmatvec_squared(dd)
-
-        def hvp(d, _sub=sub, _dd=dd):
-            return d + _sub.rmatvec(_dd * _sub.matvec(d))
-
-        direction, cg_iters = cg_solve(grad, hvp, cfg, diag)
+        direction, cg_iters = cg_solve(grad, functools.partial(_hvp, sub, dd), cfg, diag)
         trace.hvp_touches += cg_iters * n_active
         g_dot_dir = float(np.dot(grad, direction))
         if g_dot_dir >= 0.0:
@@ -335,12 +340,7 @@ def newton_cg(
                 trace=trace,
             )
         xdir = X.matvec(direction)
-
-        def eval_at(lam, _xdir=xdir):
-            m_trial = y * (xw + lam * _xdir)
-            w_trial = w + lam * direction
-            return _objective_from_margins(problem, w_trial, m_trial)
-
+        eval_at = _trial_objective(problem, w, xw, direction, xdir)
         lam, accepted = backtracking_search(eval_at, loss_val, g_dot_dir, cfg)
         if not accepted:
             trace.termination = TERM_LINE_SEARCH
@@ -348,23 +348,21 @@ def newton_cg(
 
         w = w + lam * direction
         xw = xw + lam * xdir
-        m = y * xw
-        loss_val = _objective_from_margins(problem, w, m)
+        m = problem.signs * xw
+        loss_val = _objective(problem, w, m)
         if not np.isfinite(loss_val):
             raise NumericalError("non-finite objective after step", w_last=w, trace=trace)
-        outer += 1
-        if collect_trace:
-            trace.rows.append(
-                TraceRow(
-                    loss=loss_val,
-                    grad_norm=gnorm,
-                    active_count=n_active,
-                    active_fraction=n_active / n if n else 0.0,
-                    cg_iters=cg_iters,
-                    step_size=lam,
-                    wall_ms=(time.perf_counter() - t_iter) * 1e3,
-                )
+        trace.rows.append(
+            TraceRow(
+                loss=loss_val,
+                grad_norm=gnorm,
+                active_count=n_active,
+                active_fraction=n_active / n if n else 0.0,
+                cg_iters=cg_iters,
+                step_size=lam,
+                wall_ms=(time.perf_counter() - t_iter) * 1e3,
             )
+        )
 
     trace.final_grad_norm = gnorm
     trace.wall_ms = (time.perf_counter() - t_start) * 1e3

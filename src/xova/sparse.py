@@ -112,52 +112,6 @@ class SparseVector:
         return f"SparseVector({pairs}{tail})"
 
 
-def dot_sparse_dense(v: SparseVector, w: DenseVector) -> float:
-    """Inner product of a sparse vector with a dense vector."""
-    w = np.asarray(w, dtype=np.float64)
-    if v.indices.size == 0:
-        return 0.0
-    if v.indices[-1] >= w.shape[0]:
-        raise DimensionMismatchError(
-            f"sparse index {int(v.indices[-1])} out of range for dense length {w.shape[0]}"
-        )
-    return float(np.dot(w[v.indices], v.values))
-
-
-def axpy_sparse_into_dense(a: float, v: SparseVector, w: DenseVector) -> DenseVector:
-    """In-place ``w[j] += a * v[j]`` for the stored entries of ``v``.
-
-    Returns ``w`` for chaining. Coordinates not stored in ``v`` are untouched.
-    """
-    if v.indices.size:
-        if v.indices[-1] >= w.shape[0]:
-            raise DimensionMismatchError(
-                f"sparse index {int(v.indices[-1])} out of range for dense length {w.shape[0]}"
-            )
-        w[v.indices] += a * v.values
-    return w
-
-
-def dot(a: DenseVector, b: DenseVector) -> float:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(f"lengths {a.shape[0]} and {b.shape[0]} differ")
-    return float(np.dot(a, b))
-
-
-def norm2(a: DenseVector) -> float:
-    return float(np.linalg.norm(a))
-
-
-def scale(alpha: float, a: DenseVector) -> DenseVector:
-    return alpha * np.asarray(a, dtype=np.float64)
-
-
-def add_scaled(a: DenseVector, alpha: float, b: DenseVector) -> DenseVector:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(f"lengths {a.shape[0]} and {b.shape[0]} differ")
-    return a + alpha * b
-
-
 class SparseMatrix:
     """Row-compressed instance-by-feature matrix, shared read-only.
 

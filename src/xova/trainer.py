@@ -13,7 +13,9 @@ import concurrent.futures
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Iterator
+
 import numpy as np
 import scipy.sparse
 
@@ -31,10 +33,12 @@ from .initializers import (
 )
 from .losses import MarginLoss, parse_loss
 from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL
-from .sparse import DenseVector, SparseVector
+from .sparse import DenseVector, SparseMatrix, SparseVector
 
 MODEL_MAGIC = "xova"
 MODEL_VERSION = "v1"
+# Rows of X scored at once: the dense score block is this many rows by L.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -73,16 +77,7 @@ class TrainConfig:
                 "loss": self.loss.token,
                 "init": self.init.kind,
                 "init_params": self.resolved_init_params(),
-                "solver": {
-                    "eps_outer": self.solver.eps_outer,
-                    "eps_cg": self.solver.eps_cg,
-                    "precond_alpha": self.solver.precond_alpha,
-                    "ls_beta": self.solver.ls_beta,
-                    "ls_eta": self.solver.ls_eta,
-                    "ls_max_steps": self.solver.ls_max_steps,
-                    "max_outer": self.solver.max_outer,
-                    "max_cg": self.solver.max_cg,
-                },
+                "solver": asdict(self.solver),
                 "c": self.c,
                 "clip_threshold": self.clip_threshold,
                 "seed": self.seed,
@@ -203,16 +198,7 @@ class TrainReport:
             "loss": self.loss,
             "init": self.init,
             "init_params": self.init_params,
-            "solver": {
-                "eps_outer": self.solver.eps_outer,
-                "eps_cg": self.solver.eps_cg,
-                "precond_alpha": self.solver.precond_alpha,
-                "ls_beta": self.solver.ls_beta,
-                "ls_eta": self.solver.ls_eta,
-                "ls_max_steps": self.solver.ls_max_steps,
-                "max_outer": self.solver.max_outer,
-                "max_cg": self.solver.max_cg,
-            },
+            "solver": asdict(self.solver),
             "c": self.c,
             "clip_threshold": self.clip_threshold,
             "threads": self.threads,
@@ -427,13 +413,17 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     return model, report
 
 
-def predict_scores(model: OvaModel, x: SparseVector) -> np.ndarray:
-    """Per-label scores ``<w_j, x>`` for one instance."""
-    if x.indices.size and x.indices[-1] >= model.dim:
+def score_blocks(model: OvaModel, X: SparseMatrix) -> Iterator[tuple[int, np.ndarray]]:
+    """``(row offset, dense block of X @ W.T)`` over blocks of rows of ``X``."""
+    if X.n_cols != model.dim:
         raise DimensionMismatchError(
-            f"instance index {int(x.indices[-1])} out of range for model dim {model.dim}"
+            f"data dimension {X.n_cols} != model dimension {model.dim}"
         )
-    return model.weight_matrix() @ x.to_dense(model.dim)
+    wt = model.weight_matrix().T.tocsc()
+    xs = X.to_scipy()
+    return (
+        (lo, (xs[lo : lo + _BLOCK_ROWS] @ wt).toarray()) for lo in range(0, X.n_rows, _BLOCK_ROWS)
+    )
 
 
 def topk_from_scores(scores: np.ndarray, k: int) -> np.ndarray:
@@ -448,13 +438,15 @@ def topk_from_scores(scores: np.ndarray, k: int) -> np.ndarray:
     return cand[order[:k]]
 
 
-def predict_topk(model: OvaModel, x: SparseVector, k: int) -> list[tuple[int, float]]:
-    """The k highest-scoring labels with scores, non-increasing."""
+def predict_topk(model: OvaModel, X: SparseMatrix, k: int) -> list[list[tuple[int, float]]]:
+    """Per row of ``X``, the k highest-scoring labels with scores, non-increasing."""
     if not 1 <= k <= model.n_labels:
         raise ConfigError(f"k={k} out of range for {model.n_labels} labels")
-    scores = predict_scores(model, x)
-    top = topk_from_scores(scores, k)
-    return [(int(j), float(scores[j])) for j in top]
+    out = []
+    for _, block in score_blocks(model, X):
+        for scores in block:
+            out.append([(int(j), float(scores[j])) for j in topk_from_scores(scores, k)])
+    return out
 
 
 def save_model(model: OvaModel, path) -> None:

@@ -130,6 +130,26 @@ class TestTrain:
         rc = main(train_args(workdir, **{"--data": str(workdir / "nope.txt")}))
         assert rc == 2
 
+    def test_numerical_failure_exit_3_after_writing_model(self, tmp_path, capsys):
+        data = tmp_path / "huge.txt"
+        data.write_text("3 2 2\n0 0:1e308 1:1.0\n1 0:1.0 1:2.0\n0,1 0:0.5\n")
+        model = tmp_path / "huge.model"
+        rc = main(["train", "--data", str(data), "--model-out", str(model),
+                   "--diag-out", str(tmp_path / "huge.json")])
+        assert rc == 3
+        assert "trained 2 labels" in capsys.readouterr().out
+        assert model.read_text().startswith("xova v1 2 3 2 ")
+        report = json.loads((tmp_path / "huge.json").read_text())
+        assert report["totals"]["failed"] == 2
+
+    def test_non_finite_data_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "bad.txt"
+        data.write_text("2 2 2\n0 0:1.0 1:1.0\n1 0:nan\n")
+        rc = main(["train", "--data", str(data), "--model-out", str(tmp_path / "m.model")])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.model").exists()
+
     def test_usage_error_exit_1(self):
         assert main(["train", "--loss", "squared-hinge"]) == 1
         assert main(["train", "--data", "x", "--model-out", "y", "--loss", "bogus"]) == 1

@@ -85,6 +85,13 @@ class TestParsing:
         with pytest.raises(ParseError, match="index:value"):
             load_xmc_dataset(write(tmp_path, "1 3 1\n0 nocolon\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_value(self, tmp_path, value):
+        text = f"3 3 1\n0 0:1.0\n0 2:0.5 1:{value}\n0 0:nan\n"
+        with pytest.raises(ParseError, match="non-finite value .* for feature 1") as e:
+            load_xmc_dataset(write(tmp_path, text))
+        assert e.value.line == 3
+
     def test_empty_dataset_allowed(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "0 3 2\n"))
         assert ds.n == 0 and ds.dim == 3

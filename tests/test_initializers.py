@@ -9,7 +9,7 @@ from xova.initializers import (
     InitStrategy,
     aop_init,
     bias_init,
-    ovap_init,
+    ovap_solve,
     zero_init,
 )
 from xova.losses import MarginLoss, active_set
@@ -91,14 +91,14 @@ class TestOvap:
     def test_bias_only_closed_form(self):
         X = make_matrix([{0: 1.0}], 1)
         p = BinaryProblem(X, np.array([-1.0]))
-        w = ovap_init(p, SolverConfig(), 0.01)
+        w = ovap_solve(p, SolverConfig(), 0.01)[0]
         assert w[0] == pytest.approx(-2.0 / 3.0, abs=1e-2)
 
     def test_large_n_approaches_minus_one(self):
         n = 2000
         X = make_matrix([{0: 1.0}] * n, 1)
         p = BinaryProblem(X, np.full(n, -1.0))
-        w = ovap_init(p, SolverConfig(), 1e-6)
+        w = ovap_solve(p, SolverConfig(), 1e-6)[0]
         assert w[0] == pytest.approx(-2.0 * n / (1 + 2.0 * n), abs=1e-4)
         assert abs(w[0] + 1.0) < 1e-3
 
@@ -106,13 +106,13 @@ class TestOvap:
         ds = augment_bias(generate_synthetic(120, 12, 5, 1.2, 4))
         p = BinaryProblem(ds.features, np.full(ds.n, -1.0))
         g0 = float(np.linalg.norm(gradient(p, np.zeros(ds.dim))))
-        w = ovap_init(p, SolverConfig(), 0.01)
+        w = ovap_solve(p, SolverConfig(), 0.01)[0]
         assert float(np.linalg.norm(gradient(p, w))) <= 0.01 * g0
 
     def test_rejects_positive_signs(self):
         p = BinaryProblem(make_matrix([{0: 1.0}], 1), np.array([1.0]))
         with pytest.raises(ConfigError):
-            ovap_init(p, SolverConfig(), 0.01)
+            ovap_solve(p, SolverConfig(), 0.01)
 
 
 def brute_force_nbar(pbar, p_count, pre):

@@ -11,7 +11,6 @@ from xova.losses import (
     dphi,
     parse_loss,
     phi,
-    quad_approx_error,
 )
 
 SQH = MarginLoss.SQUARED_HINGE
@@ -85,6 +84,12 @@ class TestDerivativesByFiniteDifferences:
 def test_convexity(m1, m2, lam, loss):
     mid = lam * m1 + (1 - lam) * m2
     assert phi(loss, mid) <= lam * phi(loss, m1) + (1 - lam) * phi(loss, m2) + 1e-12
+
+
+def quad_approx_error(loss, m0, delta):
+    """Second-order Taylor model of the loss at ``m0`` minus the loss at ``m0 + delta``."""
+    model = phi(loss, m0) + delta * dphi(loss, m0) + 0.5 * delta * delta * ddphi(loss, m0)
+    return model - phi(loss, m0 + delta)
 
 
 class TestQuadApproxError:

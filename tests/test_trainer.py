@@ -12,9 +12,9 @@ from xova.trainer import (
     OvaModel,
     TrainConfig,
     load_model,
-    predict_scores,
     predict_topk,
     save_model,
+    score_blocks,
     topk_from_scores,
     train_ova,
 )
@@ -174,48 +174,69 @@ class TestTrainOva:
             train_ova(ds, other, TrainConfig())
 
 
+def scores(model, rows):
+    """Dense ``X @ W.T`` of the instances given as ``{index: value}`` dicts."""
+    blocks = [block for _, block in score_blocks(model, make_matrix(rows, model.dim))]
+    return np.vstack(blocks)
+
+
 class TestPredict:
     def test_zero_weights_zero_scores(self):
         model = simple_model([{}, {}], dim=3)
-        scores = predict_scores(model, SparseVector.from_dict({0: 1.0}))
-        np.testing.assert_array_equal(scores, [0.0, 0.0])
+        np.testing.assert_array_equal(scores(model, [{0: 1.0}]), [[0.0, 0.0]])
 
     def test_bias_only_model(self):
         model = simple_model([{2: -2.0}], dim=3, bias_index=2)
-        assert predict_scores(model, SparseVector.from_dict({2: 1.0}))[0] == -2.0
+        assert scores(model, [{2: 1.0}])[0, 0] == -2.0
 
     def test_explicit_zero_entries_ignored(self):
         model = simple_model([{0: 1.0, 1: 2.0}], dim=3)
-        a = predict_scores(model, SparseVector.from_dict({0: 1.0}))
-        b = predict_scores(model, SparseVector.from_dict({0: 1.0, 2: 0.0}))
+        a = scores(model, [{0: 1.0}])
+        b = scores(model, [{0: 1.0, 2: 0.0}])
         np.testing.assert_array_equal(a, b)
 
     def test_dimension_check(self):
         model = simple_model([{0: 1.0}], dim=2)
+        X = make_matrix([{5: 1.0}], 6)
         with pytest.raises(DimensionMismatchError):
-            predict_scores(model, SparseVector.from_dict({5: 1.0}))
+            score_blocks(model, X)
+        with pytest.raises(DimensionMismatchError):
+            predict_topk(model, X, 1)
+
+    def test_blocks_cover_every_row(self, rng):
+        model = simple_model([{0: 1.0}, {1: -1.0, 2: 0.5}], dim=3)
+        dense = rng.normal(0, 1, (1100, 3))
+        X = make_matrix([dict(enumerate(row)) for row in dense], 3)
+        offsets = [lo for lo, _ in score_blocks(model, X)]
+        assert offsets == [0, 512, 1024]
+        np.testing.assert_allclose(
+            scores(model, [dict(enumerate(row)) for row in dense]),
+            np.stack([dense[:, 0], 0.5 * dense[:, 2] - dense[:, 1]], axis=1),
+            rtol=1e-15,
+        )
 
     def test_topk_example(self):
         model = simple_model([{0: 0.1}, {0: 0.9}, {0: 0.5}], dim=1)
-        out = predict_topk(model, SparseVector.from_dict({0: 1.0}), 2)
-        assert out == [(1, pytest.approx(0.9)), (2, pytest.approx(0.5))]
+        out = predict_topk(model, make_matrix([{0: 1.0}], 1), 2)
+        assert out == [[(1, pytest.approx(0.9)), (2, pytest.approx(0.5))]]
 
     def test_topk_tie_break_ascending_label(self):
         model = simple_model([{0: 1.0}, {0: 1.0}, {0: 1.0}], dim=1)
-        out = predict_topk(model, SparseVector.from_dict({0: 1.0}), 2)
+        [out] = predict_topk(model, make_matrix([{0: 1.0}], 1), 2)
         assert [j for j, _ in out] == [0, 1]
 
     def test_topk_full_sort(self):
         model = simple_model([{0: 0.1}, {0: 0.9}, {0: 0.5}], dim=1)
-        out = predict_topk(model, SparseVector.from_dict({0: 1.0}), 3)
+        [out] = predict_topk(model, make_matrix([{0: 1.0}], 1), 3)
         assert [j for j, _ in out] == [1, 2, 0]
 
     def test_topk_range_check(self):
         model = simple_model([{}], dim=1)
+        X = make_matrix([{}], 1)
         with pytest.raises(ConfigError):
-            predict_topk(model, SparseVector.empty(), 2)
+            predict_topk(model, X, 2)
         with pytest.raises(ConfigError):
-            predict_topk(model, SparseVector.empty(), 0)
+            predict_topk(model, X, 0)
 
     def test_topk_partial_equals_full_sort(self, rng):
         for _ in range(50):
@@ -232,14 +253,14 @@ class TestPredict:
         full = simple_model([dict(enumerate(dense))], dim=dim)
         keep = np.abs(dense) >= thr
         clipped = simple_model([{i: v for i, v in enumerate(dense) if keep[i]}], dim=dim)
+        rows, nnzs = [], []
         for _ in range(20):
             nnz = int(rng.integers(1, dim))
-            idx = np.sort(rng.choice(dim, nnz, replace=False))
-            x = SparseVector(idx.astype(np.int64), rng.uniform(-1, 1, nnz))
-            drift = abs(
-                predict_scores(full, x)[0] - predict_scores(clipped, x)[0]
-            )
-            assert drift <= thr * nnz + 1e-12
+            idx = rng.choice(dim, nnz, replace=False)
+            rows.append(dict(zip(idx.tolist(), rng.uniform(-1, 1, nnz))))
+            nnzs.append(nnz)
+        drift = np.abs(scores(full, rows)[:, 0] - scores(clipped, rows)[:, 0])
+        assert np.all(drift <= thr * np.array(nnzs) + 1e-12)
 
 
 class TestModelRoundTrip:
