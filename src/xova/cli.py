@@ -31,11 +31,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# Stopping ratio used by --ovap-strict: tight enough that the shared
-# all-negative solve runs to (approximate) convergence instead of the loose
-# default of 0.01.
-OVAP_STRICT_STOP = 1e-4
-
 
 class _UsageError(Exception):
     pass
@@ -56,8 +51,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--init", choices=["zero", "bias", "ovap", "aop"], default="aop")
     p.add_argument("--bias-scale", type=float, default=1.0)
     p.add_argument("--ovap-stop", type=float, default=0.01)
-    p.add_argument("--ovap-strict", action="store_true",
-                   help=f"run the shared all-negative solve to convergence (stop ratio {OVAP_STRICT_STOP})")
     p.add_argument("--aop-s", type=float, default=None)
     p.add_argument("--aop-t", type=float, default=None,
                    help="default -2 for squared hinge, -3 for logistic")
@@ -126,11 +119,10 @@ def _load_for_model(model, path):
 
 def _cmd_train(args) -> int:
     loss = parse_loss(args.loss)
-    ovap_stop = OVAP_STRICT_STOP if args.ovap_strict else args.ovap_stop
     init = InitStrategy(
         kind=args.init,
         bias_scale=args.bias_scale,
-        ovap_stop_rel=ovap_stop,
+        ovap_stop_rel=args.ovap_stop,
         aop_s=args.aop_s,
         aop_t=args.aop_t,
     )

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigError, DimensionMismatchError, ParseError
-from .sparse import DenseVector, SparseMatrix, SparseVector
+from .sparse import DenseVector, SparseMatrix
 
 
 @dataclass
@@ -49,7 +50,7 @@ class LabelStats:
     """Per-label positive index lists and means, plus the global mean."""
 
     positives: list[np.ndarray]  # sorted instance indices per label
-    pbar: list[SparseVector]  # mean of positive rows per label (empty if none)
+    pbar: SparseMatrix  # L x d, row j the mean of label j's positive rows (empty if none)
     xbar: DenseVector  # mean of all rows
     xbar_sq: float  # <xbar, xbar>
     n: int
@@ -128,7 +129,6 @@ def load_xmc_dataset(path) -> Dataset:
             raise ParseError("empty file, expected 'n d l' header", 1)
         n, d, l = _parse_header(header, 1)
 
-        indptr = np.zeros(n + 1, dtype=np.int64)
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         labels: list[np.ndarray] = []
@@ -149,23 +149,28 @@ def load_xmc_dataset(path) -> Dataset:
             fi, fv = _parse_features(feat_tokens, d, lineno)
             idx_parts.append(fi)
             val_parts.append(fv)
-            indptr[i + 1] = indptr[i] + fi.size
 
         extra = fh.read()
         if extra.strip():
             raise ParseError(f"unexpected content after {n} instance lines", n + 2)
 
-    indices = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.int64)
-    data = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.float64)
-    finite = np.isfinite(data)
+    # indptr from the lines actually read, never from the header's count
+    indptr = np.concatenate(([0], np.cumsum([p.size for p in idx_parts], dtype=np.int64)))
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *idx_parts])
+    features = SparseMatrix(indptr, indices, np.concatenate([np.empty(0), *val_parts]), d)
+    reject_non_finite(features, ParseError, "value")
+    return Dataset(features=features, labels=labels, n_labels=l)
+
+
+def reject_non_finite(X: SparseMatrix, error: type, what: str) -> None:
+    """Raise ``error`` for the first non-finite value of ``X``, read from a
+    file that holds row ``i`` on line ``i + 2``."""
+    finite = np.isfinite(X.data)
     if not finite.all():
         pos = int(np.argmin(finite))
-        row = int(np.searchsorted(indptr, pos, side="right")) - 1
-        raise ParseError(
-            f"non-finite value {float(data[pos])} for feature {int(indices[pos])}", row + 2
-        )
-    features = SparseMatrix(indptr, indices, data, d)
-    return Dataset(features=features, labels=labels, n_labels=l)
+        row = int(np.searchsorted(X.indptr, pos, side="right")) - 1
+        value, feature = float(X.data[pos]), int(X.indices[pos])
+        raise error(f"non-finite {what} {value} for feature {feature}", row + 2)
 
 
 def write_xmc_dataset(ds: Dataset, path) -> None:
@@ -213,35 +218,46 @@ def augment_bias(ds: Dataset) -> Dataset:
     return Dataset(features=features, labels=ds.labels, n_labels=ds.n_labels, bias_index=d)
 
 
+def label_matrix(ds: Dataset) -> SparseMatrix:
+    """The n x L indicator matrix Y of the instances' labels (entries 1.0)."""
+    sizes = np.fromiter((lbls.size for lbls in ds.labels), dtype=np.int64, count=ds.n)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *ds.labels])
+    return SparseMatrix(indptr, indices, np.ones(indices.shape[0]), ds.n_labels)
+
+
 def compute_label_stats(ds: Dataset) -> LabelStats:
     """Positive index lists, per-label positive means, and the global mean.
 
-    The per-label mean and the global mean are computed through the same
-    column-sum kernel, so a label that is positive on every instance gets
-    ``pbar == xbar`` exactly.
+    The positive means are ``diag(1/|P_j|) Y^T X``. The sparse product adds
+    each label's positive rows in increasing row order, as the column-sum
+    kernel behind the global mean does, so a label that is positive on
+    every instance gets ``pbar == xbar`` exactly.
     """
     n = ds.n
     if n == 0:
         raise ConfigError("cannot compute label statistics of an empty dataset")
     X = ds.features
-    positives: list[list[int]] = [[] for _ in range(ds.n_labels)]
-    for i, lbls in enumerate(ds.labels):
-        for j in lbls:
-            positives[int(j)].append(i)
-    pos_arrays = [np.asarray(p, dtype=np.int64) for p in positives]
+    Y = label_matrix(ds)
+    # Stable: each label's instances stay in increasing row order.
+    order = np.argsort(Y.indices, kind="stable")
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(Y.indptr))[order]
+    rows.flags.writeable = False
+    counts = np.bincount(Y.indices, minlength=ds.n_labels)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    yt = scipy.sparse.csr_matrix((np.ones(rows.shape[0]), rows, starts), shape=(ds.n_labels, n))
+    sums = yt @ X.to_scipy()
+    sums.sort_indices()
+    means = sums.data / np.repeat(counts, np.diff(sums.indptr))
+    pbar = SparseMatrix(sums.indptr, sums.indices, means, X.n_cols, validate=False)
 
     xbar = X.column_sums() / n
-    xbar_sq = float(np.dot(xbar, xbar))
-
-    pbar: list[SparseVector] = []
-    for p in pos_arrays:
-        if p.size == 0:
-            pbar.append(SparseVector.empty())
-            continue
-        sums = X.submatrix(p).column_sums() / p.size
-        nz = np.flatnonzero(sums)
-        pbar.append(SparseVector(nz.astype(np.int64), sums[nz], _trusted=True))
-    return LabelStats(positives=pos_arrays, pbar=pbar, xbar=xbar, xbar_sq=xbar_sq, n=n)
+    # Only the aop start reads xbar_sq; an overflow makes every aop start
+    # non-finite, which each label's solve reports as numerical_failure.
+    with np.errstate(over="ignore"):
+        xbar_sq = float(np.dot(xbar, xbar))
+    positives = np.split(rows, starts[1:-1]) if ds.n_labels else []
+    return LabelStats(positives=positives, pbar=pbar, xbar=xbar, xbar_sq=xbar_sq, n=n)
 
 
 def dataset_digest(ds: Dataset) -> str:

@@ -9,6 +9,14 @@ class DimensionMismatchError(XovaError, ValueError):
     """Operands disagree on vector or matrix dimensions."""
 
 
+class InvalidEntryError(XovaError, ValueError):
+    """A sparse matrix entry whose column is out of range or out of order in its row."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class ParseError(XovaError, ValueError):
     """A data file violates the expected text format."""
 

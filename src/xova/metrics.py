@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset
+from .dataio import Dataset, label_matrix
 from .errors import ConfigError, DimensionMismatchError
-from .trainer import OvaModel, score_blocks, topk_from_scores
+from .trainer import OvaModel, block_topk, score_blocks
 
 
 @dataclass
@@ -54,58 +54,50 @@ def _check_compatible(model: OvaModel, test: Dataset) -> None:
 
 def precision_at_k(model: OvaModel, test: Dataset, ks: list[int]) -> dict[int, float]:
     """Mean over test instances of ``|top-k predictions & relevant| / k``."""
-    _check_compatible(model, test)
-    ks = sorted(set(int(k) for k in ks))
-    if not ks:
-        return {}
-    if ks[0] < 1 or ks[-1] > model.n_labels:
-        raise ConfigError(f"k must lie in [1, {model.n_labels}], got {ks}")
-    if test.n == 0:
-        return {k: 0.0 for k in ks}
-    kmax = ks[-1]
-    hit_sums = {k: 0.0 for k in ks}
-    for lo, block in score_blocks(model, test.features):
-        for r in range(block.shape[0]):
-            top = topk_from_scores(block[r], kmax)
-            relevant = set(int(j) for j in test.labels[lo + r])
-            hits = np.cumsum([1 if int(j) in relevant else 0 for j in top])
-            for k in ks:
-                hit_sums[k] += hits[k - 1] / k
-    return {k: hit_sums[k] / test.n for k in ks}
+    return evaluate(model, test, ks).p_at
 
 
 def macro_binary_pr(model: OvaModel, test: Dataset) -> tuple[float, float]:
-    """Unweighted per-label means of binary precision and recall.
+    """Unweighted per-label means of binary precision and recall (see :func:`evaluate`)."""
+    result = evaluate(model, test, [])
+    return result.macro_precision, result.macro_recall
 
-    An instance is predicted positive for a label when its score is > 0.
-    Labels with neither a test positive nor a predicted positive carry no
-    signal and are excluded from the averages; 0/0 ratios inside a counted
-    label are taken as 0.
+
+def evaluate(model: OvaModel, test: Dataset, ks: list[int]) -> EvalResult:
+    """precision@k for each k in ``ks`` and macro binary precision/recall,
+    from one scoring pass over the test set.
+
+    Top-k ties go to the lower label. For the binary metrics an instance is
+    predicted positive for a label when its score is > 0. Labels with
+    neither a test positive nor a predicted positive carry no signal and
+    are excluded from the averages; 0/0 ratios inside a counted label are
+    taken as 0.
     """
     _check_compatible(model, test)
+    ks = sorted(set(int(k) for k in ks))
+    if ks and (ks[0] < 1 or ks[-1] > model.n_labels):
+        raise ConfigError(f"k must lie in [1, {model.n_labels}], got {ks}")
+    kmax = ks[-1] if ks else 0
     l = model.n_labels
+    hits = np.zeros(kmax, dtype=np.int64)  # relevant labels at each rank, over instances
     tp = np.zeros(l, dtype=np.int64)
     fp = np.zeros(l, dtype=np.int64)
     fn = np.zeros(l, dtype=np.int64)
+    relevant = label_matrix(test).to_scipy()
     for lo, block in score_blocks(model, test.features):
+        rel = relevant[lo : lo + block.shape[0]].toarray() > 0.0
+        if kmax:
+            hits += np.take_along_axis(rel, block_topk(block, kmax), axis=1).sum(axis=0)
         pred = block > 0.0
-        rel = np.zeros(pred.shape, dtype=bool)
-        for r in range(pred.shape[0]):
-            rel[r, test.labels[lo + r]] = True
         tp += np.sum(pred & rel, axis=0)
         fp += np.sum(pred & ~rel, axis=0)
         fn += np.sum(~pred & rel, axis=0)
 
+    cum = np.cumsum(hits)
+    p_at = {k: float(cum[k - 1] / (k * test.n)) if test.n else 0.0 for k in ks}
     counted = (tp + fn > 0) | (tp + fp > 0)
-    if not np.any(counted):
-        return 0.0, 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        prec = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
-        rec = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
-    return float(np.mean(prec[counted])), float(np.mean(rec[counted]))
-
-
-def evaluate(model: OvaModel, test: Dataset, ks: list[int]) -> EvalResult:
-    p_at = precision_at_k(model, test, ks)
-    prec, rec = macro_binary_pr(model, test)
+    prec = rec = 0.0
+    if np.any(counted):  # a zero denominator has tp == 0, so the ratio is 0/1
+        prec = float(np.mean((tp / np.maximum(tp + fp, 1))[counted]))
+        rec = float(np.mean((tp / np.maximum(tp + fn, 1))[counted]))
     return EvalResult(p_at=p_at, macro_precision=prec, macro_recall=rec, n_test=test.n)

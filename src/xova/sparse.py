@@ -1,11 +1,11 @@
 """Sparse/dense linear algebra kernels shared by the rest of the package.
 
 Feature-space vectors come in two flavours: :class:`SparseVector` (sorted
-index/value pairs, used for instances, per-label means and stored weights)
-and plain contiguous float64 numpy arrays (weight vectors, descent
-directions, the global feature mean). The design matrix is a row-compressed
-:class:`SparseMatrix`. Matrix-vector products are delegated to scipy.sparse;
-everything else is numpy.
+index/value pairs, such as one row of a matrix) and plain contiguous float64
+numpy arrays (weight vectors, descent directions, the global feature mean).
+The design matrix, the per-label means and the stored weights are
+row-compressed :class:`SparseMatrix` objects. Matrix products are delegated
+to scipy.sparse; everything else is numpy.
 
 All arithmetic is in 64-bit floats. Matrices and sparse vectors are frozen
 after construction so they can be shared read-only across worker threads.
@@ -13,12 +13,12 @@ after construction so they can be shared read-only across worker threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidEntryError
 
 # A dense feature-space vector is just a 1-d float64 ndarray.
 DenseVector = np.ndarray
@@ -113,11 +113,13 @@ class SparseVector:
 
 
 class SparseMatrix:
-    """Row-compressed instance-by-feature matrix, shared read-only.
+    """Row-compressed matrix, shared read-only; iterating yields its rows.
 
     Arrays passed to the constructor are adopted and frozen; callers must
-    not keep writable references. scipy CSR views are materialized lazily
-    and cached for the matvec paths.
+    not keep writable references. Validation raises
+    :class:`InvalidEntryError`, naming the row, for a column index that is
+    out of range or not strictly increasing within its row. scipy CSR views
+    are materialized lazily and cached for the matvec paths.
     """
 
     __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr", "_csr_sq")
@@ -137,15 +139,16 @@ class SparseMatrix:
             if indptr[-1] != indices.shape[0] or indices.shape[0] != data.shape[0]:
                 raise ValueError("final offset must equal the number of nonzeros")
             if indices.size:
-                if indices.min() < 0 or indices.max() >= n_cols:
-                    raise ValueError(f"column index out of range for n_cols={n_cols}")
-                step = np.diff(indices)
-                ok = np.ones(step.shape[0], dtype=bool)
-                boundaries = indptr[1:-1] - 1
-                boundaries = boundaries[(boundaries >= 0) & (boundaries < step.shape[0])]
-                ok[boundaries] = False
-                if np.any(step[ok] <= 0):
-                    raise ValueError("column indices must be strictly increasing within each row")
+                bad = (indices < 0) | (indices >= n_cols)
+                row_start = np.zeros(indices.shape[0], dtype=bool)
+                row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+                bad[1:] |= (np.diff(indices) <= 0) & ~row_start[1:]
+                if bad.any():
+                    pos = int(np.argmax(bad))
+                    j = int(indices[pos])
+                    what = "out of range" if not 0 <= j < n_cols else "repeated or out of order"
+                    row = int(np.searchsorted(indptr, pos, side="right")) - 1
+                    raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row)
         for arr in (indptr, indices, data):
             arr.flags.writeable = False
         self.n_rows = n_rows
@@ -196,6 +199,9 @@ class SparseMatrix:
             raise IndexError(f"row {i} out of range for {self.n_rows} rows")
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return SparseVector(self.indices[lo:hi], self.data[lo:hi], _trusted=True)
+
+    def __iter__(self) -> Iterator[SparseVector]:
+        return (self.row(i) for i in range(self.n_rows))
 
     def matvec(self, w: DenseVector) -> DenseVector:
         """``X @ w``."""

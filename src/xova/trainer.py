@@ -13,15 +13,16 @@ import concurrent.futures
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse
 
 from . import solver as solver_mod
-from .dataio import Dataset, LabelStats, dataset_digest
-from .errors import ConfigError, DimensionMismatchError, ModelFormatError, NumericalError
+from .dataio import Dataset, LabelStats, dataset_digest, reject_non_finite
+from .errors import (
+    ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError, NumericalError
+)
 from .initializers import (
     INIT_KINDS,
     AopPrecompute,
@@ -96,48 +97,19 @@ class ModelMeta:
 
 @dataclass
 class OvaModel:
-    """Per-label sparse weight vectors plus training metadata."""
+    """Label weights, one row per label of an L x d matrix, plus training metadata."""
 
-    n_labels: int
-    dim: int
+    weights: SparseMatrix
     bias_index: int | None
-    weights: list[SparseVector]
     meta: ModelMeta
-    _wmat: scipy.sparse.csr_matrix | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        if len(self.weights) != self.n_labels:
-            raise DimensionMismatchError(
-                f"{len(self.weights)} weight vectors for {self.n_labels} labels"
-            )
-        for j, w in enumerate(self.weights):
-            if w.indices.size and w.indices[-1] >= self.dim:
-                raise DimensionMismatchError(
-                    f"label {j} has weight index {int(w.indices[-1])} >= dim {self.dim}"
-                )
+    @property
+    def n_labels(self) -> int:
+        return self.weights.n_rows
 
-    def weight_matrix(self) -> scipy.sparse.csr_matrix:
-        """Labels-by-features CSR view of the weights (cached)."""
-        if self._wmat is None:
-            indptr = np.zeros(self.n_labels + 1, dtype=np.int64)
-            parts_i = []
-            parts_v = []
-            for j, w in enumerate(self.weights):
-                parts_i.append(w.indices)
-                parts_v.append(w.values)
-                indptr[j + 1] = indptr[j] + w.nnz
-            indices = (
-                np.concatenate(parts_i) if parts_i else np.empty(0, dtype=np.int64)
-            )
-            values = (
-                np.concatenate(parts_v) if parts_v else np.empty(0, dtype=np.float64)
-            )
-            self._wmat = scipy.sparse.csr_matrix(
-                (values, indices, indptr), shape=(self.n_labels, self.dim)
-            )
-        return self._wmat
+    @property
+    def dim(self) -> int:
+        return self.weights.n_cols
 
 
 @dataclass
@@ -264,7 +236,7 @@ def _make_w0(
     if kind == "ovap":
         return np.array(shared_ovap, copy=True)
     s, t = cfg.init.resolved_aop(cfg.loss)
-    return aop_init(stats.pbar[label], int(stats.positives[label].size), aop_pre, s, t)
+    return aop_init(stats.pbar.row(label), int(stats.positives[label].size), aop_pre, s, t)
 
 
 def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaModel, TrainReport]:
@@ -301,11 +273,17 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     if cfg.init.kind == "ovap":
         all_neg = BinaryProblem(X, np.full(n, -1.0), cfg.loss, cfg.c)
         t0 = time.perf_counter()
-        shared_ovap, ovap_trace = ovap_solve(all_neg, cfg.solver, cfg.init.ovap_stop_rel)
+        # An overflow ends in a non-finite value, which the shared solve
+        # raises as a NumericalError.
+        with np.errstate(over="ignore"):
+            shared_ovap, ovap_trace = ovap_solve(all_neg, cfg.solver, cfg.init.ovap_stop_rel)
         init_wall_ms = (time.perf_counter() - t0) * 1e3
         init_hvp_touches = ovap_trace.hvp_touches
     elif cfg.init.kind == "aop":
-        aop_pre = AopPrecompute(xbar=stats.xbar, xbar_sq=stats.xbar_sq, n=stats.n)
+        # An overflowing <xbar, xbar> makes every aop start non-finite, which
+        # each label's solve reports as numerical_failure.
+        with np.errstate(over="ignore"):
+            aop_pre = AopPrecompute(xbar=stats.xbar, xbar_sq=stats.xbar_sq, n=stats.n)
         cfg.init.resolved_aop(cfg.loss)  # surface the s <= t warning before workers start
 
     def work(label: int):
@@ -313,15 +291,18 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         signs = np.full(n, -1.0)
         signs[stats.positives[label]] = 1.0
         problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
-        w0 = _make_w0(cfg, dim, ds.bias_index, stats, label, shared_ovap, aop_pre)
-        grad0_ref = float(np.linalg.norm(solver_mod.gradient(problem, np.zeros(dim))))
         termination = None
-        try:
-            w, trace = solver_mod.newton_cg(problem, w0, cfg.solver, grad0_ref)
-        except NumericalError as err:
-            w = err.w_last if err.w_last is not None else w0
-            trace = err.trace if err.trace is not None else SolverTrace()
-            termination = TERM_NUMERICAL
+        # Overflow on huge inputs ends in non-finite values, which newton_cg
+        # reports as numerical_failure. errstate is per thread, so it is set here.
+        with np.errstate(over="ignore"):
+            w0 = _make_w0(cfg, dim, ds.bias_index, stats, label, shared_ovap, aop_pre)
+            grad0_ref = float(np.linalg.norm(solver_mod.gradient(problem, np.zeros(dim))))
+            try:
+                w, trace = solver_mod.newton_cg(problem, w0, cfg.solver, grad0_ref)
+            except NumericalError as err:
+                w = err.w_last if err.w_last is not None else w0
+                trace = err.trace if err.trace is not None else SolverTrace()
+                termination = TERM_NUMERICAL
         if termination is None:
             termination = trace.termination
         keep = np.abs(w) >= cfg.clip_threshold
@@ -380,10 +361,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
 
     digest = cfg.digest()
     model = OvaModel(
-        n_labels=ds.n_labels,
-        dim=dim,
+        weights=SparseMatrix.from_rows(weights, dim),
         bias_index=ds.bias_index,
-        weights=weights,
         meta=ModelMeta(loss=cfg.loss.token, init=cfg.init.kind, config_digest=digest),
     )
     report = TrainReport(
@@ -419,23 +398,16 @@ def score_blocks(model: OvaModel, X: SparseMatrix) -> Iterator[tuple[int, np.nda
         raise DimensionMismatchError(
             f"data dimension {X.n_cols} != model dimension {model.dim}"
         )
-    wt = model.weight_matrix().T.tocsc()
+    wt = model.weights.to_scipy().T.tocsr()
     xs = X.to_scipy()
     return (
         (lo, (xs[lo : lo + _BLOCK_ROWS] @ wt).toarray()) for lo in range(0, X.n_rows, _BLOCK_ROWS)
     )
 
 
-def topk_from_scores(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best scores, ties broken by ascending index."""
-    n = scores.shape[0]
-    if k >= n:
-        cand = np.arange(n)
-    else:
-        part = np.argpartition(-scores, k - 1)[:k]
-        cand = np.flatnonzero(scores >= scores[part].min())
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order[:k]]
+def block_topk(block: np.ndarray, k: int) -> np.ndarray:
+    """Per row of a score block, the columns of the k best scores, ties to the lower column."""
+    return np.argsort(-block, axis=1, kind="stable")[:, :k]
 
 
 def predict_topk(model: OvaModel, X: SparseMatrix, k: int) -> list[list[tuple[int, float]]]:
@@ -444,30 +416,58 @@ def predict_topk(model: OvaModel, X: SparseMatrix, k: int) -> list[list[tuple[in
         raise ConfigError(f"k={k} out of range for {model.n_labels} labels")
     out = []
     for _, block in score_blocks(model, X):
-        for scores in block:
-            out.append([(int(j), float(scores[j])) for j in topk_from_scores(scores, k)])
+        top = block_topk(block, k)
+        picked = np.take_along_axis(block, top, axis=1)
+        out.extend(list(zip(t, v)) for t, v in zip(top.tolist(), picked.tolist()))
     return out
 
 
 def save_model(model: OvaModel, path) -> None:
     """Text serialization; weight values at 17 significant digits round-trip exactly."""
+    W = model.weights
     bias = -1 if model.bias_index is None else model.bias_index
+    indptr = W.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"{MODEL_MAGIC} {MODEL_VERSION} {model.n_labels} {model.dim} "
             f"{bias} {model.meta.loss} {model.meta.init}\n"
         )
-        for j, w in enumerate(model.weights):
-            if w.nnz:
-                pairs = " ".join(
-                    f"{int(i)}:{v:.17g}" for i, v in zip(w.indices, w.values)
-                )
-                fh.write(f"{j} {w.nnz} {pairs}\n")
-            else:
-                fh.write(f"{j} 0\n")
+        for j in range(W.n_rows):
+            lo, hi = indptr[j], indptr[j + 1]
+            pairs = map("{}:{:.17g}".format, W.indices[lo:hi].tolist(), W.data[lo:hi].tolist())
+            fh.write(" ".join([str(j), str(hi - lo), *pairs]) + "\n")
+
+
+def _parse_weight_line(line: str, j: int, lineno: int) -> SparseVector:
+    """The weights of label ``j`` from its line ``j nnz idx:val ...``; the indices
+    are range- and order-checked once the rows form one matrix."""
+    tokens = line.split()
+    if len(tokens) < 2:
+        raise ModelFormatError("label line needs 'j nnz' prefix", lineno)
+    try:
+        label, nnz = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ModelFormatError("non-integer label line prefix", lineno) from None
+    if label != j:
+        raise ModelFormatError(f"expected label {j}, found {label}", lineno)
+    pairs = tokens[2:]
+    if nnz != len(pairs):
+        raise ModelFormatError(f"label {j} declares {nnz} entries but has {len(pairs)}", lineno)
+    bad = next((tok for tok in pairs if tok.count(":") != 1), None)
+    if bad is not None:
+        raise ModelFormatError(f"invalid weight token {bad!r}", lineno)
+    flat = ":".join(pairs).split(":")
+    try:
+        idx = np.fromiter(map(int, flat[0::2]), dtype=np.int64, count=nnz)
+        val = np.fromiter(map(float, flat[1::2]), dtype=np.float64, count=nnz)
+    except (ValueError, OverflowError) as err:
+        raise ModelFormatError(f"invalid weight token ({err})", lineno) from None
+    return SparseVector(idx, val, _trusted=True)
 
 
 def load_model(path) -> OvaModel:
+    """Parse a model file; every malformed, out-of-range or non-finite entry is
+    reported with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
@@ -486,6 +486,8 @@ def load_model(path) -> OvaModel:
             n_labels, dim, bias = int(n_labels_s), int(dim_s), int(bias_s)
         except ValueError:
             raise ModelFormatError("non-integer header field", 1) from None
+        if n_labels < 0 or dim < 0:
+            raise ModelFormatError("label count and dimension must be non-negative", 1)
         try:
             parse_loss(loss_token)
         except ConfigError:
@@ -494,49 +496,24 @@ def load_model(path) -> OvaModel:
             raise ModelFormatError(f"unknown init token {init_token!r}", 1)
         bias_index = None if bias < 0 else bias
 
-        weights = []
-        for j in range(n_labels):
-            lineno = j + 2
-            line = fh.readline()
-            if line == "":
-                raise ModelFormatError(
-                    f"truncated model: expected {n_labels} label lines, got {j}", lineno
-                )
-            tokens = line.split()
-            if len(tokens) < 2:
-                raise ModelFormatError("label line needs 'j nnz' prefix", lineno)
-            try:
-                label, nnz = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ModelFormatError("non-integer label line prefix", lineno) from None
-            if label != j:
-                raise ModelFormatError(f"expected label {j}, found {label}", lineno)
-            if nnz != len(tokens) - 2:
-                raise ModelFormatError(
-                    f"label {j} declares {nnz} entries but has {len(tokens) - 2}", lineno
-                )
-            idx = np.empty(nnz, dtype=np.int64)
-            val = np.empty(nnz, dtype=np.float64)
-            for pos, tok in enumerate(tokens[2:]):
-                colon = tok.find(":")
-                if colon <= 0:
-                    raise ModelFormatError(f"invalid weight token {tok!r}", lineno)
-                try:
-                    idx[pos] = int(tok[:colon])
-                    val[pos] = float(tok[colon + 1 :])
-                except ValueError:
-                    raise ModelFormatError(f"invalid weight token {tok!r}", lineno) from None
-            try:
-                weights.append(SparseVector(idx, val))
-            except ValueError as err:
-                raise ModelFormatError(str(err), lineno) from None
+        rows = [
+            _parse_weight_line(line, j, j + 2) for j, line in zip(range(n_labels), fh)
+        ]
+        if len(rows) < n_labels:
+            raise ModelFormatError(
+                f"truncated model: expected {n_labels} label lines, got {len(rows)}",
+                len(rows) + 2,
+            )
         extra = fh.read()
         if extra.strip():
             raise ModelFormatError("unexpected content after the last label line", n_labels + 2)
+    try:
+        weights = SparseMatrix.from_rows(rows, dim)
+    except InvalidEntryError as err:
+        raise ModelFormatError(f"weight {err}", err.row + 2) from None
+    reject_non_finite(weights, ModelFormatError, "weight")
     return OvaModel(
-        n_labels=n_labels,
-        dim=dim,
-        bias_index=bias_index,
         weights=weights,
+        bias_index=bias_index,
         meta=ModelMeta(loss=loss_token, init=init_token, config_digest=None),
     )

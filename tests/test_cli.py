@@ -150,6 +150,13 @@ class TestTrain:
         assert "line 3" in capsys.readouterr().err
         assert not (tmp_path / "m.model").exists()
 
+    def test_huge_row_count_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "big.txt"
+        data.write_text("1000000000000000 2 2\n0 0:1.0\n")
+        rc = main(["train", "--data", str(data), "--model-out", str(tmp_path / "m.model")])
+        assert rc == 2
+        assert "line 3: expected 1000000000000000 instance lines" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         assert main(["train", "--loss", "squared-hinge"]) == 1
         assert main(["train", "--data", "x", "--model-out", "y", "--loss", "bogus"]) == 1

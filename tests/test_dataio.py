@@ -143,23 +143,23 @@ class TestLabelStats:
     def test_three_point_example(self):
         stats = compute_label_stats(self.three_point())
         np.testing.assert_allclose(stats.xbar, [2 / 3, 2 / 3])
-        assert stats.pbar[0] == SparseVector.from_dict({0: 1.0})
+        assert stats.pbar.row(0) == SparseVector.from_dict({0: 1.0})
         nbar = np.array([1 / 2, 1.0])  # mean of rows 1 and 2
         np.testing.assert_allclose(
-            2 * nbar + 1 * stats.pbar[0].to_dense(2), 3 * stats.xbar, rtol=1e-12
+            2 * nbar + 1 * stats.pbar.row(0).to_dense(2), 3 * stats.xbar, rtol=1e-12
         )
 
     def test_all_positive_label_equals_global_mean(self):
         X = make_matrix([{0: 1.0}, {1: 1.0}, {0: 1.0, 1: 1.0}], 2)
         ds = Dataset(X, [np.array([0])] * 3, 1)
         stats = compute_label_stats(ds)
-        np.testing.assert_array_equal(stats.pbar[0].to_dense(2), stats.xbar)
+        np.testing.assert_array_equal(stats.pbar.row(0).to_dense(2), stats.xbar)
 
     def test_label_with_no_positives(self):
         X = make_matrix([{0: 1.0}], 2)
         ds = Dataset(X, [np.array([], dtype=np.int64)], 2)
         stats = compute_label_stats(ds)
-        assert stats.pbar[0].nnz == 0 and stats.positives[0].size == 0
+        assert stats.pbar.row(0).nnz == 0 and stats.positives[0].size == 0
 
     def test_empty_dataset_rejected(self):
         ds = Dataset(make_matrix([], 2), [], 1)
@@ -175,7 +175,7 @@ class TestLabelStats:
             pos = stats.positives[j]
             neg = np.setdiff1d(np.arange(n), pos)
             nbar = D[neg].mean(axis=0) if neg.size else np.zeros(ds.dim)
-            lhs = neg.size * nbar + pos.size * stats.pbar[j].to_dense(ds.dim)
+            lhs = neg.size * nbar + pos.size * stats.pbar.row(j).to_dense(ds.dim)
             assert np.max(np.abs(lhs - n * stats.xbar)) <= 1e-9 * n
 
     def test_assignment_count(self):

@@ -207,7 +207,7 @@ class TestSparsityEffect:
             pos = stats.positives[j]
             if pos.size == 0:
                 continue
-            w0 = aop_init(stats.pbar[j], int(pos.size), pre, 1.0, -2.0)
+            w0 = aop_init(stats.pbar.row(j), int(pos.size), pre, 1.0, -2.0)
             signs = np.full(ds.n, -1.0)
             signs[pos] = 1.0
             p = BinaryProblem(ds.features, signs)

@@ -6,20 +6,13 @@ import pytest
 from xova.dataio import Dataset
 from xova.errors import ConfigError, DimensionMismatchError
 from xova.metrics import evaluate, macro_binary_pr, precision_at_k
-from xova.sparse import SparseVector
 from xova.trainer import ModelMeta, OvaModel
 
 from conftest import make_matrix
 
 
 def model_from(weight_dicts, dim):
-    return OvaModel(
-        n_labels=len(weight_dicts),
-        dim=dim,
-        bias_index=None,
-        weights=[SparseVector.from_dict(w) for w in weight_dicts],
-        meta=ModelMeta(loss="squared-hinge", init="zero"),
-    )
+    return OvaModel(make_matrix(weight_dicts, dim), None, ModelMeta(loss="squared-hinge", init="zero"))
 
 
 def dataset_from(rows, labels, dim, n_labels):

@@ -1,10 +1,10 @@
-"""Properties of scoring and of the data and model round-trips."""
+"""Properties of scoring, of the data and model round-trips, and of the parsers."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from xova.dataio import Dataset, load_xmc_dataset, write_xmc_dataset
-from xova.sparse import SparseVector
+from xova.errors import ModelFormatError, ParseError
 from xova.trainer import ModelMeta, OvaModel, load_model, predict_topk, save_model
 
 from conftest import dense_matrix, make_matrix
@@ -21,14 +21,7 @@ def sparse_dicts(dim, values, max_rows):
 
 
 def model_from(weight_dicts, dim):
-    weights = [SparseVector.from_dict(w) for w in weight_dicts]
-    return OvaModel(
-        n_labels=len(weights),
-        dim=dim,
-        bias_index=None,
-        weights=weights,
-        meta=ModelMeta(loss="squared-hinge", init="zero"),
-    )
+    return OvaModel(make_matrix(weight_dicts, dim), None, ModelMeta(loss="squared-hinge", init="zero"))
 
 
 @st.composite
@@ -93,3 +86,65 @@ def test_write_load_dataset_round_trips(tmp_path_factory, ds):
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(back.features, name), getattr(ds.features, name))
     assert [a.tolist() for a in back.labels] == [a.tolist() for a in ds.labels]
+
+
+# Tokens that break a valid line: a bare separator, a non-finite value, a
+# negative id, integers beyond int64 and beyond any dimension, broken pairs.
+JUNK = [":", "nan", "-1", "1e309", "99999999999999999999", "1000000000000000", "0:nan",
+        "-1:1", "0:1:2", "x:1", "1:"]
+MUTATIONS = ["drop", "duplicate", "replace", "insert", "splice", "drop line", "duplicate line"]
+
+
+def mutate(draw, text):
+    """``text`` with one token or line dropped, duplicated, replaced or spliced with junk."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "drop line":
+        del lines[i]
+    elif kind == "duplicate line":
+        lines.insert(i, lines[i])
+    else:
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        junk = draw(st.sampled_from(JUNK))
+        if kind == "drop":
+            del tokens[j]
+        elif kind == "duplicate":
+            tokens.insert(j, tokens[j])
+        elif kind == "replace":
+            tokens[j] = junk
+        elif kind == "insert":
+            tokens.insert(j, junk)
+        else:
+            c = draw(st.integers(0, len(tokens[j])))
+            tokens[j] = tokens[j][:c] + junk + tokens[j][c:]
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), st.data())
+def test_data_parser_raises_only_parse_errors(tmp_path_factory, ds, data):
+    path = tmp_path_factory.mktemp("data") / "d.txt"
+    write_xmc_dataset(ds, path)
+    path.write_text(mutate(data.draw, path.read_text()))
+    try:
+        load_xmc_dataset(path)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda dim: st.tuples(st.just(dim), sparse_dicts(dim, FINITE, 5).filter(len))
+), st.data())
+def test_model_parser_raises_only_model_format_errors(tmp_path_factory, case, data):
+    dim, weight_dicts = case
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    save_model(model_from(weight_dicts, dim), path)
+    path.write_text(mutate(data.draw, path.read_text()))
+    try:
+        load_model(path)
+    except ModelFormatError:
+        pass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from xova.errors import DimensionMismatchError
+from xova.errors import DimensionMismatchError, InvalidEntryError
 from xova.sparse import SparseMatrix, SparseVector
 
 from conftest import dense_matrix, make_matrix
@@ -101,6 +101,9 @@ class TestSparseMatrix:
             SparseMatrix([0, 2], [1, 1], [1.0, 2.0], 3)  # duplicate within row
         with pytest.raises(ValueError):
             SparseMatrix([0, 3], [0, 1], [1.0, 2.0], 3)  # final offset != nnz
+        with pytest.raises(InvalidEntryError, match="index 1 repeated or out of order") as e:
+            SparseMatrix([0, 1, 1, 3], [2, 2, 1], [1.0, 2.0, 3.0], 3)  # row 2 decreases
+        assert e.value.row == 2
 
     def test_empty_rows_allowed(self):
         X = make_matrix([{}, {1: 2.0}, {}], 3)
@@ -138,6 +141,7 @@ class TestSparseMatrix:
         r = X.row(0)
         assert r == SparseVector.from_dict({0: 1.0, 2: 4.0})
         assert X.row(1).nnz == 0
+        assert list(X) == [r, X.row(1)]
         with pytest.raises(IndexError):
             X.row(2)
 

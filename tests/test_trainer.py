@@ -6,7 +6,7 @@ from xova.errors import ConfigError, DimensionMismatchError, ModelFormatError
 from xova.initializers import InitStrategy
 from xova.losses import MarginLoss
 from xova.solver import BinaryProblem, SolverConfig, TERM_NUMERICAL, gradient, newton_cg
-from xova.sparse import SparseMatrix, SparseVector
+from xova.sparse import SparseMatrix
 from xova.trainer import (
     ModelMeta,
     OvaModel,
@@ -15,7 +15,6 @@ from xova.trainer import (
     predict_topk,
     save_model,
     score_blocks,
-    topk_from_scores,
     train_ova,
 )
 
@@ -29,14 +28,7 @@ def small_data():
 
 
 def simple_model(weight_dicts, dim, bias_index=None, loss="squared-hinge", init="zero"):
-    weights = [SparseVector.from_dict(w) for w in weight_dicts]
-    return OvaModel(
-        n_labels=len(weights),
-        dim=dim,
-        bias_index=bias_index,
-        weights=weights,
-        meta=ModelMeta(loss=loss, init=init),
-    )
+    return OvaModel(make_matrix(weight_dicts, dim), bias_index, ModelMeta(loss=loss, init=init))
 
 
 class TestTrainOva:
@@ -50,7 +42,7 @@ class TestTrainOva:
         p = BinaryProblem(ds.features, signs, cfg.loss, cfg.c)
         g0 = float(np.linalg.norm(gradient(p, np.zeros(ds.dim))))
         w_ref, trace = newton_cg(p, np.zeros(ds.dim), cfg.solver, g0)
-        np.testing.assert_array_equal(model.weights[j].to_dense(ds.dim), w_ref)
+        np.testing.assert_array_equal(model.weights.row(j).to_dense(ds.dim), w_ref)
         row = next(r for r in report.labels if r.label == j)
         assert row.outer_iters == trace.outer_iters
         assert row.hvp_touches == trace.hvp_touches
@@ -99,8 +91,8 @@ class TestTrainOva:
         cfg = TrainConfig(label_subset=(1, 3))
         model, report = train_ova(ds, stats, cfg)
         assert sorted(r.label for r in report.labels) == [1, 3]
-        assert model.weights[0].nnz == 0  # untrained labels stay empty
-        assert model.weights[1].nnz > 0
+        assert model.weights.row(0).nnz == 0  # untrained labels stay empty
+        assert model.weights.row(1).nnz > 0
 
     def test_bias_init_requires_augmented(self):
         ds = generate_synthetic(50, 10, 3, 1.2, 5)
@@ -131,7 +123,7 @@ class TestTrainOva:
             by_label[j].termination != TERM_NUMERICAL for j in range(1, ds.n_labels)
         )
         assert report.n_failed == 1
-        assert model.weights[1].nnz > 0  # the rest trained normally
+        assert model.weights.row(1).nnz > 0  # the rest trained normally
 
     def test_thread_determinism(self, small_data, tmp_path):
         ds, stats = small_data
@@ -239,12 +231,15 @@ class TestPredict:
             predict_topk(model, X, 0)
 
     def test_topk_partial_equals_full_sort(self, rng):
-        for _ in range(50):
-            scores = np.round(rng.normal(0, 1, 40), 1)  # coarse grid forces ties
-            k = int(rng.integers(1, 40))
-            got = topk_from_scores(scores, k).tolist()
-            want = sorted(range(40), key=lambda j: (-scores[j], j))[:k]
-            assert got == want
+        # row i of X scores label j at trials[i, j]
+        trials = np.round(rng.normal(0, 1, (50, 40)), 1)  # coarse grid forces ties
+        model = simple_model([dict(enumerate(col)) for col in trials.T], dim=50)
+        X = make_matrix([{i: 1.0} for i in range(50)], 50)
+        for k in (1, 7, 39, 40):
+            for scores, got in zip(trials, predict_topk(model, X, k)):
+                want = sorted(range(40), key=lambda j: (-scores[j], j))[:k]
+                assert [j for j, _ in got] == want
+                assert [s for _, s in got] == [scores[j] for j in want]
 
     def test_clipping_score_drift_bound(self, rng):
         # with |x_j| <= 1 the clipped scores drift by at most threshold * nnz(x)
@@ -283,7 +278,7 @@ class TestModelRoundTrip:
         path = tmp_path / "m.model"
         save_model(model, path)
         assert "0 0\n" in path.read_text()
-        assert load_model(path).weights[0].nnz == 0
+        assert load_model(path).weights.row(0).nnz == 0
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "m.model"
@@ -327,3 +322,31 @@ class TestModelRoundTrip:
         path = tmp_path / "m.model"
         save_model(model, path)
         assert load_model(path).bias_index is None
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            ("0:nan", "non-finite weight nan for feature 0"),
+            ("1:inf", "non-finite weight inf for feature 1"),
+            ("1:-inf", "non-finite weight -inf for feature 1"),
+            ("0:1e309", "non-finite weight inf for feature 0"),
+            ("2:1.0", "index 2 out of range for 2 columns"),
+            ("-1:1.0", "index -1 out of range"),
+            ("0:1.0 0:2.0", "index 0 repeated or out of order"),
+            ("1:1.0 0:2.0", "index 0 repeated or out of order"),
+        ],
+    )
+    def test_bad_weight_entry(self, tmp_path, entries, match):
+        path = tmp_path / "m.model"
+        n = len(entries.split())
+        path.write_text(f"xova v1 3 2 -1 squared-hinge zero\n0 1 0:0.5\n1 {n} {entries}\n2 0\n")
+        with pytest.raises(ModelFormatError, match=match) as e:
+            load_model(path)
+        assert e.value.line == 3
+
+    def test_huge_label_count_is_truncated_not_allocated(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("xova v1 1000000000000000 2 -1 squared-hinge zero\n0 0\n")
+        with pytest.raises(ModelFormatError, match="expected 1000000000000000 label lines, got 1") as e:
+            load_model(path)
+        assert e.value.line == 3
