@@ -3,7 +3,9 @@
 The on-disk format is the plain-text multi-label format used by the public
 extreme-classification benchmark files: a header line ``n d l`` followed by
 one line per instance, ``lbl,lbl,... f:v f:v ...`` with 0-based ids. An
-empty label field is written as a leading space. Parsing is strict: no
+empty label field is written as a leading space. The ``f:v`` rows share
+their syntax with the model file, and :func:`parse_pairs` and
+:func:`format_row` read and write them for both. Parsing is strict: no
 comments, every malformed token is reported with its line number.
 """
 
@@ -12,12 +14,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse
 
-from .errors import ConfigError, DimensionMismatchError, ParseError
+from .errors import ConfigError, DimensionMismatchError, InvalidEntryError, ParseError
 from .sparse import DenseVector, SparseMatrix
 
 
@@ -73,52 +74,49 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     return n, d, l
 
 
-def _parse_labels(token: str, n_labels: int, lineno: int) -> np.ndarray:
-    if not token:
+def parse_pairs(
+    tokens: list[str], error: type, lineno: int, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index and value arrays of one line's ``idx:val`` tokens, in the
+    order given. Only the syntax is checked here; ranges, repeats and
+    non-finite values are checked once the lines form one matrix."""
+    bad = next((tok for tok in tokens if tok.count(":") != 1), None)
+    if bad is not None:
+        raise error(f"invalid {what} token {bad!r}, expected index:value", lineno)
+    flat = ":".join(tokens).split(":")
+    try:
+        idx = np.fromiter(map(int, flat[0::2]), dtype=np.int64, count=len(tokens))
+        val = np.fromiter(map(float, flat[1::2]), dtype=np.float64, count=len(tokens))
+    except ValueError as err:
+        raise error(f"non-numeric {what} index or value ({err})", lineno) from None
+    except OverflowError:
+        raise error(f"{what} index beyond the int64 range", lineno) from None
+    return idx, val
+
+
+def format_row(head: str, indices: np.ndarray, values: np.ndarray) -> str:
+    """``head idx:val ...``; values at 17 significant digits read back exactly."""
+    return " ".join([head, *map("{}:{:.17g}".format, indices.tolist(), values.tolist())])
+
+
+def _parse_label_ids(field: str, lineno: int) -> np.ndarray:
+    if not field:
         return np.empty(0, dtype=np.int64)
-    ids = []
-    for piece in token.split(","):
-        try:
-            lbl = int(piece)
-        except ValueError:
-            raise ParseError(f"invalid label id {piece!r}", lineno) from None
-        if lbl < 0 or lbl >= n_labels:
-            raise ParseError(f"label id {lbl} out of range for {n_labels} labels", lineno)
-        ids.append(lbl)
-    arr = np.asarray(sorted(ids), dtype=np.int64)
-    if arr.size > 1 and np.any(np.diff(arr) == 0):
-        raise ParseError(f"duplicate label id in {token!r}", lineno)
-    return arr
+    try:
+        return np.fromiter(map(int, field.split(",")), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ParseError(f"invalid label ids {field!r}", lineno) from None
 
 
-def _parse_features(tokens: Sequence[str], dim: int, lineno: int):
-    idx = []
-    val = []
-    for tok in tokens:
-        colon = tok.find(":")
-        if colon <= 0:
-            raise ParseError(f"invalid feature token {tok!r}, expected index:value", lineno)
-        try:
-            j = int(tok[:colon])
-        except ValueError:
-            raise ParseError(f"invalid feature index in {tok!r}", lineno) from None
-        try:
-            v = float(tok[colon + 1 :])
-        except ValueError:
-            raise ParseError(f"non-numeric feature value in {tok!r}", lineno) from None
-        if j < 0 or j >= dim:
-            raise ParseError(f"feature index {j} out of range for dimension {dim}", lineno)
-        idx.append(j)
-        val.append(v)
-    if not idx:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    order = np.argsort(idx, kind="stable")
-    idx_arr = np.asarray(idx, dtype=np.int64)[order]
-    val_arr = np.asarray(val, dtype=np.float64)[order]
-    if idx_arr.size > 1 and np.any(np.diff(idx_arr) == 0):
-        dup = int(idx_arr[np.flatnonzero(np.diff(idx_arr) == 0)[0]])
-        raise ParseError(f"duplicate feature index {dup}", lineno)
-    return idx_arr, val_arr
+def _stack_data_rows(idx_parts, val_parts, n_cols: int, what: str, limit: str) -> SparseMatrix:
+    """Rows listed in any order, sorted by index; a repeated or out-of-range
+    index is a ParseError on the row's line."""
+    try:
+        return SparseMatrix.stack(idx_parts, val_parts, n_cols, sort=True)
+    except InvalidEntryError as err:
+        if 0 <= err.col < n_cols:
+            raise ParseError(f"duplicate {what} {err.col}", err.row + 2) from None
+        raise ParseError(f"{what} {err.col} out of range for {limit}", err.row + 2) from None
 
 
 def load_xmc_dataset(path) -> Dataset:
@@ -129,36 +127,32 @@ def load_xmc_dataset(path) -> Dataset:
             raise ParseError("empty file, expected 'n d l' header", 1)
         n, d, l = _parse_header(header, 1)
 
+        label_parts: list[np.ndarray] = []
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
-        labels: list[np.ndarray] = []
-        for i in range(n):
-            lineno = i + 2
-            line = fh.readline()
-            if line == "":
-                raise ParseError(f"expected {n} instance lines, file ends after {i}", lineno)
+        for lineno, line in zip(range(2, n + 2), fh):
             line = line.rstrip("\r\n")
-            if line and line[0] not in (" ", "\t"):
-                head, _, rest = line.partition(" ")
-                label_token = head
-                feat_tokens = rest.split()
+            if line[:1] in ("", " ", "\t"):
+                label_field, rest = "", line
             else:
-                label_token = ""
-                feat_tokens = line.split()
-            labels.append(_parse_labels(label_token, l, lineno))
-            fi, fv = _parse_features(feat_tokens, d, lineno)
-            idx_parts.append(fi)
-            val_parts.append(fv)
+                label_field, _, rest = line.partition(" ")
+            label_parts.append(_parse_label_ids(label_field, lineno))
+            idx, val = parse_pairs(rest.split(), ParseError, lineno, "feature")
+            idx_parts.append(idx)
+            val_parts.append(val)
+        if len(idx_parts) < n:
+            read = len(idx_parts)
+            raise ParseError(f"expected {n} instance lines, file ends after {read}", read + 2)
 
         extra = fh.read()
         if extra.strip():
             raise ParseError(f"unexpected content after {n} instance lines", n + 2)
 
-    # indptr from the lines actually read, never from the header's count
-    indptr = np.concatenate(([0], np.cumsum([p.size for p in idx_parts], dtype=np.int64)))
-    indices = np.concatenate([np.empty(0, dtype=np.int64), *idx_parts])
-    features = SparseMatrix(indptr, indices, np.concatenate([np.empty(0), *val_parts]), d)
+    features = _stack_data_rows(idx_parts, val_parts, d, "feature index", f"dimension {d}")
+    Y = _stack_data_rows(label_parts, None, l, "label id", f"{l} labels")
     reject_non_finite(features, ParseError, "value")
+    bounds = Y.indptr.tolist()
+    labels = [Y.indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     return Dataset(features=features, labels=labels, n_labels=l)
 
 
@@ -182,18 +176,12 @@ def write_xmc_dataset(ds: Dataset, path) -> None:
     if ds.bias_index is not None:
         raise ConfigError("refusing to serialize a bias-augmented dataset")
     X = ds.features
+    bounds = X.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{ds.n} {ds.dim} {ds.n_labels}\n")
-        for i in range(ds.n):
-            lo, hi = X.indptr[i], X.indptr[i + 1]
-            label_part = ",".join(str(int(j)) for j in ds.labels[i])
-            feat_part = " ".join(
-                f"{int(j)}:{v:.17g}" for j, v in zip(X.indices[lo:hi], X.data[lo:hi])
-            )
-            if feat_part:
-                fh.write(f"{label_part} {feat_part}\n")
-            else:
-                fh.write(f"{label_part}\n")
+        for lbls, lo, hi in zip(ds.labels, bounds, bounds[1:]):
+            head = ",".join(map(str, lbls.tolist()))
+            fh.write(format_row(head, X.indices[lo:hi], X.data[lo:hi]) + "\n")
 
 
 def augment_bias(ds: Dataset) -> Dataset:
@@ -220,10 +208,7 @@ def augment_bias(ds: Dataset) -> Dataset:
 
 def label_matrix(ds: Dataset) -> SparseMatrix:
     """The n x L indicator matrix Y of the instances' labels (entries 1.0)."""
-    sizes = np.fromiter((lbls.size for lbls in ds.labels), dtype=np.int64, count=ds.n)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    indices = np.concatenate([np.empty(0, dtype=np.int64), *ds.labels])
-    return SparseMatrix(indptr, indices, np.ones(indices.shape[0]), ds.n_labels)
+    return SparseMatrix.stack(ds.labels, None, ds.n_labels)
 
 
 def compute_label_stats(ds: Dataset) -> LabelStats:

@@ -12,9 +12,10 @@ class DimensionMismatchError(XovaError, ValueError):
 class InvalidEntryError(XovaError, ValueError):
     """A sparse matrix entry whose column is out of range or out of order in its row."""
 
-    def __init__(self, message: str, row: int):
+    def __init__(self, message: str, row: int, col: int):
         super().__init__(message)
         self.row = row
+        self.col = col
 
 
 class ParseError(XovaError, ValueError):

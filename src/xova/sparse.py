@@ -117,8 +117,9 @@ class SparseMatrix:
 
     Arrays passed to the constructor are adopted and frozen; callers must
     not keep writable references. Validation raises
-    :class:`InvalidEntryError`, naming the row, for a column index that is
-    out of range or not strictly increasing within its row. scipy CSR views
+    :class:`InvalidEntryError`, naming the row and the column index, for a
+    column index that is out of range or not strictly increasing within its
+    row. scipy CSR views
     are materialized lazily and cached for the matvec paths.
     """
 
@@ -148,7 +149,7 @@ class SparseMatrix:
                     j = int(indices[pos])
                     what = "out of range" if not 0 <= j < n_cols else "repeated or out of order"
                     row = int(np.searchsorted(indptr, pos, side="right")) - 1
-                    raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row)
+                    raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row, j)
         for arr in (indptr, indices, data):
             arr.flags.writeable = False
         self.n_rows = n_rows
@@ -161,16 +162,33 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[SparseVector], n_cols: int) -> "SparseMatrix":
-        indptr = [0]
-        idx_parts = []
-        val_parts = []
-        for row in rows:
-            idx_parts.append(row.indices)
-            val_parts.append(row.values)
-            indptr.append(indptr[-1] + row.nnz)
-        indices = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.int64)
-        data = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.float64)
-        return cls(np.asarray(indptr, dtype=np.int64), indices, data, n_cols)
+        rows = list(rows)
+        return cls.stack([r.indices for r in rows], [r.values for r in rows], n_cols)
+
+    @classmethod
+    def stack(
+        cls,
+        idx_parts: Sequence[np.ndarray],
+        val_parts: Sequence[np.ndarray] | None,
+        n_cols: int,
+        *,
+        sort: bool = False,
+    ) -> "SparseMatrix":
+        """The validated matrix whose row ``i`` holds ``idx_parts[i]`` and
+        ``val_parts[i]`` (every value 1.0 when ``val_parts`` is None). With
+        ``sort``, each row's entries are first put in index order, so a row
+        may list them in any order; a repeated index stays invalid."""
+        sizes = np.fromiter(map(len, idx_parts), dtype=np.int64, count=len(idx_parts))
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        indices = np.concatenate([np.empty(0, dtype=np.int64), *idx_parts])
+        if val_parts is None:
+            data = np.ones(indices.shape[0])
+        else:
+            data = np.concatenate([np.empty(0), *val_parts])
+        if sort:
+            order = np.lexsort((indices, np.repeat(np.arange(sizes.shape[0]), sizes)))
+            indices, data = indices[order], data[order]
+        return cls(indptr, indices, data, n_cols)
 
     @property
     def nnz(self) -> int:

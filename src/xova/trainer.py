@@ -19,7 +19,9 @@ from typing import Iterator
 import numpy as np
 
 from . import solver as solver_mod
-from .dataio import Dataset, LabelStats, dataset_digest, reject_non_finite
+from .dataio import (
+    Dataset, LabelStats, dataset_digest, format_row, parse_pairs, reject_non_finite
+)
 from .errors import (
     ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError, NumericalError
 )
@@ -274,9 +276,15 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         all_neg = BinaryProblem(X, np.full(n, -1.0), cfg.loss, cfg.c)
         t0 = time.perf_counter()
         # An overflow ends in a non-finite value, which the shared solve
-        # raises as a NumericalError.
+        # raises as a NumericalError. As in a label's solve, the last accepted
+        # iterate is kept: every label is still solved from it, and those that
+        # fail are reported as numerical_failure.
         with np.errstate(over="ignore"):
-            shared_ovap, ovap_trace = ovap_solve(all_neg, cfg.solver, cfg.init.ovap_stop_rel)
+            try:
+                shared_ovap, ovap_trace = ovap_solve(all_neg, cfg.solver, cfg.init.ovap_stop_rel)
+            except NumericalError as err:
+                shared_ovap = err.w_last if err.w_last is not None else np.zeros(dim)
+                ovap_trace = err.trace if err.trace is not None else SolverTrace()
         init_wall_ms = (time.perf_counter() - t0) * 1e3
         init_hvp_touches = ovap_trace.hvp_touches
     elif cfg.init.kind == "aop":
@@ -292,9 +300,10 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         signs[stats.positives[label]] = 1.0
         problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
         termination = None
-        # Overflow on huge inputs ends in non-finite values, which newton_cg
-        # reports as numerical_failure. errstate is per thread, so it is set here.
-        with np.errstate(over="ignore"):
+        # Overflow on huge inputs ends in non-finite values (inf, or nan from
+        # inf * 0 in the aop start), which newton_cg reports as
+        # numerical_failure. errstate is per thread, so it is set here.
+        with np.errstate(over="ignore", invalid="ignore"):
             w0 = _make_w0(cfg, dim, ds.bias_index, stats, label, shared_ovap, aop_pre)
             grad0_ref = float(np.linalg.norm(solver_mod.gradient(problem, np.zeros(dim))))
             try:
@@ -426,43 +435,14 @@ def save_model(model: OvaModel, path) -> None:
     """Text serialization; weight values at 17 significant digits round-trip exactly."""
     W = model.weights
     bias = -1 if model.bias_index is None else model.bias_index
-    indptr = W.indptr.tolist()
+    bounds = W.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"{MODEL_MAGIC} {MODEL_VERSION} {model.n_labels} {model.dim} "
             f"{bias} {model.meta.loss} {model.meta.init}\n"
         )
-        for j in range(W.n_rows):
-            lo, hi = indptr[j], indptr[j + 1]
-            pairs = map("{}:{:.17g}".format, W.indices[lo:hi].tolist(), W.data[lo:hi].tolist())
-            fh.write(" ".join([str(j), str(hi - lo), *pairs]) + "\n")
-
-
-def _parse_weight_line(line: str, j: int, lineno: int) -> SparseVector:
-    """The weights of label ``j`` from its line ``j nnz idx:val ...``; the indices
-    are range- and order-checked once the rows form one matrix."""
-    tokens = line.split()
-    if len(tokens) < 2:
-        raise ModelFormatError("label line needs 'j nnz' prefix", lineno)
-    try:
-        label, nnz = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ModelFormatError("non-integer label line prefix", lineno) from None
-    if label != j:
-        raise ModelFormatError(f"expected label {j}, found {label}", lineno)
-    pairs = tokens[2:]
-    if nnz != len(pairs):
-        raise ModelFormatError(f"label {j} declares {nnz} entries but has {len(pairs)}", lineno)
-    bad = next((tok for tok in pairs if tok.count(":") != 1), None)
-    if bad is not None:
-        raise ModelFormatError(f"invalid weight token {bad!r}", lineno)
-    flat = ":".join(pairs).split(":")
-    try:
-        idx = np.fromiter(map(int, flat[0::2]), dtype=np.int64, count=nnz)
-        val = np.fromiter(map(float, flat[1::2]), dtype=np.float64, count=nnz)
-    except (ValueError, OverflowError) as err:
-        raise ModelFormatError(f"invalid weight token ({err})", lineno) from None
-    return SparseVector(idx, val, _trusted=True)
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            fh.write(format_row(f"{j} {hi - lo}", W.indices[lo:hi], W.data[lo:hi]) + "\n")
 
 
 def load_model(path) -> OvaModel:
@@ -496,19 +476,35 @@ def load_model(path) -> OvaModel:
             raise ModelFormatError(f"unknown init token {init_token!r}", 1)
         bias_index = None if bias < 0 else bias
 
-        rows = [
-            _parse_weight_line(line, j, j + 2) for j, line in zip(range(n_labels), fh)
-        ]
-        if len(rows) < n_labels:
+        idx_parts: list[np.ndarray] = []
+        val_parts: list[np.ndarray] = []
+        for j, line in zip(range(n_labels), fh):
+            tokens = line.split()
+            if len(tokens) < 2:
+                raise ModelFormatError("label line needs 'j nnz' prefix", j + 2)
+            try:
+                label, nnz = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ModelFormatError("non-integer label line prefix", j + 2) from None
+            if label != j:
+                raise ModelFormatError(f"expected label {j}, found {label}", j + 2)
+            if nnz != len(tokens) - 2:
+                raise ModelFormatError(
+                    f"label {j} declares {nnz} entries but has {len(tokens) - 2}", j + 2
+                )
+            idx, val = parse_pairs(tokens[2:], ModelFormatError, j + 2, "weight")
+            idx_parts.append(idx)
+            val_parts.append(val)
+        if len(idx_parts) < n_labels:
             raise ModelFormatError(
-                f"truncated model: expected {n_labels} label lines, got {len(rows)}",
-                len(rows) + 2,
+                f"truncated model: expected {n_labels} label lines, got {len(idx_parts)}",
+                len(idx_parts) + 2,
             )
         extra = fh.read()
         if extra.strip():
             raise ModelFormatError("unexpected content after the last label line", n_labels + 2)
     try:
-        weights = SparseMatrix.from_rows(rows, dim)
+        weights = SparseMatrix.stack(idx_parts, val_parts, dim)
     except InvalidEntryError as err:
         raise ModelFormatError(f"weight {err}", err.row + 2) from None
     reject_non_finite(weights, ModelFormatError, "weight")

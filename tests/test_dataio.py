@@ -77,6 +77,16 @@ class TestParsing:
         with pytest.raises(ParseError, match="duplicate feature index 1"):
             load_xmc_dataset(write(tmp_path, "1 3 1\n0 1:1.0 1:2.0\n"))
 
+    def test_features_and_labels_in_any_order(self, tmp_path):
+        ds = load_xmc_dataset(write(tmp_path, "1 3 2\n1,0 2:1.0 0:0.5\n"))
+        assert ds.labels[0].tolist() == [0, 1]
+        assert ds.features.row(0) == SparseVector.from_dict({0: 0.5, 2: 1.0})
+
+    def test_duplicate_feature_index_out_of_order(self, tmp_path):
+        with pytest.raises(ParseError, match="duplicate feature index 1") as e:
+            load_xmc_dataset(write(tmp_path, "1 3 1\n0 1:1.0 0:3.0 1:2.0\n"))
+        assert e.value.line == 2
+
     def test_duplicate_label(self, tmp_path):
         with pytest.raises(ParseError, match="duplicate label"):
             load_xmc_dataset(write(tmp_path, "1 3 2\n0,0 1:1.0\n"))

@@ -1,13 +1,18 @@
-"""Properties of scoring, of the data and model round-trips, and of the parsers."""
+"""Properties of scoring, of the data and model round-trips, of the parsers
+and of the Newton-CG solver."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from xova.dataio import Dataset, load_xmc_dataset, write_xmc_dataset
 from xova.errors import ModelFormatError, ParseError
+from xova.losses import MarginLoss
+from xova.solver import (
+    TERM_CONVERGED, TERM_LINE_SEARCH, TERM_MAX_OUTER, SolverConfig, gradient, newton_cg
+)
 from xova.trainer import ModelMeta, OvaModel, load_model, predict_topk, save_model
 
-from conftest import dense_matrix, make_matrix
+from conftest import dense_matrix, make_matrix, random_problem
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Multiples of 1/2 with few terms per product sum exactly in any order, and
@@ -148,3 +153,27 @@ def test_model_parser_raises_only_model_format_errors(tmp_path_factory, case, da
         load_model(path)
     except ModelFormatError:
         pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=40),
+    d=st.integers(min_value=1, max_value=10),
+    loss=st.sampled_from(list(MarginLoss)),
+    c=st.sampled_from([0.1, 1.0, 10.0]),
+    eps_outer=st.sampled_from([1e-6, 1e-2, 0.5]),
+    start_scale=st.sampled_from([0.0, 1.0, 10.0]),
+)
+def test_newton_cg_losses_never_increase(seed, n, d, loss, c, eps_outer, start_scale):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n, d, loss, c)
+    cfg = SolverConfig(eps_outer=eps_outer)
+    grad0_ref = float(np.linalg.norm(gradient(problem, np.zeros(d))))
+    w, trace = newton_cg(problem, rng.normal(0.0, start_scale, d), cfg, grad0_ref)
+    losses = trace.losses()
+    assert all(after <= before for before, after in zip(losses, losses[1:]))
+    # numerical_failure is raised as NumericalError, never returned
+    assert trace.termination in (TERM_CONVERGED, TERM_MAX_OUTER, TERM_LINE_SEARCH)
+    if trace.termination == TERM_CONVERGED:
+        assert trace.final_grad_norm <= eps_outer * grad0_ref
