@@ -6,7 +6,8 @@ one line per instance, ``lbl,lbl,... f:v f:v ...`` with 0-based ids. An
 empty label field is written as a leading space. The ``f:v`` rows share
 their syntax with the model file, and :func:`parse_pairs` and
 :func:`format_row` read and write them for both. Parsing is strict: no
-comments, every malformed token is reported with its line number.
+comments, no digit separators or non-ASCII digits, and every malformed
+token is reported with its line number.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ConfigError, DimensionMismatchError, InvalidEntryError, ParseError
 from .sparse import DenseVector, SparseMatrix
@@ -74,6 +74,14 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     return n, d, l
 
 
+def reject_bad_characters(line: str, error: type, lineno: int) -> None:
+    """Raise ``error`` for characters that the file formats never use but
+    that Python's ``int`` and ``float`` accept: the digit separator ``_``
+    and anything non-ASCII (digits of other scripts, Unicode spaces)."""
+    if not line.isascii() or "_" in line:
+        raise error("invalid character: digit separator '_' or non-ASCII", lineno)
+
+
 def parse_pairs(
     tokens: list[str], error: type, lineno: int, what: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +133,7 @@ def load_xmc_dataset(path) -> Dataset:
         header = fh.readline()
         if not header:
             raise ParseError("empty file, expected 'n d l' header", 1)
+        reject_bad_characters(header, ParseError, 1)
         n, d, l = _parse_header(header, 1)
 
         label_parts: list[np.ndarray] = []
@@ -132,6 +141,7 @@ def load_xmc_dataset(path) -> Dataset:
         val_parts: list[np.ndarray] = []
         for lineno, line in zip(range(2, n + 2), fh):
             line = line.rstrip("\r\n")
+            reject_bad_characters(line, ParseError, lineno)
             if line[:1] in ("", " ", "\t"):
                 label_field, rest = "", line
             else:
@@ -151,8 +161,10 @@ def load_xmc_dataset(path) -> Dataset:
     features = _stack_data_rows(idx_parts, val_parts, d, "feature index", f"dimension {d}")
     Y = _stack_data_rows(label_parts, None, l, "label id", f"{l} labels")
     reject_non_finite(features, ParseError, "value")
+    label_ids = Y.indices.astype(np.int64)
+    label_ids.flags.writeable = False
     bounds = Y.indptr.tolist()
-    labels = [Y.indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    labels = [label_ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     return Dataset(features=features, labels=labels, n_labels=l)
 
 
@@ -223,14 +235,9 @@ def compute_label_stats(ds: Dataset) -> LabelStats:
     if n == 0:
         raise ConfigError("cannot compute label statistics of an empty dataset")
     X = ds.features
-    Y = label_matrix(ds)
-    # Stable: each label's instances stay in increasing row order.
-    order = np.argsort(Y.indices, kind="stable")
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(Y.indptr))[order]
-    rows.flags.writeable = False
-    counts = np.bincount(Y.indices, minlength=ds.n_labels)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    yt = scipy.sparse.csr_matrix((np.ones(rows.shape[0]), rows, starts), shape=(ds.n_labels, n))
+    # Row j of Y^T lists label j's instances in increasing order.
+    yt = label_matrix(ds).to_scipy().T.tocsr()
+    counts = np.diff(yt.indptr)
     sums = yt @ X.to_scipy()
     sums.sort_indices()
     means = sums.data / np.repeat(counts, np.diff(sums.indptr))
@@ -241,7 +248,9 @@ def compute_label_stats(ds: Dataset) -> LabelStats:
     # non-finite, which each label's solve reports as numerical_failure.
     with np.errstate(over="ignore"):
         xbar_sq = float(np.dot(xbar, xbar))
-    positives = np.split(rows, starts[1:-1]) if ds.n_labels else []
+    rows = yt.indices.astype(np.int64)
+    rows.flags.writeable = False
+    positives = np.split(rows, yt.indptr[1:-1]) if ds.n_labels else []
     return LabelStats(positives=positives, pbar=pbar, xbar=xbar, xbar_sq=xbar_sq, n=n)
 
 
@@ -249,8 +258,8 @@ def dataset_digest(ds: Dataset) -> str:
     """Content hash used to detect mixing diagnostics from different datasets."""
     h = hashlib.sha256()
     h.update(f"xova-ds {ds.n} {ds.dim} {ds.n_labels} {ds.bias_index}".encode())
-    h.update(ds.features.indptr.tobytes())
-    h.update(ds.features.indices.tobytes())
+    h.update(ds.features.indptr.astype(np.int64).tobytes())
+    h.update(ds.features.indices.astype(np.int64).tobytes())
     h.update(ds.features.data.tobytes())
     for lbls in ds.labels:
         h.update(lbls.tobytes())

@@ -14,9 +14,15 @@ from .errors import ConfigError
 
 def load_report(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if report.get("format") != "xova-report v1":
+        try:
+            report = json.load(fh)
+        except ValueError as err:
+            raise ConfigError(f"{path}: not a training report (invalid JSON: {err})") from None
+    if not isinstance(report, dict) or report.get("format") != "xova-report v1":
         raise ConfigError(f"{path}: not a training report (format field mismatch)")
+    missing = sorted({"dataset", "init", "loss", "iterations", "labels"} - report.keys())
+    if missing:
+        raise ConfigError(f"{path}: not a training report (no {', '.join(missing)} field)")
     return report
 
 

@@ -56,6 +56,8 @@ class InitStrategy:
             raise ConfigError(f"unknown init kind {self.kind!r}; expected one of {INIT_KINDS}")
         if not np.isfinite(self.bias_scale):
             raise ConfigError("bias scale must be finite")
+        if any(v is not None and not np.isfinite(v) for v in (self.aop_s, self.aop_t)):
+            raise ConfigError("aop margin targets must be finite")
         if not 0.0 < self.ovap_stop_rel < 1.0:
             raise ConfigError("ovap stopping ratio must lie in (0, 1)")
 

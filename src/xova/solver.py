@@ -47,8 +47,8 @@ class SolverConfig:
     max_cg: int = 250
 
     def __post_init__(self):
-        if self.eps_outer <= 0 or self.eps_cg <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not (0.0 < self.eps_outer < np.inf and 0.0 < self.eps_cg < np.inf):
+            raise ConfigError("tolerances must be positive and finite")
         if not 0.0 <= self.precond_alpha <= 1.0:
             raise ConfigError("precond_alpha must lie in [0, 1]")
         if not 0.0 < self.ls_beta < 1.0:

@@ -4,8 +4,8 @@ Feature-space vectors come in two flavours: :class:`SparseVector` (sorted
 index/value pairs, such as one row of a matrix) and plain contiguous float64
 numpy arrays (weight vectors, descent directions, the global feature mean).
 The design matrix, the per-label means and the stored weights are
-row-compressed :class:`SparseMatrix` objects. Matrix products are delegated
-to scipy.sparse; everything else is numpy.
+row-compressed :class:`SparseMatrix` objects, each one scipy CSR matrix.
+Matrix products are delegated to scipy.sparse; everything else is numpy.
 
 All arithmetic is in 64-bit floats. Matrices and sparse vectors are frozen
 after construction so they can be shared read-only across worker threads.
@@ -13,7 +13,7 @@ after construction so they can be shared read-only across worker threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -115,19 +115,22 @@ class SparseVector:
 class SparseMatrix:
     """Row-compressed matrix, shared read-only; iterating yields its rows.
 
-    Arrays passed to the constructor are adopted and frozen; callers must
-    not keep writable references. Validation raises
+    Arrays passed to the constructor are adopted and frozen wherever scipy
+    keeps them; callers must not keep writable references. Validation raises
     :class:`InvalidEntryError`, naming the row and the column index, for a
     column index that is out of range or not strictly increasing within its
-    row. scipy CSR views
-    are materialized lazily and cached for the matvec paths.
+    row; it checks the arrays as given, before scipy narrows them, so an
+    index beyond the int32 range is still out of range. The matrix is one
+    scipy CSR built here: ``indptr``, ``indices`` and ``data`` are its
+    arrays, the index arrays in scipy's index dtype (int32 unless the shape
+    or the nonzero count needs int64).
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr", "_csr_sq")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr")
 
     def __init__(self, indptr, indices, data, n_cols: int, *, validate: bool = True):
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        indptr = np.ascontiguousarray(indptr)
+        indices = np.ascontiguousarray(indices)
         data = np.ascontiguousarray(data, dtype=np.float64)
         if indptr.ndim != 1 or indptr.size < 1:
             raise ValueError("indptr must be a 1-d array with at least one entry")
@@ -150,20 +153,15 @@ class SparseMatrix:
                     what = "out of range" if not 0 <= j < n_cols else "repeated or out of order"
                     row = int(np.searchsorted(indptr, pos, side="right")) - 1
                     raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row, j)
-        for arr in (indptr, indices, data):
+        csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols), copy=False)
+        for arr in (csr.indptr, csr.indices, csr.data):
             arr.flags.writeable = False
         self.n_rows = n_rows
         self.n_cols = int(n_cols)
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self._csr = None
-        self._csr_sq = None
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[SparseVector], n_cols: int) -> "SparseMatrix":
-        rows = list(rows)
-        return cls.stack([r.indices for r in rows], [r.values for r in rows], n_cols)
+        self.indptr = csr.indptr
+        self.indices = csr.indices
+        self.data = csr.data
+        self._csr = csr
 
     @classmethod
     def stack(
@@ -195,28 +193,15 @@ class SparseMatrix:
         return int(self.indptr[-1])
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
-        if self._csr is None:
-            self._csr = scipy.sparse.csr_matrix(
-                (self.data, self.indices, self.indptr),
-                shape=(self.n_rows, self.n_cols),
-                copy=False,
-            )
+        """The matrix itself, read-only: its arrays are this object's."""
         return self._csr
 
-    def _squared(self) -> scipy.sparse.csr_matrix:
-        if self._csr_sq is None:
-            self._csr_sq = scipy.sparse.csr_matrix(
-                (self.data * self.data, self.indices, self.indptr),
-                shape=(self.n_rows, self.n_cols),
-                copy=False,
-            )
-        return self._csr_sq
-
     def row(self, i: int) -> SparseVector:
+        """Row ``i``, with int64 indices and a view of the values."""
         if not 0 <= i < self.n_rows:
             raise IndexError(f"row {i} out of range for {self.n_rows} rows")
         lo, hi = self.indptr[i], self.indptr[i + 1]
-        return SparseVector(self.indices[lo:hi], self.data[lo:hi], _trusted=True)
+        return SparseVector(self.indices[lo:hi].astype(np.int64), self.data[lo:hi], _trusted=True)
 
     def __iter__(self) -> Iterator[SparseVector]:
         return (self.row(i) for i in range(self.n_rows))
@@ -243,7 +228,8 @@ class SparseMatrix:
             raise DimensionMismatchError(
                 f"coefficient length {coef.shape[0]} != n_rows {self.n_rows}"
             )
-        return self._squared().T @ coef
+        squared = (self.data * self.data, self.indices, self.indptr)
+        return scipy.sparse.csr_matrix(squared, shape=self._csr.shape, copy=False).T @ coef
 
     def column_sums(self) -> DenseVector:
         return self.rmatvec(np.ones(self.n_rows, dtype=np.float64))
@@ -255,14 +241,8 @@ class SparseMatrix:
             rows, np.arange(self.n_rows, dtype=np.int64)
         ):
             return self
-        sub = self.to_scipy()[rows]
-        return SparseMatrix(
-            sub.indptr.astype(np.int64, copy=False),
-            sub.indices.astype(np.int64, copy=False),
-            sub.data,
-            self.n_cols,
-            validate=False,
-        )
+        sub = self._csr[rows]
+        return SparseMatrix(sub.indptr, sub.indices, sub.data, self.n_cols, validate=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import solver as solver_mod
 from .dataio import (
-    Dataset, LabelStats, dataset_digest, format_row, parse_pairs, reject_non_finite
+    Dataset, LabelStats, dataset_digest, format_row, parse_pairs, reject_bad_characters,
+    reject_non_finite,
 )
 from .errors import (
     ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError, NumericalError
@@ -36,7 +37,7 @@ from .initializers import (
 )
 from .losses import MarginLoss, parse_loss
 from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL
-from .sparse import DenseVector, SparseMatrix, SparseVector
+from .sparse import DenseVector, SparseMatrix
 
 MODEL_MAGIC = "xova"
 MODEL_VERSION = "v1"
@@ -57,12 +58,12 @@ class TrainConfig:
     seed: int | None = None  # recorded for provenance; training is deterministic anyway
 
     def __post_init__(self):
-        if self.clip_threshold < 0:
-            raise ConfigError("clip threshold must be >= 0")
+        if not 0.0 <= self.clip_threshold < np.inf:
+            raise ConfigError("clip threshold must be finite and >= 0")
         if self.threads < 1:
             raise ConfigError("thread count must be >= 1")
-        if self.c <= 0:
-            raise ConfigError("loss weight c must be > 0")
+        if not 0.0 < self.c < np.inf:
+            raise ConfigError("loss weight c must be finite and > 0")
 
     def resolved_init_params(self) -> dict:
         if self.init.kind == "bias":
@@ -314,10 +315,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                 termination = TERM_NUMERICAL
         if termination is None:
             termination = trace.termination
-        keep = np.abs(w) >= cfg.clip_threshold
-        sv = SparseVector(
-            np.flatnonzero(keep).astype(np.int64), w[keep], _trusted=True
-        )
+        kept = np.flatnonzero(np.abs(w) >= cfg.clip_threshold)
         if trace.rows:
             final_loss = trace.rows[-1].loss
         else:
@@ -332,20 +330,20 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
             termination=termination,
             first_step_size=trace.first_step_size,
         )
-        return label, sv, result, trace
+        return label, (kept, w[kept]), result, trace
 
-    outcomes: dict[int, tuple[SparseVector, LabelResult, SolverTrace]] = {}
+    outcomes: dict[int, tuple[tuple[np.ndarray, np.ndarray], LabelResult, SolverTrace]] = {}
     if cfg.threads == 1 or len(train_labels) <= 1:
         for j in train_labels:
-            label, sv, result, trace = work(j)
-            outcomes[label] = (sv, result, trace)
+            label, clipped, result, trace = work(j)
+            outcomes[label] = (clipped, result, trace)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for label, sv, result, trace in pool.map(work, train_labels):
-                outcomes[label] = (sv, result, trace)
+            for label, clipped, result, trace in pool.map(work, train_labels):
+                outcomes[label] = (clipped, result, trace)
 
-    empty = SparseVector.empty()
-    weights = [empty] * ds.n_labels
+    idx_parts = [np.empty(0, dtype=np.int64)] * ds.n_labels
+    val_parts = [np.empty(0)] * ds.n_labels
     results = []
     frac_sum: list[float] = []
     step_sum: list[float] = []
@@ -353,8 +351,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     traces: dict[int, SolverTrace] = {}
     hvp_total = init_hvp_touches
     for j in train_labels:
-        sv, result, trace = outcomes[j]
-        weights[j] = sv
+        (idx_parts[j], val_parts[j]), result, trace = outcomes[j]
         results.append(result)
         hvp_total += result.hvp_touches
         if cfg.collect_traces:
@@ -370,7 +367,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
 
     digest = cfg.digest()
     model = OvaModel(
-        weights=SparseMatrix.from_rows(weights, dim),
+        weights=SparseMatrix.stack(idx_parts, val_parts, dim),
         bias_index=ds.bias_index,
         meta=ModelMeta(loss=cfg.loss.token, init=cfg.init.kind, config_digest=digest),
     )
@@ -452,6 +449,7 @@ def load_model(path) -> OvaModel:
         header = fh.readline()
         if not header:
             raise ModelFormatError("empty model file", 1)
+        reject_bad_characters(header, ModelFormatError, 1)
         parts = header.split()
         if len(parts) != 7:
             raise ModelFormatError(f"malformed header {header.strip()!r}", 1)
@@ -479,6 +477,7 @@ def load_model(path) -> OvaModel:
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         for j, line in zip(range(n_labels), fh):
+            reject_bad_characters(line, ModelFormatError, j + 2)
             tokens = line.split()
             if len(tokens) < 2:
                 raise ModelFormatError("label line needs 'j nnz' prefix", j + 2)

@@ -5,11 +5,14 @@ from xova.solver import BinaryProblem
 from xova.sparse import SparseMatrix, SparseVector
 
 
+def stack_rows(rows, n_cols):
+    """The SparseMatrix whose rows are the given SparseVectors."""
+    return SparseMatrix.stack([r.indices for r in rows], [r.values for r in rows], n_cols)
+
+
 def make_matrix(rows, n_cols):
     """Build a SparseMatrix from a list of {index: value} dicts."""
-    return SparseMatrix.from_rows(
-        [SparseVector.from_dict(r) for r in rows], n_cols
-    )
+    return stack_rows([SparseVector.from_dict(r) for r in rows], n_cols)
 
 
 def dense_matrix(X: SparseMatrix) -> np.ndarray:
@@ -27,7 +30,7 @@ def random_problem(rng, n, d, loss, c=1.0, density=0.4):
         nnz = max(1, rng.binomial(d, density))
         idx = np.sort(rng.choice(d, size=nnz, replace=False))
         rows.append(SparseVector(idx.astype(np.int64), rng.normal(0, 1.0, nnz)))
-    X = SparseMatrix.from_rows(rows, d)
+    X = stack_rows(rows, d)
     signs = rng.choice([-1.0, 1.0], size=n)
     if np.all(signs == signs[0]):
         signs[0] = -signs[0]

@@ -164,6 +164,18 @@ class TestTrain:
         assert "line 3" in capsys.readouterr().err
         assert not (tmp_path / "m.model").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--clip", "nan"), ("--eps", "nan"), ("--eps-cg", "nan"), ("--c", "nan"),
+         ("--aop-s", "nan"), ("--aop-t", "inf")],
+    )
+    def test_non_finite_config_exit_1(self, workdir, tmp_path, capsys, flag, value):
+        model = tmp_path / "m.model"
+        rc = main(train_args(workdir, **{"--model-out": str(model), flag: value}))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model.exists()
+
     def test_huge_row_count_exit_2(self, tmp_path, capsys):
         data = tmp_path / "big.txt"
         data.write_text("1000000000000000 2 2\n0 0:1.0\n")
@@ -297,6 +309,18 @@ class TestDiagSummary:
                    str(tmp_path / "o.json"), "--out", str(tmp_path / "bad")])
         assert rc == 1
         assert "different datasets" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "text", ["[1,2]", "not json", '{"format": "xova-report v1"}'],
+        ids=["list", "not_json", "no_fields"],
+    )
+    def test_malformed_report_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        rc = main(["diag-summary", "--reports", str(path), "--out", str(tmp_path / "s")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestExitCodes:

@@ -12,7 +12,7 @@ from xova.dataio import (
     write_xmc_dataset,
 )
 from xova.errors import ConfigError, ParseError
-from xova.sparse import SparseVector
+from xova.sparse import SparseMatrix, SparseVector
 
 from conftest import dense_matrix, make_matrix
 
@@ -30,6 +30,7 @@ class TestParsing:
         assert ds.labels[0].tolist() == [0, 1]
         assert ds.features.row(0) == SparseVector.from_dict({0: 0.5, 2: 1.0})
         assert ds.labels[1].tolist() == [1]
+        assert ds.labels[0].dtype == np.int64
 
     def test_empty_label_field(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "1 3 2\n 1:2.0\n"))
@@ -102,6 +103,23 @@ class TestParsing:
             load_xmc_dataset(write(tmp_path, text))
         assert e.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1_0 3 1\n", 1),
+            ("2 3 2\n0 0:1.0\n0 0:1_5\n", 3),
+            ("2 3 2\n0 0:1.0\n0 1_0:1.0\n", 3),
+            ("2 3 2\n0 0:1.0\n0 1:\u0661\n", 3),
+            ("2 3 2\n0 0:1.0\n\u0661 1:1.0\n", 3),
+            ("2 3 2\n0 0:1.0\n0,1_0 1:1.0\n", 3),
+        ],
+        ids=["header", "value", "index", "arabic_indic_value", "arabic_indic_label", "label"],
+    )
+    def test_digit_separator_or_non_ascii(self, tmp_path, text, line):
+        with pytest.raises(ParseError, match="invalid character") as e:
+            load_xmc_dataset(write(tmp_path, text))
+        assert e.value.line == line
+
     def test_empty_dataset_allowed(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "0 3 2\n"))
         assert ds.n == 0 and ds.dim == 3
@@ -152,6 +170,7 @@ class TestLabelStats:
 
     def test_three_point_example(self):
         stats = compute_label_stats(self.three_point())
+        assert stats.positives[0].tolist() == [0] and stats.positives[0].dtype == np.int64
         np.testing.assert_allclose(stats.xbar, [2 / 3, 2 / 3])
         assert stats.pbar.row(0) == SparseVector.from_dict({0: 1.0})
         nbar = np.array([1 / 2, 1.0])  # mean of rows 1 and 2
@@ -264,3 +283,9 @@ class TestDigest:
         b = generate_synthetic(80, 10, 4, 1.2, 2)
         assert dataset_digest(a) != dataset_digest(b)
         assert dataset_digest(a) == dataset_digest(generate_synthetic(80, 10, 4, 1.2, 1))
+
+    def test_digest_pinned(self):
+        X = SparseMatrix([0, 2, 2, 3], [0, 2, 1], [0.5, -1.0, 2.0], 3)
+        labels = [np.array([0, 1]), np.array([], dtype=np.int64), np.array([1])]
+        # Hashes int64 indices whatever dtype the matrix stores them in.
+        assert dataset_digest(Dataset(X, labels, 2)) == "d951c3e370be8e3b"

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from xova.errors import DimensionMismatchError, InvalidEntryError
 from xova.sparse import SparseMatrix, SparseVector
 
-from conftest import dense_matrix, make_matrix
+from conftest import dense_matrix, make_matrix, stack_rows
 
 
 class TestSparseVector:
@@ -47,7 +47,7 @@ class TestSparseVector:
 
 def dot_row(v: SparseVector, w: np.ndarray) -> float:
     """``<v, w>`` through the one kernel that computes it: a one-row ``matvec``."""
-    return float(SparseMatrix.from_rows([v], w.shape[0]).matvec(w)[0])
+    return float(stack_rows([v], w.shape[0]).matvec(w)[0])
 
 
 class TestDotSparseDense:
@@ -132,6 +132,14 @@ class TestSparseMatrix:
         assert sub.n_rows == 2
         assert dense_matrix(sub).tolist() == [[0.0, 0.0, 3.0], [1.0, 0.0, 0.0]]
 
+    def test_arrays_are_the_scipy_matrix(self):
+        X = make_matrix([{0: 1.0}, {1: 2.0, 2: 1.0}, {2: 3.0}], 3)
+        for M in (X, X.submatrix(np.array([2, 1]))):
+            csr = M.to_scipy()
+            assert csr.indptr is M.indptr
+            assert csr.indices is M.indices
+            assert csr.data is M.data
+
     def test_submatrix_full_returns_self(self):
         X = make_matrix([{0: 1.0}, {1: 2.0}], 2)
         assert X.submatrix(np.arange(2)) is X
@@ -140,6 +148,7 @@ class TestSparseMatrix:
         X = make_matrix([{0: 1.0, 2: 4.0}, {}], 3)
         r = X.row(0)
         assert r == SparseVector.from_dict({0: 1.0, 2: 4.0})
+        assert r.indices.dtype == np.int64
         assert X.row(1).nnz == 0
         assert list(X) == [r, X.row(1)]
         with pytest.raises(IndexError):

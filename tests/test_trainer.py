@@ -334,6 +334,9 @@ class TestModelRoundTrip:
             ("-1:1.0", "index -1 out of range"),
             ("0:1.0 0:2.0", "index 0 repeated or out of order"),
             ("1:1.0 0:2.0", "index 0 repeated or out of order"),
+            ("0:1_5", "invalid character"),
+            ("1_0:1.0", "invalid character"),
+            ("1:\u0661", "invalid character"),
         ],
     )
     def test_bad_weight_entry(self, tmp_path, entries, match):
