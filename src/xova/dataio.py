@@ -21,6 +21,9 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, InvalidEntryError, ParseError
 from .sparse import DenseVector, SparseMatrix
 
+# Header counts stay below this, so a dimension plus the bias column fits in int64.
+MAX_COUNT = np.iinfo(np.int64).max
+
 
 @dataclass
 class Dataset:
@@ -69,8 +72,8 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
         n, d, l = (int(p) for p in parts)
     except ValueError:
         raise ParseError(f"non-integer header field in {line.strip()!r}", lineno) from None
-    if n < 0 or d < 0 or l < 0:
-        raise ParseError("header counts must be non-negative", lineno)
+    if not all(0 <= v < MAX_COUNT for v in (n, d, l)):
+        raise ParseError(f"header counts must lie in [0, {MAX_COUNT})", lineno)
     return n, d, l
 
 

@@ -23,7 +23,32 @@ def load_report(path) -> dict:
     missing = sorted({"dataset", "init", "loss", "iterations", "labels"} - report.keys())
     if missing:
         raise ConfigError(f"{path}: not a training report (no {', '.join(missing)} field)")
+
+    def need(ok: bool, field: str, what: str) -> None:
+        if not ok:
+            raise ConfigError(f"{path}: not a training report ({field} must be {what})")
+
+    # The types of exactly the fields that the tables below read.
+    dataset, iterations, labels = report["dataset"], report["iterations"], report["labels"]
+    need(isinstance(dataset, dict) and isinstance(dataset.get("digest"), str),
+         "dataset.digest", "a string")
+    for key in ("init", "loss"):
+        need(isinstance(report[key], str), key, "a string")
+    fractions = iterations.get("active_fraction_mean") if isinstance(iterations, dict) else None
+    need(isinstance(fractions, list) and all(_is_number(v, float) for v in fractions),
+         "iterations.active_fraction_mean", "a list of numbers")
+    need(isinstance(labels, list) and all(isinstance(row, dict) for row in labels),
+         "labels", "a list of objects")
+    for i, row in enumerate(labels):
+        for key, kind in (("positives", int), ("outer_iters", float), ("wall_ms", float)):
+            need(_is_number(row.get(key), kind), f"labels[{i}].{key}",
+                 "an integer" if kind is int else "a number")
     return report
+
+
+def _is_number(value, kind: type) -> bool:
+    """An int, or also a float when ``kind`` is float; never a bool."""
+    return isinstance(value, (int, kind)) and not isinstance(value, bool)
 
 
 def method_names(reports: list[dict]) -> list[str]:

@@ -162,7 +162,7 @@ def aop_init(
         return (t / cc) * pre.xbar
 
     aa = float(np.dot(pbar.values, pbar.values))
-    bb = float(np.dot(pre.xbar[pbar.indices], pbar.values)) if pbar.nnz else 0.0
+    bb = float(np.dot(pre.xbar[pbar.indices], pbar.values)) if pbar.indices.size else 0.0
     alpha = p_count / pre.n
 
     den = bb * bb - aa * cc

@@ -1,19 +1,21 @@
 """Sparse/dense linear algebra kernels shared by the rest of the package.
 
-Feature-space vectors come in two flavours: :class:`SparseVector` (sorted
-index/value pairs, such as one row of a matrix) and plain contiguous float64
-numpy arrays (weight vectors, descent directions, the global feature mean).
-The design matrix, the per-label means and the stored weights are
-row-compressed :class:`SparseMatrix` objects, each one scipy CSR matrix.
-Matrix products are delegated to scipy.sparse; everything else is numpy.
+There is one sparse type, :class:`SparseMatrix`: the design matrix, the
+per-label means and the stored weights are each one row-compressed scipy CSR
+matrix. One of its rows is a :class:`SparseVector`, the pair of views
+``(indices, values)`` of the matrix's arrays. Dense feature-space vectors
+(weight vectors, descent directions, the global feature mean) are plain
+contiguous float64 numpy arrays. Matrix products are delegated to
+scipy.sparse; everything else is numpy.
 
-All arithmetic is in 64-bit floats. Matrices and sparse vectors are frozen
-after construction so they can be shared read-only across worker threads.
+All arithmetic is in 64-bit floats. A matrix's arrays are frozen at
+construction, so matrices and their rows can be shared read-only across
+worker threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -24,67 +26,21 @@ from .errors import DimensionMismatchError, InvalidEntryError
 DenseVector = np.ndarray
 
 
-def _index_array(indices, copy: bool) -> np.ndarray:
-    arr = np.array(indices, dtype=np.int64, copy=copy, order="C")
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-d index array, got shape {arr.shape}")
-    return arr
-
-
-def _value_array(values, copy: bool) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=copy, order="C")
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-d value array, got shape {arr.shape}")
-    return arr
-
-
-class SparseVector:
-    """Immutable sparse vector: strictly increasing indices, float64 values.
-
-    Duplicate indices are rejected at construction rather than summed.
-    Explicit zero values are permitted.
+class SparseVector(NamedTuple):
+    """A sparse vector as its ``(indices, values)`` arrays, indices strictly
+    increasing; nothing is checked here. A matrix row is two views of the
+    matrix's own arrays, so it is read-only and its indices keep the
+    matrix's index dtype.
     """
 
-    __slots__ = ("indices", "values")
-
-    def __init__(self, indices, values, *, _trusted: bool = False):
-        idx = _index_array(indices, copy=not _trusted)
-        val = _value_array(values, copy=not _trusted)
-        if not _trusted:
-            if idx.shape[0] != val.shape[0]:
-                raise DimensionMismatchError(
-                    f"{idx.shape[0]} indices but {val.shape[0]} values"
-                )
-            if idx.size:
-                if idx[0] < 0:
-                    raise ValueError("negative feature index")
-                if np.any(np.diff(idx) <= 0):
-                    raise ValueError(
-                        "indices must be strictly increasing (duplicates are rejected)"
-                    )
-            idx.flags.writeable = False
-            val.flags.writeable = False
-        self.indices = idx
-        self.values = val
-
-    @classmethod
-    def empty(cls) -> "SparseVector":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+    indices: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def from_dict(cls, entries: Mapping[int, float]) -> "SparseVector":
-        items = sorted(entries.items())
-        return cls([k for k, _ in items], [v for _, v in items])
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[float]) -> "SparseVector":
-        arr = np.asarray(dense, dtype=np.float64)
-        idx = np.flatnonzero(arr)
-        return cls(idx.astype(np.int64), arr[idx])
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
+        """The vector holding ``entries``, in index order."""
+        indices = np.array(sorted(entries), dtype=np.int64)
+        return cls(indices, np.array([entries[k] for k in indices.tolist()], dtype=np.float64))
 
     def to_dense(self, dim: int) -> DenseVector:
         if self.indices.size and self.indices[-1] >= dim:
@@ -95,21 +51,13 @@ class SparseVector:
         out[self.indices] = self.values
         return out
 
+    # perfbench/round.py counts model nonzeros by ``nnz`` and compares rows by ``==``.
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
-
-    __hash__ = None  # mutable-adjacent container semantics
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(
-            f"{int(i)}:{v:g}" for i, v in zip(self.indices[:6], self.values[:6])
-        )
-        tail = ", ..." if self.nnz > 6 else ""
-        return f"SparseVector({pairs}{tail})"
+        return all(map(np.array_equal, self, other))
 
 
 class SparseMatrix:
@@ -197,13 +145,14 @@ class SparseMatrix:
         return self._csr
 
     def row(self, i: int) -> SparseVector:
-        """Row ``i``, with int64 indices and a view of the values."""
+        """Row ``i``: views of this matrix's index and value arrays."""
         if not 0 <= i < self.n_rows:
             raise IndexError(f"row {i} out of range for {self.n_rows} rows")
         lo, hi = self.indptr[i], self.indptr[i + 1]
-        return SparseVector(self.indices[lo:hi].astype(np.int64), self.data[lo:hi], _trusted=True)
+        return SparseVector(self.indices[lo:hi], self.data[lo:hi])
 
     def __iter__(self) -> Iterator[SparseVector]:
+        # perfbench/round.py iterates over a model's weight rows.
         return (self.row(i) for i in range(self.n_rows))
 
     def matvec(self, w: DenseVector) -> DenseVector:

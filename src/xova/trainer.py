@@ -20,8 +20,8 @@ import numpy as np
 
 from . import solver as solver_mod
 from .dataio import (
-    Dataset, LabelStats, dataset_digest, format_row, parse_pairs, reject_bad_characters,
-    reject_non_finite,
+    MAX_COUNT, Dataset, LabelStats, dataset_digest, format_row, parse_pairs,
+    reject_bad_characters, reject_non_finite,
 )
 from .errors import (
     ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError, NumericalError
@@ -53,7 +53,6 @@ class TrainConfig:
     c: float = 1.0
     clip_threshold: float = 0.01
     threads: int = 1
-    label_subset: tuple[int, ...] | None = None
     collect_traces: bool = False
     seed: int | None = None  # recorded for provenance; training is deterministic anyway
 
@@ -261,12 +260,6 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     X = ds.features
     dim = ds.dim
     n = ds.n
-    if cfg.label_subset is None:
-        train_labels = list(range(ds.n_labels))
-    else:
-        train_labels = sorted(set(int(j) for j in cfg.label_subset))
-        if train_labels and (train_labels[0] < 0 or train_labels[-1] >= ds.n_labels):
-            raise ConfigError(f"label subset outside [0, {ds.n_labels})")
 
     t_start = time.perf_counter()
     shared_ovap = None
@@ -330,32 +323,22 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
             termination=termination,
             first_step_size=trace.first_step_size,
         )
-        return label, (kept, w[kept]), result, trace
+        return kept, w[kept], result, trace
 
-    outcomes: dict[int, tuple[tuple[np.ndarray, np.ndarray], LabelResult, SolverTrace]] = {}
-    if cfg.threads == 1 or len(train_labels) <= 1:
-        for j in train_labels:
-            label, clipped, result, trace = work(j)
-            outcomes[label] = (clipped, result, trace)
+    if cfg.threads == 1 or ds.n_labels <= 1:
+        outcomes = list(map(work, range(ds.n_labels)))
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for label, clipped, result, trace in pool.map(work, train_labels):
-                outcomes[label] = (clipped, result, trace)
+            outcomes = list(pool.map(work, range(ds.n_labels)))
 
-    idx_parts = [np.empty(0, dtype=np.int64)] * ds.n_labels
-    val_parts = [np.empty(0)] * ds.n_labels
-    results = []
+    idx_parts, val_parts, results = [], [], []
     frac_sum: list[float] = []
     step_sum: list[float] = []
     counts: list[int] = []
-    traces: dict[int, SolverTrace] = {}
-    hvp_total = init_hvp_touches
-    for j in train_labels:
-        (idx_parts[j], val_parts[j]), result, trace = outcomes[j]
+    for idx, val, result, trace in outcomes:
+        idx_parts.append(idx)
+        val_parts.append(val)
         results.append(result)
-        hvp_total += result.hvp_touches
-        if cfg.collect_traces:
-            traces[j] = trace
         for i, row in enumerate(trace.rows):
             if i == len(frac_sum):
                 frac_sum.append(0.0)
@@ -390,10 +373,10 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         iter_step_size_mean=[s / c for s, c in zip(step_sum, counts)],
         iter_count=counts,
         total_wall_ms=(time.perf_counter() - t_start) * 1e3,
-        total_hvp_touches=hvp_total,
+        total_hvp_touches=init_hvp_touches + sum(r.hvp_touches for r in results),
         init_wall_ms=init_wall_ms,
         init_hvp_touches=init_hvp_touches,
-        traces=traces if cfg.collect_traces else None,
+        traces={j: trace for j, (*_, trace) in enumerate(outcomes)} if cfg.collect_traces else None,
     )
     return model, report
 
@@ -464,15 +447,17 @@ def load_model(path) -> OvaModel:
             n_labels, dim, bias = int(n_labels_s), int(dim_s), int(bias_s)
         except ValueError:
             raise ModelFormatError("non-integer header field", 1) from None
-        if n_labels < 0 or dim < 0:
-            raise ModelFormatError("label count and dimension must be non-negative", 1)
+        if not (0 <= n_labels < MAX_COUNT and 0 <= dim < MAX_COUNT):
+            raise ModelFormatError(f"label count and dimension must lie in [0, {MAX_COUNT})", 1)
         try:
             parse_loss(loss_token)
         except ConfigError:
             raise ModelFormatError(f"unknown loss token {loss_token!r}", 1) from None
         if init_token not in INIT_KINDS:
             raise ModelFormatError(f"unknown init token {init_token!r}", 1)
-        bias_index = None if bias < 0 else bias
+        if bias not in (-1, dim - 1):
+            raise ModelFormatError(f"bias index {bias} is neither -1 nor dim - 1 = {dim - 1}", 1)
+        bias_index = None if bias == -1 else bias
 
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []

@@ -15,6 +15,11 @@ def make_matrix(rows, n_cols):
     return stack_rows([SparseVector.from_dict(r) for r in rows], n_cols)
 
 
+def entries(v: SparseVector) -> dict:
+    """A vector's ``{index: value}`` pairs."""
+    return dict(zip(v.indices.tolist(), v.values.tolist()))
+
+
 def dense_matrix(X: SparseMatrix) -> np.ndarray:
     out = np.zeros((X.n_rows, X.n_cols))
     for i in range(X.n_rows):

@@ -259,6 +259,9 @@ class TestPredictEval:
         assert "P@1 1.0000" in capsys.readouterr().out
 
 
+REPORT_HEAD = '{"format": "xova-report v1", "init": "zero", "loss": "squared-hinge", '
+
+
 class TestDiagSummary:
     def test_merge_and_columns(self, workdir, tmp_path):
         for init in ("zero", "aop"):
@@ -312,8 +315,18 @@ class TestDiagSummary:
 
 
     @pytest.mark.parametrize(
-        "text", ["[1,2]", "not json", '{"format": "xova-report v1"}'],
-        ids=["list", "not_json", "no_fields"],
+        "text",
+        [
+            "[1,2]",
+            "not json",
+            '{"format": "xova-report v1"}',
+            REPORT_HEAD + '"dataset": 5, "iterations": {"active_fraction_mean": []}, "labels": []}',
+            REPORT_HEAD + '"dataset": {"digest": "d"}, "iterations": {}, "labels": []}',
+            REPORT_HEAD + '"dataset": {"digest": "d"}, "iterations": {"active_fraction_mean": []}, '
+            '"labels": [{"positives": "x"}]}',
+        ],
+        ids=["list", "not_json", "no_fields", "dataset_int", "no_active_fraction",
+             "positives_str"],
     )
     def test_malformed_report_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "r.json"

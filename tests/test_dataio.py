@@ -12,9 +12,9 @@ from xova.dataio import (
     write_xmc_dataset,
 )
 from xova.errors import ConfigError, ParseError
-from xova.sparse import SparseMatrix, SparseVector
+from xova.sparse import SparseMatrix
 
-from conftest import dense_matrix, make_matrix
+from conftest import dense_matrix, entries, make_matrix
 
 
 def write(tmp_path, text, name="data.txt"):
@@ -28,23 +28,23 @@ class TestParsing:
         ds = load_xmc_dataset(write(tmp_path, "2 3 2\n0,1 0:0.5 2:1.0\n1 1:2.0\n"))
         assert ds.n == 2 and ds.dim == 3 and ds.n_labels == 2
         assert ds.labels[0].tolist() == [0, 1]
-        assert ds.features.row(0) == SparseVector.from_dict({0: 0.5, 2: 1.0})
+        assert entries(ds.features.row(0)) == {0: 0.5, 2: 1.0}
         assert ds.labels[1].tolist() == [1]
         assert ds.labels[0].dtype == np.int64
 
     def test_empty_label_field(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "1 3 2\n 1:2.0\n"))
         assert ds.labels[0].size == 0
-        assert ds.features.row(0) == SparseVector.from_dict({1: 2.0})
+        assert entries(ds.features.row(0)) == {1: 2.0}
 
     def test_labels_without_features(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "1 3 2\n1\n"))
         assert ds.labels[0].tolist() == [1]
-        assert ds.features.row(0).nnz == 0
+        assert ds.features.row(0).indices.size == 0
 
     def test_empty_instance_line(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "1 3 2\n\n"))
-        assert ds.labels[0].size == 0 and ds.features.row(0).nnz == 0
+        assert ds.labels[0].size == 0 and ds.features.row(0).indices.size == 0
 
     def test_feature_index_out_of_range(self, tmp_path):
         with pytest.raises(ParseError, match=r"index 5.*dimension 3") as e:
@@ -65,6 +65,8 @@ class TestParsing:
             load_xmc_dataset(write(tmp_path, "2 3\n"))
         with pytest.raises(ParseError):
             load_xmc_dataset(write(tmp_path, "a b c\n"))
+        with pytest.raises(ParseError, match="header counts must lie in"):
+            load_xmc_dataset(write(tmp_path, "1 99999999999999999999 1\n\n"))
 
     def test_truncated_file(self, tmp_path):
         with pytest.raises(ParseError, match="ends after 1"):
@@ -81,7 +83,7 @@ class TestParsing:
     def test_features_and_labels_in_any_order(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "1 3 2\n1,0 2:1.0 0:0.5\n"))
         assert ds.labels[0].tolist() == [0, 1]
-        assert ds.features.row(0) == SparseVector.from_dict({0: 0.5, 2: 1.0})
+        assert entries(ds.features.row(0)) == {0: 0.5, 2: 1.0}
 
     def test_duplicate_feature_index_out_of_order(self, tmp_path):
         with pytest.raises(ParseError, match="duplicate feature index 1") as e:
@@ -148,8 +150,8 @@ class TestAugmentBias:
         ds = Dataset(make_matrix([{0: 0.5}, {}], 3), [np.array([0]), np.array([], dtype=np.int64)], 1)
         out = augment_bias(ds)
         assert out.dim == 4 and out.bias_index == 3
-        assert out.features.row(0) == SparseVector.from_dict({0: 0.5, 3: 1.0})
-        assert out.features.row(1) == SparseVector.from_dict({3: 1.0})
+        assert entries(out.features.row(0)) == {0: 0.5, 3: 1.0}
+        assert entries(out.features.row(1)) == {3: 1.0}
 
     def test_double_augment_rejected(self):
         ds = Dataset(make_matrix([{0: 0.5}], 3), [np.array([0])], 1)
@@ -172,7 +174,7 @@ class TestLabelStats:
         stats = compute_label_stats(self.three_point())
         assert stats.positives[0].tolist() == [0] and stats.positives[0].dtype == np.int64
         np.testing.assert_allclose(stats.xbar, [2 / 3, 2 / 3])
-        assert stats.pbar.row(0) == SparseVector.from_dict({0: 1.0})
+        assert entries(stats.pbar.row(0)) == {0: 1.0}
         nbar = np.array([1 / 2, 1.0])  # mean of rows 1 and 2
         np.testing.assert_allclose(
             2 * nbar + 1 * stats.pbar.row(0).to_dense(2), 3 * stats.xbar, rtol=1e-12
@@ -188,7 +190,7 @@ class TestLabelStats:
         X = make_matrix([{0: 1.0}], 2)
         ds = Dataset(X, [np.array([], dtype=np.int64)], 2)
         stats = compute_label_stats(ds)
-        assert stats.pbar.row(0).nnz == 0 and stats.positives[0].size == 0
+        assert stats.pbar.row(0).indices.size == 0 and stats.positives[0].size == 0
 
     def test_empty_dataset_rejected(self):
         ds = Dataset(make_matrix([], 2), [], 1)

@@ -146,7 +146,8 @@ class TestAop:
 
     def test_no_positives_fallback(self):
         pre = AopPrecompute(xbar=np.array([1.0, 1.0]), xbar_sq=2.0, n=10)
-        w0 = aop_init(SparseVector.empty(), 0, pre, 1.0, -2.0)
+        empty = SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
+        w0 = aop_init(empty, 0, pre, 1.0, -2.0)
         np.testing.assert_allclose(w0, [-1.0, -1.0])
         assert float(w0 @ pre.xbar) == pytest.approx(-2.0)
 
@@ -176,15 +177,25 @@ class TestAop:
     def test_minimum_norm_span(self, rng):
         d = 12
         xbar = rng.uniform(0.1, 1.0, d)
-        pbar = SparseVector.from_dense(rng.uniform(0.1, 1.0, d) * (rng.random(d) < 0.5))
-        if pbar.nnz == 0:
-            pbar = SparseVector.from_dict({0: 1.0})
+        dense = rng.uniform(0.1, 1.0, d) * (rng.random(d) < 0.5)
+        nz = np.flatnonzero(dense)
+        pbar = SparseVector(nz, dense[nz]) if nz.size else SparseVector.from_dict({0: 1.0})
         pre = AopPrecompute(xbar=xbar, xbar_sq=float(xbar @ xbar), n=50)
         w0 = aop_init(pbar, 5, pre, 1.0, -2.0)
         basis = np.stack([pbar.to_dense(d), xbar])
         q, _ = np.linalg.qr(basis.T)
         residual = w0 - q @ (q.T @ w0)
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(w0)
+
+    def test_index_dtype_does_not_change_bits(self, rng):
+        d = 30
+        xbar = rng.uniform(0.1, 1.0, d)
+        pre = AopPrecompute(xbar=xbar, xbar_sq=float(xbar @ xbar), n=50)
+        nz = np.sort(rng.choice(d, size=12, replace=False))
+        values = rng.uniform(0.1, 1.0, nz.size)
+        w32 = aop_init(SparseVector(nz.astype(np.int32), values), 5, pre, 1.0, -2.0)
+        w64 = aop_init(SparseVector(nz.astype(np.int64), values), 5, pre, 1.0, -2.0)
+        assert w32.tobytes() == w64.tobytes()
 
     def test_pure_function_determinism(self):
         pre = AopPrecompute(xbar=np.array([0.5, 0.5]), xbar_sq=0.5, n=10)

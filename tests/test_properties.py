@@ -43,7 +43,8 @@ def models_and_matrices(draw):
 def test_predict_topk_equals_dense_brute_force(case):
     model, X, k = case
     W = np.zeros((model.n_labels, model.dim))
-    for j, w in enumerate(model.weights):
+    for j in range(model.n_labels):
+        w = model.weights.row(j)
         W[j, w.indices] = w.values
     S = dense_matrix(X) @ W.T
     want = [
@@ -64,7 +65,8 @@ def test_save_load_model_is_value_exact(tmp_path_factory, case):
     save_model(model, path)
     loaded = load_model(path)
     assert (loaded.n_labels, loaded.dim, loaded.bias_index) == (model.n_labels, dim, None)
-    for a, b in zip(model.weights, loaded.weights):
+    for j in range(model.n_labels):
+        a, b = model.weights.row(j), loaded.weights.row(j)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.values, b.values)
 

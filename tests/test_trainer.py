@@ -52,15 +52,16 @@ class TestTrainOva:
         cfg = TrainConfig(clip_threshold=0.0)
         model, _ = train_ova(ds, stats, cfg)
         # with threshold zero even exact zeros survive, so vectors are dense
-        assert all(w.nnz == ds.dim for w in model.weights)
+        assert all(model.weights.row(j).indices.size == ds.dim for j in range(ds.n_labels))
 
     def test_clip_invariant(self, small_data):
         ds, stats = small_data
         cfg = TrainConfig(clip_threshold=0.05)
         model, _ = train_ova(ds, stats, cfg)
-        for w in model.weights:
-            if w.nnz:
-                assert np.min(np.abs(w.values)) >= 0.05
+        for j in range(ds.n_labels):
+            values = model.weights.row(j).values
+            if values.size:
+                assert np.min(np.abs(values)) >= 0.05
 
     def test_clipping_applied_after_convergence(self, small_data):
         ds, stats = small_data
@@ -68,11 +69,12 @@ class TestTrainOva:
         m2, r2 = train_ova(ds, stats, TrainConfig(clip_threshold=0.01))
         # the optimization itself is identical; only storage differs
         assert [r.outer_iters for r in r1.labels] == [r.outer_iters for r in r2.labels]
-        for a, b in zip(m1.weights, m2.weights):
-            dense = a.to_dense(ds.dim)
+        for j in range(ds.n_labels):
+            dense = m1.weights.row(j).to_dense(ds.dim)
+            clipped = m2.weights.row(j).to_dense(ds.dim)
             keep = np.abs(dense) >= 0.01
-            np.testing.assert_array_equal(b.to_dense(ds.dim)[keep], dense[keep])
-            assert np.all(b.to_dense(ds.dim)[~keep] == 0.0)
+            np.testing.assert_array_equal(clipped[keep], dense[keep])
+            assert np.all(clipped[~keep] == 0.0)
 
     def test_zero_outer_iterations_when_start_optimal(self):
         # a label with no positives started from the bias vector: every margin
@@ -85,14 +87,6 @@ class TestTrainOva:
         cfg = TrainConfig(init=InitStrategy("bias", bias_scale=1.0))
         _, report = train_ova(ds, stats, cfg)
         assert report.labels[0].outer_iters == 0
-
-    def test_label_subset(self, small_data):
-        ds, stats = small_data
-        cfg = TrainConfig(label_subset=(1, 3))
-        model, report = train_ova(ds, stats, cfg)
-        assert sorted(r.label for r in report.labels) == [1, 3]
-        assert model.weights.row(0).nnz == 0  # untrained labels stay empty
-        assert model.weights.row(1).nnz > 0
 
     def test_bias_init_requires_augmented(self):
         ds = generate_synthetic(50, 10, 3, 1.2, 5)
@@ -123,7 +117,7 @@ class TestTrainOva:
             by_label[j].termination != TERM_NUMERICAL for j in range(1, ds.n_labels)
         )
         assert report.n_failed == 1
-        assert model.weights.row(1).nnz > 0  # the rest trained normally
+        assert model.weights.row(1).indices.size > 0  # the rest trained normally
 
     def test_thread_determinism(self, small_data, tmp_path):
         ds, stats = small_data
@@ -270,21 +264,32 @@ class TestModelRoundTrip:
         assert loaded.bias_index == model.bias_index
         assert loaded.meta.loss == model.meta.loss
         assert loaded.meta.init == model.meta.init
-        for a, b in zip(model.weights, loaded.weights):
-            assert a == b  # float-exact via 17 significant digits
+        # float-exact via 17 significant digits
+        for j in range(model.n_labels):
+            a, b = model.weights.row(j), loaded.weights.row(j)
+            assert a.indices.tolist() == b.indices.tolist()
+            assert a.values.tolist() == b.values.tolist()
 
     def test_empty_weight_line(self, tmp_path):
         model = simple_model([{}, {1: 0.5}], dim=2)
         path = tmp_path / "m.model"
         save_model(model, path)
         assert "0 0\n" in path.read_text()
-        assert load_model(path).weights.row(0).nnz == 0
+        assert load_model(path).weights.row(0).indices.size == 0
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("xova v2 1 2 -1 squared-hinge zero\n0 0\n")
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
+
+    @pytest.mark.parametrize("bias", [999, 3, -2])
+    def test_impossible_bias_index(self, tmp_path, bias):
+        path = tmp_path / "m.model"
+        path.write_text(f"xova v1 1 5 {bias} squared-hinge zero\n0 0\n")
+        with pytest.raises(ModelFormatError, match=f"bias index {bias}") as e:
+            load_model(path)
+        assert e.value.line == 1
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "m.model"
@@ -346,6 +351,13 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError, match=match) as e:
             load_model(path)
         assert e.value.line == 3
+
+    def test_dimension_beyond_int64(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("xova v1 1 99999999999999999999 -1 squared-hinge zero\n0 0\n")
+        with pytest.raises(ModelFormatError, match="dimension must lie in") as e:
+            load_model(path)
+        assert e.value.line == 1
 
     def test_huge_label_count_is_truncated_not_allocated(self, tmp_path):
         path = tmp_path / "m.model"
