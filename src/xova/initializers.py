@@ -120,7 +120,7 @@ def ovap_solve(
         raise ConfigError("the ovap problem must have every sign equal to -1")
     loose = replace(cfg, eps_outer=stop_rel)
     w0 = np.zeros(all_negative_problem.dim, dtype=np.float64)
-    grad0_ref = float(np.linalg.norm(solver.gradient(all_negative_problem, w0)))
+    grad0_ref = solver.grad0_norm(all_negative_problem)
     return solver.newton_cg(all_negative_problem, w0, loose, grad0_ref)
 
 

@@ -181,6 +181,13 @@ def gradient(problem: BinaryProblem, w: DenseVector) -> DenseVector:
     return _gradient(problem, w, margins(problem, w))
 
 
+def grad0_norm(problem: BinaryProblem) -> float:
+    """``|grad(0)|``, the stopping reference. Every margin at zero is 0, so
+    the gradient is ``C * sum phi'(0) * y_i * x_i`` and needs no ``X w`` pass."""
+    coef = problem.c * losses.dphi(problem.loss, np.zeros(problem.n)) * problem.signs
+    return float(np.linalg.norm(problem.features.rmatvec(coef)))
+
+
 def hessian_vec(
     problem: BinaryProblem, w: DenseVector, d: DenseVector, active: ActiveSet
 ) -> DenseVector:
@@ -330,7 +337,10 @@ def newton_cg(
         n_active = int(active_idx.shape[0])
         sub, dd = _curvature(problem, m, active_idx)
         diag = 1.0 + sub.rmatvec_squared(dd)
-        direction, cg_iters = cg_solve(grad, functools.partial(_hvp, sub, dd), cfg, diag)
+        try:
+            direction, cg_iters = cg_solve(grad, functools.partial(_hvp, sub, dd), cfg, diag)
+        except NumericalError as err:
+            raise NumericalError(str(err), w_last=w, trace=trace) from None
         trace.hvp_touches += cg_iters * n_active
         g_dot_dir = float(np.dot(grad, direction))
         if g_dot_dir >= 0.0:

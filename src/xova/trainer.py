@@ -36,7 +36,7 @@ from .initializers import (
     zero_init,
 )
 from .losses import MarginLoss, parse_loss
-from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL
+from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL, grad0_norm
 from .sparse import DenseVector, SparseMatrix
 
 MODEL_MAGIC = "xova"
@@ -94,7 +94,6 @@ class TrainConfig:
 class ModelMeta:
     loss: str
     init: str
-    config_digest: str | None = None
 
 
 @dataclass
@@ -128,19 +127,8 @@ class LabelResult:
 
 @dataclass
 class TrainReport:
-    dataset_n: int
-    dataset_dim: int
-    dataset_n_labels: int
-    dataset_digest: str
-    loss: str
-    init: str
-    init_params: dict
-    solver: SolverConfig
-    c: float
-    clip_threshold: float
-    threads: int
-    seed: int | None
-    config_digest: str
+    config: TrainConfig
+    dataset: dict  # n, dim, n_labels and digest of the training set
     labels: list[LabelResult]
     iter_active_fraction_mean: list[float]
     iter_step_size_mean: list[float]
@@ -161,23 +149,19 @@ class TrainReport:
         return float(np.mean([r.outer_iters for r in self.labels]))
 
     def to_json_dict(self) -> dict:
+        cfg = self.config
         return {
             "format": "xova-report v1",
-            "dataset": {
-                "n": self.dataset_n,
-                "dim": self.dataset_dim,
-                "n_labels": self.dataset_n_labels,
-                "digest": self.dataset_digest,
-            },
-            "loss": self.loss,
-            "init": self.init,
-            "init_params": self.init_params,
-            "solver": asdict(self.solver),
-            "c": self.c,
-            "clip_threshold": self.clip_threshold,
-            "threads": self.threads,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
+            "dataset": self.dataset,
+            "loss": cfg.loss.token,
+            "init": cfg.init.kind,
+            "init_params": cfg.resolved_init_params(),
+            "solver": asdict(cfg.solver),
+            "c": cfg.c,
+            "clip_threshold": cfg.clip_threshold,
+            "threads": cfg.threads,
+            "seed": cfg.seed,
+            "config_digest": cfg.digest(),
             "totals": {
                 "wall_ms": self.total_wall_ms,
                 "hvp_touches": self.total_hvp_touches,
@@ -191,19 +175,7 @@ class TrainReport:
                 "step_size_mean": self.iter_step_size_mean,
                 "count": self.iter_count,
             },
-            "labels": [
-                {
-                    "label": r.label,
-                    "positives": r.positives,
-                    "outer_iters": r.outer_iters,
-                    "hvp_touches": r.hvp_touches,
-                    "wall_ms": r.wall_ms,
-                    "final_loss": r.final_loss,
-                    "termination": r.termination,
-                    "first_step_size": r.first_step_size,
-                }
-                for r in self.labels
-            ],
+            "labels": [asdict(r) for r in self.labels],
         }
 
     def write_json(self, path) -> None:
@@ -221,26 +193,6 @@ class TrainReport:
                 )
 
 
-def _make_w0(
-    cfg: TrainConfig,
-    dim: int,
-    bias_index: int | None,
-    stats: LabelStats,
-    label: int,
-    shared_ovap: DenseVector | None,
-    aop_pre: AopPrecompute | None,
-) -> DenseVector:
-    kind = cfg.init.kind
-    if kind == "zero":
-        return zero_init(dim)
-    if kind == "bias":
-        return bias_init(dim, bias_index, cfg.init.bias_scale)
-    if kind == "ovap":
-        return np.array(shared_ovap, copy=True)
-    s, t = cfg.init.resolved_aop(cfg.loss)
-    return aop_init(stats.pbar.row(label), int(stats.positives[label].size), aop_pre, s, t)
-
-
 def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaModel, TrainReport]:
     """Train one binary classifier per label and assemble the sparse model.
 
@@ -252,74 +204,73 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         raise ConfigError("cannot train on an empty dataset")
     if stats.n != ds.n or stats.n_labels != ds.n_labels:
         raise ConfigError("label statistics were computed from a different dataset")
-    if cfg.init.kind == "bias" and ds.bias_index is None:
-        raise ConfigError(
-            "bias initialization needs a bias-augmented dataset (no bias feature present)"
-        )
 
     X = ds.features
-    dim = ds.dim
     n = ds.n
+    init = cfg.init
 
+    # start(label) is the label's first iterate; newton_cg copies it, so one
+    # shared vector serves every label.
     t_start = time.perf_counter()
-    shared_ovap = None
     init_wall_ms = 0.0
     init_hvp_touches = 0
-    aop_pre = None
-    if cfg.init.kind == "ovap":
-        all_neg = BinaryProblem(X, np.full(n, -1.0), cfg.loss, cfg.c)
-        t0 = time.perf_counter()
-        # An overflow ends in a non-finite value, which the shared solve
-        # raises as a NumericalError. As in a label's solve, the last accepted
-        # iterate is kept: every label is still solved from it, and those that
-        # fail are reported as numerical_failure.
-        with np.errstate(over="ignore"):
-            try:
-                shared_ovap, ovap_trace = ovap_solve(all_neg, cfg.solver, cfg.init.ovap_stop_rel)
-            except NumericalError as err:
-                shared_ovap = err.w_last if err.w_last is not None else np.zeros(dim)
-                ovap_trace = err.trace if err.trace is not None else SolverTrace()
-        init_wall_ms = (time.perf_counter() - t0) * 1e3
-        init_hvp_touches = ovap_trace.hvp_touches
-    elif cfg.init.kind == "aop":
+    if init.kind == "aop":
         # An overflowing <xbar, xbar> makes every aop start non-finite, which
         # each label's solve reports as numerical_failure.
         with np.errstate(over="ignore"):
             aop_pre = AopPrecompute(xbar=stats.xbar, xbar_sq=stats.xbar_sq, n=stats.n)
-        cfg.init.resolved_aop(cfg.loss)  # surface the s <= t warning before workers start
+        s, t = init.resolved_aop(cfg.loss)
+
+        def start(label: int) -> DenseVector:
+            p_count = int(stats.positives[label].size)
+            return aop_init(stats.pbar.row(label), p_count, aop_pre, s, t)
+
+    else:
+        if init.kind == "ovap":
+            all_neg = BinaryProblem(X, np.full(n, -1.0), cfg.loss, cfg.c)
+            # An overflow ends in a non-finite value, which the shared solve
+            # raises as a NumericalError. As in a label's solve, the last
+            # accepted iterate is kept: every label is still solved from it,
+            # and those that fail are reported as numerical_failure.
+            with np.errstate(over="ignore"):
+                try:
+                    w_shared, ovap_trace = ovap_solve(all_neg, cfg.solver, init.ovap_stop_rel)
+                except NumericalError as err:
+                    w_shared, ovap_trace = err.w_last, err.trace
+            init_wall_ms = (time.perf_counter() - t_start) * 1e3
+            init_hvp_touches = ovap_trace.hvp_touches
+        elif init.kind == "bias":
+            w_shared = bias_init(ds.dim, ds.bias_index, init.bias_scale)
+        else:
+            w_shared = zero_init(ds.dim)
+
+        def start(label: int) -> DenseVector:
+            return w_shared
 
     def work(label: int):
         t0 = time.perf_counter()
         signs = np.full(n, -1.0)
         signs[stats.positives[label]] = 1.0
         problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
-        termination = None
         # Overflow on huge inputs ends in non-finite values (inf, or nan from
         # inf * 0 in the aop start), which newton_cg reports as
         # numerical_failure. errstate is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            w0 = _make_w0(cfg, dim, ds.bias_index, stats, label, shared_ovap, aop_pre)
-            grad0_ref = float(np.linalg.norm(solver_mod.gradient(problem, np.zeros(dim))))
+            w0 = start(label)
+            ref = grad0_norm(problem)
             try:
-                w, trace = solver_mod.newton_cg(problem, w0, cfg.solver, grad0_ref)
+                w, trace = solver_mod.newton_cg(problem, w0, cfg.solver, ref)
+                termination = trace.termination
             except NumericalError as err:
-                w = err.w_last if err.w_last is not None else w0
-                trace = err.trace if err.trace is not None else SolverTrace()
-                termination = TERM_NUMERICAL
-        if termination is None:
-            termination = trace.termination
+                w, trace, termination = err.w_last, err.trace, TERM_NUMERICAL
         kept = np.flatnonzero(np.abs(w) >= cfg.clip_threshold)
-        if trace.rows:
-            final_loss = trace.rows[-1].loss
-        else:
-            final_loss = trace.initial_loss
         result = LabelResult(
             label=label,
             positives=int(stats.positives[label].size),
             outer_iters=trace.outer_iters,
             hvp_touches=trace.hvp_touches,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            final_loss=final_loss,
+            final_loss=trace.rows[-1].loss if trace.rows else trace.initial_loss,
             termination=termination,
             first_step_size=trace.first_step_size,
         )
@@ -348,26 +299,14 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
             step_sum[i] += row.step_size
             counts[i] += 1
 
-    digest = cfg.digest()
     model = OvaModel(
-        weights=SparseMatrix.stack(idx_parts, val_parts, dim),
+        weights=SparseMatrix.stack(idx_parts, val_parts, ds.dim),
         bias_index=ds.bias_index,
-        meta=ModelMeta(loss=cfg.loss.token, init=cfg.init.kind, config_digest=digest),
+        meta=ModelMeta(loss=cfg.loss.token, init=init.kind),
     )
     report = TrainReport(
-        dataset_n=ds.n,
-        dataset_dim=dim,
-        dataset_n_labels=ds.n_labels,
-        dataset_digest=dataset_digest(ds),
-        loss=cfg.loss.token,
-        init=cfg.init.kind,
-        init_params=cfg.resolved_init_params(),
-        solver=cfg.solver,
-        c=cfg.c,
-        clip_threshold=cfg.clip_threshold,
-        threads=cfg.threads,
-        seed=cfg.seed,
-        config_digest=digest,
+        config=cfg,
+        dataset={"n": n, "dim": ds.dim, "n_labels": ds.n_labels, "digest": dataset_digest(ds)},
         labels=results,
         iter_active_fraction_mean=[s / c for s, c in zip(frac_sum, counts)],
         iter_step_size_mean=[s / c for s, c in zip(step_sum, counts)],
@@ -495,5 +434,5 @@ def load_model(path) -> OvaModel:
     return OvaModel(
         weights=weights,
         bias_index=bias_index,
-        meta=ModelMeta(loss=loss_token, init=init_token, config_digest=None),
+        meta=ModelMeta(loss=loss_token, init=init_token),
     )

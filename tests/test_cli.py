@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from xova.cli import main
+from xova.initializers import InitStrategy
+from xova.trainer import TrainConfig
 
 try:
     import jsonschema
@@ -100,7 +102,22 @@ class TestTrain:
         header = (workdir / "model.txt").read_text().splitlines()[0]
         assert header.startswith("xova v1 10 26 25 squared-hinge aop")
         report = json.loads((workdir / "report.json").read_text())
+        assert list(report) == [
+            "format", "dataset", "loss", "init", "init_params", "solver", "c",
+            "clip_threshold", "threads", "seed", "config_digest", "totals", "iterations", "labels",
+        ]
+        assert list(report["dataset"]) == ["n", "dim", "n_labels", "digest"]
+        assert list(report["totals"]) == [
+            "wall_ms", "hvp_touches", "labels_trained", "failed", "init_wall_ms", "init_hvp_touches",
+        ]
+        assert list(report["iterations"]) == ["active_fraction_mean", "step_size_mean", "count"]
+        assert list(report["labels"][0]) == [
+            "label", "positives", "outer_iters", "hvp_touches", "wall_ms", "final_loss",
+            "termination", "first_step_size",
+        ]
         assert report["init_params"] == {"s": 1.0, "t": -2.0}
+        # the run's flags are all at their defaults but --init aop
+        assert report["config_digest"] == TrainConfig(init=InitStrategy("aop")).digest()
         labels_csv = (workdir / "report.json.labels.csv").read_text().splitlines()
         assert labels_csv[0] == "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination"
         assert len(labels_csv) == 11

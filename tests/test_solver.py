@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from xova.solver import (
     TERM_LINE_SEARCH,
     backtracking_search,
     cg_solve,
+    grad0_norm,
     gradient,
     hessian_vec,
     line_search,
@@ -108,6 +111,14 @@ class TestGradient:
                 fd[k] = (objective(p, w + e) - objective(p, w - e)) / (2 * h)
             err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             assert err <= 1e-6
+
+    @pytest.mark.parametrize("c", [0.1, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("loss", [SQH, LOG])
+    def test_grad0_norm_is_gradient_norm_at_zero(self, loss, c, rng):
+        # the stopping reference skips the X @ 0 pass but must keep every bit
+        for _ in range(10):
+            p = random_problem(rng, n=30, d=8, loss=loss, c=c)
+            assert grad0_norm(p) == float(np.linalg.norm(gradient(p, np.zeros(p.dim))))
 
 
 class TestHessianVec:
@@ -308,6 +319,25 @@ class TestNewtonCg:
         p = BinaryProblem(X, np.array([1.0, -1.0]))
         with pytest.raises(NumericalError):
             newton_cg(p, np.zeros(1), SolverConfig(), 1.0)
+
+    def test_cg_failure_keeps_accepted_steps(self, rng, monkeypatch):
+        p = random_problem(rng, n=40, d=8, loss=SQH)
+        g0 = grad0_ref(p)
+        cfg = SolverConfig(eps_outer=1e-6)
+        w_one, _ = newton_cg(p, np.zeros(8), replace(cfg, max_outer=1), g0)
+        real, calls = solver_mod.cg_solve, []
+
+        def second_call_fails(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalError("injected CG failure")
+            return real(*args)
+
+        monkeypatch.setattr(solver_mod, "cg_solve", second_call_fails)
+        with pytest.raises(NumericalError) as info:
+            newton_cg(p, np.zeros(8), cfg, g0)
+        np.testing.assert_array_equal(info.value.w_last, w_one)
+        assert info.value.trace.outer_iters == 1
 
     def test_line_search_failure_reported(self, rng, monkeypatch):
         # force every trial to fail by making the schedule empty of winners

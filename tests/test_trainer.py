@@ -119,6 +119,26 @@ class TestTrainOva:
         assert report.n_failed == 1
         assert model.weights.row(1).indices.size > 0  # the rest trained normally
 
+    def test_cg_failure_keeps_accepted_steps(self, monkeypatch):
+        import xova.trainer as trainer_mod
+        from xova.errors import NumericalError
+
+        ds = augment_bias(generate_synthetic(200, 20, 3, 1.2, 21))
+        real, calls = trainer_mod.solver_mod.cg_solve, []
+
+        def second_call_fails(*args):
+            calls.append(1)
+            if len(calls) == 2:  # label 0's second outer iteration
+                raise NumericalError("injected CG failure")
+            return real(*args)
+
+        monkeypatch.setattr(trainer_mod.solver_mod, "cg_solve", second_call_fails)
+        _, report = train_ova(ds, compute_label_stats(ds), TrainConfig(init=InitStrategy("zero")))
+        first = report.labels[0]
+        assert first.termination == TERM_NUMERICAL
+        assert first.outer_iters == 1
+        assert np.isfinite(first.final_loss)
+
     def test_thread_determinism(self, small_data, tmp_path):
         ds, stats = small_data
         m1, _ = train_ova(ds, stats, TrainConfig(threads=1))
