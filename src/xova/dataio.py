@@ -264,9 +264,8 @@ def dataset_digest(ds: Dataset) -> str:
     h.update(ds.features.indptr.astype(np.int64).tobytes())
     h.update(ds.features.indices.astype(np.int64).tobytes())
     h.update(ds.features.data.tobytes())
-    for lbls in ds.labels:
-        h.update(lbls.tobytes())
-        h.update(b";")
+    # each row's label ids, then b";"
+    h.update(b";".join([*map(np.ndarray.tobytes, ds.labels), b""]))
     return h.hexdigest()[:16]
 
 

@@ -4,13 +4,15 @@ The objective for one label is
 
     L(w) = 0.5 * <w, w> + C * sum_i phi(y_i * <w, x_i>)
 
-Each outer iteration recomputes the margins and the set of instances with
-nonzero curvature, solves the Newton system H p = -grad approximately with
-diagonally preconditioned conjugate gradients (Hessian-vector products only
-touch the active rows), and applies a backtracking line search over
-w + lambda * p. Because the curvature coefficients of inactive instances
-are exactly zero, restricting the Hessian-vector products to the active
-rows is exact, not an approximation.
+Each outer iteration takes the margins, then the set of instances with
+nonzero curvature (the active rows), then the gradient and the stopping
+test; it then solves the Newton system H p = -grad approximately with
+diagonally preconditioned conjugate gradients and applies a backtracking
+line search over w + lambda * p. The gradient, the curvature and the
+Hessian-vector products sum over the active rows only. For the squared
+hinge an inactive row's gradient and curvature coefficients are exactly
+zero, so it would only add zeros: skipping it is exact, not an
+approximation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,11 @@ TERM_CONVERGED = "converged"
 TERM_MAX_OUTER = "max_outer"
 TERM_LINE_SEARCH = "line_search_failed"
 TERM_NUMERICAL = "numerical_failure"
+
+# Above this share of active rows, an iteration sums over the whole X, with
+# zero weight on the inactive rows, instead of copying the active rows out:
+# there the copy costs more than the products it shortens (README, "Solver").
+FULL_X_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -139,25 +146,69 @@ def margins(problem: BinaryProblem, w: DenseVector) -> np.ndarray:
 # the public wrappers after them run the same code without extra passes.
 
 
+class _Rows(NamedTuple):
+    """The rows ``idx`` of the problem's matrix that a gradient and its
+    curvature sum over, held by ``X``: a copy of just those rows, or, when
+    ``full``, the whole matrix with zero weight on every other row.
+
+    Values per held row are gathered with :meth:`take` and weights spread
+    back with :meth:`weights`, so an inactive row of the whole matrix never
+    enters a product: its weight is a literal 0, not ``0 * x``, which would
+    be NaN where ``x`` overflowed.
+    """
+
+    X: SparseMatrix
+    idx: np.ndarray
+    full: bool
+
+    def take(self, per_row: np.ndarray) -> np.ndarray:
+        """The entries of a per-row-of-``X`` vector that belong to ``idx``."""
+        return per_row[self.idx] if self.full else per_row
+
+    def weights(self, values: np.ndarray) -> np.ndarray:
+        """Per row of ``X``, the weight ``values[k]`` of row ``idx[k]``, else 0."""
+        if not self.full:
+            return values
+        out = np.zeros(self.X.n_rows)
+        out[self.idx] = values
+        return out
+
+
+def _active_rows(problem: BinaryProblem, active_idx: np.ndarray) -> _Rows:
+    """The whole X above a :data:`FULL_X_SHARE` of active rows, else a copy of them."""
+    X = problem.features
+    if active_idx.shape[0] > FULL_X_SHARE * problem.n:
+        return _Rows(X, active_idx, True)
+    return _Rows(X.submatrix(active_idx), active_idx, False)
+
+
+def _all_rows(problem: BinaryProblem) -> _Rows:
+    return _Rows(problem.features, np.arange(problem.n), True)
+
+
 def _objective(problem: BinaryProblem, w: DenseVector, m: np.ndarray) -> float:
     return 0.5 * float(np.dot(w, w)) + problem.c * float(np.sum(losses.phi(problem.loss, m)))
 
 
-def _gradient(problem: BinaryProblem, w: DenseVector, m: np.ndarray) -> DenseVector:
-    coef = problem.c * losses.dphi(problem.loss, m) * problem.signs
-    return w + problem.features.rmatvec(coef)
+def _gradient(problem: BinaryProblem, w: DenseVector, m: np.ndarray, rows: _Rows) -> DenseVector:
+    """``w + C * sum phi'(margin_i) * y_i * x_i`` over ``rows``."""
+    idx = rows.idx
+    coef = problem.c * losses.dphi(problem.loss, m[idx]) * problem.signs[idx]
+    return w + rows.X.rmatvec(rows.weights(coef))
 
 
-def _curvature(
-    problem: BinaryProblem, m: np.ndarray, active_idx: np.ndarray
-) -> tuple[SparseMatrix, np.ndarray]:
-    """The active rows and their curvature weights ``C * phi''(margin_i)``."""
-    sub = problem.features.submatrix(active_idx)
-    return sub, problem.c * losses.ddphi(problem.loss, m[active_idx])
+def _curvature(problem: BinaryProblem, m: np.ndarray, rows: _Rows) -> np.ndarray:
+    """Per row in ``rows.idx``, the curvature weight ``C * phi''(margin_i)``."""
+    return problem.c * losses.ddphi(problem.loss, m[rows.idx])
 
 
-def _hvp(sub: SparseMatrix, dd: np.ndarray, d: DenseVector) -> DenseVector:
-    return d + sub.rmatvec(dd * sub.matvec(d))
+def _diag(rows: _Rows, dd: np.ndarray) -> DenseVector:
+    """The Hessian's diagonal ``1 + sum_i dd_i * x_i^2``."""
+    return 1.0 + rows.X.rmatvec_squared(rows.weights(dd))
+
+
+def _hvp(rows: _Rows, dd: np.ndarray, d: DenseVector) -> DenseVector:
+    return d + rows.X.rmatvec(rows.weights(dd * rows.take(rows.X.matvec(d))))
 
 
 def _trial_objective(
@@ -177,8 +228,8 @@ def objective(problem: BinaryProblem, w: DenseVector) -> float:
 
 
 def gradient(problem: BinaryProblem, w: DenseVector) -> DenseVector:
-    """``w + C * sum phi'(margin_i) * y_i * x_i``."""
-    return _gradient(problem, w, margins(problem, w))
+    """``w + C * sum phi'(margin_i) * y_i * x_i``, summed over every row."""
+    return _gradient(problem, w, margins(problem, w), _all_rows(problem))
 
 
 def grad0_norm(problem: BinaryProblem) -> float:
@@ -198,8 +249,8 @@ def hessian_vec(
     """
     if d.shape[0] != problem.dim:
         raise DimensionMismatchError(f"direction length {d.shape[0]} != dim {problem.dim}")
-    sub, dd = _curvature(problem, margins(problem, w), active.indices)
-    return _hvp(sub, dd, d)
+    rows = _active_rows(problem, active.indices)
+    return _hvp(rows, _curvature(problem, margins(problem, w), rows), d)
 
 
 def cg_solve(
@@ -284,7 +335,7 @@ def line_search(
     m = problem.signs * xw
     xdir = problem.features.matvec(direction)
     eval_at = _trial_objective(problem, w, xw, direction, xdir)
-    g_dot_dir = float(np.dot(_gradient(problem, w, m), direction))
+    g_dot_dir = float(np.dot(_gradient(problem, w, m, _all_rows(problem)), direction))
     return backtracking_search(eval_at, _objective(problem, w, m), g_dot_dir, cfg)
 
 
@@ -321,7 +372,11 @@ def newton_cg(
     trace.initial_loss = loss_val
 
     while True:
-        grad = _gradient(problem, w, m)
+        t_iter = time.perf_counter()
+        active_idx = _compute_active(problem.loss, m)
+        n_active = int(active_idx.shape[0])
+        rows = _active_rows(problem, active_idx)
+        grad = _gradient(problem, w, m, rows)
         gnorm = float(np.linalg.norm(grad))
         if not np.isfinite(gnorm):
             raise NumericalError("non-finite gradient", w_last=w, trace=trace)
@@ -331,14 +386,16 @@ def newton_cg(
         if trace.outer_iters >= cfg.max_outer:
             trace.termination = TERM_MAX_OUTER
             break
-        t_iter = time.perf_counter()
 
-        active_idx = _compute_active(problem.loss, m)
-        n_active = int(active_idx.shape[0])
-        sub, dd = _curvature(problem, m, active_idx)
-        diag = 1.0 + sub.rmatvec_squared(dd)
+        dd = _curvature(problem, m, rows)
+        diag = _diag(rows, dd)
+        if rows.full and np.isnan(diag).any():
+            # 0 * inf: a row of weight 0 whose squares overflow. The copy
+            # leaves the inactive ones out.
+            rows = _Rows(X.submatrix(active_idx), active_idx, False)
+            diag = _diag(rows, dd)
         try:
-            direction, cg_iters = cg_solve(grad, functools.partial(_hvp, sub, dd), cfg, diag)
+            direction, cg_iters = cg_solve(grad, functools.partial(_hvp, rows, dd), cfg, diag)
         except NumericalError as err:
             raise NumericalError(str(err), w_last=w, trace=trace) from None
         trace.hvp_touches += cg_iters * n_active

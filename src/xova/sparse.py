@@ -71,10 +71,11 @@ class SparseMatrix:
     index beyond the int32 range is still out of range. The matrix is one
     scipy CSR built here: ``indptr``, ``indices`` and ``data`` are its
     arrays, the index arrays in scipy's index dtype (int32 unless the shape
-    or the nonzero count needs int64).
+    or the nonzero count needs int64). Its transpose is a CSC view of the
+    same arrays, built once.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr", "_csc")
 
     def __init__(self, indptr, indices, data, n_cols: int, *, validate: bool = True):
         indptr = np.ascontiguousarray(indptr)
@@ -102,14 +103,17 @@ class SparseMatrix:
                     row = int(np.searchsorted(indptr, pos, side="right")) - 1
                     raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row, j)
         csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols), copy=False)
+        self._adopt(csr)
+
+    def _adopt(self, csr: scipy.sparse.csr_matrix) -> None:
         for arr in (csr.indptr, csr.indices, csr.data):
             arr.flags.writeable = False
-        self.n_rows = n_rows
-        self.n_cols = int(n_cols)
+        self.n_rows, self.n_cols = csr.shape
         self.indptr = csr.indptr
         self.indices = csr.indices
         self.data = csr.data
         self._csr = csr
+        self._csc = csr.T
 
     @classmethod
     def stack(
@@ -169,7 +173,7 @@ class SparseMatrix:
             raise DimensionMismatchError(
                 f"coefficient length {coef.shape[0]} != n_rows {self.n_rows}"
             )
-        return self.to_scipy().T @ coef
+        return self._csc @ coef
 
     def rmatvec_squared(self, coef: DenseVector) -> DenseVector:
         """``(X * X).T @ coef`` with elementwise squaring."""
@@ -190,8 +194,9 @@ class SparseMatrix:
             rows, np.arange(self.n_rows, dtype=np.int64)
         ):
             return self
-        sub = self._csr[rows]
-        return SparseMatrix(sub.indptr, sub.indices, sub.data, self.n_cols, validate=False)
+        sub = SparseMatrix.__new__(SparseMatrix)
+        sub._adopt(self._csr[rows])
+        return sub
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):

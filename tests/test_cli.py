@@ -112,14 +112,16 @@ class TestTrain:
         ]
         assert list(report["iterations"]) == ["active_fraction_mean", "step_size_mean", "count"]
         assert list(report["labels"][0]) == [
-            "label", "positives", "outer_iters", "hvp_touches", "wall_ms", "final_loss",
+            "label", "positives", "outer_iters", "hvp_touches", "wall_ms", "cpu_ms", "final_loss",
             "termination", "first_step_size",
         ]
         assert report["init_params"] == {"s": 1.0, "t": -2.0}
         # the run's flags are all at their defaults but --init aop
         assert report["config_digest"] == TrainConfig(init=InitStrategy("aop")).digest()
         labels_csv = (workdir / "report.json.labels.csv").read_text().splitlines()
-        assert labels_csv[0] == "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination"
+        assert labels_csv[0] == (
+            "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination,cpu_ms"
+        )
         assert len(labels_csv) == 11
 
     def test_logistic_default_t_is_minus_three(self, workdir):

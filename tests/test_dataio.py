@@ -291,3 +291,8 @@ class TestDigest:
         labels = [np.array([0, 1]), np.array([], dtype=np.int64), np.array([1])]
         # Hashes int64 indices whatever dtype the matrix stores them in.
         assert dataset_digest(Dataset(X, labels, 2)) == "d951c3e370be8e3b"
+
+    def test_digest_of_no_rows_pinned(self):
+        # no row, so no label bytes are hashed, not even a separator
+        X = SparseMatrix([0], [], [], 3)
+        assert dataset_digest(Dataset(X, [], 2)) == "63e6d6a5a1bdec68"

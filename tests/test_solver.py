@@ -155,6 +155,79 @@ class TestHessianVec:
             np.testing.assert_allclose(hessian_vec(p, w, v, act), H @ v, atol=1e-10)
 
 
+def separable_problem(rng, n, d):
+    """A random problem whose signs are those of ``X @ w_true``: every margin
+    along ``w_true`` is positive, so scaling it sweeps the active share."""
+    p = random_problem(rng, n=n, d=d, loss=SQH)
+    w_true = rng.normal(size=d)
+    signs = np.where(p.features.matvec(w_true) >= 0.0, 1.0, -1.0)
+    return BinaryProblem(p.features, signs, SQH), w_true
+
+
+class TestActiveRows:
+    @pytest.mark.parametrize("above", [False, True])
+    def test_active_row_sums_equal_the_full_sums(self, rng, above, monkeypatch):
+        # below the crossover the kernels run on a copy of the active rows,
+        # above it on the whole X; either way the bits are those of the sum
+        # over every row
+        share = solver_mod.FULL_X_SHARE
+        lo, hi = (share, 1.0) if above else (0.0, share)
+        for _ in range(10):
+            p, w_true = separable_problem(rng, n=60, d=10)
+            w = next(
+                t * w_true
+                for t in np.geomspace(1e-3, 1e3, 400)
+                if lo < active_set(SQH, margins(p, t * w_true)).size / p.n < hi
+            )
+            m = margins(p, w)
+            act = active_set(SQH, m)
+            rows = solver_mod._active_rows(p, act.indices)
+            assert rows.full == above
+            assert np.array_equal(solver_mod._gradient(p, w, m, rows), gradient(p, w))
+            d = rng.normal(size=p.dim)
+            hvps = []
+            for extreme in (0.0, 1.0):
+                monkeypatch.setattr(solver_mod, "FULL_X_SHARE", extreme)
+                hvps.append(hessian_vec(p, w, d, act))
+            monkeypatch.setattr(solver_mod, "FULL_X_SHARE", share)
+            assert np.array_equal(*hvps)
+
+    def test_inactive_row_whose_product_overflows(self, monkeypatch):
+        # row 0 is inactive and <x_0, d> overflows; rows 1 and 2 are active
+        X = make_matrix([{0: 1e150}, {1: 1.0}, {1: -1.0}], 2)
+        p = BinaryProblem(X, np.array([1.0, 1.0, -1.0]))
+        w = np.array([1.0, 0.0])
+        act = active_set(SQH, margins(p, w))
+        assert act.indices.tolist() == [1, 2]
+        d = np.array([1e160, 1.0])
+        hvps = []
+        for extreme in (0.0, 1.0):
+            monkeypatch.setattr(solver_mod, "FULL_X_SHARE", extreme)
+            hvps.append(hessian_vec(p, w, d, act))
+        assert np.array_equal(*hvps)
+        assert hvps[0].tolist() == [1e160, 5.0]
+
+    def test_inactive_row_whose_squares_overflow(self, rng, monkeypatch):
+        # row 0 sits far past the margin and its square overflows: over the
+        # whole X its curvature term would be 0 * inf = nan
+        dense = rng.normal(size=(20, 3))
+        dense[:, 2] = 1.0
+        dense[0] = [1e200, 0.0, 1.0]
+        X = SparseMatrix.stack([np.arange(3)] * 20, list(dense), 3)
+        signs = rng.choice([-1.0, 1.0], size=20)
+        signs[0] = 1.0
+        p = BinaryProblem(X, signs)
+        w0 = np.array([1e-190, 0.0, 0.0])
+        runs = []
+        for extreme in (0.0, 1.0):
+            monkeypatch.setattr(solver_mod, "FULL_X_SHARE", extreme)
+            with np.errstate(over="ignore"):
+                w, trace = newton_cg(p, w0, SolverConfig(), 1.0)
+            runs.append((w.tobytes(), trace.outer_iters, trace.hvp_touches))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0
+
+
 class TestCgSolve:
     def test_identity_system_one_iteration(self):
         g = np.array([1.0, -2.0, 0.5])
@@ -304,7 +377,8 @@ class TestNewtonCg:
         p = random_problem(rng, n=40, d=8, loss=SQH)
         _, trace = newton_cg(p, np.zeros(8), SolverConfig(), grad0_ref(p))
         assert trace.termination == TERM_CONVERGED
-        assert calls["n"] == trace.outer_iters
+        # once per gradient: every accepted step, plus the final stopping test
+        assert calls["n"] == trace.outer_iters + 1
 
     def test_trace_bookkeeping(self, rng):
         p = random_problem(rng, n=50, d=10, loss=SQH)

@@ -3,14 +3,18 @@ import pytest
 
 from xova.dataio import Dataset, augment_bias, compute_label_stats, generate_synthetic
 from xova.errors import ConfigError, DimensionMismatchError, ModelFormatError
-from xova.initializers import InitStrategy
+import xova.solver as solver_mod
+from xova.initializers import INIT_KINDS, InitStrategy
 from xova.losses import MarginLoss
-from xova.solver import BinaryProblem, SolverConfig, TERM_NUMERICAL, gradient, newton_cg
+from xova.solver import (
+    BinaryProblem, SolverConfig, TERM_NUMERICAL, grad0_norm, gradient, newton_cg
+)
 from xova.sparse import SparseMatrix
 from xova.trainer import (
     ModelMeta,
     OvaModel,
     TrainConfig,
+    grad0_closed_form,
     load_model,
     predict_topk,
     save_model,
@@ -161,6 +165,26 @@ class TestTrainOva:
         assert report.total_wall_ms >= max(r.wall_ms for r in report.labels) * 0.0
         assert sum(r.wall_ms for r in report.labels) >= max(r.wall_ms for r in report.labels)
 
+    def test_cpu_time_per_label(self, small_data):
+        ds, stats = small_data
+        _, report = train_ova(ds, stats, TrainConfig(threads=1))
+        # one worker thread: its CPU time fits inside the wall time, give or
+        # take the two clocks' reads
+        assert all(0 <= r.cpu_ms <= r.wall_ms + 1 for r in report.labels)
+
+    @pytest.mark.parametrize("init", INIT_KINDS)
+    def test_full_x_share_changes_no_bit(self, init, monkeypatch):
+        ds = augment_bias(generate_synthetic(300, 25, 10, 1.2, 11))
+        stats = compute_label_stats(ds)
+        runs = []
+        for extreme in (0.0, 1.0):  # always the whole X, always a copy
+            monkeypatch.setattr(solver_mod, "FULL_X_SHARE", extreme)
+            model, report = train_ova(ds, stats, TrainConfig(init=InitStrategy(init)))
+            W = model.weights
+            runs.append((W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes(),
+                         report.total_hvp_touches))
+        assert runs[0] == runs[1]
+
     def test_iteration_aggregates(self, small_data):
         ds, stats = small_data
         _, report = train_ova(ds, stats, TrainConfig(init=InitStrategy("zero")))
@@ -178,6 +202,45 @@ class TestTrainOva:
         other = compute_label_stats(augment_bias(generate_synthetic(60, 20, 8, 1.2, 1)))
         with pytest.raises(ConfigError):
             train_ova(ds, other, TrainConfig())
+
+
+class TestGrad0ClosedForm:
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("loss", list(MarginLoss))
+    def test_matches_the_pass_over_x(self, loss, c):
+        base = augment_bias(generate_synthetic(200, 20, 8, 1.2, 21))
+        L = base.n_labels
+        # label L is positive on every row, label L + 1 on none
+        labels = [np.append(lbls, L) for lbls in base.labels]
+        ds = Dataset(base.features, labels, L + 2, base.bias_index)
+        stats = compute_label_stats(ds)
+        assert stats.positives[L].size == ds.n and stats.positives[L + 1].size == 0
+        for j in range(L + 2):
+            signs = np.full(ds.n, -1.0)
+            signs[stats.positives[j]] = 1.0
+            ref = grad0_norm(BinaryProblem(ds.features, signs, loss, c))
+            assert abs(grad0_closed_form(stats, j, loss, c) - ref) <= 1e-14 * ref
+
+    def test_non_finite_falls_back_to_the_pass(self, monkeypatch):
+        # the column sum 1e308 + 1e308 overflows, so xbar is infinite; the
+        # pass over X cancels the two rows, whose signs differ
+        X = make_matrix([{0: 1e308, 1: 1.0}, {0: 1e308, 1: 2.0}], 2)
+        ds = Dataset(X, [np.array([0]), np.array([], dtype=np.int64)], 1)
+        stats = compute_label_stats(ds)
+        cfg = TrainConfig(c=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(grad0_closed_form(stats, 0, cfg.loss, cfg.c))
+        seen = []
+        real = solver_mod.newton_cg
+
+        def spy(problem, w0, solver_cfg, ref):
+            seen.append((problem, ref))
+            return real(problem, w0, solver_cfg, ref)
+
+        monkeypatch.setattr(solver_mod, "newton_cg", spy)
+        train_ova(ds, stats, cfg)
+        [(problem, ref)] = seen
+        assert ref == grad0_norm(problem) == pytest.approx(0.2)
 
 
 def scores(model, rows):
