@@ -1,4 +1,4 @@
-"""Truncated conjugate-gradient Newton minimizer for one binary problem.
+"""Truncated conjugate-gradient Newton minimizer for a block of binary problems.
 
 The objective for one label is
 
@@ -13,6 +13,17 @@ Hessian-vector products sum over the active rows only. For the squared
 hinge an inactive row's gradient and curvature coefficients are exactly
 zero, so it would only add zeros: skipping it is exact, not an
 approximation.
+
+The labels of a block share the design matrix X and move in lockstep:
+each step makes one sparse product for the whole block where one label
+would make one of its own. Every product runs over the whole X with a
+literal 0 weight on a label's inactive rows: the active rows' values are
+gathered and scattered back into zeros, so an inactive row whose
+``<x_i, d>`` overflowed never enters a sum. Everything else is per label,
+on that label's own contiguous rows (``np.dot``, ``np.linalg.norm`` and
+``np.sum`` on one row, never a reduction along an axis), and a column of
+a scipy product sums in the same order as the product with that column
+alone, so a label's bits do not depend on the block it is solved in.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,11 +44,6 @@ TERM_CONVERGED = "converged"
 TERM_MAX_OUTER = "max_outer"
 TERM_LINE_SEARCH = "line_search_failed"
 TERM_NUMERICAL = "numerical_failure"
-
-# Above this share of active rows, an iteration sums over the whole X, with
-# zero weight on the inactive rows, instead of copying the active rows out:
-# there the copy costs more than the products it shortens (README, "Solver").
-FULL_X_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -94,13 +100,34 @@ class BinaryProblem:
         return self.features.n_cols
 
 
+@dataclass(frozen=True)
+class LabelBlock:
+    """Several labels' binary problems over one shared design matrix.
+
+    Label ``k`` has sign +1 on the rows ``positives[k]`` (sorted) and -1 on
+    every other row; each label's signs are built from these when needed,
+    one label at a time.
+    """
+
+    features: SparseMatrix
+    positives: Sequence[np.ndarray]
+    loss: MarginLoss = MarginLoss.SQUARED_HINGE
+    c: float = 1.0
+
+    def signs(self, k: int) -> np.ndarray:
+        out = np.full(self.features.n_rows, -1.0)
+        out[self.positives[k]] = 1.0
+        return out
+
+
 @dataclass
 class TraceRow:
     """Measurements for one accepted outer iteration.
 
     ``grad_norm``, ``active_count`` and ``active_fraction`` are measured at
     the start of the iteration (before the step); ``loss`` is the objective
-    after the accepted update.
+    after the accepted update. ``wall_ms`` is the label's share of the
+    block's step (README, "Diagnostics").
     """
 
     loss: float
@@ -114,7 +141,12 @@ class TraceRow:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration diagnostics plus run totals for one binary solve."""
+    """Per-iteration diagnostics plus run totals for one binary solve.
+
+    ``wall_ms`` and ``cpu_ms`` are the label's shares of its block's wall
+    and thread CPU time: each step's time is split equally among the labels
+    still in the block.
+    """
 
     initial_loss: float = float("nan")
     grad0_ref: float = float("nan")
@@ -123,6 +155,7 @@ class SolverTrace:
     hvp_touches: int = 0  # sum over CG steps of the active-set size
     final_grad_norm: float = float("nan")
     wall_ms: float = 0.0
+    cpu_ms: float = 0.0
 
     @property
     def outer_iters(self) -> int:
@@ -136,100 +169,111 @@ class SolverTrace:
         return [self.initial_loss] + [r.loss for r in self.rows]
 
 
+class BlockResult(NamedTuple):
+    """One label's outcome: its last iterate, its trace, and the
+    NumericalError that ended it, if one did (``w`` is then the last
+    accepted iterate)."""
+
+    w: DenseVector
+    trace: SolverTrace
+    error: NumericalError | None
+
+
+class CgBlock(NamedTuple):
+    """:func:`cg_solve`'s answer for a block: a direction per row, the
+    iterations summed over the rows and per row, and per row the
+    NumericalError that stopped it, if one did."""
+
+    p: np.ndarray
+    iters: int
+    row_iters: list[int]
+    errors: list[NumericalError | None]
+
+
 def margins(problem: BinaryProblem, w: DenseVector) -> np.ndarray:
     """Per-instance margins ``y_i * <w, x_i>``."""
     return problem.signs * problem.features.matvec(w)
 
 
-# The kernels below take inputs the caller has already computed (the margins
-# ``m`` of ``w``, the active rows, ``X w`` and ``X d``), so that newton_cg and
-# the public wrappers after them run the same code without extra passes.
+# The kernels below take inputs the caller has already computed (margins,
+# active rows, products with X), so that the block solver and the public
+# one-label wrappers after them run the same code without extra passes.
 
 
-class _Rows(NamedTuple):
-    """The rows ``idx`` of the problem's matrix that a gradient and its
-    curvature sum over, held by ``X``: a copy of just those rows, or, when
-    ``full``, the whole matrix with zero weight on every other row.
-
-    Values per held row are gathered with :meth:`take` and weights spread
-    back with :meth:`weights`, so an inactive row of the whole matrix never
-    enters a product: its weight is a literal 0, not ``0 * x``, which would
-    be NaN where ``x`` overflowed.
-    """
-
-    X: SparseMatrix
-    idx: np.ndarray
-    full: bool
-
-    def take(self, per_row: np.ndarray) -> np.ndarray:
-        """The entries of a per-row-of-``X`` vector that belong to ``idx``."""
-        return per_row[self.idx] if self.full else per_row
-
-    def weights(self, values: np.ndarray) -> np.ndarray:
-        """Per row of ``X``, the weight ``values[k]`` of row ``idx[k]``, else 0."""
-        if not self.full:
-            return values
-        out = np.zeros(self.X.n_rows)
-        out[self.idx] = values
-        return out
+def _rows(product: np.ndarray) -> np.ndarray:
+    """An ``(n, r)`` product as ``r`` contiguous rows, one per label."""
+    return np.ascontiguousarray(product.T)
 
 
-def _active_rows(problem: BinaryProblem, active_idx: np.ndarray) -> _Rows:
-    """The whole X above a :data:`FULL_X_SHARE` of active rows, else a copy of them."""
-    X = problem.features
-    if active_idx.shape[0] > FULL_X_SHARE * problem.n:
-        return _Rows(X, active_idx, True)
-    return _Rows(X.submatrix(active_idx), active_idx, False)
+def _scatter(n: int, idx: Sequence[np.ndarray], values: Sequence[np.ndarray]) -> np.ndarray:
+    """The ``(n, r)`` weights whose column ``j`` holds ``values[j]`` at the
+    rows ``idx[j]`` and a literal 0 on every other row."""
+    out = np.zeros((n, len(idx)))
+    for j, (rows, vals) in enumerate(zip(idx, values)):
+        out[rows, j] = vals
+    return out
 
 
-def _all_rows(problem: BinaryProblem) -> _Rows:
-    return _Rows(problem.features, np.arange(problem.n), True)
+def _objective(loss: MarginLoss, c: float, w: DenseVector, m: np.ndarray) -> float:
+    return 0.5 * float(np.dot(w, w)) + c * float(np.sum(losses.phi(loss, m)))
 
 
-def _objective(problem: BinaryProblem, w: DenseVector, m: np.ndarray) -> float:
-    return 0.5 * float(np.dot(w, w)) + problem.c * float(np.sum(losses.phi(problem.loss, m)))
+def _grad_coef(loss: MarginLoss, c: float, m: np.ndarray, signs: np.ndarray, idx) -> np.ndarray:
+    """Per row in ``idx``, the gradient coefficient ``C * phi'(margin_i) * y_i``."""
+    return c * losses.dphi(loss, m[idx]) * signs[idx]
 
 
-def _gradient(problem: BinaryProblem, w: DenseVector, m: np.ndarray, rows: _Rows) -> DenseVector:
-    """``w + C * sum phi'(margin_i) * y_i * x_i`` over ``rows``."""
-    idx = rows.idx
-    coef = problem.c * losses.dphi(problem.loss, m[idx]) * problem.signs[idx]
-    return w + rows.X.rmatvec(rows.weights(coef))
+def _curvature(loss: MarginLoss, c: float, m: np.ndarray, idx) -> np.ndarray:
+    """Per row in ``idx``, the curvature weight ``C * phi''(margin_i)``."""
+    return c * losses.ddphi(loss, m[idx])
 
 
-def _curvature(problem: BinaryProblem, m: np.ndarray, rows: _Rows) -> np.ndarray:
-    """Per row in ``rows.idx``, the curvature weight ``C * phi''(margin_i)``."""
-    return problem.c * losses.ddphi(problem.loss, m[rows.idx])
+def _gradient(X: SparseMatrix, W: np.ndarray, idx, coef) -> np.ndarray:
+    """Per row ``k`` of ``W``, ``w_k + sum_{i in idx[k]} coef[k]_i * x_i``."""
+    return W + _rows(X.rmatvec(_scatter(X.n_rows, idx, coef)))
 
 
-def _diag(rows: _Rows, dd: np.ndarray) -> DenseVector:
-    """The Hessian's diagonal ``1 + sum_i dd_i * x_i^2``."""
-    return 1.0 + rows.X.rmatvec_squared(rows.weights(dd))
+def _diag(X: SparseMatrix, idx, dd) -> np.ndarray:
+    """Per label, the Hessian's diagonal ``1 + sum_{i in idx} dd_i * x_i^2``."""
+    return 1.0 + _rows(X.rmatvec_squared(_scatter(X.n_rows, idx, dd)))
 
 
-def _hvp(rows: _Rows, dd: np.ndarray, d: DenseVector) -> DenseVector:
-    return d + rows.X.rmatvec(rows.weights(dd * rows.take(rows.X.matvec(d))))
+def _hvp(X: SparseMatrix, idx, dd, D: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """``d + sum_{i in idx} dd_i * <x_i, d> * x_i`` for each direction ``d``
+    of ``D``, whose row ``j`` belongs to the label ``rows[j]`` of ``idx``/``dd``."""
+    weights = X.matvec(D.T)  # X d; each column then becomes its HVP weights in place
+    for j, k in enumerate(rows):
+        vals = dd[k] * weights[idx[k], j]
+        weights[:, j] = 0.0
+        weights[idx[k], j] = vals
+    return D + _rows(X.rmatvec(weights))
 
 
 def _trial_objective(
-    problem: BinaryProblem, w: DenseVector, xw: np.ndarray, direction: DenseVector, xdir: np.ndarray
+    loss: MarginLoss, c: float, w: DenseVector, m: np.ndarray, direction: DenseVector,
+    mdir: np.ndarray,
 ) -> Callable[[float], float]:
-    """``lam -> L(w + lam * direction)``, from ``X w`` and ``X direction``."""
+    """``lam -> L(w + lam * direction)``, from the margins ``m`` of ``w`` and
+    ``mdir = y * X direction``. As the signs are +-1 and negation is exact,
+    ``m + lam * mdir`` has the bits of ``y * (X w + lam * X direction)``,
+    except that a zero may differ in sign, which no loss reads."""
 
     def eval_at(lam: float) -> float:
-        return _objective(problem, w + lam * direction, problem.signs * (xw + lam * xdir))
+        return _objective(loss, c, w + lam * direction, m + lam * mdir)
 
     return eval_at
 
 
 def objective(problem: BinaryProblem, w: DenseVector) -> float:
     """``0.5 * |w|^2 + C * sum phi(margin_i)``."""
-    return _objective(problem, w, margins(problem, w))
+    return _objective(problem.loss, problem.c, w, margins(problem, w))
 
 
 def gradient(problem: BinaryProblem, w: DenseVector) -> DenseVector:
     """``w + C * sum phi'(margin_i) * y_i * x_i``, summed over every row."""
-    return _gradient(problem, w, margins(problem, w), _all_rows(problem))
+    every = np.arange(problem.n)
+    coef = _grad_coef(problem.loss, problem.c, margins(problem, w), problem.signs, every)
+    return _gradient(problem.features, w[None], [every], [coef])[0]
 
 
 def grad0_norm(problem: BinaryProblem) -> float:
@@ -249,59 +293,90 @@ def hessian_vec(
     """
     if d.shape[0] != problem.dim:
         raise DimensionMismatchError(f"direction length {d.shape[0]} != dim {problem.dim}")
-    rows = _active_rows(problem, active.indices)
-    return _hvp(rows, _curvature(problem, margins(problem, w), rows), d)
+    idx = active.indices
+    dd = _curvature(problem.loss, problem.c, margins(problem, w), idx)
+    return _hvp(problem.features, [idx], [dd], d[None], [0])[0]
 
 
 def cg_solve(
-    grad: DenseVector,
-    hvp: Callable[[DenseVector], DenseVector],
+    grad: np.ndarray,
+    hvp: Callable,
     cfg: SolverConfig,
-    diag: DenseVector,
-) -> tuple[DenseVector, int]:
+    diag: np.ndarray,
+):
     """Approximately solve ``H p = -grad`` by preconditioned CG.
 
     ``diag`` is the diagonal of H; the preconditioner is the mixed form
     ``M = precond_alpha * diag(H) + (1 - precond_alpha) * I``. Iteration
     stops once the preconditioned residual norm ``sqrt(r' M^-1 r)`` drops to
     ``eps_cg`` times the preconditioned norm of ``grad``, or at ``max_cg``.
+
+    For one gradient, ``hvp(d)`` is ``H d``; the answer is ``(p,
+    iterations)``, and a numerical failure raises :class:`NumericalError`.
+    For a ``(b, dim)`` block of gradients and their diagonals, the ``b``
+    systems are solved in lockstep: ``hvp(D, rows)`` returns the products
+    of the directions ``D`` of the block rows ``rows`` that still iterate,
+    and the answer is a :class:`CgBlock`, in which a failure stops its row
+    alone.
     """
-    dim = grad.shape[0]
-    p = np.zeros(dim, dtype=np.float64)
-    gnorm2 = float(np.dot(grad, grad))
-    if gnorm2 == 0.0:
-        return p, 0
+    if grad.ndim == 2:
+        return _cg_block(grad, hvp, cfg, diag)
+    res = _cg_block(grad[None], lambda D, rows: hvp(D[0])[None], cfg, diag[None])
+    if res.errors[0] is not None:
+        raise res.errors[0]
+    return res.p[0], res.iters
+
+
+def _cg_block(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) -> CgBlock:
+    b = G.shape[0]
+    P = np.zeros_like(G)
+    iters = [0] * b
+    errors: list[NumericalError | None] = [None] * b
     m_inv = 1.0 / (cfg.precond_alpha * diag + (1.0 - cfg.precond_alpha))
-    r = -grad
-    z = m_inv * r
-    rz = float(np.dot(r, z))
-    ref = np.sqrt(rz)
-    if not np.isfinite(ref):
-        raise NumericalError("non-finite preconditioned gradient norm in CG")
-    d = z.copy()
-    iters = 0
-    while iters < cfg.max_cg:
-        hd = hvp(d)
-        dhd = float(np.dot(d, hd))
-        if not np.isfinite(dhd):
-            raise NumericalError(f"non-finite curvature in CG iteration {iters + 1}")
-        if dhd <= 0.0:
-            raise NumericalError(
-                f"non-positive curvature {dhd:g} in CG iteration {iters + 1}"
-            )
-        alpha = rz / dhd
-        p += alpha * d
-        r -= alpha * hd
-        iters += 1
-        z = m_inv * r
-        rz_next = float(np.dot(r, z))
-        if not np.isfinite(rz_next):
-            raise NumericalError(f"non-finite residual in CG iteration {iters}")
-        if np.sqrt(max(rz_next, 0.0)) <= cfg.eps_cg * ref:
-            break
-        d = z + (rz_next / rz) * d
-        rz = rz_next
-    return p, iters
+    R = -G
+    D = m_inv * R  # the first directions are the preconditioned residuals
+    rz = [0.0] * b
+    ref = [0.0] * b
+    live = []
+    for k in range(b):
+        if float(np.dot(G[k], G[k])) == 0.0:
+            continue
+        rz[k] = float(np.dot(R[k], D[k]))
+        ref[k] = np.sqrt(rz[k])
+        if not np.isfinite(ref[k]):
+            errors[k] = NumericalError("non-finite preconditioned gradient norm in CG")
+            continue
+        live.append(k)
+    while live:
+        HD = hvp(D[live], live)
+        still = []
+        for j, k in enumerate(live):
+            d, hd = D[k], HD[j]
+            dhd = float(np.dot(d, hd))
+            if not np.isfinite(dhd):
+                errors[k] = NumericalError(f"non-finite curvature in CG iteration {iters[k] + 1}")
+                continue
+            if dhd <= 0.0:
+                errors[k] = NumericalError(
+                    f"non-positive curvature {dhd:g} in CG iteration {iters[k] + 1}"
+                )
+                continue
+            alpha = rz[k] / dhd
+            P[k] += alpha * d
+            R[k] -= alpha * hd
+            iters[k] += 1
+            z = m_inv[k] * R[k]
+            rz_next = float(np.dot(R[k], z))
+            if not np.isfinite(rz_next):
+                errors[k] = NumericalError(f"non-finite residual in CG iteration {iters[k]}")
+                continue
+            if np.sqrt(max(rz_next, 0.0)) <= cfg.eps_cg * ref[k] or iters[k] == cfg.max_cg:
+                continue
+            D[k] = z + (rz_next / rz[k]) * d
+            rz[k] = rz_next
+            still.append(k)
+        live = still
+    return CgBlock(P, sum(iters), iters, errors)
 
 
 def backtracking_search(
@@ -331,12 +406,11 @@ def line_search(
     cfg: SolverConfig,
 ) -> tuple[float, bool]:
     """Backtracking search over ``w + lambda * direction`` for one problem."""
-    xw = problem.features.matvec(w)
-    m = problem.signs * xw
-    xdir = problem.features.matvec(direction)
-    eval_at = _trial_objective(problem, w, xw, direction, xdir)
-    g_dot_dir = float(np.dot(_gradient(problem, w, m, _all_rows(problem)), direction))
-    return backtracking_search(eval_at, _objective(problem, w, m), g_dot_dir, cfg)
+    m = margins(problem, w)
+    mdir = margins(problem, direction)
+    eval_at = _trial_objective(problem.loss, problem.c, w, m, direction, mdir)
+    g_dot_dir = float(np.dot(gradient(problem, w), direction))
+    return backtracking_search(eval_at, _objective(problem.loss, problem.c, w, m), g_dot_dir, cfg)
 
 
 def _compute_active(loss: MarginLoss, m: np.ndarray) -> np.ndarray:
@@ -354,83 +428,162 @@ def newton_cg(
 
     ``grad0_ref`` is the gradient norm at the zero vector for this problem;
     the outer loop stops once ``|grad| <= eps_outer * grad0_ref``, so every
-    initialization strategy targets the same stopping surface.
+    initialization strategy targets the same stopping surface. The solve is
+    :func:`newton_cg_block` on a block of one; a numerical failure raises
+    its :class:`NumericalError`, which carries the last accepted iterate and
+    the trace so far.
     """
     if w0.shape[0] != problem.dim:
         raise DimensionMismatchError(f"w0 length {w0.shape[0]} != dim {problem.dim}")
-    X = problem.features
-    n = problem.n
-    t_start = time.perf_counter()
-
-    w = np.array(w0, dtype=np.float64, copy=True)
-    xw = X.matvec(w)
-    trace = SolverTrace(grad0_ref=grad0_ref)
-    m = problem.signs * xw
-    loss_val = _objective(problem, w, m)
-    if not np.isfinite(loss_val):
-        raise NumericalError("non-finite objective at the initial point", w_last=w, trace=trace)
-    trace.initial_loss = loss_val
-
-    while True:
-        t_iter = time.perf_counter()
-        active_idx = _compute_active(problem.loss, m)
-        n_active = int(active_idx.shape[0])
-        rows = _active_rows(problem, active_idx)
-        grad = _gradient(problem, w, m, rows)
-        gnorm = float(np.linalg.norm(grad))
-        if not np.isfinite(gnorm):
-            raise NumericalError("non-finite gradient", w_last=w, trace=trace)
-        if gnorm <= cfg.eps_outer * grad0_ref:
-            trace.termination = TERM_CONVERGED
-            break
-        if trace.outer_iters >= cfg.max_outer:
-            trace.termination = TERM_MAX_OUTER
-            break
-
-        dd = _curvature(problem, m, rows)
-        diag = _diag(rows, dd)
-        if rows.full and np.isnan(diag).any():
-            # 0 * inf: a row of weight 0 whose squares overflow. The copy
-            # leaves the inactive ones out.
-            rows = _Rows(X.submatrix(active_idx), active_idx, False)
-            diag = _diag(rows, dd)
-        try:
-            direction, cg_iters = cg_solve(grad, functools.partial(_hvp, rows, dd), cfg, diag)
-        except NumericalError as err:
-            raise NumericalError(str(err), w_last=w, trace=trace) from None
-        trace.hvp_touches += cg_iters * n_active
-        g_dot_dir = float(np.dot(grad, direction))
-        if g_dot_dir >= 0.0:
-            raise NumericalError(
-                f"CG returned a non-descent direction (g.p = {g_dot_dir:g})",
-                w_last=w,
-                trace=trace,
-            )
-        xdir = X.matvec(direction)
-        eval_at = _trial_objective(problem, w, xw, direction, xdir)
-        lam, accepted = backtracking_search(eval_at, loss_val, g_dot_dir, cfg)
-        if not accepted:
-            trace.termination = TERM_LINE_SEARCH
-            break
-
-        w = w + lam * direction
-        xw = xw + lam * xdir
-        m = problem.signs * xw
-        loss_val = _objective(problem, w, m)
-        if not np.isfinite(loss_val):
-            raise NumericalError("non-finite objective after step", w_last=w, trace=trace)
-        trace.rows.append(
-            TraceRow(
-                loss=loss_val,
-                grad_norm=gnorm,
-                active_count=n_active,
-                active_fraction=n_active / n if n else 0.0,
-                cg_iters=cg_iters,
-                step_size=lam,
-                wall_ms=(time.perf_counter() - t_iter) * 1e3,
-            )
-        )
-
-    trace.final_grad_norm = gnorm
-    trace.wall_ms = (time.perf_counter() - t_start) * 1e3
+    block = LabelBlock(
+        problem.features, [np.flatnonzero(problem.signs > 0.0)], problem.loss, problem.c
+    )
+    [(w, trace, error)] = newton_cg_block(block, w0[None], cfg, [grad0_ref])
+    if error is not None:
+        raise error
     return w, trace
+
+
+def newton_cg_block(
+    block: LabelBlock,
+    W0: np.ndarray,
+    cfg: SolverConfig,
+    grad0_refs: Sequence[float],
+) -> list[BlockResult]:
+    """:func:`newton_cg` for every label of ``block`` in lockstep, from the
+    rows of ``W0`` (``b x dim``), with one stopping reference per label.
+
+    A label leaves the block when it converges, reaches ``max_outer``,
+    fails its line search or meets a non-finite value; the others go on.
+    Each label's result is bit for bit the one it gets alone.
+    """
+    X, loss, c = block.features, block.loss, block.c
+    n, b = X.n_rows, len(block.positives)
+    W = np.array(W0, dtype=np.float64)
+    if W.shape != (b, X.n_cols):
+        raise DimensionMismatchError(f"starts of shape {W.shape} for {b} labels of dim {X.n_cols}")
+    traces = [SolverTrace(grad0_ref=ref) for ref in grad0_refs]
+    errors: list[NumericalError | None] = [None] * b
+    loss_val = [0.0] * b
+
+    def fail(k: int, message: str) -> None:
+        traces[k].termination = TERM_NUMERICAL
+        errors[k] = NumericalError(message, w_last=W[k], trace=traces[k])
+
+    clock = [time.perf_counter(), time.thread_time()]
+
+    def charge(labels: Sequence[int]) -> float:
+        """Split the time since the last charge equally among ``labels``."""
+        now = [time.perf_counter(), time.thread_time()]
+        wall, cpu = ((a - z) * 1e3 / len(labels) for a, z in zip(now, clock))
+        for k in labels:
+            traces[k].wall_ms += wall
+            traces[k].cpu_ms += cpu
+        clock[:] = now
+        return wall
+
+    M = _rows(X.matvec(W.T))  # the margins, once each row is multiplied by its signs
+    live = []
+    for k in range(b):
+        M[k] *= block.signs(k)
+        loss_val[k] = _objective(loss, c, W[k], M[k])
+        if not np.isfinite(loss_val[k]):
+            fail(k, "non-finite objective at the initial point")
+            continue
+        traces[k].initial_loss = loss_val[k]
+        live.append(k)
+    if b:
+        charge(range(b))
+
+    def step(live: list[int]) -> tuple[list[int], list[TraceRow]]:
+        """One lockstep outer iteration of the labels ``live``: the labels
+        that took a step, and their new trace rows."""
+        # margins -> active set -> gradient -> stopping test
+        idx = [_compute_active(loss, M[k]) for k in live]
+        coef = (_grad_coef(loss, c, M[k], block.signs(k), i) for k, i in zip(live, idx))
+        G = _gradient(X, W[live], idx, coef)
+        gnorm = [float(np.linalg.norm(g)) for g in G]
+        solving = []  # positions in ``live`` of the labels that take a step
+        for j, k in enumerate(live):
+            if not np.isfinite(gnorm[j]):
+                fail(k, "non-finite gradient")
+            elif gnorm[j] <= cfg.eps_outer * traces[k].grad0_ref:
+                traces[k].termination = TERM_CONVERGED
+            elif traces[k].outer_iters >= cfg.max_outer:
+                traces[k].termination = TERM_MAX_OUTER
+            else:
+                solving.append(j)
+                continue
+            traces[k].final_grad_norm = gnorm[j]
+        if not solving:
+            return [], []
+
+        # CG on the Newton systems
+        act = [idx[j] for j in solving]
+        n_active = [int(rows.shape[0]) for rows in act]
+        dd = [_curvature(loss, c, M[live[j]], idx[j]) for j in solving]
+        diag = _diag(X, act, dd)
+        for q, rows in enumerate(act):
+            if np.isnan(diag[q]).any():
+                # 0 * inf: a row of weight 0 whose squares overflow. A copy
+                # of the active rows leaves the inactive ones out.
+                diag[q] = 1.0 + X.submatrix(rows).rmatvec_squared(dd[q])
+        cg = cg_solve(G[solving], functools.partial(_hvp, X, act, dd), cfg, diag)
+        del idx, act, dd  # up to n entries per label: freed before the line search
+        searching = []  # (position in ``solving``, g . p)
+        for q, j in enumerate(solving):
+            k = live[j]
+            if cg.errors[q] is not None:
+                fail(k, str(cg.errors[q]))
+                continue
+            traces[k].hvp_touches += cg.row_iters[q] * n_active[q]
+            g_dot_dir = float(np.dot(G[j], cg.p[q]))
+            if g_dot_dir >= 0.0:
+                fail(k, f"CG returned a non-descent direction (g.p = {g_dot_dir:g})")
+                continue
+            searching.append((q, g_dot_dir))
+        if not searching:
+            return [], []
+
+        # line search and update
+        XP = X.matvec(cg.p[[q for q, _ in searching]].T)
+        stepped, new_rows = [], []
+        for (q, g_dot_dir), xdir in zip(searching, XP.T):
+            j = solving[q]
+            k = live[j]
+            direction = cg.p[q]
+            mdir = block.signs(k) * xdir
+            eval_at = _trial_objective(loss, c, W[k], M[k], direction, mdir)
+            lam, accepted = backtracking_search(eval_at, loss_val[k], g_dot_dir, cfg)
+            if not accepted:
+                traces[k].termination = TERM_LINE_SEARCH
+                traces[k].final_grad_norm = gnorm[j]
+                continue
+            W[k] += lam * direction
+            M[k] += lam * mdir
+            loss_val[k] = _objective(loss, c, W[k], M[k])
+            if not np.isfinite(loss_val[k]):
+                fail(k, "non-finite objective after step")
+                continue
+            row = TraceRow(
+                loss=loss_val[k],
+                grad_norm=gnorm[j],
+                active_count=n_active[q],
+                active_fraction=n_active[q] / n if n else 0.0,
+                cg_iters=cg.row_iters[q],
+                step_size=lam,
+                wall_ms=0.0,
+            )
+            traces[k].rows.append(row)
+            new_rows.append(row)
+            stepped.append(k)
+        return stepped, new_rows
+
+    while live:
+        stepped, new_rows = step(live)
+        share = charge(live)
+        for row in new_rows:
+            row.wall_ms = share
+        live = stepped
+
+    return [BlockResult(W[k], traces[k], errors[k]) for k in range(b)]

@@ -72,10 +72,15 @@ class SparseMatrix:
     scipy CSR built here: ``indptr``, ``indices`` and ``data`` are its
     arrays, the index arrays in scipy's index dtype (int32 unless the shape
     or the nonzero count needs int64). Its transpose is a CSC view of the
-    same arrays, built once.
+    same arrays, built once; the transpose of its elementwise square is built
+    on first use and kept.
+
+    The products take one vector or a 2-d block of them, one per column; a
+    column of the block's product sums in the same order as the product with
+    that column alone, so it has the same bits.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr", "_csc")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr", "_csc", "_csc_sq")
 
     def __init__(self, indptr, indices, data, n_cols: int, *, validate: bool = True):
         indptr = np.ascontiguousarray(indptr)
@@ -114,6 +119,7 @@ class SparseMatrix:
         self.data = csr.data
         self._csr = csr
         self._csc = csr.T
+        self._csc_sq = None
 
     @classmethod
     def stack(
@@ -159,30 +165,35 @@ class SparseMatrix:
         # perfbench/round.py iterates over a model's weight rows.
         return (self.row(i) for i in range(self.n_rows))
 
-    def matvec(self, w: DenseVector) -> DenseVector:
-        """``X @ w``."""
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w`` for a vector ``w``, or an ``(n_cols, b)`` block of them."""
         if w.shape[0] != self.n_cols:
             raise DimensionMismatchError(
                 f"vector length {w.shape[0]} != n_cols {self.n_cols}"
             )
         return self.to_scipy() @ w
 
-    def rmatvec(self, coef: DenseVector) -> DenseVector:
-        """``X.T @ coef``."""
+    def rmatvec(self, coef: np.ndarray) -> np.ndarray:
+        """``X.T @ coef`` for a vector ``coef``, or an ``(n_rows, b)`` block of them."""
         if coef.shape[0] != self.n_rows:
             raise DimensionMismatchError(
                 f"coefficient length {coef.shape[0]} != n_rows {self.n_rows}"
             )
         return self._csc @ coef
 
-    def rmatvec_squared(self, coef: DenseVector) -> DenseVector:
-        """``(X * X).T @ coef`` with elementwise squaring."""
+    def rmatvec_squared(self, coef: np.ndarray) -> np.ndarray:
+        """``(X * X).T @ coef`` with elementwise squaring, for a vector or an
+        ``(n_rows, b)`` block. A square that overflows is ``inf``, without a
+        warning. Threads that race to build the squares build the same."""
         if coef.shape[0] != self.n_rows:
             raise DimensionMismatchError(
                 f"coefficient length {coef.shape[0]} != n_rows {self.n_rows}"
             )
-        squared = (self.data * self.data, self.indices, self.indptr)
-        return scipy.sparse.csr_matrix(squared, shape=self._csr.shape, copy=False).T @ coef
+        if self._csc_sq is None:
+            with np.errstate(over="ignore"):
+                squared = (self.data * self.data, self.indices, self.indptr)
+            self._csc_sq = scipy.sparse.csr_matrix(squared, shape=self._csr.shape, copy=False).T
+        return self._csc_sq @ coef
 
     def column_sums(self) -> DenseVector:
         return self.rmatvec(np.ones(self.n_rows, dtype=np.float64))

@@ -37,13 +37,20 @@ from .initializers import (
     zero_init,
 )
 from .losses import MarginLoss, parse_loss
-from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL, grad0_norm
+from .solver import (
+    BinaryProblem, LabelBlock, SolverConfig, SolverTrace, TERM_NUMERICAL, grad0_norm
+)
 from .sparse import DenseVector, SparseMatrix
 
 MODEL_MAGIC = "xova"
 MODEL_VERSION = "v1"
 # Rows of X scored at once: the dense score block is this many rows by L.
 _BLOCK_ROWS = 512
+# Labels solved in lockstep, one sparse product per step for all of them
+# (README, "Solver"). The solver holds a few dense arrays of this many rows
+# by n, so it bounds the memory a worker adds; the models do not depend on
+# it.
+_BLOCK_LABELS = 16
 
 
 @dataclass(frozen=True)
@@ -265,43 +272,50 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         def start(label: int) -> DenseVector:
             return w_shared
 
-    def work(label: int):
-        t0, c0 = time.perf_counter(), time.thread_time()
-        signs = np.full(n, -1.0)
-        signs[stats.positives[label]] = 1.0
-        problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
+    def work(labels: range):
+        """Solve one block of labels. Each label is charged its own set-up
+        and clipping and its share of the block's solver steps."""
+        block = LabelBlock(X, [stats.positives[j] for j in labels], cfg.loss, cfg.c)
+        w0s, refs, own = [], [], []
         # Overflow on huge inputs ends in non-finite values (inf, or nan from
-        # inf * 0 in the aop start), which newton_cg reports as
+        # inf * 0 in the aop start), which the solver reports as
         # numerical_failure. errstate is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            w0 = start(label)
-            ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
-            if not np.isfinite(ref):
-                ref = grad0_norm(problem)
-            try:
-                w, trace = solver_mod.newton_cg(problem, w0, cfg.solver, ref)
-                termination = trace.termination
-            except NumericalError as err:
-                w, trace, termination = err.w_last, err.trace, TERM_NUMERICAL
-        kept = np.flatnonzero(np.abs(w) >= cfg.clip_threshold)
-        result = LabelResult(
-            label=label,
-            positives=int(stats.positives[label].size),
-            outer_iters=trace.outer_iters,
-            hvp_touches=trace.hvp_touches,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            cpu_ms=(time.thread_time() - c0) * 1e3,
-            final_loss=trace.rows[-1].loss if trace.rows else trace.initial_loss,
-            termination=termination,
-            first_step_size=trace.first_step_size,
-        )
-        return kept, w[kept], result, trace
+            for k, label in enumerate(labels):
+                t0, c0 = time.perf_counter(), time.thread_time()
+                w0s.append(start(label))
+                ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
+                if not np.isfinite(ref):
+                    ref = grad0_norm(BinaryProblem(X, block.signs(k), cfg.loss, cfg.c))
+                refs.append(ref)
+                own.append((time.perf_counter() - t0, time.thread_time() - c0))
+            solved = solver_mod.newton_cg_block(block, np.array(w0s), cfg.solver, refs)
+        out = []
+        for label, (w, trace, _), (wall, cpu) in zip(labels, solved, own):
+            t0, c0 = time.perf_counter(), time.thread_time()
+            kept = np.flatnonzero(np.abs(w) >= cfg.clip_threshold)
+            result = LabelResult(
+                label=label,
+                positives=int(stats.positives[label].size),
+                outer_iters=trace.outer_iters,
+                hvp_touches=trace.hvp_touches,
+                wall_ms=(wall + time.perf_counter() - t0) * 1e3 + trace.wall_ms,
+                cpu_ms=(cpu + time.thread_time() - c0) * 1e3 + trace.cpu_ms,
+                final_loss=trace.rows[-1].loss if trace.rows else trace.initial_loss,
+                termination=trace.termination,
+                first_step_size=trace.first_step_size,
+            )
+            out.append((kept, w[kept], result, trace))
+        return out
 
-    if cfg.threads == 1 or ds.n_labels <= 1:
-        outcomes = list(map(work, range(ds.n_labels)))
+    every = range(ds.n_labels)
+    blocks = [every[lo : lo + _BLOCK_LABELS] for lo in every[::_BLOCK_LABELS]]
+    if cfg.threads == 1 or len(blocks) <= 1:
+        solved_blocks = list(map(work, blocks))
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(work, range(ds.n_labels)))
+            solved_blocks = list(pool.map(work, blocks))
+    outcomes = [outcome for block in solved_blocks for outcome in block]
 
     idx_parts, val_parts, results = [], [], []
     frac_sum: list[float] = []

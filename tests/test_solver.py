@@ -164,14 +164,46 @@ def separable_problem(rng, n, d):
     return BinaryProblem(p.features, signs, SQH), w_true
 
 
+def other_labels(rng, p, count):
+    """``count`` more labels over ``p``'s matrix, each with its own signs and iterate."""
+    signs = [rng.choice([-1.0, 1.0], size=p.n) for _ in range(count)]
+    return [BinaryProblem(p.features, s, p.loss, p.c) for s in signs], [
+        rng.normal(size=p.dim) for _ in range(count)
+    ]
+
+
+def block_kernels(problems, ws, ds):
+    """Each label's active-row gradient and HVP, from one block product each."""
+    X = problems[0].features
+    m = [margins(q, w) for q, w in zip(problems, ws)]
+    idx = [active_set(q.loss, mk).indices for q, mk in zip(problems, m)]
+    labels = list(zip(problems, m, idx))
+    coef = [solver_mod._grad_coef(q.loss, q.c, mk, q.signs, i) for q, mk, i in labels]
+    dd = [solver_mod._curvature(q.loss, q.c, mk, i) for q, mk, i in labels]
+    G = solver_mod._gradient(X, np.stack(ws), idx, coef)
+    H = solver_mod._hvp(X, idx, dd, np.stack(ds), range(len(problems)))
+    return G, H, idx, dd
+
+
+def overflowing_squares_problem(rng):
+    """Row 0 sits far past the margin and its square overflows: over the
+    whole X its curvature term would be 0 * inf = nan."""
+    dense = rng.normal(size=(20, 3))
+    dense[:, 2] = 1.0
+    dense[0] = [1e200, 0.0, 1.0]
+    X = SparseMatrix.stack([np.arange(3)] * 20, list(dense), 3)
+    signs = rng.choice([-1.0, 1.0], size=20)
+    signs[0] = 1.0
+    return BinaryProblem(X, signs), np.array([1e-190, 0.0, 0.0])
+
+
 class TestActiveRows:
-    @pytest.mark.parametrize("above", [False, True])
-    def test_active_row_sums_equal_the_full_sums(self, rng, above, monkeypatch):
-        # below the crossover the kernels run on a copy of the active rows,
-        # above it on the whole X; either way the bits are those of the sum
-        # over every row
-        share = solver_mod.FULL_X_SHARE
-        lo, hi = (share, 1.0) if above else (0.0, share)
+    @pytest.mark.parametrize("mostly_active", [False, True])
+    def test_active_row_sums_equal_the_full_sums(self, rng, mostly_active):
+        # the kernels sum over the whole X with weight 0 on each label's
+        # inactive rows, for a block of labels at once; the bits are those of
+        # the label's own sum over every row, and of a copy of its active rows
+        lo, hi = (0.5, 1.0) if mostly_active else (0.0, 0.5)
         for _ in range(10):
             p, w_true = separable_problem(rng, n=60, d=10)
             w = next(
@@ -179,20 +211,16 @@ class TestActiveRows:
                 for t in np.geomspace(1e-3, 1e3, 400)
                 if lo < active_set(SQH, margins(p, t * w_true)).size / p.n < hi
             )
-            m = margins(p, w)
-            act = active_set(SQH, m)
-            rows = solver_mod._active_rows(p, act.indices)
-            assert rows.full == above
-            assert np.array_equal(solver_mod._gradient(p, w, m, rows), gradient(p, w))
+            others, other_ws = other_labels(rng, p, 2)
             d = rng.normal(size=p.dim)
-            hvps = []
-            for extreme in (0.0, 1.0):
-                monkeypatch.setattr(solver_mod, "FULL_X_SHARE", extreme)
-                hvps.append(hessian_vec(p, w, d, act))
-            monkeypatch.setattr(solver_mod, "FULL_X_SHARE", share)
-            assert np.array_equal(*hvps)
+            G, H, idx, dd = block_kernels([p] + others, [w] + other_ws, [d, d, -d])
+            assert np.array_equal(G[0], gradient(p, w))
+            act = active_set(SQH, margins(p, w))
+            assert np.array_equal(H[0], hessian_vec(p, w, d, act))
+            rows = p.features.submatrix(idx[0])
+            assert np.array_equal(H[0], d + rows.rmatvec(dd[0] * rows.matvec(d)))
 
-    def test_inactive_row_whose_product_overflows(self, monkeypatch):
+    def test_inactive_row_whose_product_overflows(self, rng):
         # row 0 is inactive and <x_0, d> overflows; rows 1 and 2 are active
         X = make_matrix([{0: 1e150}, {1: 1.0}, {1: -1.0}], 2)
         p = BinaryProblem(X, np.array([1.0, 1.0, -1.0]))
@@ -200,32 +228,39 @@ class TestActiveRows:
         act = active_set(SQH, margins(p, w))
         assert act.indices.tolist() == [1, 2]
         d = np.array([1e160, 1.0])
-        hvps = []
-        for extreme in (0.0, 1.0):
-            monkeypatch.setattr(solver_mod, "FULL_X_SHARE", extreme)
-            hvps.append(hessian_vec(p, w, d, act))
-        assert np.array_equal(*hvps)
-        assert hvps[0].tolist() == [1e160, 5.0]
+        assert hessian_vec(p, w, d, act).tolist() == [1e160, 5.0]
+        # beside a label for which row 0 is active
+        other = BinaryProblem(X, np.array([-1.0, 1.0, 1.0]))
+        _, H, _, _ = block_kernels([p, other], [w, w], [d, d])
+        assert H[0].tolist() == [1e160, 5.0]
 
-    def test_inactive_row_whose_squares_overflow(self, rng, monkeypatch):
-        # row 0 sits far past the margin and its square overflows: over the
-        # whole X its curvature term would be 0 * inf = nan
-        dense = rng.normal(size=(20, 3))
-        dense[:, 2] = 1.0
-        dense[0] = [1e200, 0.0, 1.0]
-        X = SparseMatrix.stack([np.arange(3)] * 20, list(dense), 3)
-        signs = rng.choice([-1.0, 1.0], size=20)
-        signs[0] = 1.0
-        p = BinaryProblem(X, signs)
-        w0 = np.array([1e-190, 0.0, 0.0])
-        runs = []
-        for extreme in (0.0, 1.0):
-            monkeypatch.setattr(solver_mod, "FULL_X_SHARE", extreme)
-            with np.errstate(over="ignore"):
-                w, trace = newton_cg(p, w0, SolverConfig(), 1.0)
-            runs.append((w.tobytes(), trace.outer_iters, trace.hvp_touches))
-        assert runs[0] == runs[1]
-        assert runs[0][1] > 0
+    def test_inactive_row_whose_squares_overflow(self, rng):
+        p, w0 = overflowing_squares_problem(rng)
+        with np.errstate(over="ignore"):
+            w, trace = newton_cg(p, w0, SolverConfig(), 1.0)
+        assert trace.outer_iters > 0
+        # the same label beside two others, in one block
+        others, _ = other_labels(rng, p, 2)
+        block = solver_mod.LabelBlock(
+            p.features, [np.flatnonzero(q.signs > 0) for q in [p] + others], p.loss, p.c
+        )
+        with np.errstate(over="ignore"):
+            [(w_block, trace_block, error), *_] = solver_mod.newton_cg_block(
+                block, np.stack([w0, -w0, 0 * w0]), SolverConfig(), [1.0] * 3
+            )
+        assert error is None
+        assert w_block.tobytes() == w.tobytes()
+        assert (trace_block.outer_iters, trace_block.hvp_touches) == (
+            trace.outer_iters, trace.hvp_touches
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_squares_warn_nothing(self, rng):
+        # the squares overflow to inf quietly; the diagonal's fallback to a
+        # copy of the active rows handles the 0 * inf
+        p, w0 = overflowing_squares_problem(rng)
+        _, trace = newton_cg(p, w0, SolverConfig(), 1.0)
+        assert trace.outer_iters > 0
 
 
 class TestCgSolve:
@@ -402,10 +437,11 @@ class TestNewtonCg:
         real, calls = solver_mod.cg_solve, []
 
         def second_call_fails(*args):
+            result = real(*args)
             calls.append(1)
             if len(calls) == 2:
-                raise NumericalError("injected CG failure")
-            return real(*args)
+                result.errors[0] = NumericalError("injected CG failure")
+            return result
 
         monkeypatch.setattr(solver_mod, "cg_solve", second_call_fails)
         with pytest.raises(NumericalError) as info:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, strategies as st
 
 from xova.errors import DimensionMismatchError, InvalidEntryError
@@ -122,6 +123,42 @@ class TestSparseMatrix:
         coef = rng.normal(0, 1, 3)
         np.testing.assert_allclose(X.rmatvec(coef), D.T @ coef, rtol=1e-15)
         np.testing.assert_allclose(X.rmatvec_squared(coef), (D * D).T @ coef, rtol=1e-15)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_block_columns_are_bit_identical(self, rng, index_dtype):
+        # the block solver's premise: a column of a block product sums in the
+        # same order as the product with that column alone
+        csr = scipy.sparse.random(300, 40, density=0.2, format="csr", random_state=7)
+        csr.data = rng.normal(size=csr.nnz) * 10.0 ** rng.integers(-8, 9, size=csr.nnz)
+        csr.indices = csr.indices.astype(index_dtype)
+        csr.indptr = csr.indptr.astype(index_dtype)
+        X = SparseMatrix.__new__(SparseMatrix)
+        X._adopt(csr)
+        # scipy narrows a transpose's indices; widen them back
+        X._csc.indices = X._csc.indices.astype(index_dtype)
+        X._csc.indptr = X._csc.indptr.astype(index_dtype)
+        assert X.indices.dtype == index_dtype and X._csc.indices.dtype == index_dtype
+        W = rng.normal(size=(40, 16)) * 10.0 ** rng.integers(-8, 9, size=(40, 16))
+        C = rng.normal(size=(300, 16)) * 10.0 ** rng.integers(-8, 9, size=(300, 16))
+        for block, one, B in (
+            (X.matvec, X.matvec, W),
+            (X.rmatvec, X.rmatvec, C),
+            (X.rmatvec_squared, X.rmatvec_squared, C),
+        ):
+            out = block(B)
+            for j in range(B.shape[1]):
+                assert out[:, j].tobytes() == one(np.ascontiguousarray(B[:, j])).tobytes()
+            # a transposed (column-major) block gives the same bits
+            assert block(np.asfortranarray(B)).tobytes() == out.tobytes()
+
+    def test_squares_built_once_and_overflow_quietly(self):
+        X = make_matrix([{0: 1e200, 1: 2.0}, {1: 3.0}], 2)
+        with np.errstate(over="raise"):
+            first = X.rmatvec_squared(np.array([1.0, 1.0]))
+        squares = X._csc_sq
+        assert first.tolist() == [np.inf, 13.0]
+        assert X.rmatvec_squared(np.ones((2, 3))).tolist() == [[np.inf] * 3, [13.0] * 3]
+        assert X._csc_sq is squares
 
     def test_matvec_dim_check(self):
         X = make_matrix([{0: 1.0}], 2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import xova.solver as solver_mod
 from xova.initializers import INIT_KINDS, InitStrategy
 from xova.losses import MarginLoss
 from xova.solver import (
-    BinaryProblem, SolverConfig, TERM_NUMERICAL, grad0_norm, gradient, newton_cg
+    BinaryProblem, SolverConfig, TERM_LINE_SEARCH, TERM_NUMERICAL, grad0_norm, gradient, newton_cg
 )
 from xova.sparse import SparseMatrix
 from xova.trainer import (
@@ -101,19 +103,18 @@ class TestTrainOva:
     def test_numerical_failure_recorded_not_fatal(self, small_data, monkeypatch):
         import xova.trainer as trainer_mod
         from xova.errors import NumericalError
-        from xova.solver import SolverTrace
 
         ds, stats = small_data
-        real = trainer_mod.solver_mod.newton_cg
-        failed_label_positives = stats.positives[0]
+        real, calls = trainer_mod.solver_mod.cg_solve, []
 
-        def flaky(problem, w0, cfg, g0, **kw):
-            signs_pos = np.flatnonzero(problem.signs > 0)
-            if np.array_equal(signs_pos, failed_label_positives):
-                raise NumericalError("injected blow-up", w_last=w0, trace=SolverTrace())
-            return real(problem, w0, cfg, g0, **kw)
+        def label_0_fails(*args):
+            result = real(*args)
+            if not calls:  # the first block's first step: row 0 is label 0
+                result.errors[0] = NumericalError("injected blow-up")
+            calls.append(1)
+            return result
 
-        monkeypatch.setattr(trainer_mod.solver_mod, "newton_cg", flaky)
+        monkeypatch.setattr(trainer_mod.solver_mod, "cg_solve", label_0_fails)
         model, report = train_ova(ds, stats, TrainConfig())
         by_label = {r.label: r for r in report.labels}
         assert by_label[0].termination == TERM_NUMERICAL
@@ -131,10 +132,11 @@ class TestTrainOva:
         real, calls = trainer_mod.solver_mod.cg_solve, []
 
         def second_call_fails(*args):
+            result = real(*args)
             calls.append(1)
-            if len(calls) == 2:  # label 0's second outer iteration
-                raise NumericalError("injected CG failure")
-            return real(*args)
+            if len(calls) == 2:  # the block's second outer iteration; row 0 is label 0
+                result.errors[0] = NumericalError("injected CG failure")
+            return result
 
         monkeypatch.setattr(trainer_mod.solver_mod, "cg_solve", second_call_fails)
         _, report = train_ova(ds, compute_label_stats(ds), TrainConfig(init=InitStrategy("zero")))
@@ -172,18 +174,95 @@ class TestTrainOva:
         # take the two clocks' reads
         assert all(0 <= r.cpu_ms <= r.wall_ms + 1 for r in report.labels)
 
-    @pytest.mark.parametrize("init", INIT_KINDS)
-    def test_full_x_share_changes_no_bit(self, init, monkeypatch):
-        ds = augment_bias(generate_synthetic(300, 25, 10, 1.2, 11))
+    def test_time_is_split_among_the_labels_in_a_step(self):
+        # one block: label 0 has no positives and starts optimal from the bias
+        # vector, the others take steps; each step's time is shared by the
+        # labels still in it, so label 0 pays for the start and one step only
+        base = augment_bias(generate_synthetic(300, 25, 6, 1.2, 11))
+        ds = Dataset(base.features, [lbls + 1 for lbls in base.labels], 7, base.bias_index)
         stats = compute_label_stats(ds)
-        runs = []
-        for extreme in (0.0, 1.0):  # always the whole X, always a copy
-            monkeypatch.setattr(solver_mod, "FULL_X_SHARE", extreme)
-            model, report = train_ova(ds, stats, TrainConfig(init=InitStrategy(init)))
-            W = model.weights
-            runs.append((W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes(),
-                         report.total_hvp_touches))
-        assert runs[0] == runs[1]
+        _, report = train_ova(ds, stats, TrainConfig(init=InitStrategy("bias")))
+        first, *rest = report.labels
+        assert first.outer_iters == 0
+        busy = [r for r in rest if r.outer_iters >= 3]
+        assert busy
+        assert all(first.wall_ms < r.wall_ms and first.cpu_ms < r.cpu_ms for r in busy)
+        # shares, not copies: together they fit in the run
+        assert sum(r.wall_ms for r in report.labels) <= report.total_wall_ms
+
+    @pytest.mark.parametrize("init", INIT_KINDS)
+    def test_block_size_changes_no_bit(self, init, monkeypatch):
+        import xova.trainer as trainer_mod
+
+        # 20 labels: the last block of 3 and of 16 is partial
+        ds = augment_bias(generate_synthetic(300, 25, 20, 1.2, 11))
+        stats = compute_label_stats(ds)
+        for loss in MarginLoss:
+            runs = []
+            for size in (1, 3, 16):
+                monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", size)
+                cfg = TrainConfig(loss=loss, init=InitStrategy(init))
+                model, report = train_ova(ds, stats, cfg)
+                W = model.weights
+                runs.append((
+                    W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes(),
+                    [(r.outer_iters, r.hvp_touches, r.termination) for r in report.labels],
+                ))
+            assert runs[0] == runs[1] == runs[2]
+
+    def test_failing_label_leaves_its_block(self, monkeypatch):
+        import xova.trainer as trainer_mod
+        from xova.errors import NumericalError
+
+        ds = augment_bias(generate_synthetic(300, 25, 6, 1.2, 11))
+        stats = compute_label_stats(ds)
+        cfg = TrainConfig(init=InitStrategy("zero"), clip_threshold=0.0)
+        clean, clean_report = train_ova(ds, stats, cfg)
+        assert clean_report.labels[2].outer_iters >= 2
+        one_step, _ = train_ova(ds, stats, replace(cfg, solver=replace(cfg.solver, max_outer=1)))
+        real, calls = trainer_mod.solver_mod.cg_solve, []
+
+        def label_2_fails_in_its_second_step(*args):
+            result = real(*args)
+            calls.append(1)
+            if len(calls) == 2:  # every label is still in the block; row 2 is label 2
+                result.errors[2] = NumericalError("injected CG failure")
+            return result
+
+        monkeypatch.setattr(trainer_mod.solver_mod, "cg_solve", label_2_fails_in_its_second_step)
+        model, report = train_ova(ds, stats, cfg)
+        failed = report.labels[2]
+        assert (failed.termination, failed.outer_iters) == (TERM_NUMERICAL, 1)
+        # it keeps its one accepted step, and its block-mates' bits do not move
+        assert model.weights.row(2) == one_step.weights.row(2)
+        for j in set(range(ds.n_labels)) - {2}:
+            assert model.weights.row(j) == clean.weights.row(j)
+            times = {"wall_ms": report.labels[j].wall_ms, "cpu_ms": report.labels[j].cpu_ms}
+            assert report.labels[j] == replace(clean_report.labels[j], **times)
+
+    def test_label_whose_line_search_fails_leaves_its_block(self, monkeypatch):
+        import xova.trainer as trainer_mod
+
+        ds = augment_bias(generate_synthetic(300, 25, 6, 1.2, 11))
+        stats = compute_label_stats(ds)
+        cfg = TrainConfig(init=InitStrategy("zero"))
+        clean, clean_report = train_ova(ds, stats, cfg)
+        real, calls = trainer_mod.solver_mod.backtracking_search, []
+
+        def first_search_fails(*args):
+            calls.append(1)
+            if len(calls) == 1:  # label 0's first step
+                return 0.0, False
+            return real(*args)
+
+        monkeypatch.setattr(trainer_mod.solver_mod, "backtracking_search", first_search_fails)
+        model, report = train_ova(ds, stats, cfg)
+        assert (report.labels[0].termination, report.labels[0].outer_iters) == (
+            TERM_LINE_SEARCH, 0
+        )
+        for j in range(1, ds.n_labels):
+            assert model.weights.row(j) == clean.weights.row(j)
+            assert report.labels[j].outer_iters == clean_report.labels[j].outer_iters
 
     def test_iteration_aggregates(self, small_data):
         ds, stats = small_data
@@ -231,15 +310,16 @@ class TestGrad0ClosedForm:
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(grad0_closed_form(stats, 0, cfg.loss, cfg.c))
         seen = []
-        real = solver_mod.newton_cg
+        real = solver_mod.newton_cg_block
 
-        def spy(problem, w0, solver_cfg, ref):
-            seen.append((problem, ref))
-            return real(problem, w0, solver_cfg, ref)
+        def spy(block, W0, solver_cfg, refs):
+            seen.append(refs)
+            return real(block, W0, solver_cfg, refs)
 
-        monkeypatch.setattr(solver_mod, "newton_cg", spy)
+        monkeypatch.setattr(solver_mod, "newton_cg_block", spy)
         train_ova(ds, stats, cfg)
-        [(problem, ref)] = seen
+        [[ref]] = seen
+        problem = BinaryProblem(X, np.array([1.0, -1.0]), cfg.loss, cfg.c)
         assert ref == grad0_norm(problem) == pytest.approx(0.2)
 
 
