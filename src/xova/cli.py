@@ -135,14 +135,22 @@ def _cmd_train(args) -> int:
         threads=args.threads,
         seed=args.seed,
     )
+    marks = [time.perf_counter()]
     ds = load_xmc_dataset(args.data)
     if not args.no_augment:
         ds = augment_bias(ds)
+    marks.append(time.perf_counter())
     stats = compute_label_stats(ds)
-    t0 = time.perf_counter()
+    marks.append(time.perf_counter())
     model, report = train_ova(ds, stats, cfg)
-    elapsed = time.perf_counter() - t0
+    marks.append(time.perf_counter())
     save_model(model, args.model_out)
+    marks.append(time.perf_counter())
+    report.phases = {
+        f"{phase}_ms": 1e3 * (end - start)
+        for phase, start, end in zip(("parse", "stats", "train", "save"), marks, marks[1:])
+    }
+    elapsed = marks[3] - marks[2]
     if args.diag_out:
         report.write_json(args.diag_out)
         report.write_labels_csv(args.diag_out + ".labels.csv")

@@ -2,19 +2,21 @@
 
 The on-disk format is the plain-text multi-label format used by the public
 extreme-classification benchmark files: a header line ``n d l`` followed by
-one line per instance, ``lbl,lbl,... f:v f:v ...`` with 0-based ids. An
-empty label field is written as a leading space. The ``f:v`` rows share
-their syntax with the model file, and :func:`parse_pairs` and
-:func:`format_row` read and write them for both. Parsing is strict: no
-comments, no digit separators or non-ASCII digits, and every malformed
-token is reported with its line number.
+one line per instance, ``lbl,lbl,... f:v f:v ...`` with 0-based ids. The
+label field ends at the first space or tab; an empty one is written as a
+leading space. The ``f:v`` rows share their syntax with the model file,
+and :func:`parse_pairs` and :func:`format_row` read and write them for
+both. Parsing is strict: no comments, no digit separators or non-ASCII
+digits, and every malformed token is reported with its line number.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -90,14 +92,26 @@ def parse_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The index and value arrays of one line's ``idx:val`` tokens, in the
     order given. Only the syntax is checked here; ranges, repeats and
-    non-finite values are checked once the lines form one matrix."""
-    bad = next((tok for tok in tokens if tok.count(":") != 1), None)
-    if bad is not None:
+    non-finite values are checked once the lines form one matrix.
+
+    Each check and conversion is one C-level call over the whole row; numpy
+    converts each string with Python's own ``int`` and ``float``, so the
+    grammar and the errors are theirs."""
+    if not tokens:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    joined = ":".join(tokens)
+    # Every token holds a colon, and the row holds one per token plus one per
+    # join: so exactly one per token. The count alone would pass "1:2:3 4".
+    if not (
+        all(map(operator.contains, tokens, repeat(":")))
+        and joined.count(":") == 2 * len(tokens) - 1
+    ):
+        bad = next(tok for tok in tokens if tok.count(":") != 1)
         raise error(f"invalid {what} token {bad!r}, expected index:value", lineno)
-    flat = ":".join(tokens).split(":")
+    flat = joined.split(":")
     try:
-        idx = np.fromiter(map(int, flat[0::2]), dtype=np.int64, count=len(tokens))
-        val = np.fromiter(map(float, flat[1::2]), dtype=np.float64, count=len(tokens))
+        idx = np.array(flat[0::2], dtype=np.int64)
+        val = np.array(flat[1::2], dtype=np.float64)
     except ValueError as err:
         raise error(f"non-numeric {what} index or value ({err})", lineno) from None
     except OverflowError:
@@ -106,15 +120,21 @@ def parse_pairs(
 
 
 def format_row(head: str, indices: np.ndarray, values: np.ndarray) -> str:
-    """``head idx:val ...``; values at 17 significant digits read back exactly."""
-    return " ".join([head, *map("{}:{:.17g}".format, indices.tolist(), values.tolist())])
+    """``head idx:val ...``; values at 17 significant digits read back exactly.
+
+    One ``%`` over the interleaved pairs formats the whole row; ``%.17g``
+    gives the same bytes as ``format(v, ".17g")``."""
+    pairs = [None] * (2 * len(indices))
+    pairs[0::2] = indices.tolist()
+    pairs[1::2] = values.tolist()
+    return head + (" %d:%.17g" * len(indices)) % tuple(pairs)
 
 
 def _parse_label_ids(field: str, lineno: int) -> np.ndarray:
     if not field:
         return np.empty(0, dtype=np.int64)
     try:
-        return np.fromiter(map(int, field.split(",")), dtype=np.int64)
+        return np.array(field.split(","), dtype=np.int64)
     except (ValueError, OverflowError):
         raise ParseError(f"invalid label ids {field!r}", lineno) from None
 
@@ -145,10 +165,9 @@ def load_xmc_dataset(path) -> Dataset:
         for lineno, line in zip(range(2, n + 2), fh):
             line = line.rstrip("\r\n")
             reject_bad_characters(line, ParseError, lineno)
-            if line[:1] in ("", " ", "\t"):
-                label_field, rest = "", line
-            else:
-                label_field, _, rest = line.partition(" ")
+            # a line that starts with a space or a tab has no labels
+            label_field = line.split(" ", 1)[0].split("\t", 1)[0]
+            rest = line[len(label_field):]
             label_parts.append(_parse_label_ids(label_field, lineno))
             idx, val = parse_pairs(rest.split(), ParseError, lineno, "feature")
             idx_parts.append(idx)

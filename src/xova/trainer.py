@@ -147,6 +147,8 @@ class TrainReport:
     init_wall_ms: float = 0.0
     init_hvp_touches: int = 0
     traces: dict[int, SolverTrace] | None = None
+    # milliseconds of each phase of `xova train`; None where nothing timed them
+    phases: dict[str, float] | None = None
 
     @property
     def n_failed(self) -> int:
@@ -179,6 +181,7 @@ class TrainReport:
                 "init_wall_ms": self.init_wall_ms,
                 "init_hvp_touches": self.init_hvp_touches,
             },
+            "phases": self.phases,
             "iterations": {
                 "active_fraction_mean": self.iter_active_fraction_mean,
                 "step_size_mean": self.iter_step_size_mean,

@@ -104,8 +104,12 @@ class TestTrain:
         report = json.loads((workdir / "report.json").read_text())
         assert list(report) == [
             "format", "dataset", "loss", "init", "init_params", "solver", "c",
-            "clip_threshold", "threads", "seed", "config_digest", "totals", "iterations", "labels",
+            "clip_threshold", "threads", "seed", "config_digest", "totals", "phases", "iterations",
+            "labels",
         ]
+        assert list(report["phases"]) == ["parse_ms", "stats_ms", "train_ms", "save_ms"]
+        assert all(ms >= 0 for ms in report["phases"].values())
+        assert report["phases"]["train_ms"] >= report["totals"]["wall_ms"]
         assert list(report["dataset"]) == ["n", "dim", "n_labels", "digest"]
         assert list(report["totals"]) == [
             "wall_ms", "hvp_touches", "labels_trained", "failed", "init_wall_ms", "init_hvp_touches",

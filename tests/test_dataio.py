@@ -37,6 +37,13 @@ class TestParsing:
         assert ds.labels[0].size == 0
         assert entries(ds.features.row(0)) == {1: 2.0}
 
+    def test_tab_ends_the_label_field(self, tmp_path):
+        ds = load_xmc_dataset(write(tmp_path, "3 5 3\n1\t3:1.0\n1,2\t3:1.0 4:2.0\n\t0:1.0\n"))
+        assert [a.tolist() for a in ds.labels] == [[1], [1, 2], []]
+        assert [entries(ds.features.row(i)) for i in range(3)] == [
+            {3: 1.0}, {3: 1.0, 4: 2.0}, {0: 1.0}
+        ]
+
     def test_labels_without_features(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "1 3 2\n1\n"))
         assert ds.labels[0].tolist() == [1]

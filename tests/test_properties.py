@@ -1,10 +1,11 @@
-"""Properties of scoring, of the data and model round-trips, of the parsers
-and of the Newton-CG solver."""
+"""Properties of scoring, of the data and model round-trips, of the parsers,
+of the row codec and of the Newton-CG solver."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from xova.dataio import Dataset, load_xmc_dataset, write_xmc_dataset
+from xova.dataio import Dataset, format_row, load_xmc_dataset, parse_pairs, write_xmc_dataset
 from xova.errors import ModelFormatError, ParseError
 from xova.losses import MarginLoss
 from xova.solver import (
@@ -155,6 +156,78 @@ def test_model_parser_raises_only_model_format_errors(tmp_path_factory, case, da
         load_model(path)
     except ModelFormatError:
         pass
+
+
+# The row codec converts a whole row per call; these per-pair and per-token
+# bodies are the definitions it must match, byte for byte and error for error.
+def reference_format_row(head, indices, values):
+    return " ".join([head, *map("{}:{:.17g}".format, indices.tolist(), values.tolist())])
+
+
+def reference_parse_pairs(tokens, error, lineno, what):
+    bad = next((tok for tok in tokens if tok.count(":") != 1), None)
+    if bad is not None:
+        raise error(f"invalid {what} token {bad!r}, expected index:value", lineno)
+    flat = ":".join(tokens).split(":")
+    try:
+        idx = np.fromiter(map(int, flat[0::2]), dtype=np.int64, count=len(tokens))
+        val = np.fromiter(map(float, flat[1::2]), dtype=np.float64, count=len(tokens))
+    except ValueError as err:
+        raise error(f"non-numeric {what} index or value ({err})", lineno) from None
+    except OverflowError:
+        raise error(f"{what} index beyond the int64 range", lineno) from None
+    return idx, val
+
+
+def parse_outcome(parse, tokens):
+    """The arrays' dtypes and bits, or the error's type, message and line."""
+    try:
+        idx, val = parse(tokens, ParseError, 7, "feature")
+    except ParseError as err:
+        return type(err), str(err), err.line
+    return idx.dtype, idx.tobytes(), val.dtype, val.tobytes()
+
+
+# Every float64, NaN payloads and subnormals included, from its bit pattern.
+ANY_FLOAT64 = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+                     np.finfo(np.float64).max]),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+)
+INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.sampled_from(["", "0 3", "1,2", "12 0"]),
+    pairs=st.lists(st.tuples(INT64, ANY_FLOAT64), max_size=12),
+)
+def test_format_row_matches_the_per_pair_reference(head, pairs):
+    indices = np.array([i for i, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    assert format_row(head, indices, values) == reference_format_row(head, indices, values)
+
+
+TOKEN_CHARS = "0123456789:+-.eE_naifx"
+RAW_TOKEN = st.text(alphabet=TOKEN_CHARS, max_size=8)
+PAIR_TOKEN = st.tuples(RAW_TOKEN, RAW_TOKEN).map(":".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(RAW_TOKEN, PAIR_TOKEN), max_size=6))
+def test_parse_pairs_matches_the_per_token_reference(tokens):
+    assert parse_outcome(parse_pairs, tokens) == parse_outcome(reference_parse_pairs, tokens)
+
+
+@pytest.mark.parametrize("row", [
+    "", "0:1.5 3:-2", "1:2:3 4", "4 1:2:3", ":5", "5:", ":", "1_0:1", "+5:1", " 5:1",
+    "99999999999999999999:1", "-9223372036854775809:1", "9223372036854775807:1e400",
+    "0:nan 1:-inf 2:0x1p3", "0:1\x00", "1e3:1", "0x10:1", "\u0663:1",
+])
+def test_parse_pairs_matches_the_reference_on_examples(row):
+    tokens = row.split(" ") if row.strip(" ") else []
+    assert parse_outcome(parse_pairs, tokens) == parse_outcome(reference_parse_pairs, tokens)
 
 
 @settings(max_examples=80, deadline=None)
