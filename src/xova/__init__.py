@@ -28,7 +28,6 @@ from .solver import (
     cg_solve,
     gradient,
     hessian_vec,
-    line_search,
     newton_cg,
     objective,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "generate_synthetic",
     "gradient",
     "hessian_vec",
-    "line_search",
     "load_model",
     "load_xmc_dataset",
     "macro_binary_pr",

@@ -100,26 +100,6 @@ class BinaryProblem:
         return self.features.n_cols
 
 
-@dataclass(frozen=True)
-class LabelBlock:
-    """Several labels' binary problems over one shared design matrix.
-
-    Label ``k`` has sign +1 on the rows ``positives[k]`` (sorted) and -1 on
-    every other row; each label's signs are built from these when needed,
-    one label at a time.
-    """
-
-    features: SparseMatrix
-    positives: Sequence[np.ndarray]
-    loss: MarginLoss = MarginLoss.SQUARED_HINGE
-    c: float = 1.0
-
-    def signs(self, k: int) -> np.ndarray:
-        out = np.full(self.features.n_rows, -1.0)
-        out[self.positives[k]] = 1.0
-        return out
-
-
 @dataclass
 class TraceRow:
     """Measurements for one accepted outer iteration.
@@ -298,36 +278,18 @@ def hessian_vec(
     return _hvp(problem.features, [idx], [dd], d[None], [0])[0]
 
 
-def cg_solve(
-    grad: np.ndarray,
-    hvp: Callable,
-    cfg: SolverConfig,
-    diag: np.ndarray,
-):
-    """Approximately solve ``H p = -grad`` by preconditioned CG.
+def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) -> CgBlock:
+    """Approximately solve ``H_k p_k = -G[k]`` for every row ``k`` of the
+    ``(b, dim)`` block of gradients ``G`` by preconditioned CG, in lockstep.
 
-    ``diag`` is the diagonal of H; the preconditioner is the mixed form
-    ``M = precond_alpha * diag(H) + (1 - precond_alpha) * I``. Iteration
-    stops once the preconditioned residual norm ``sqrt(r' M^-1 r)`` drops to
-    ``eps_cg`` times the preconditioned norm of ``grad``, or at ``max_cg``.
-
-    For one gradient, ``hvp(d)`` is ``H d``; the answer is ``(p,
-    iterations)``, and a numerical failure raises :class:`NumericalError`.
-    For a ``(b, dim)`` block of gradients and their diagonals, the ``b``
-    systems are solved in lockstep: ``hvp(D, rows)`` returns the products
-    of the directions ``D`` of the block rows ``rows`` that still iterate,
-    and the answer is a :class:`CgBlock`, in which a failure stops its row
-    alone.
+    ``diag[k]`` is the diagonal of ``H_k``; the preconditioner is the mixed
+    form ``M = precond_alpha * diag(H) + (1 - precond_alpha) * I``. A row
+    stops once its preconditioned residual norm ``sqrt(r' M^-1 r)`` drops to
+    ``eps_cg`` times the preconditioned norm of its gradient, or at
+    ``max_cg``. ``hvp(D, rows)`` returns the products of the directions
+    ``D`` of the block rows ``rows`` that still iterate. A numerical failure
+    stops its row alone and is reported in the :class:`CgBlock`.
     """
-    if grad.ndim == 2:
-        return _cg_block(grad, hvp, cfg, diag)
-    res = _cg_block(grad[None], lambda D, rows: hvp(D[0])[None], cfg, diag[None])
-    if res.errors[0] is not None:
-        raise res.errors[0]
-    return res.p[0], res.iters
-
-
-def _cg_block(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) -> CgBlock:
     b = G.shape[0]
     P = np.zeros_like(G)
     iters = [0] * b
@@ -399,20 +361,6 @@ def backtracking_search(
     return 0.0, False
 
 
-def line_search(
-    problem: BinaryProblem,
-    w: DenseVector,
-    direction: DenseVector,
-    cfg: SolverConfig,
-) -> tuple[float, bool]:
-    """Backtracking search over ``w + lambda * direction`` for one problem."""
-    m = margins(problem, w)
-    mdir = margins(problem, direction)
-    eval_at = _trial_objective(problem.loss, problem.c, w, m, direction, mdir)
-    g_dot_dir = float(np.dot(gradient(problem, w), direction))
-    return backtracking_search(eval_at, _objective(problem.loss, problem.c, w, m), g_dot_dir, cfg)
-
-
 def _compute_active(loss: MarginLoss, m: np.ndarray) -> np.ndarray:
     """Active instance indices for the current margins (monkeypatchable in tests)."""
     return losses.active_set(loss, m).indices
@@ -433,32 +381,32 @@ def newton_cg(
     its :class:`NumericalError`, which carries the last accepted iterate and
     the trace so far.
     """
-    if w0.shape[0] != problem.dim:
-        raise DimensionMismatchError(f"w0 length {w0.shape[0]} != dim {problem.dim}")
-    block = LabelBlock(
-        problem.features, [np.flatnonzero(problem.signs > 0.0)], problem.loss, problem.c
-    )
-    [(w, trace, error)] = newton_cg_block(block, w0[None], cfg, [grad0_ref])
+    [(w, trace, error)] = newton_cg_block([problem], w0[None], cfg, [grad0_ref])
     if error is not None:
         raise error
     return w, trace
 
 
 def newton_cg_block(
-    block: LabelBlock,
+    problems: Sequence[BinaryProblem],
     W0: np.ndarray,
     cfg: SolverConfig,
     grad0_refs: Sequence[float],
 ) -> list[BlockResult]:
-    """:func:`newton_cg` for every label of ``block`` in lockstep, from the
-    rows of ``W0`` (``b x dim``), with one stopping reference per label.
+    """:func:`newton_cg` for every problem of a block in lockstep, from the
+    rows of ``W0`` (``b x dim``), with one stopping reference per problem.
 
-    A label leaves the block when it converges, reaches ``max_outer``,
-    fails its line search or meets a non-finite value; the others go on.
-    Each label's result is bit for bit the one it gets alone.
+    The block's (at least one) problems must share one design matrix
+    object, loss and C; they differ only in their signs. A label leaves the
+    block when it converges, reaches ``max_outer``, fails its line search or
+    meets a non-finite value; the others go on. Each label's result is bit
+    for bit the one it gets alone.
     """
-    X, loss, c = block.features, block.loss, block.c
-    n, b = X.n_rows, len(block.positives)
+    X, loss, c = problems[0].features, problems[0].loss, problems[0].c
+    if any(p.features is not X or p.loss != loss or p.c != c for p in problems):
+        raise ConfigError("the problems of a block must share X, the loss and C")
+    S = [p.signs for p in problems]
+    n, b = X.n_rows, len(problems)
     W = np.array(W0, dtype=np.float64)
     if W.shape != (b, X.n_cols):
         raise DimensionMismatchError(f"starts of shape {W.shape} for {b} labels of dim {X.n_cols}")
@@ -485,22 +433,21 @@ def newton_cg_block(
     M = _rows(X.matvec(W.T))  # the margins, once each row is multiplied by its signs
     live = []
     for k in range(b):
-        M[k] *= block.signs(k)
+        M[k] *= S[k]
         loss_val[k] = _objective(loss, c, W[k], M[k])
         if not np.isfinite(loss_val[k]):
             fail(k, "non-finite objective at the initial point")
             continue
         traces[k].initial_loss = loss_val[k]
         live.append(k)
-    if b:
-        charge(range(b))
+    charge(range(b))
 
     def step(live: list[int]) -> tuple[list[int], list[TraceRow]]:
         """One lockstep outer iteration of the labels ``live``: the labels
         that took a step, and their new trace rows."""
         # margins -> active set -> gradient -> stopping test
         idx = [_compute_active(loss, M[k]) for k in live]
-        coef = (_grad_coef(loss, c, M[k], block.signs(k), i) for k, i in zip(live, idx))
+        coef = (_grad_coef(loss, c, M[k], S[k], i) for k, i in zip(live, idx))
         G = _gradient(X, W[live], idx, coef)
         gnorm = [float(np.linalg.norm(g)) for g in G]
         solving = []  # positions in ``live`` of the labels that take a step
@@ -552,7 +499,7 @@ def newton_cg_block(
             j = solving[q]
             k = live[j]
             direction = cg.p[q]
-            mdir = block.signs(k) * xdir
+            mdir = S[k] * xdir
             eval_at = _trial_objective(loss, c, W[k], M[k], direction, mdir)
             lam, accepted = backtracking_search(eval_at, loss_val[k], g_dot_dir, cfg)
             if not accepted:

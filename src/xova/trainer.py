@@ -37,9 +37,7 @@ from .initializers import (
     zero_init,
 )
 from .losses import MarginLoss, parse_loss
-from .solver import (
-    BinaryProblem, LabelBlock, SolverConfig, SolverTrace, TERM_NUMERICAL, grad0_norm
-)
+from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL, grad0_norm
 from .sparse import DenseVector, SparseMatrix
 
 MODEL_MAGIC = "xova"
@@ -187,12 +185,16 @@ class TrainReport:
                 "step_size_mean": self.iter_step_size_mean,
                 "count": self.iter_count,
             },
-            "labels": [asdict(r) for r in self.labels],
+            # strict JSON has no NaN: a label that failed at its start has a null final_loss
+            "labels": [
+                {**asdict(r), "final_loss": r.final_loss if np.isfinite(r.final_loss) else None}
+                for r in self.labels
+            ],
         }
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+            json.dump(self.to_json_dict(), fh, indent=1, allow_nan=False)
             fh.write("\n")
 
     def write_labels_csv(self, path) -> None:
@@ -278,21 +280,21 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     def work(labels: range):
         """Solve one block of labels. Each label is charged its own set-up
         and clipping and its share of the block's solver steps."""
-        block = LabelBlock(X, [stats.positives[j] for j in labels], cfg.loss, cfg.c)
-        w0s, refs, own = [], [], []
+        problems, w0s, refs, own = [], [], [], []
         # Overflow on huge inputs ends in non-finite values (inf, or nan from
         # inf * 0 in the aop start), which the solver reports as
         # numerical_failure. errstate is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, label in enumerate(labels):
+            for label in labels:
                 t0, c0 = time.perf_counter(), time.thread_time()
+                signs = np.full(n, -1.0)
+                signs[stats.positives[label]] = 1.0
+                problems.append(BinaryProblem(X, signs, cfg.loss, cfg.c))
                 w0s.append(start(label))
                 ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
-                if not np.isfinite(ref):
-                    ref = grad0_norm(BinaryProblem(X, block.signs(k), cfg.loss, cfg.c))
-                refs.append(ref)
+                refs.append(ref if np.isfinite(ref) else grad0_norm(problems[-1]))
                 own.append((time.perf_counter() - t0, time.thread_time() - c0))
-            solved = solver_mod.newton_cg_block(block, np.array(w0s), cfg.solver, refs)
+            solved = solver_mod.newton_cg_block(problems, np.array(w0s), cfg.solver, refs)
         out = []
         for label, (w, trace, _), (wall, cpu) in zip(labels, solved, own):
             t0, c0 = time.perf_counter(), time.thread_time()

@@ -179,6 +179,24 @@ class TestTrain:
         one_fails = (init, name) == ("bias", "one_huge_value")
         assert report["totals"]["failed"] == (1 if one_fails else 2)
 
+    def test_failure_at_the_start_writes_strict_json(self, tmp_path):
+        # the aop start of the one label is not finite, so it has no finite loss
+        data = tmp_path / "huge.txt"
+        data.write_text("3 2 1\n0 0:1e308 1:1.0\n 0:1e308 1:2.0\n 1:1.0\n")
+        rc = main(["train", "--data", str(data), "--model-out", str(tmp_path / "m.model"),
+                   "--diag-out", str(tmp_path / "huge.json")])
+        assert rc == 3
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((tmp_path / "huge.json").read_text(), parse_constant=reject)
+        [label] = report["labels"]
+        assert label["termination"] == "numerical_failure"
+        assert label["final_loss"] is None
+        csv_row = (tmp_path / "huge.json.labels.csv").read_text().splitlines()[1]
+        assert ",nan,numerical_failure," in csv_row
+
     def test_non_finite_data_exit_2(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"
         data.write_text("2 2 2\n0 0:1.0 1:1.0\n1 0:nan\n")

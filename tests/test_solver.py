@@ -16,7 +16,6 @@ from xova.solver import (
     grad0_norm,
     gradient,
     hessian_vec,
-    line_search,
     margins,
     newton_cg,
     objective,
@@ -241,12 +240,9 @@ class TestActiveRows:
         assert trace.outer_iters > 0
         # the same label beside two others, in one block
         others, _ = other_labels(rng, p, 2)
-        block = solver_mod.LabelBlock(
-            p.features, [np.flatnonzero(q.signs > 0) for q in [p] + others], p.loss, p.c
-        )
         with np.errstate(over="ignore"):
             [(w_block, trace_block, error), *_] = solver_mod.newton_cg_block(
-                block, np.stack([w0, -w0, 0 * w0]), SolverConfig(), [1.0] * 3
+                [p] + others, np.stack([w0, -w0, 0 * w0]), SolverConfig(), [1.0] * 3
             )
         assert error is None
         assert w_block.tobytes() == w.tobytes()
@@ -263,24 +259,30 @@ class TestActiveRows:
         assert trace.outer_iters > 0
 
 
+def cg_one(g, hvp, cfg, diag):
+    """``cg_solve`` on a block of one: the direction, the iterations, the error."""
+    res = cg_solve(g[None], lambda D, rows: hvp(D[0])[None], cfg, diag[None])
+    return res.p[0], res.iters, res.errors[0]
+
+
 class TestCgSolve:
     def test_identity_system_one_iteration(self):
         g = np.array([1.0, -2.0, 0.5])
-        p, iters = cg_solve(g, lambda d: d, SolverConfig(), np.ones(3))
+        p, iters, _ = cg_one(g, lambda d: d, SolverConfig(), np.ones(3))
         np.testing.assert_allclose(p, -g)
         assert iters == 1
 
     def test_two_by_two_residual_bound(self):
         H = np.array([[4.0, 1.0], [1.0, 3.0]])
         g = np.array([1.0, 2.0])
-        p, _ = cg_solve(g, lambda d: H @ d, SolverConfig(), np.diag(H).copy())
+        p, _, _ = cg_one(g, lambda d: H @ d, SolverConfig(), np.diag(H).copy())
         assert np.linalg.norm(H @ p + g) <= 0.5 * np.linalg.norm(g)
         # direct solve oracle: tight tolerance recovers -H^-1 g
-        p_tight, _ = cg_solve(g, lambda d: H @ d, SolverConfig(eps_cg=1e-12), np.diag(H).copy())
+        p_tight, _, _ = cg_one(g, lambda d: H @ d, SolverConfig(eps_cg=1e-12), np.diag(H).copy())
         np.testing.assert_allclose(p_tight, np.linalg.solve(H, -g), atol=1e-10)
 
     def test_zero_gradient(self):
-        p, iters = cg_solve(np.zeros(4), lambda d: d, SolverConfig(), np.ones(4))
+        p, iters, _ = cg_one(np.zeros(4), lambda d: d, SolverConfig(), np.ones(4))
         assert iters == 0
         np.testing.assert_allclose(p, 0.0)
 
@@ -288,13 +290,13 @@ class TestCgSolve:
         A = rng.normal(0, 1, (6, 6))
         H = A @ A.T + np.eye(6)
         g = rng.normal(0, 1, 6)
-        p, _ = cg_solve(g, lambda d: H @ d, SolverConfig(), np.diag(H).copy())
+        p, _, _ = cg_one(g, lambda d: H @ d, SolverConfig(), np.diag(H).copy())
         assert float(g @ p) < 0.0
 
-    def test_non_positive_curvature_raises(self):
-        g = np.array([1.0])
-        with pytest.raises(NumericalError):
-            cg_solve(g, lambda d: -d, SolverConfig(), np.ones(1))
+    def test_non_positive_curvature_reported(self):
+        _, iters, error = cg_one(np.array([1.0]), lambda d: -d, SolverConfig(), np.ones(1))
+        assert iters == 0
+        assert isinstance(error, NumericalError) and "non-positive curvature" in str(error)
 
 
 class TestLineSearch:
@@ -326,21 +328,32 @@ class TestLineSearch:
         assert np.all(m < 1.0)
         act = active_set(p.loss, m)
         g = gradient(p, w)
-        direction, _ = cg_solve(
-            g, lambda d: hessian_vec(p, w, d, act), cfg, np.ones(2)
-        )
+        direction, _, _ = cg_one(g, lambda d: hessian_vec(p, w, d, act), cfg, np.ones(2))
         assert np.all(margins(p, w + direction) < 1.0)  # stays on the quadratic piece
-        lam, ok = line_search(p, w, direction, cfg)
-        assert ok and lam == 1.0
-
-    def test_problem_level_wrapper(self):
-        p = all_negative_1d(3)
-        w = np.zeros(1)
-        lam, ok = line_search(p, w, np.array([-0.5]), SolverConfig())
+        lam, ok = backtracking_search(
+            lambda lam: objective(p, w + lam * direction), objective(p, w),
+            float(np.dot(g, direction)), cfg,
+        )
         assert ok and lam == 1.0
 
 
 class TestNewtonCg:
+    def test_block_problems_must_share_x_loss_and_c(self, rng, monkeypatch):
+        p = random_problem(rng, n=20, d=5, loss=SQH)
+        X = p.features
+        same_values = SparseMatrix(X.indptr.copy(), X.indices.copy(), X.data.copy(), X.n_cols)
+        assert same_values == X
+        steps = []
+        monkeypatch.setattr(solver_mod, "_compute_active", lambda *a: steps.append(a))
+        for other in (
+            BinaryProblem(same_values, p.signs, p.loss, p.c),
+            BinaryProblem(X, p.signs, LOG, p.c),
+            BinaryProblem(X, p.signs, p.loss, 2.0 * p.c),
+        ):
+            with pytest.raises(ConfigError):
+                solver_mod.newton_cg_block([p, other], np.zeros((2, 5)), SolverConfig(), [1.0] * 2)
+        assert steps == []
+
     @pytest.mark.parametrize("n", [1, 10, 1000])
     def test_closed_form_all_negative(self, n):
         p = all_negative_1d(n)

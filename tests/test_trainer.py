@@ -312,9 +312,9 @@ class TestGrad0ClosedForm:
         seen = []
         real = solver_mod.newton_cg_block
 
-        def spy(block, W0, solver_cfg, refs):
+        def spy(problems, W0, solver_cfg, refs):
             seen.append(refs)
-            return real(block, W0, solver_cfg, refs)
+            return real(problems, W0, solver_cfg, refs)
 
         monkeypatch.setattr(solver_mod, "newton_cg_block", spy)
         train_ova(ds, stats, cfg)
