@@ -20,8 +20,8 @@ from .errors import (
     ParseError,
     XovaError,
 )
-from .initializers import InitStrategy
-from .losses import parse_loss
+from .initializers import INIT_KINDS, InitStrategy
+from .losses import MarginLoss, parse_loss
 from .metrics import evaluate
 from .solver import SolverConfig
 from .trainer import TrainConfig, load_model, predict_topk, save_model, train_ova
@@ -46,19 +46,22 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a one-vs-all model")
+    defaults = TrainConfig()
     p.add_argument("--data", required=True, help="training file (text benchmark format)")
-    p.add_argument("--loss", choices=["squared-hinge", "logistic"], default="squared-hinge")
-    p.add_argument("--init", choices=["zero", "bias", "ovap", "aop"], default="aop")
-    p.add_argument("--bias-scale", type=float, default=1.0)
-    p.add_argument("--ovap-stop", type=float, default=0.01)
+    p.add_argument("--loss", choices=[loss.token for loss in MarginLoss],
+                   default=defaults.loss.token)
+    p.add_argument("--init", choices=INIT_KINDS, default="aop")  # the library's default is zero
+    p.add_argument("--bias-scale", type=float, default=defaults.init.bias_scale)
+    p.add_argument("--ovap-stop", type=float, default=defaults.init.ovap_stop_rel)
     p.add_argument("--aop-s", type=float, default=None)
     p.add_argument("--aop-t", type=float, default=None,
                    help="default -2 for squared hinge, -3 for logistic")
-    p.add_argument("--c", type=float, default=1.0, help="loss weight C")
-    p.add_argument("--eps", type=float, default=0.01, help="outer stopping ratio")
-    p.add_argument("--eps-cg", type=float, default=0.5)
-    p.add_argument("--clip", type=float, default=0.01)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--c", type=float, default=defaults.c, help="loss weight C")
+    p.add_argument("--eps", type=float, default=defaults.solver.eps_outer,
+                   help="outer stopping ratio")
+    p.add_argument("--eps-cg", type=float, default=defaults.solver.eps_cg)
+    p.add_argument("--clip", type=float, default=defaults.clip_threshold)
+    p.add_argument("--threads", type=int, default=defaults.threads)
     p.add_argument("--seed", type=int, default=None,
                    help="recorded in the config digest; training itself is deterministic")
     p.add_argument("--no-augment", action="store_true",

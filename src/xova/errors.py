@@ -18,24 +18,22 @@ class InvalidEntryError(XovaError, ValueError):
         self.col = col
 
 
-class ParseError(XovaError, ValueError):
+class TextFormatError(XovaError, ValueError):
+    """A text file violates its format, at ``line`` where one is given."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class ParseError(TextFormatError):
     """A data file violates the expected text format."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class ModelFormatError(XovaError, ValueError):
+class ModelFormatError(TextFormatError):
     """A model file violates the expected text format."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ConfigError(XovaError, ValueError):

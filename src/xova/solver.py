@@ -106,8 +106,7 @@ class TraceRow:
 
     ``grad_norm``, ``active_count`` and ``active_fraction`` are measured at
     the start of the iteration (before the step); ``loss`` is the objective
-    after the accepted update. ``wall_ms`` is the label's share of the
-    block's step (README, "Diagnostics").
+    after the accepted update.
     """
 
     loss: float
@@ -116,7 +115,6 @@ class TraceRow:
     active_fraction: float
     cg_iters: int
     step_size: float
-    wall_ms: float
 
 
 @dataclass
@@ -125,7 +123,8 @@ class SolverTrace:
 
     ``wall_ms`` and ``cpu_ms`` are the label's shares of its block's wall
     and thread CPU time: each step's time is split equally among the labels
-    still in the block.
+    still in the block. ``failure`` says why a solve that ended in
+    ``numerical_failure`` failed, and is None otherwise.
     """
 
     initial_loss: float = float("nan")
@@ -136,6 +135,7 @@ class SolverTrace:
     final_grad_norm: float = float("nan")
     wall_ms: float = 0.0
     cpu_ms: float = 0.0
+    failure: str | None = None
 
     @property
     def outer_iters(self) -> int:
@@ -147,16 +147,6 @@ class SolverTrace:
 
     def losses(self) -> list[float]:
         return [self.initial_loss] + [r.loss for r in self.rows]
-
-
-class BlockResult(NamedTuple):
-    """One label's outcome: its last iterate, its trace, and the
-    NumericalError that ended it, if one did (``w`` is then the last
-    accepted iterate)."""
-
-    w: DenseVector
-    trace: SolverTrace
-    error: NumericalError | None
 
 
 class CgBlock(NamedTuple):
@@ -229,19 +219,27 @@ def _hvp(X: SparseMatrix, idx, dd, D: np.ndarray, rows: Sequence[int]) -> np.nda
     return D + _rows(X.rmatvec(weights))
 
 
-def _trial_objective(
-    loss: MarginLoss, c: float, w: DenseVector, m: np.ndarray, direction: DenseVector,
-    mdir: np.ndarray,
-) -> Callable[[float], float]:
+@dataclass
+class _TrialObjective:
     """``lam -> L(w + lam * direction)``, from the margins ``m`` of ``w`` and
     ``mdir = y * X direction``. As the signs are +-1 and negation is exact,
     ``m + lam * mdir`` has the bits of ``y * (X w + lam * X direction)``,
-    except that a zero may differ in sign, which no loss reads."""
+    except that a zero may differ in sign, which no loss reads. ``value`` is
+    the last trial's objective."""
 
-    def eval_at(lam: float) -> float:
-        return _objective(loss, c, w + lam * direction, m + lam * mdir)
+    loss: MarginLoss
+    c: float
+    w: DenseVector
+    m: np.ndarray
+    direction: DenseVector
+    mdir: np.ndarray
+    value: float = float("nan")
 
-    return eval_at
+    def __call__(self, lam: float) -> float:
+        self.value = _objective(
+            self.loss, self.c, self.w + lam * self.direction, self.m + lam * self.mdir
+        )
+        return self.value
 
 
 def objective(problem: BinaryProblem, w: DenseVector) -> float:
@@ -377,14 +375,14 @@ def newton_cg(
     ``grad0_ref`` is the gradient norm at the zero vector for this problem;
     the outer loop stops once ``|grad| <= eps_outer * grad0_ref``, so every
     initialization strategy targets the same stopping surface. The solve is
-    :func:`newton_cg_block` on a block of one; a numerical failure raises
-    its :class:`NumericalError`, which carries the last accepted iterate and
-    the trace so far.
+    :func:`newton_cg_block` on a block of one; a numerical failure raises a
+    :class:`NumericalError` with the trace's ``failure`` message, which
+    carries the last accepted iterate and the trace so far.
     """
-    [(w, trace, error)] = newton_cg_block([problem], w0[None], cfg, [grad0_ref])
-    if error is not None:
-        raise error
-    return w, trace
+    W, [trace] = newton_cg_block([problem], w0[None], cfg, [grad0_ref])
+    if trace.failure is not None:
+        raise NumericalError(trace.failure, w_last=W[0], trace=trace)
+    return W[0], trace
 
 
 def newton_cg_block(
@@ -392,15 +390,17 @@ def newton_cg_block(
     W0: np.ndarray,
     cfg: SolverConfig,
     grad0_refs: Sequence[float],
-) -> list[BlockResult]:
+) -> tuple[np.ndarray, list[SolverTrace]]:
     """:func:`newton_cg` for every problem of a block in lockstep, from the
     rows of ``W0`` (``b x dim``), with one stopping reference per problem.
 
     The block's (at least one) problems must share one design matrix
     object, loss and C; they differ only in their signs. A label leaves the
     block when it converges, reaches ``max_outer``, fails its line search or
-    meets a non-finite value; the others go on. Each label's result is bit
-    for bit the one it gets alone.
+    meets a non-finite value; the others go on. Returns the ``b x dim``
+    last iterates and one trace per label; a label that failed numerically
+    keeps its last accepted iterate, and its trace's ``failure`` says why.
+    Each label's result is bit for bit the one it gets alone.
     """
     X, loss, c = problems[0].features, problems[0].loss, problems[0].c
     if any(p.features is not X or p.loss != loss or p.c != c for p in problems):
@@ -411,16 +411,15 @@ def newton_cg_block(
     if W.shape != (b, X.n_cols):
         raise DimensionMismatchError(f"starts of shape {W.shape} for {b} labels of dim {X.n_cols}")
     traces = [SolverTrace(grad0_ref=ref) for ref in grad0_refs]
-    errors: list[NumericalError | None] = [None] * b
     loss_val = [0.0] * b
 
     def fail(k: int, message: str) -> None:
         traces[k].termination = TERM_NUMERICAL
-        errors[k] = NumericalError(message, w_last=W[k], trace=traces[k])
+        traces[k].failure = message
 
     clock = [time.perf_counter(), time.thread_time()]
 
-    def charge(labels: Sequence[int]) -> float:
+    def charge(labels: Sequence[int]) -> None:
         """Split the time since the last charge equally among ``labels``."""
         now = [time.perf_counter(), time.thread_time()]
         wall, cpu = ((a - z) * 1e3 / len(labels) for a, z in zip(now, clock))
@@ -428,7 +427,6 @@ def newton_cg_block(
             traces[k].wall_ms += wall
             traces[k].cpu_ms += cpu
         clock[:] = now
-        return wall
 
     M = _rows(X.matvec(W.T))  # the margins, once each row is multiplied by its signs
     live = []
@@ -442,95 +440,85 @@ def newton_cg_block(
         live.append(k)
     charge(range(b))
 
-    def step(live: list[int]) -> tuple[list[int], list[TraceRow]]:
-        """One lockstep outer iteration of the labels ``live``: the labels
-        that took a step, and their new trace rows."""
+    def step(live: list[int]) -> list[int]:
+        """One lockstep outer iteration of the labels ``live``; returns the
+        labels that took a step. Labels are block positions, and every
+        per-label value is keyed by its label."""
         # margins -> active set -> gradient -> stopping test
-        idx = [_compute_active(loss, M[k]) for k in live]
-        coef = (_grad_coef(loss, c, M[k], S[k], i) for k, i in zip(live, idx))
-        G = _gradient(X, W[live], idx, coef)
-        gnorm = [float(np.linalg.norm(g)) for g in G]
-        solving = []  # positions in ``live`` of the labels that take a step
-        for j, k in enumerate(live):
-            if not np.isfinite(gnorm[j]):
+        idx = {k: _compute_active(loss, M[k]) for k in live}
+        coef = (_grad_coef(loss, c, M[k], S[k], idx[k]) for k in live)
+        G = dict(zip(live, _gradient(X, W[live], list(idx.values()), coef)))
+        gnorm = {k: float(np.linalg.norm(G[k])) for k in live}
+        solving = []
+        for k in live:
+            if not np.isfinite(gnorm[k]):
                 fail(k, "non-finite gradient")
-            elif gnorm[j] <= cfg.eps_outer * traces[k].grad0_ref:
+            elif gnorm[k] <= cfg.eps_outer * traces[k].grad0_ref:
                 traces[k].termination = TERM_CONVERGED
             elif traces[k].outer_iters >= cfg.max_outer:
                 traces[k].termination = TERM_MAX_OUTER
             else:
-                solving.append(j)
+                solving.append(k)
                 continue
-            traces[k].final_grad_norm = gnorm[j]
+            traces[k].final_grad_norm = gnorm[k]
         if not solving:
-            return [], []
+            return []
 
         # CG on the Newton systems
-        act = [idx[j] for j in solving]
-        n_active = [int(rows.shape[0]) for rows in act]
-        dd = [_curvature(loss, c, M[live[j]], idx[j]) for j in solving]
+        act = [idx[k] for k in solving]
+        n_active = {k: int(idx[k].shape[0]) for k in solving}
+        dd = [_curvature(loss, c, M[k], idx[k]) for k in solving]
         diag = _diag(X, act, dd)
-        for q, rows in enumerate(act):
-            if np.isnan(diag[q]).any():
+        for row, rows, weights in zip(diag, act, dd):
+            if np.isnan(row).any():
                 # 0 * inf: a row of weight 0 whose squares overflow. A copy
                 # of the active rows leaves the inactive ones out.
-                diag[q] = 1.0 + X.submatrix(rows).rmatvec_squared(dd[q])
-        cg = cg_solve(G[solving], functools.partial(_hvp, X, act, dd), cfg, diag)
+                row[:] = 1.0 + X.submatrix(rows).rmatvec_squared(weights)
+        G_solving = np.array([G[k] for k in solving])
+        cg = cg_solve(G_solving, functools.partial(_hvp, X, act, dd), cfg, diag)
         del idx, act, dd  # up to n entries per label: freed before the line search
-        searching = []  # (position in ``solving``, g . p)
-        for q, j in enumerate(solving):
-            k = live[j]
-            if cg.errors[q] is not None:
-                fail(k, str(cg.errors[q]))
+        P, cg_iters, g_dot_p = {}, {}, {}
+        for k, p, iters, error in zip(solving, cg.p, cg.row_iters, cg.errors):
+            if error is not None:
+                fail(k, str(error))
                 continue
-            traces[k].hvp_touches += cg.row_iters[q] * n_active[q]
-            g_dot_dir = float(np.dot(G[j], cg.p[q]))
-            if g_dot_dir >= 0.0:
-                fail(k, f"CG returned a non-descent direction (g.p = {g_dot_dir:g})")
+            traces[k].hvp_touches += iters * n_active[k]
+            g_dot_p[k] = float(np.dot(G[k], p))
+            if g_dot_p[k] >= 0.0:
+                fail(k, f"CG returned a non-descent direction (g.p = {g_dot_p[k]:g})")
                 continue
-            searching.append((q, g_dot_dir))
-        if not searching:
-            return [], []
+            P[k], cg_iters[k] = p, iters
+        if not P:
+            return []
 
-        # line search and update
-        XP = X.matvec(cg.p[[q for q, _ in searching]].T)
-        stepped, new_rows = [], []
-        for (q, g_dot_dir), xdir in zip(searching, XP.T):
-            j = solving[q]
-            k = live[j]
-            direction = cg.p[q]
+        # line search and update; the accepted trial's value is the new objective
+        XP = X.matvec(np.array(list(P.values())).T)
+        stepped = []
+        for (k, p), xdir in zip(P.items(), XP.T):
             mdir = S[k] * xdir
-            eval_at = _trial_objective(loss, c, W[k], M[k], direction, mdir)
-            lam, accepted = backtracking_search(eval_at, loss_val[k], g_dot_dir, cfg)
+            eval_at = _TrialObjective(loss, c, W[k], M[k], p, mdir)
+            lam, accepted = backtracking_search(eval_at, loss_val[k], g_dot_p[k], cfg)
             if not accepted:
                 traces[k].termination = TERM_LINE_SEARCH
-                traces[k].final_grad_norm = gnorm[j]
+                traces[k].final_grad_norm = gnorm[k]
                 continue
-            W[k] += lam * direction
+            W[k] += lam * p
             M[k] += lam * mdir
-            loss_val[k] = _objective(loss, c, W[k], M[k])
-            if not np.isfinite(loss_val[k]):
-                fail(k, "non-finite objective after step")
-                continue
-            row = TraceRow(
+            loss_val[k] = eval_at.value
+            traces[k].rows.append(TraceRow(
                 loss=loss_val[k],
-                grad_norm=gnorm[j],
-                active_count=n_active[q],
-                active_fraction=n_active[q] / n if n else 0.0,
-                cg_iters=cg.row_iters[q],
+                grad_norm=gnorm[k],
+                active_count=n_active[k],
+                active_fraction=n_active[k] / n if n else 0.0,
+                cg_iters=cg_iters[k],
                 step_size=lam,
-                wall_ms=0.0,
-            )
-            traces[k].rows.append(row)
-            new_rows.append(row)
+            ))
             stepped.append(k)
-        return stepped, new_rows
+        return stepped
 
     while live:
-        stepped, new_rows = step(live)
-        share = charge(live)
-        for row in new_rows:
-            row.wall_ms = share
+        stepped = step(live)
+        charge(live)
         live = stepped
 
-    return [BlockResult(W[k], traces[k], errors[k]) for k in range(b)]
+    return W, traces

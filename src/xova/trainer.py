@@ -294,9 +294,9 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                 ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
                 refs.append(ref if np.isfinite(ref) else grad0_norm(problems[-1]))
                 own.append((time.perf_counter() - t0, time.thread_time() - c0))
-            solved = solver_mod.newton_cg_block(problems, np.array(w0s), cfg.solver, refs)
+            W, traces = solver_mod.newton_cg_block(problems, np.array(w0s), cfg.solver, refs)
         out = []
-        for label, (w, trace, _), (wall, cpu) in zip(labels, solved, own):
+        for label, w, trace, (wall, cpu) in zip(labels, W, traces, own):
             t0, c0 = time.perf_counter(), time.thread_time()
             kept = np.flatnonzero(np.abs(w) >= cfg.clip_threshold)
             result = LabelResult(

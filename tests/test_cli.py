@@ -128,6 +128,15 @@ class TestTrain:
         )
         assert len(labels_csv) == 11
 
+    def test_no_options_is_the_library_default_with_aop(self, workdir):
+        # every default but --init comes from the config classes
+        report = workdir / "bare.json"
+        rc = main(["train", "--data", str(workdir / "train.txt"),
+                   "--model-out", str(workdir / "bare.model"), "--diag-out", str(report)])
+        assert rc == 0
+        digest = json.loads(report.read_text())["config_digest"]
+        assert digest == TrainConfig(init=InitStrategy("aop")).digest()
+
     def test_logistic_default_t_is_minus_three(self, workdir):
         rc = main(
             train_args(workdir, model="log.model")

@@ -11,7 +11,7 @@ from xova.dataio import (
     split_dataset,
     write_xmc_dataset,
 )
-from xova.errors import ConfigError, ParseError
+from xova.errors import ConfigError, ModelFormatError, ParseError, XovaError
 from xova.sparse import SparseMatrix
 
 from conftest import dense_matrix, entries, make_matrix
@@ -52,6 +52,13 @@ class TestParsing:
     def test_empty_instance_line(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "1 3 2\n\n"))
         assert ds.labels[0].size == 0 and ds.features.row(0).indices.size == 0
+
+    @pytest.mark.parametrize("error", [ParseError, ModelFormatError])
+    def test_format_errors_name_their_line(self, error):
+        err = error("bad token", 4)
+        assert (str(err), err.line) == ("line 4: bad token", 4)
+        assert (str(error("bad token")), error("bad token").line) == ("bad token", None)
+        assert isinstance(err, XovaError) and isinstance(err, ValueError)
 
     def test_feature_index_out_of_range(self, tmp_path):
         with pytest.raises(ParseError, match=r"index 5.*dimension 3") as e:

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from xova.solver import (
     SolverConfig,
     TERM_CONVERGED,
     TERM_LINE_SEARCH,
+    TERM_NUMERICAL,
     backtracking_search,
     cg_solve,
     grad0_norm,
@@ -241,11 +243,12 @@ class TestActiveRows:
         # the same label beside two others, in one block
         others, _ = other_labels(rng, p, 2)
         with np.errstate(over="ignore"):
-            [(w_block, trace_block, error), *_] = solver_mod.newton_cg_block(
+            W, traces = solver_mod.newton_cg_block(
                 [p] + others, np.stack([w0, -w0, 0 * w0]), SolverConfig(), [1.0] * 3
             )
-        assert error is None
-        assert w_block.tobytes() == w.tobytes()
+        trace_block = traces[0]
+        assert trace_block.failure is None
+        assert W[0].tobytes() == w.tobytes()
         assert (trace_block.outer_iters, trace_block.hvp_touches) == (
             trace.outer_iters, trace.hvp_touches
         )
@@ -461,6 +464,88 @@ class TestNewtonCg:
             newton_cg(p, np.zeros(8), cfg, g0)
         np.testing.assert_array_equal(info.value.w_last, w_one)
         assert info.value.trace.outer_iters == 1
+
+    def test_cg_failure_is_the_label_trace_failure(self, rng, monkeypatch):
+        p = random_problem(rng, n=40, d=8, loss=SQH)
+        others, _ = other_labels(rng, p, 2)
+        problems = [p] + others
+        real, calls = solver_mod.cg_solve, []
+
+        def label_1_fails_in_its_first_step(*args):
+            result = real(*args)
+            calls.append(1)
+            if len(calls) == 1:  # every label takes the first step; row 1 is label 1
+                result.errors[1] = NumericalError("injected CG failure")
+            return result
+
+        monkeypatch.setattr(solver_mod, "cg_solve", label_1_fails_in_its_first_step)
+        W, traces = solver_mod.newton_cg_block(
+            problems, np.zeros((3, 8)), SolverConfig(), [grad0_ref(q) for q in problems]
+        )
+        assert [t.failure for t in traces] == [None, "injected CG failure", None]
+        assert [t.termination for t in traces] == [TERM_CONVERGED, TERM_NUMERICAL, TERM_CONVERGED]
+        assert traces[1].outer_iters == 0
+        np.testing.assert_array_equal(W[1], 0.0)
+
+    def test_newton_cg_raises_the_trace_failure(self, rng, monkeypatch):
+        p = random_problem(rng, n=40, d=8, loss=SQH)
+        real_cg, real_block, returned = solver_mod.cg_solve, solver_mod.newton_cg_block, []
+
+        def fails(*args):
+            result = real_cg(*args)
+            result.errors[0] = NumericalError("injected CG failure")
+            return result
+
+        def spy(*args):
+            returned.append(real_block(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(solver_mod, "cg_solve", fails)
+        monkeypatch.setattr(solver_mod, "newton_cg_block", spy)
+        with pytest.raises(NumericalError) as info:
+            newton_cg(p, rng.normal(size=8), SolverConfig(), grad0_ref(p))
+        [(W, [trace])] = returned
+        assert str(info.value) == trace.failure == "injected CG failure"
+        assert info.value.trace is trace
+        assert np.shares_memory(info.value.w_last, W)
+        assert info.value.w_last.tobytes() == W[0].tobytes()
+
+    def test_step_loss_is_the_accepted_trial_value(self, rng, monkeypatch):
+        real, accepted = solver_mod.backtracking_search, []
+
+        def spy(eval_at, loss0, g_dot_dir, cfg):
+            values = []
+
+            def recording(lam):
+                values.append(eval_at(lam))
+                return values[-1]
+
+            lam, ok = real(recording, loss0, g_dot_dir, cfg)
+            if ok:
+                accepted.append(values[-1])
+            return lam, ok
+
+        monkeypatch.setattr(solver_mod, "backtracking_search", spy)
+        rows = []
+        for loss in (SQH, LOG):
+            p = random_problem(rng, n=50, d=10, loss=loss)
+            start = rng.normal(0, 3, 10)
+            _, trace = newton_cg(p, start, SolverConfig(eps_outer=1e-6), grad0_ref(p))
+            rows += trace.rows
+        assert any(r.step_size < 1.0 for r in rows)  # some step took more than one trial
+        assert np.array([r.loss for r in rows]).tobytes() == np.array(accepted).tobytes()
+
+    def test_a_solve_leaves_no_reference_cycles(self, rng):
+        # a cycle would hold each step's directions and margins until the
+        # collector ran, and raise the peak memory of a training run
+        p = random_problem(rng, n=50, d=10, loss=LOG)
+        gc.collect()
+        gc.disable()
+        try:
+            newton_cg(p, rng.normal(0, 3, 10), SolverConfig(eps_outer=1e-6), grad0_ref(p))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_line_search_failure_reported(self, rng, monkeypatch):
         # force every trial to fail by making the schedule empty of winners
