@@ -42,8 +42,15 @@ from .sparse import DenseVector, SparseMatrix
 
 MODEL_MAGIC = "xova"
 MODEL_VERSION = "v1"
-# Rows of X scored at once: the dense score block is this many rows by L.
+# Rows of X scored at once: the dense score block is this many rows by L,
+# whatever the chunk size below (README, "Prediction and evaluation").
 _BLOCK_ROWS = 512
+# Bytes of one dense chunk of W.T: d rows by as many labels as fit, at
+# least one. A model that fits is densified once per scoring call, a larger
+# one chunk by chunk for each block of rows, so this caps the memory that
+# scoring adds. At 4 MiB, one chunk of the benchmark's topic model raised
+# peak RSS by 2.4%; at 2 MiB it stays below the sparse product's.
+_CHUNK_BYTES = 2 << 20
 # Labels solved in lockstep, one sparse product per step for all of them
 # (README, "Solver"). The solver holds a few dense arrays of this many rows
 # by n, so it bounds the memory a worker adds; the models do not depend on
@@ -130,6 +137,7 @@ class LabelResult:
     final_loss: float
     termination: str
     first_step_size: float | None
+    failure: str | None  # why a numerical_failure failed, from SolverTrace.failure
 
 
 @dataclass
@@ -144,6 +152,7 @@ class TrainReport:
     total_hvp_touches: int
     init_wall_ms: float = 0.0
     init_hvp_touches: int = 0
+    init_failure: str | None = None  # why ovap's shared solve failed, if it did
     traces: dict[int, SolverTrace] | None = None
     # milliseconds of each phase of `xova train`; None where nothing timed them
     phases: dict[str, float] | None = None
@@ -178,6 +187,7 @@ class TrainReport:
                 "failed": self.n_failed,
                 "init_wall_ms": self.init_wall_ms,
                 "init_hvp_touches": self.init_hvp_touches,
+                "init_failure": self.init_failure,
             },
             "phases": self.phases,
             "iterations": {
@@ -200,12 +210,16 @@ class TrainReport:
     def write_labels_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(
-                "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination,cpu_ms\n"
+                "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination,cpu_ms,"
+                "failure\n"
             )
             for r in self.labels:
+                # quoted as CSV quotes a field, so that a comma in the message is safe
+                failure = "" if r.failure is None else '"' + r.failure.replace('"', '""') + '"'
                 fh.write(
                     f"{r.label},{r.positives},{r.outer_iters},{r.hvp_touches},"
-                    f"{r.wall_ms:.3f},{r.final_loss:.17g},{r.termination},{r.cpu_ms:.3f}\n"
+                    f"{r.wall_ms:.3f},{r.final_loss:.17g},{r.termination},{r.cpu_ms:.3f},"
+                    f"{failure}\n"
                 )
 
 
@@ -244,6 +258,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     t_start = time.perf_counter()
     init_wall_ms = 0.0
     init_hvp_touches = 0
+    init_failure = None
     if init.kind == "aop":
         # An overflowing <xbar, xbar> makes every aop start non-finite, which
         # each label's solve reports as numerical_failure.
@@ -269,6 +284,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                     w_shared, ovap_trace = err.w_last, err.trace
             init_wall_ms = (time.perf_counter() - t_start) * 1e3
             init_hvp_touches = ovap_trace.hvp_touches
+            init_failure = ovap_trace.failure
         elif init.kind == "bias":
             w_shared = bias_init(ds.dim, ds.bias_index, init.bias_scale)
         else:
@@ -309,6 +325,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                 final_loss=trace.rows[-1].loss if trace.rows else trace.initial_loss,
                 termination=trace.termination,
                 first_step_size=trace.first_step_size,
+                failure=trace.failure,
             )
             out.append((kept, w[kept], result, trace))
         return out
@@ -355,27 +372,86 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         total_hvp_touches=init_hvp_touches + sum(r.hvp_touches for r in results),
         init_wall_ms=init_wall_ms,
         init_hvp_touches=init_hvp_touches,
+        init_failure=init_failure,
         traces={j: trace for j, (*_, trace) in enumerate(outcomes)} if cfg.collect_traces else None,
     )
     return model, report
 
 
+def _dense_labels(W: SparseMatrix, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of ``W`` as the dense, C-contiguous ``(d, hi - lo)``
+    columns of ``W.T``, written label by label from W's own arrays."""
+    chunk = np.zeros((W.n_cols, hi - lo))
+    bounds = W.indptr[lo : hi + 1].tolist()
+    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        chunk[W.indices[a:b], c] = W.data[a:b]
+    return chunk
+
+
 def score_blocks(model: OvaModel, X: SparseMatrix) -> Iterator[tuple[int, np.ndarray]]:
-    """``(row offset, dense block of X @ W.T)`` over blocks of rows of ``X``."""
+    """``(row offset, dense block of X @ W.T)`` over blocks of ``_BLOCK_ROWS``
+    rows of ``X``.
+
+    Each block is multiplied by dense label chunks of ``W.T`` of at most
+    ``_CHUNK_BYTES``. The last chunk densified is kept, and every other
+    block takes the chunks in reverse order, so the next block starts with
+    it: a model that fits in one chunk is densified once per call.
+    The scores have the bits of the sparse product ``X @ W.T``: each sums
+    the row's nonzeros in index order, and a weight that is not stored adds
+    ``x * 0 = ±0`` to an accumulator that starts at +0 and so is never -0.
+    """
     if X.n_cols != model.dim:
         raise DimensionMismatchError(
             f"data dimension {X.n_cols} != model dimension {model.dim}"
         )
-    wt = model.weights.to_scipy().T.tocsr()
-    xs = X.to_scipy()
-    return (
-        (lo, (xs[lo : lo + _BLOCK_ROWS] @ wt).toarray()) for lo in range(0, X.n_rows, _BLOCK_ROWS)
-    )
+    W, xs = model.weights, X.to_scipy()
+    width = max(1, _CHUNK_BYTES // (8 * max(W.n_cols, 1)))
+    chunks = [(lo, min(lo + width, W.n_rows)) for lo in range(0, W.n_rows, width)]
+
+    def blocks():
+        held = None  # (first label, dense chunk) of the last chunk densified
+        for r in range(0, X.n_rows, _BLOCK_ROWS):
+            rows = xs[r : r + _BLOCK_ROWS]
+            block = np.empty((rows.shape[0], W.n_rows))
+            for lo, hi in chunks:
+                if held is None or held[0] != lo:
+                    held = None  # free the old chunk before the new one is built
+                    held = lo, _dense_labels(W, lo, hi)
+                block[:, lo:hi] = rows @ held[1]
+            chunks.reverse()  # the next block starts with the chunk held
+            yield r, block
+
+    return blocks()
 
 
 def block_topk(block: np.ndarray, k: int) -> np.ndarray:
-    """Per row of a score block, the columns of the k best scores, ties to the lower column."""
-    return np.argsort(-block, axis=1, kind="stable")[:, :k]
+    """Per row of a score block, the columns of the k best scores, best
+    first, ties to the lower column: ``np.argsort(-block, kind="stable")[:, :k]``.
+
+    ``np.partition`` finds each row's k-th best value; the columns strictly
+    better than it, and then its ties from the lowest column up, are the k
+    chosen, and only those k are sorted, stably. -0 ties with +0. A row
+    whose k-th best is NaN (fewer than k scores that are not NaN) is sorted
+    whole.
+    """
+    neg = -block
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    top = np.empty((neg.shape[0], k), dtype=np.intp)
+    rows = ~np.isnan(kth[:, 0])
+    if not rows.all():
+        top[~rows] = np.argsort(neg[~rows], axis=1, kind="stable")[:, :k]
+        neg, kth = neg[rows], kth[rows]
+    chosen = neg <= kth  # the strictly better and all the ties
+    over = np.count_nonzero(chosen, axis=1) > k
+    if over.any():  # more ties than places: keep the lowest columns
+        sub, at = neg[over], kth[over]
+        ties = sub == at
+        need = k - np.count_nonzero(sub < at, axis=1, keepdims=True)
+        chosen[over] &= ~ties | (np.cumsum(ties, axis=1) <= need)
+    cols = np.nonzero(chosen)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
+    top[rows] = np.take_along_axis(cols, order, axis=1)
+    return top
 
 
 def predict_topk(model: OvaModel, X: SparseMatrix, k: int) -> list[list[tuple[int, float]]]:

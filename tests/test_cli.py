@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -113,19 +114,23 @@ class TestTrain:
         assert list(report["dataset"]) == ["n", "dim", "n_labels", "digest"]
         assert list(report["totals"]) == [
             "wall_ms", "hvp_touches", "labels_trained", "failed", "init_wall_ms", "init_hvp_touches",
+            "init_failure",
         ]
+        assert report["totals"]["init_failure"] is None
         assert list(report["iterations"]) == ["active_fraction_mean", "step_size_mean", "count"]
         assert list(report["labels"][0]) == [
             "label", "positives", "outer_iters", "hvp_touches", "wall_ms", "cpu_ms", "final_loss",
-            "termination", "first_step_size",
+            "termination", "first_step_size", "failure",
         ]
+        assert all(label["failure"] is None for label in report["labels"])
         assert report["init_params"] == {"s": 1.0, "t": -2.0}
         # the run's flags are all at their defaults but --init aop
         assert report["config_digest"] == TrainConfig(init=InitStrategy("aop")).digest()
         labels_csv = (workdir / "report.json.labels.csv").read_text().splitlines()
         assert labels_csv[0] == (
-            "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination,cpu_ms"
+            "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination,cpu_ms,failure"
         )
+        assert all(line.endswith(",") for line in labels_csv[1:])
         assert len(labels_csv) == 11
 
     def test_no_options_is_the_library_default_with_aop(self, workdir):
@@ -205,6 +210,26 @@ class TestTrain:
         assert label["final_loss"] is None
         csv_row = (tmp_path / "huge.json.labels.csv").read_text().splitlines()[1]
         assert ",nan,numerical_failure," in csv_row
+
+    @pytest.mark.parametrize("init", ["zero", "bias", "ovap", "aop"])
+    def test_failed_labels_say_why(self, tmp_path, init):
+        # zero, bias and ovap fail on the first gradient, aop at its start;
+        # ovap's shared solve fails too
+        data = tmp_path / "huge.txt"
+        data.write_text("3 2 1\n0 0:1e308 1:1.0\n 0:1e308 1:2.0\n 1:1.0\n")
+        out = tmp_path / "huge.json"
+        rc = main(["train", "--data", str(data), "--init", init,
+                   "--model-out", str(tmp_path / "m.model"), "--diag-out", str(out)])
+        assert rc == 3
+        report = json.loads(out.read_text())
+        want = ("non-finite objective at the initial point" if init == "aop"
+                else "non-finite gradient")
+        assert [label["failure"] for label in report["labels"]] == [want]
+        assert report["totals"]["init_failure"] == (want if init == "ovap" else None)
+        with open(str(out) + ".labels.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row["termination"] == "numerical_failure"
+        assert row["failure"] == want
 
     def test_non_finite_data_exit_2(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"

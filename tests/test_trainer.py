@@ -1,7 +1,9 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xova.dataio import Dataset, augment_bias, compute_label_stats, generate_synthetic
 from xova.errors import ConfigError, DimensionMismatchError, ModelFormatError
@@ -12,10 +14,12 @@ from xova.solver import (
     BinaryProblem, SolverConfig, TERM_LINE_SEARCH, TERM_NUMERICAL, grad0_norm, gradient, newton_cg
 )
 from xova.sparse import SparseMatrix
+import xova.trainer as trainer_mod
 from xova.trainer import (
     ModelMeta,
     OvaModel,
     TrainConfig,
+    block_topk,
     grad0_closed_form,
     load_model,
     predict_topk,
@@ -100,17 +104,18 @@ class TestTrainOva:
         with pytest.raises(ConfigError, match="bias"):
             train_ova(ds, stats, TrainConfig(init=InitStrategy("bias")))
 
-    def test_numerical_failure_recorded_not_fatal(self, small_data, monkeypatch):
+    def test_numerical_failure_recorded_not_fatal(self, small_data, monkeypatch, tmp_path):
         import xova.trainer as trainer_mod
         from xova.errors import NumericalError
 
         ds, stats = small_data
         real, calls = trainer_mod.solver_mod.cg_solve, []
+        message = 'injected blow-up, "quoted"'
 
         def label_0_fails(*args):
             result = real(*args)
             if not calls:  # the first block's first step: row 0 is label 0
-                result.errors[0] = NumericalError("injected blow-up")
+                result.errors[0] = NumericalError(message)
             calls.append(1)
             return result
 
@@ -123,6 +128,15 @@ class TestTrainOva:
         )
         assert report.n_failed == 1
         assert model.weights.row(1).indices.size > 0  # the rest trained normally
+        # the reason reaches the report JSON and, quoted, the labels CSV
+        assert [r.failure for r in report.labels] == [message] + [None] * (ds.n_labels - 1)
+        labels = report.to_json_dict()["labels"]
+        assert [row["failure"] for row in labels] == [r.failure for r in report.labels]
+        report.write_labels_csv(tmp_path / "labels.csv")
+        with open(tmp_path / "labels.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["failure"] for row in rows] == [message] + [""] * (ds.n_labels - 1)
+        assert [row["cpu_ms"] for row in rows] == [f"{r.cpu_ms:.3f}" for r in report.labels]
 
     def test_cg_failure_keeps_accepted_steps(self, monkeypatch):
         import xova.trainer as trainer_mod
@@ -413,6 +427,120 @@ class TestPredict:
             nnzs.append(nnz)
         drift = np.abs(scores(full, rows)[:, 0] - scores(clipped, rows)[:, 0])
         assert np.all(drift <= thr * np.array(nnzs) + 1e-12)
+
+
+def sparse_scores(model, X):
+    """The sparse product scoring used before dense label chunks, kept as the
+    reference: blocks of 512 rows of X times a transposed sparse copy of W."""
+    wt = model.weights.to_scipy().T.tocsr()
+    xs = X.to_scipy()
+    blocks = [(xs[lo : lo + 512] @ wt).toarray() for lo in range(0, X.n_rows, 512)]
+    return np.vstack(blocks) if blocks else np.zeros((0, model.n_labels))
+
+
+# Finite values with explicit zeros of both signs, small and huge magnitudes
+# (whose products overflow), and values that sum to exact ties.
+SCORE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def chunked_scoring(draw):
+    dim = draw(st.integers(min_value=1, max_value=7))
+    n_labels = draw(st.integers(min_value=1, max_value=9))
+    row = st.dictionaries(st.integers(min_value=0, max_value=dim - 1), SCORE_VALUES, max_size=dim)
+    weights = draw(st.lists(row, min_size=n_labels, max_size=n_labels))
+    rows = draw(st.lists(row, min_size=0, max_size=12))
+    labels_per_chunk = draw(st.integers(min_value=1, max_value=n_labels + 1))
+    rows_per_block = draw(st.integers(min_value=1, max_value=5))
+    return simple_model(weights, dim), make_matrix(rows, dim), labels_per_chunk, rows_per_block
+
+
+class TestScoreChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(chunked_scoring())
+    def test_bits_equal_the_sparse_product(self, case):
+        # empty weight rows, explicit zero weights, rows of X with no
+        # features, one label and one feature all come up
+        model, X, labels_per_chunk, rows_per_block = case
+        want = sparse_scores(model, X)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer_mod, "_CHUNK_BYTES", 8 * model.dim * labels_per_chunk)
+            mp.setattr(trainer_mod, "_BLOCK_ROWS", rows_per_block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = list(score_blocks(model, X))
+        assert [lo for lo, _ in blocks] == list(range(0, X.n_rows, rows_per_block))
+        got = np.vstack([b for _, b in blocks]) if blocks else np.zeros((0, model.n_labels))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("labels_per_chunk, densified", [(7, 1), (1, 19), (2, 10)])
+    def test_a_model_that_fits_is_densified_once(self, monkeypatch, labels_per_chunk, densified):
+        # 7 labels over 3 blocks of rows: one chunk is densified once; 1- and
+        # 2-label chunks (the last one uneven) are densified for every block
+        # but the one a block starts with, which the block before ended with
+        model = simple_model([{0: float(j + 1), 1: -0.5} for j in range(7)], dim=2)
+        X = make_matrix([{0: 1.0, 1: float(i)} for i in range(1100)], 2)
+        calls = []
+        real = trainer_mod._dense_labels
+
+        def spy(W, lo, hi):
+            calls.append((lo, hi))
+            return real(W, lo, hi)
+
+        monkeypatch.setattr(trainer_mod, "_dense_labels", spy)
+        monkeypatch.setattr(trainer_mod, "_CHUNK_BYTES", 8 * 2 * labels_per_chunk)
+        got = np.vstack([b for _, b in score_blocks(model, X)])
+        assert len(calls) == densified
+        assert got.tobytes() == sparse_scores(model, X).tobytes()
+        assert all(hi - lo <= labels_per_chunk for lo, hi in calls)
+
+    def test_no_labels(self):
+        model = simple_model([], dim=3)
+        [(lo, block)] = score_blocks(model, make_matrix([{0: 1.0}], 3))
+        assert lo == 0 and block.shape == (1, 0)
+
+
+# Repeats, both zeros, both infinities and NaN, so that ties are the rule.
+TOPK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def topk_blocks(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=12))
+    values = draw(st.lists(TOPK_VALUES, min_size=rows * cols, max_size=rows * cols))
+    k = draw(st.sampled_from(sorted({1, cols, draw(st.integers(min_value=1, max_value=cols))})))
+    return np.array(values, dtype=np.float64).reshape(rows, cols), k
+
+
+class TestBlockTopk:
+    @settings(max_examples=300, deadline=None)
+    @given(topk_blocks())
+    def test_equals_the_stable_argsort(self, case):
+        block, k = case
+        want = np.argsort(-block, axis=1, kind="stable")[:, :k]
+        got = block_topk(block, k)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("block, k, want", [
+        ([[0.0, -0.0, 0.0, -0.0]], 2, [[0, 1]]),  # -0 ties with +0, lower column first
+        ([[1.0, np.nan, 1.0, np.inf]], 2, [[3, 0]]),
+        ([[np.nan, 2.0, np.nan]], 2, [[1, 0]]),  # k-th best is NaN: the row is sorted whole
+        ([[np.nan, np.nan]], 1, [[0]]),
+        ([[-np.inf, -np.inf, -1.0]], 3, [[2, 0, 1]]),
+        ([[3.0, 3.0, 3.0, 1.0, 3.0]], 3, [[0, 1, 2]]),  # more ties than places
+        # a NaN row takes the full sort without disturbing the others
+        ([[np.nan, 1.0, np.nan], [2.0, 2.0, 5.0], [0.0, -0.0, -1.0]], 2, [[1, 0], [2, 0], [0, 1]]),
+    ])
+    def test_examples(self, block, k, want):
+        assert block_topk(np.array(block), k).tolist() == want
 
 
 class TestModelRoundTrip:
