@@ -334,9 +334,12 @@ def generate_synthetic(
         signatures = [int(rng.integers(d_sig)) for _ in range(l)]
 
     labels: list[list[int]] = [[] for _ in range(n)]
+    members: list[list[int]] = []  # each label's rows, ascending
     for j in range(l):
-        for i in rng.choice(n, size=counts[j], replace=False):
-            labels[int(i)].append(j)
+        drawn = rng.choice(n, size=counts[j], replace=False).tolist()
+        for i in drawn:
+            labels[i].append(j)
+        members.append(sorted(drawn))
 
     # Label-noise rows: copy the features of up to max(14, 0.6 * count)
     # positives per label onto label-free instances, tail labels first, and
@@ -347,12 +350,11 @@ def generate_synthetic(
     free_pos = 0
     copy_source: dict[int, int] = {}
     for j in reversed(range(l)):
-        members = [i for i in range(n) if j in labels[i]]
-        k = min(max(14, round(0.6 * counts[j])), len(members))
-        for s in rng.choice(len(members), size=k, replace=False):
+        k = min(max(14, round(0.6 * counts[j])), counts[j])
+        for s in rng.choice(counts[j], size=k, replace=False):
             if free_pos >= budget:
                 break
-            copy_source[free[free_pos]] = members[int(s)]
+            copy_source[free[free_pos]] = members[j][int(s)]
             free_pos += 1
 
     rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]

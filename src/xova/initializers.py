@@ -14,7 +14,6 @@ Four strategies:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,12 +63,6 @@ class InitStrategy:
     def resolved_aop(self, loss: MarginLoss) -> tuple[float, float]:
         s = AOP_DEFAULT_S if self.aop_s is None else self.aop_s
         t = AOP_DEFAULT_T[loss] if self.aop_t is None else self.aop_t
-        if not s > t:
-            warnings.warn(
-                f"aop margin targets s={s} <= t={t}; the positive mean should "
-                "normally sit on the positive side of the negative mean",
-                stacklevel=2,
-            )
         return s, t
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,27 +48,24 @@ TERM_NUMERICAL = "numerical_failure"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters of the Newton-CG solver."""
+    """Hyperparameters of the Newton-CG solver. The fields are what a caller
+    sets; the class constants are liblinear's fixed line search (Lin, Weng &
+    Keerthi, JMLR 2008) and preconditioner (Hsia, Chiang & Lin, ACML 2018)."""
 
     eps_outer: float = 0.01  # stop when |grad| <= eps_outer * |grad at zero|
     eps_cg: float = 0.5  # relative preconditioned-residual tolerance
-    precond_alpha: float = 0.01  # M = alpha * diag(H) + (1 - alpha) * I
-    ls_beta: float = 0.5  # backtracking shrink factor
-    ls_eta: float = 0.01  # sufficient-decrease slope fraction
-    ls_max_steps: int = 20
     max_outer: int = 100
     max_cg: int = 250
+
+    precond_alpha: ClassVar[float] = 0.01  # M = alpha * diag(H) + (1 - alpha) * I
+    ls_beta: ClassVar[float] = 0.5  # backtracking shrink factor
+    ls_eta: ClassVar[float] = 0.01  # sufficient-decrease slope fraction
+    ls_max_steps: ClassVar[int] = 20
 
     def __post_init__(self):
         if not (0.0 < self.eps_outer < np.inf and 0.0 < self.eps_cg < np.inf):
             raise ConfigError("tolerances must be positive and finite")
-        if not 0.0 <= self.precond_alpha <= 1.0:
-            raise ConfigError("precond_alpha must lie in [0, 1]")
-        if not 0.0 < self.ls_beta < 1.0:
-            raise ConfigError("ls_beta must lie in (0, 1)")
-        if not 0.0 < self.ls_eta < 0.5:
-            raise ConfigError("ls_eta must lie in (0, 0.5)")
-        if self.ls_max_steps < 1 or self.max_outer < 1 or self.max_cg < 1:
+        if self.max_outer < 1 or self.max_cg < 1:
             raise ConfigError("iteration limits must be >= 1")
 
 

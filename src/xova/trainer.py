@@ -10,9 +10,13 @@ touching the optimization itself.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
+import itertools
 import json
+import operator
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -38,7 +42,7 @@ from .initializers import (
 )
 from .losses import MarginLoss, parse_loss
 from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL, grad0_norm
-from .sparse import DenseVector, SparseMatrix
+from .sparse import SparseMatrix
 
 MODEL_MAGIC = "xova"
 MODEL_VERSION = "v1"
@@ -76,6 +80,14 @@ class TrainConfig:
             raise ConfigError("thread count must be >= 1")
         if not 0.0 < self.c < np.inf:
             raise ConfigError("loss weight c must be finite and > 0")
+        if self.init.kind == "aop":
+            s, t = self.init.resolved_aop(self.loss)
+            if not s > t:
+                warnings.warn(
+                    f"aop margin targets s={s} <= t={t}; the positive mean should "
+                    "normally sit on the positive side of the negative mean",
+                    stacklevel=3,  # past the dataclass __init__, at the caller
+                )
 
     def resolved_init_params(self) -> dict:
         if self.init.kind == "bias":
@@ -87,20 +99,23 @@ class TrainConfig:
             return {"s": s, "t": t}
         return {}
 
+    def settings(self) -> dict:
+        """The settings as the report writes them, in its key order."""
+        return {
+            "loss": self.loss.token,
+            "init": self.init.kind,
+            "init_params": self.resolved_init_params(),
+            "solver": asdict(self.solver),
+            "c": self.c,
+            "clip_threshold": self.clip_threshold,
+            "threads": self.threads,
+            "seed": self.seed,
+        }
+
     def digest(self) -> str:
-        blob = json.dumps(
-            {
-                "loss": self.loss.token,
-                "init": self.init.kind,
-                "init_params": self.resolved_init_params(),
-                "solver": asdict(self.solver),
-                "c": self.c,
-                "clip_threshold": self.clip_threshold,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        """Hash of the settings but ``threads``, which leaves the model as it is."""
+        settings = {k: v for k, v in self.settings().items() if k != "threads"}
+        return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -171,14 +186,7 @@ class TrainReport:
         return {
             "format": "xova-report v1",
             "dataset": self.dataset,
-            "loss": cfg.loss.token,
-            "init": cfg.init.kind,
-            "init_params": cfg.resolved_init_params(),
-            "solver": asdict(cfg.solver),
-            "c": cfg.c,
-            "clip_threshold": cfg.clip_threshold,
-            "threads": cfg.threads,
-            "seed": cfg.seed,
+            **cfg.settings(),
             "config_digest": cfg.digest(),
             "totals": {
                 "wall_ms": self.total_wall_ms,
@@ -253,8 +261,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     n = ds.n
     init = cfg.init
 
-    # start(label) is the label's first iterate; newton_cg copies it, so one
-    # shared vector serves every label.
+    # Every start but aop's is one shared vector; np.array(w0s) copies it
+    # into each block's starts, so one vector serves every label.
     t_start = time.perf_counter()
     init_wall_ms = 0.0
     init_hvp_touches = 0
@@ -265,33 +273,24 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         with np.errstate(over="ignore"):
             aop_pre = AopPrecompute(xbar=stats.xbar, xbar_sq=stats.xbar_sq, n=stats.n)
         s, t = init.resolved_aop(cfg.loss)
-
-        def start(label: int) -> DenseVector:
-            p_count = int(stats.positives[label].size)
-            return aop_init(stats.pbar.row(label), p_count, aop_pre, s, t)
-
+    elif init.kind == "ovap":
+        all_neg = BinaryProblem(X, np.full(n, -1.0), cfg.loss, cfg.c)
+        # An overflow ends in a non-finite value, which the shared solve
+        # raises as a NumericalError. As in a label's solve, the last
+        # accepted iterate is kept: every label is still solved from it,
+        # and those that fail are reported as numerical_failure.
+        with np.errstate(over="ignore"):
+            try:
+                w_shared, ovap_trace = ovap_solve(all_neg, cfg.solver, init.ovap_stop_rel)
+            except NumericalError as err:
+                w_shared, ovap_trace = err.w_last, err.trace
+        init_wall_ms = (time.perf_counter() - t_start) * 1e3
+        init_hvp_touches = ovap_trace.hvp_touches
+        init_failure = ovap_trace.failure
+    elif init.kind == "bias":
+        w_shared = bias_init(ds.dim, ds.bias_index, init.bias_scale)
     else:
-        if init.kind == "ovap":
-            all_neg = BinaryProblem(X, np.full(n, -1.0), cfg.loss, cfg.c)
-            # An overflow ends in a non-finite value, which the shared solve
-            # raises as a NumericalError. As in a label's solve, the last
-            # accepted iterate is kept: every label is still solved from it,
-            # and those that fail are reported as numerical_failure.
-            with np.errstate(over="ignore"):
-                try:
-                    w_shared, ovap_trace = ovap_solve(all_neg, cfg.solver, init.ovap_stop_rel)
-                except NumericalError as err:
-                    w_shared, ovap_trace = err.w_last, err.trace
-            init_wall_ms = (time.perf_counter() - t_start) * 1e3
-            init_hvp_touches = ovap_trace.hvp_touches
-            init_failure = ovap_trace.failure
-        elif init.kind == "bias":
-            w_shared = bias_init(ds.dim, ds.bias_index, init.bias_scale)
-        else:
-            w_shared = zero_init(ds.dim)
-
-        def start(label: int) -> DenseVector:
-            return w_shared
+        w_shared = zero_init(ds.dim)
 
     def work(labels: range):
         """Solve one block of labels. Each label is charged its own set-up
@@ -306,7 +305,11 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                 signs = np.full(n, -1.0)
                 signs[stats.positives[label]] = 1.0
                 problems.append(BinaryProblem(X, signs, cfg.loss, cfg.c))
-                w0s.append(start(label))
+                if init.kind == "aop":
+                    p_count = int(stats.positives[label].size)
+                    w0s.append(aop_init(stats.pbar.row(label), p_count, aop_pre, s, t))
+                else:
+                    w0s.append(w_shared)
                 ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
                 refs.append(ref if np.isfinite(ref) else grad0_norm(problems[-1]))
                 own.append((time.perf_counter() - t0, time.thread_time() - c0))
@@ -338,23 +341,17 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             solved_blocks = list(pool.map(work, blocks))
     outcomes = [outcome for block in solved_blocks for outcome in block]
+    idx_parts, val_parts, results, traces = zip(*outcomes) if outcomes else ((),) * 4
+    # per outer iteration, the rows of the labels that reached it, in label order
+    iterations = [
+        [row for row in rows if row is not None]
+        for rows in itertools.zip_longest(*(trace.rows for trace in traces))
+    ]
 
-    idx_parts, val_parts, results = [], [], []
-    frac_sum: list[float] = []
-    step_sum: list[float] = []
-    counts: list[int] = []
-    for idx, val, result, trace in outcomes:
-        idx_parts.append(idx)
-        val_parts.append(val)
-        results.append(result)
-        for i, row in enumerate(trace.rows):
-            if i == len(frac_sum):
-                frac_sum.append(0.0)
-                step_sum.append(0.0)
-                counts.append(0)
-            frac_sum[i] += row.active_fraction
-            step_sum[i] += row.step_size
-            counts[i] += 1
+    def mean(values: list[float]) -> float:
+        # one addition at a time, in label order: sum() compensates float
+        # rounding from Python 3.12 on, so the means would vary by interpreter
+        return functools.reduce(operator.add, values, 0.0) / len(values)
 
     model = OvaModel(
         weights=SparseMatrix.stack(idx_parts, val_parts, ds.dim),
@@ -364,16 +361,16 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     report = TrainReport(
         config=cfg,
         dataset={"n": n, "dim": ds.dim, "n_labels": ds.n_labels, "digest": dataset_digest(ds)},
-        labels=results,
-        iter_active_fraction_mean=[s / c for s, c in zip(frac_sum, counts)],
-        iter_step_size_mean=[s / c for s, c in zip(step_sum, counts)],
-        iter_count=counts,
+        labels=list(results),
+        iter_active_fraction_mean=[mean([r.active_fraction for r in it]) for it in iterations],
+        iter_step_size_mean=[mean([r.step_size for r in it]) for it in iterations],
+        iter_count=[len(it) for it in iterations],
         total_wall_ms=(time.perf_counter() - t_start) * 1e3,
         total_hvp_touches=init_hvp_touches + sum(r.hvp_touches for r in results),
         init_wall_ms=init_wall_ms,
         init_hvp_touches=init_hvp_touches,
         init_failure=init_failure,
-        traces={j: trace for j, (*_, trace) in enumerate(outcomes)} if cfg.collect_traces else None,
+        traces=dict(enumerate(traces)) if cfg.collect_traces else None,
     )
     return model, report
 

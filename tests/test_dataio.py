@@ -235,6 +235,18 @@ class TestLabelStats:
 
 
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((10000, 2000, 200, 1.2, 5), "ba0e969e4a48fa59"),  # the benchmark's tail workload
+            ((300, 25, 40, 1.2, 11), "6acc151be07c413d"),
+            ((500, 50, 80, 0.8, 3), "7f3f12371d03933f"),
+            ((50, 2, 10, 2.0, 7), "04029f2ca35caa82"),  # more labels than signature features
+        ],
+    )
+    def test_output_is_pinned(self, args, digest):
+        assert dataset_digest(generate_synthetic(*args)) == digest
+
     def test_deterministic(self, tmp_path):
         a = generate_synthetic(150, 20, 8, 1.2, 42)
         b = generate_synthetic(150, 20, 8, 1.2, 42)

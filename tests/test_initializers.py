@@ -15,6 +15,7 @@ from xova.initializers import (
 from xova.losses import MarginLoss, active_set
 from xova.solver import BinaryProblem, SolverConfig, gradient, margins, objective
 from xova.sparse import SparseVector
+from xova.trainer import TrainConfig
 
 from conftest import make_matrix
 
@@ -36,10 +37,22 @@ class TestStrategy:
         st = InitStrategy(kind="aop", aop_s=2.0, aop_t=-1.0)
         assert st.resolved_aop(MarginLoss.LOGISTIC) == (2.0, -1.0)
 
-    def test_s_not_greater_than_t_warns(self):
+    def test_s_not_greater_than_t_warns(self, recwarn):
         st = InitStrategy(kind="aop", aop_s=-3.0, aop_t=-1.0)
-        with pytest.warns(UserWarning, match="margin targets"):
-            st.resolved_aop(MarginLoss.SQUARED_HINGE)
+        assert st.resolved_aop(MarginLoss.SQUARED_HINGE) == (-3.0, -1.0)
+        assert len(recwarn) == 0  # resolving the targets is pure
+        cfg = TrainConfig(init=st)
+        assert cfg.resolved_init_params() == {"s": -3.0, "t": -1.0}
+        assert cfg.digest()
+        [w] = recwarn.list  # once, at construction
+        assert issubclass(w.category, UserWarning) and "margin targets" in str(w.message)
+        assert w.filename == __file__
+
+    def test_no_warning_by_default(self, recwarn):
+        TrainConfig()
+        TrainConfig(init=InitStrategy(kind="aop"))
+        TrainConfig(init=InitStrategy(kind="zero", aop_s=-3.0, aop_t=-1.0))
+        assert len(recwarn) == 0
 
 
 class TestZeroAndBias:

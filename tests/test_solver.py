@@ -1,5 +1,5 @@
 import gc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,19 +49,28 @@ class TestConfig:
         assert cfg.ls_eta == 0.01
         assert cfg.ls_max_steps == 20
 
+    def test_only_the_settable_knobs_are_fields(self):
+        assert [f.name for f in fields(SolverConfig)] == [
+            "eps_outer", "eps_cg", "max_outer", "max_cg"
+        ]
+        with pytest.raises(TypeError):
+            SolverConfig(ls_beta=0.3)
+        assert SolverConfig().ls_beta == 0.5
+
     @pytest.mark.parametrize(
         "bad",
         [
             {"eps_outer": 0.0},
             {"eps_cg": -1.0},
-            {"ls_beta": 1.0},
-            {"ls_eta": 0.5},
-            {"precond_alpha": 1.5},
-            {"ls_max_steps": 0},
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
+            SolverConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [{"max_outer": 0}, {"max_cg": 0}])
+    def test_iteration_limits_validated(self, bad):
+        with pytest.raises(ConfigError, match="iteration limits"):
             SolverConfig(**bad)
 
 

@@ -284,11 +284,70 @@ class TestTrainOva:
         assert report.iter_active_fraction_mean[0] == 1.0
         assert report.iter_count[0] == len(report.labels)
 
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_iteration_means_add_in_label_order(self, small_data, kind):
+        ds, stats = small_data
+        cfg = TrainConfig(init=InitStrategy(kind), collect_traces=True)
+        _, report = train_ova(ds, stats, cfg)
+        depth = max(len(t.rows) for t in report.traces.values())
+        frac, step, count = [0.0] * depth, [0.0] * depth, [0] * depth
+        for j in range(ds.n_labels):
+            for i, row in enumerate(report.traces[j].rows):
+                frac[i] += row.active_fraction
+                step[i] += row.step_size
+                count[i] += 1
+        assert report.iter_count == count
+        assert report.iter_active_fraction_mean == [f / c for f, c in zip(frac, count)]
+        assert report.iter_step_size_mean == [s / c for s, c in zip(step, count)]
+
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_no_labels(self, small_data, kind):
+        ds, _ = small_data
+        empty = Dataset(ds.features, [np.zeros(0, dtype=np.int64)] * ds.n, 0, ds.bias_index)
+        cfg = TrainConfig(init=InitStrategy(kind))
+        model, report = train_ova(empty, compute_label_stats(empty), cfg)
+        assert (model.n_labels, model.dim) == (0, ds.dim)
+        assert report.labels == [] and report.iter_count == []
+        assert report.iter_active_fraction_mean == report.iter_step_size_mean == []
+
     def test_config_digest_sensitivity(self):
         a = TrainConfig()
         b = TrainConfig(clip_threshold=0.5)
         assert a.digest() == TrainConfig().digest()
         assert a.digest() != b.digest()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"loss": MarginLoss.LOGISTIC},
+            {"init": InitStrategy("bias")},
+            {"init": InitStrategy("bias", bias_scale=2.0)},
+            {"init": InitStrategy("ovap", ovap_stop_rel=0.1)},
+            {"init": InitStrategy("aop", aop_s=2.0)},
+            {"solver": SolverConfig(eps_outer=0.02)},
+            {"solver": SolverConfig(eps_cg=0.1)},
+            {"solver": SolverConfig(max_outer=7)},
+            {"solver": SolverConfig(max_cg=9)},
+            {"c": 2.0},
+            {"clip_threshold": 0.0},
+            {"seed": 3},
+        ],
+    )
+    def test_digest_covers_every_setting_but_threads(self, change):
+        base = TrainConfig()
+        assert replace(base, **change).digest() != base.digest()
+        assert replace(base, **change, threads=4).digest() == replace(base, **change).digest()
+        assert replace(base, collect_traces=True).digest() == base.digest()
+
+    def test_settings_are_the_report_keys(self, small_data):
+        ds, stats = small_data
+        cfg = TrainConfig(init=InitStrategy("aop"), threads=2, seed=4)
+        report = train_ova(ds, stats, cfg)[1].to_json_dict()
+        settings = cfg.settings()
+        keys = list(report)
+        assert list(settings) == keys[keys.index("loss") : keys.index("seed") + 1]
+        assert all(report[k] == v for k, v in settings.items())
+        assert list(settings["solver"]) == ["eps_outer", "eps_cg", "max_outer", "max_cg"]
 
     def test_stats_mismatch_rejected(self, small_data):
         ds, stats = small_data
