@@ -19,7 +19,7 @@ from .dataio import (
     write_xmc_dataset,
 )
 from .initializers import AopPrecompute, InitStrategy, aop_init, bias_init, zero_init
-from .losses import ActiveSet, MarginLoss, active_set, ddphi, dphi, phi
+from .losses import MarginLoss, active_set, ddphi, dphi, phi
 from .metrics import EvalResult, evaluate, macro_binary_pr, precision_at_k
 from .solver import (
     BinaryProblem,
@@ -45,7 +45,6 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSet",
     "AopPrecompute",
     "BinaryProblem",
     "Dataset",

@@ -62,8 +62,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps-cg", type=float, default=defaults.solver.eps_cg)
     p.add_argument("--clip", type=float, default=defaults.clip_threshold)
     p.add_argument("--threads", type=int, default=defaults.threads)
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded in the config digest; training itself is deterministic")
     p.add_argument("--no-augment", action="store_true",
                    help="skip the bias-feature augmentation of the input data")
     p.add_argument("--model-out", required=True)
@@ -136,7 +134,6 @@ def _cmd_train(args) -> int:
         c=args.c,
         clip_threshold=args.clip,
         threads=args.threads,
-        seed=args.seed,
     )
     marks = [time.perf_counter()]
     ds = load_xmc_dataset(args.data)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ConfigError, DimensionMismatchError, InvalidEntryError, ParseError
 from .sparse import DenseVector, SparseMatrix
@@ -222,21 +223,10 @@ def augment_bias(ds: Dataset) -> Dataset:
     """Append a constant-1 bias feature at index ``d`` (the new last column)."""
     if ds.bias_index is not None:
         raise ConfigError("dataset is already bias-augmented")
-    X = ds.features
-    n = X.n_rows
-    d = X.n_cols
-    new_indptr = X.indptr + np.arange(n + 1, dtype=np.int64)
-    new_nnz = X.nnz + n
-    new_indices = np.empty(new_nnz, dtype=np.int64)
-    new_data = np.empty(new_nnz, dtype=np.float64)
-    bias_pos = new_indptr[1:] - 1
-    keep = np.ones(new_nnz, dtype=bool)
-    keep[bias_pos] = False
-    new_indices[keep] = X.indices
-    new_data[keep] = X.data
-    new_indices[bias_pos] = d
-    new_data[bias_pos] = 1.0
-    features = SparseMatrix(new_indptr, new_indices, new_data, d + 1, validate=False)
+    X, d = ds.features, ds.dim
+    ones = scipy.sparse.csr_matrix(np.ones((X.n_rows, 1)))
+    csr = scipy.sparse.hstack([X.to_scipy(), ones], format="csr")
+    features = SparseMatrix(csr.indptr, csr.indices, csr.data, d + 1, validate=False)
     return Dataset(features=features, labels=ds.labels, n_labels=ds.n_labels, bias_index=d)
 
 
@@ -265,7 +255,7 @@ def compute_label_stats(ds: Dataset) -> LabelStats:
     means = sums.data / np.repeat(counts, np.diff(sums.indptr))
     pbar = SparseMatrix(sums.indptr, sums.indices, means, X.n_cols, validate=False)
 
-    xbar = X.column_sums() / n
+    xbar = X.rmatvec(np.ones(n)) / n
     # Only the aop start reads xbar_sq; an overflow makes every aop start
     # non-finite, which each label's solve reports as numerical_failure.
     with np.errstate(over="ignore"):

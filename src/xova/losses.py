@@ -12,7 +12,6 @@ numpy array of margins and return the same shape.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -74,21 +73,11 @@ def ddphi(loss: MarginLoss, m):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Sorted instance indices with a nonzero curvature contribution."""
-
-    indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.shape[0])
-
-
-def active_set(loss: MarginLoss, margins: np.ndarray) -> ActiveSet:
-    """Instances that contribute to the Hessian at the given margins."""
+def active_set(loss: MarginLoss, margins: np.ndarray) -> np.ndarray:
+    """Sorted int64 indices of the instances that contribute to the Hessian
+    at the given margins."""
     if loss is MarginLoss.SQUARED_HINGE:
         idx = np.flatnonzero(margins < 1.0)
     else:
         idx = np.arange(margins.shape[0], dtype=np.int64)
-    return ActiveSet(idx.astype(np.int64, copy=False))
+    return idx.astype(np.int64, copy=False)

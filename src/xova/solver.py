@@ -37,7 +37,7 @@ import numpy as np
 
 from . import losses
 from .errors import ConfigError, DimensionMismatchError, NumericalError
-from .losses import ActiveSet, MarginLoss
+from .losses import MarginLoss
 from .sparse import DenseVector, SparseMatrix
 
 TERM_CONVERGED = "converged"
@@ -259,18 +259,18 @@ def grad0_norm(problem: BinaryProblem) -> float:
 
 
 def hessian_vec(
-    problem: BinaryProblem, w: DenseVector, d: DenseVector, active: ActiveSet
+    problem: BinaryProblem, w: DenseVector, d: DenseVector, active: np.ndarray
 ) -> DenseVector:
-    """``d + C * sum_{i in A} phi''(margin_i) * <x_i, d> * x_i``.
+    """``d + C * sum_{i in A} phi''(margin_i) * <x_i, d> * x_i`` over the
+    row indices ``active`` (:func:`losses.active_set` at ``w``'s margins).
 
     The leading ``d`` is the L2-regularizer block; the label signs square
     away inside the curvature term.
     """
     if d.shape[0] != problem.dim:
         raise DimensionMismatchError(f"direction length {d.shape[0]} != dim {problem.dim}")
-    idx = active.indices
-    dd = _curvature(problem.loss, problem.c, margins(problem, w), idx)
-    return _hvp(problem.features, [idx], [dd], d[None], [0])[0]
+    dd = _curvature(problem.loss, problem.c, margins(problem, w), active)
+    return _hvp(problem.features, [active], [dd], d[None], [0])[0]
 
 
 def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) -> CgBlock:
@@ -356,11 +356,6 @@ def backtracking_search(
     return 0.0, False
 
 
-def _compute_active(loss: MarginLoss, m: np.ndarray) -> np.ndarray:
-    """Active instance indices for the current margins (monkeypatchable in tests)."""
-    return losses.active_set(loss, m).indices
-
-
 def newton_cg(
     problem: BinaryProblem,
     w0: DenseVector,
@@ -442,7 +437,7 @@ def newton_cg_block(
         labels that took a step. Labels are block positions, and every
         per-label value is keyed by its label."""
         # margins -> active set -> gradient -> stopping test
-        idx = {k: _compute_active(loss, M[k]) for k in live}
+        idx = {k: losses.active_set(loss, M[k]) for k in live}
         coef = (_grad_coef(loss, c, M[k], S[k], idx[k]) for k in live)
         G = dict(zip(live, _gradient(X, W[live], list(idx.values()), coef)))
         gnorm = {k: float(np.linalg.norm(G[k])) for k in live}

@@ -195,9 +195,6 @@ class SparseMatrix:
             self._csc_sq = scipy.sparse.csr_matrix(squared, shape=self._csr.shape, copy=False).T
         return self._csc_sq @ coef
 
-    def column_sums(self) -> DenseVector:
-        return self.rmatvec(np.ones(self.n_rows, dtype=np.float64))
-
     def submatrix(self, rows: np.ndarray) -> "SparseMatrix":
         """Row-selection copy. Selecting every row returns ``self``."""
         rows = np.asarray(rows, dtype=np.int64)

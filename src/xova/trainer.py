@@ -71,7 +71,6 @@ class TrainConfig:
     clip_threshold: float = 0.01
     threads: int = 1
     collect_traces: bool = False
-    seed: int | None = None  # recorded for provenance; training is deterministic anyway
 
     def __post_init__(self):
         if not 0.0 <= self.clip_threshold < np.inf:
@@ -109,7 +108,6 @@ class TrainConfig:
             "c": self.c,
             "clip_threshold": self.clip_threshold,
             "threads": self.threads,
-            "seed": self.seed,
         }
 
     def digest(self) -> str:

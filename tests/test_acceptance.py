@@ -150,7 +150,7 @@ def test_criterion_1_gradient_and_hvp_correctness():
         act = active_set(loss, m)
         D = dense_matrix(p.features)
         H = np.eye(d)
-        for i in act.indices:
+        for i in act:
             H += p.c * ddphi(loss, m[i]) * np.outer(D[i], D[i])
         v = rng.normal(0, 1, d)
         worst_hvp = max(worst_hvp, float(np.max(np.abs(hessian_vec(p, w, v, act) - H @ v))))

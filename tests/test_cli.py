@@ -105,7 +105,7 @@ class TestTrain:
         report = json.loads((workdir / "report.json").read_text())
         assert list(report) == [
             "format", "dataset", "loss", "init", "init_params", "solver", "c",
-            "clip_threshold", "threads", "seed", "config_digest", "totals", "phases", "iterations",
+            "clip_threshold", "threads", "config_digest", "totals", "phases", "iterations",
             "labels",
         ]
         assert list(report["phases"]) == ["parse_ms", "stats_ms", "train_ms", "save_ms"]
@@ -263,6 +263,14 @@ class TestTrain:
     def test_usage_error_exit_1(self):
         assert main(["train", "--loss", "squared-hinge"]) == 1
         assert main(["train", "--data", "x", "--model-out", "y", "--loss", "bogus"]) == 1
+
+    def test_train_takes_no_seed(self, workdir, tmp_path, capsys):
+        # training is deterministic, so there is no seed to set
+        model = tmp_path / "m.model"
+        rc = main(train_args(workdir, **{"--model-out": str(model), "--seed": "3"}))
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not model.exists()
 
 
 @pytest.fixture(scope="module")

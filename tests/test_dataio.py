@@ -177,6 +177,23 @@ class TestAugmentBias:
         ds = Dataset(make_matrix([{0: 0.5}], 3), [np.array([0])], 1)
         assert augment_bias(ds).labels is ds.labels
 
+    @pytest.mark.parametrize(
+        "text, indptr, indices, data",
+        [
+            ("0 6 5\n", [0], [], []),
+            ("3 4 2\n0 1:2.0 3:1.5\n1 \n0,1 0:1.0\n", [0, 3, 4, 6], [1, 3, 4, 4, 0, 4],
+             [2.0, 1.5, 1.0, 1.0, 1.0, 1.0]),
+        ],
+        ids=["no-rows", "row-without-features"],
+    )
+    def test_exact_arrays(self, tmp_path, text, indptr, indices, data):
+        out = augment_bias(load_xmc_dataset(write(tmp_path, text)))
+        X = out.features
+        assert out.bias_index == X.n_cols - 1 == int(text.split()[1])
+        assert X.indptr.tolist() == indptr
+        assert X.indices.tolist() == indices
+        assert X.data.tolist() == data
+
 
 class TestLabelStats:
     def three_point(self):

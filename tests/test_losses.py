@@ -111,11 +111,11 @@ class TestQuadApproxError:
 class TestActiveSet:
     def test_squared_hinge_strict_inequality(self):
         m = np.array([0.5, 1.0, 1.5])
-        assert active_set(SQH, m).indices.tolist() == [0]
+        assert active_set(SQH, m).tolist() == [0]
 
     def test_logistic_always_full(self):
         m = np.array([100.0, -100.0, 0.0])
-        assert active_set(LOG, m).indices.tolist() == [0, 1, 2]
+        assert active_set(LOG, m).tolist() == [0, 1, 2]
 
     def test_completeness_squared_hinge(self, rng):
         # instances outside the active set contribute exactly zero to value,
@@ -125,6 +125,6 @@ class TestActiveSet:
         assert np.all(phi(SQH, m[inactive]) == 0.0)
         assert np.all(dphi(SQH, m[inactive]) == 0.0)
         assert np.all(ddphi(SQH, m[inactive]) == 0.0)
-        act = active_set(SQH, m).indices
+        act = active_set(SQH, m)
         assert np.sum(phi(SQH, m)) == pytest.approx(np.sum(phi(SQH, m[act])), rel=1e-12)
         assert np.sum(dphi(SQH, m)) == pytest.approx(np.sum(dphi(SQH, m[act])), rel=1e-12)

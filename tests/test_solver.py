@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import xova.losses as losses_mod
 import xova.solver as solver_mod
 from xova.errors import ConfigError, NumericalError
 from xova.losses import MarginLoss, active_set
@@ -159,7 +160,7 @@ class TestHessianVec:
             from xova.losses import ddphi
 
             H = np.eye(d)
-            for i in act.indices:
+            for i in act:
                 H += p.c * ddphi(loss, m[i]) * np.outer(D[i], D[i])
             v = rng.normal(0, 1, d)
             np.testing.assert_allclose(hessian_vec(p, w, v, act), H @ v, atol=1e-10)
@@ -186,7 +187,7 @@ def block_kernels(problems, ws, ds):
     """Each label's active-row gradient and HVP, from one block product each."""
     X = problems[0].features
     m = [margins(q, w) for q, w in zip(problems, ws)]
-    idx = [active_set(q.loss, mk).indices for q, mk in zip(problems, m)]
+    idx = [active_set(q.loss, mk) for q, mk in zip(problems, m)]
     labels = list(zip(problems, m, idx))
     coef = [solver_mod._grad_coef(q.loss, q.c, mk, q.signs, i) for q, mk, i in labels]
     dd = [solver_mod._curvature(q.loss, q.c, mk, i) for q, mk, i in labels]
@@ -236,7 +237,7 @@ class TestActiveRows:
         p = BinaryProblem(X, np.array([1.0, 1.0, -1.0]))
         w = np.array([1.0, 0.0])
         act = active_set(SQH, margins(p, w))
-        assert act.indices.tolist() == [1, 2]
+        assert act.tolist() == [1, 2]
         d = np.array([1e160, 1.0])
         assert hessian_vec(p, w, d, act).tolist() == [1e160, 5.0]
         # beside a label for which row 0 is active
@@ -356,7 +357,7 @@ class TestNewtonCg:
         same_values = SparseMatrix(X.indptr.copy(), X.indices.copy(), X.data.copy(), X.n_cols)
         assert same_values == X
         steps = []
-        monkeypatch.setattr(solver_mod, "_compute_active", lambda *a: steps.append(a))
+        monkeypatch.setattr(losses_mod, "active_set", lambda *a: steps.append(a))
         for other in (
             BinaryProblem(same_values, p.signs, p.loss, p.c),
             BinaryProblem(X, p.signs, LOG, p.c),
@@ -410,7 +411,7 @@ class TestNewtonCg:
             cfg = SolverConfig(eps_outer=1e-6)
             w_active, _ = newton_cg(p, np.zeros(10), cfg, g0)
             with monkeypatch.context() as mp:
-                mp.setattr(solver_mod, "_compute_active", every_row)
+                mp.setattr(losses_mod, "active_set", every_row)
                 w_full, _ = newton_cg(p, np.zeros(10), cfg, g0)
             fa = objective(p, w_active)
             ff = objective(p, w_full)
@@ -427,13 +428,13 @@ class TestNewtonCg:
 
     def test_active_set_recomputed_once_per_step(self, rng, monkeypatch):
         calls = {"n": 0}
-        real = solver_mod._compute_active
+        real = losses_mod.active_set
 
         def counting(loss, m):
             calls["n"] += 1
             return real(loss, m)
 
-        monkeypatch.setattr(solver_mod, "_compute_active", counting)
+        monkeypatch.setattr(losses_mod, "active_set", counting)
         p = random_problem(rng, n=40, d=8, loss=SQH)
         _, trace = newton_cg(p, np.zeros(8), SolverConfig(), grad0_ref(p))
         assert trace.termination == TERM_CONVERGED

@@ -195,7 +195,3 @@ class TestSparseMatrix:
         assert X.row(1).indices.size == 0
         with pytest.raises(IndexError):
             X.row(2)
-
-    def test_column_sums(self):
-        X = make_matrix([{0: 1.0}, {0: 2.0, 1: 1.0}], 2)
-        np.testing.assert_allclose(X.column_sums(), [3.0, 1.0])

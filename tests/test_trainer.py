@@ -316,6 +316,12 @@ class TestTrainOva:
         assert a.digest() == TrainConfig().digest()
         assert a.digest() != b.digest()
 
+    def test_default_digests_are_pinned(self):
+        # a model's config_digest names its settings across versions; a new
+        # or removed setting changes every digest
+        assert TrainConfig().digest() == "d9d21dbba16c"
+        assert TrainConfig(init=InitStrategy("aop")).digest() == "2f13c119c1a1"
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -330,7 +336,6 @@ class TestTrainOva:
             {"solver": SolverConfig(max_cg=9)},
             {"c": 2.0},
             {"clip_threshold": 0.0},
-            {"seed": 3},
         ],
     )
     def test_digest_covers_every_setting_but_threads(self, change):
@@ -341,11 +346,11 @@ class TestTrainOva:
 
     def test_settings_are_the_report_keys(self, small_data):
         ds, stats = small_data
-        cfg = TrainConfig(init=InitStrategy("aop"), threads=2, seed=4)
+        cfg = TrainConfig(init=InitStrategy("aop"), threads=2)
         report = train_ova(ds, stats, cfg)[1].to_json_dict()
         settings = cfg.settings()
         keys = list(report)
-        assert list(settings) == keys[keys.index("loss") : keys.index("seed") + 1]
+        assert list(settings) == keys[keys.index("loss") : keys.index("threads") + 1]
         assert all(report[k] == v for k, v in settings.items())
         assert list(settings["solver"]) == ["eps_outer", "eps_cg", "max_outer", "max_cg"]
 
