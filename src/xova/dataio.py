@@ -4,10 +4,10 @@ The on-disk format is the plain-text multi-label format used by the public
 extreme-classification benchmark files: a header line ``n d l`` followed by
 one line per instance, ``lbl,lbl,... f:v f:v ...`` with 0-based ids. The
 label field ends at the first space or tab; an empty one is written as a
-leading space. The ``f:v`` rows share their syntax with the model file,
-and :func:`parse_pairs` and :func:`format_row` read and write them for
-both. Parsing is strict: no comments, no digit separators or non-ASCII
-digits, and every malformed token is reported with its line number.
+leading space. :func:`parse_pairs` and :func:`format_row` read and write
+the ``f:v`` pairs of a row. Parsing is strict: no comments, no digit
+separators or non-ASCII digits, and every malformed token is reported with
+its line number.
 """
 
 from __future__ import annotations
@@ -80,17 +80,15 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     return n, d, l
 
 
-def reject_bad_characters(line: str, error: type, lineno: int) -> None:
-    """Raise ``error`` for characters that the file formats never use but
+def reject_bad_characters(line: str, lineno: int) -> None:
+    """Raise a ParseError for characters that the format never uses but
     that Python's ``int`` and ``float`` accept: the digit separator ``_``
     and anything non-ASCII (digits of other scripts, Unicode spaces)."""
     if not line.isascii() or "_" in line:
-        raise error("invalid character: digit separator '_' or non-ASCII", lineno)
+        raise ParseError("invalid character: digit separator '_' or non-ASCII", lineno)
 
 
-def parse_pairs(
-    tokens: list[str], error: type, lineno: int, what: str
-) -> tuple[np.ndarray, np.ndarray]:
+def parse_pairs(tokens: list[str], lineno: int) -> tuple[np.ndarray, np.ndarray]:
     """The index and value arrays of one line's ``idx:val`` tokens, in the
     order given. Only the syntax is checked here; ranges, repeats and
     non-finite values are checked once the lines form one matrix.
@@ -108,15 +106,15 @@ def parse_pairs(
         and joined.count(":") == 2 * len(tokens) - 1
     ):
         bad = next(tok for tok in tokens if tok.count(":") != 1)
-        raise error(f"invalid {what} token {bad!r}, expected index:value", lineno)
+        raise ParseError(f"invalid feature token {bad!r}, expected index:value", lineno)
     flat = joined.split(":")
     try:
         idx = np.array(flat[0::2], dtype=np.int64)
         val = np.array(flat[1::2], dtype=np.float64)
     except ValueError as err:
-        raise error(f"non-numeric {what} index or value ({err})", lineno) from None
+        raise ParseError(f"non-numeric feature index or value ({err})", lineno) from None
     except OverflowError:
-        raise error(f"{what} index beyond the int64 range", lineno) from None
+        raise ParseError("feature index beyond the int64 range", lineno) from None
     return idx, val
 
 
@@ -157,7 +155,7 @@ def load_xmc_dataset(path) -> Dataset:
         header = fh.readline()
         if not header:
             raise ParseError("empty file, expected 'n d l' header", 1)
-        reject_bad_characters(header, ParseError, 1)
+        reject_bad_characters(header, 1)
         n, d, l = _parse_header(header, 1)
 
         label_parts: list[np.ndarray] = []
@@ -165,12 +163,12 @@ def load_xmc_dataset(path) -> Dataset:
         val_parts: list[np.ndarray] = []
         for lineno, line in zip(range(2, n + 2), fh):
             line = line.rstrip("\r\n")
-            reject_bad_characters(line, ParseError, lineno)
+            reject_bad_characters(line, lineno)
             # a line that starts with a space or a tab has no labels
             label_field = line.split(" ", 1)[0].split("\t", 1)[0]
             rest = line[len(label_field):]
             label_parts.append(_parse_label_ids(label_field, lineno))
-            idx, val = parse_pairs(rest.split(), ParseError, lineno, "feature")
+            idx, val = parse_pairs(rest.split(), lineno)
             idx_parts.append(idx)
             val_parts.append(val)
         if len(idx_parts) < n:
@@ -183,7 +181,10 @@ def load_xmc_dataset(path) -> Dataset:
 
     features = _stack_data_rows(idx_parts, val_parts, d, "feature index", f"dimension {d}")
     Y = _stack_data_rows(label_parts, None, l, "label id", f"{l} labels")
-    reject_non_finite(features, ParseError, "value")
+    try:
+        reject_non_finite(features, "value")
+    except InvalidEntryError as err:
+        raise ParseError(str(err), err.row + 2) from None
     label_ids = Y.indices.astype(np.int64)
     label_ids.flags.writeable = False
     bounds = Y.indptr.tolist()
@@ -191,15 +192,15 @@ def load_xmc_dataset(path) -> Dataset:
     return Dataset(features=features, labels=labels, n_labels=l)
 
 
-def reject_non_finite(X: SparseMatrix, error: type, what: str) -> None:
-    """Raise ``error`` for the first non-finite value of ``X``, read from a
-    file that holds row ``i`` on line ``i + 2``."""
+def reject_non_finite(X: SparseMatrix, what: str) -> None:
+    """Raise an InvalidEntryError, naming the row and the column, for the
+    first non-finite value of ``X``."""
     finite = np.isfinite(X.data)
     if not finite.all():
         pos = int(np.argmin(finite))
         row = int(np.searchsorted(X.indptr, pos, side="right")) - 1
         value, feature = float(X.data[pos]), int(X.indices[pos])
-        raise error(f"non-finite {what} {value} for feature {feature}", row + 2)
+        raise InvalidEntryError(f"non-finite {what} {value} for feature {feature}", row, feature)
 
 
 def write_xmc_dataset(ds: Dataset, path) -> None:
@@ -225,8 +226,7 @@ def augment_bias(ds: Dataset) -> Dataset:
         raise ConfigError("dataset is already bias-augmented")
     X, d = ds.features, ds.dim
     ones = scipy.sparse.csr_matrix(np.ones((X.n_rows, 1)))
-    csr = scipy.sparse.hstack([X.to_scipy(), ones], format="csr")
-    features = SparseMatrix(csr.indptr, csr.indices, csr.data, d + 1, validate=False)
+    features = SparseMatrix.from_scipy(scipy.sparse.hstack([X.to_scipy(), ones], format="csr"))
     return Dataset(features=features, labels=ds.labels, n_labels=ds.n_labels, bias_index=d)
 
 
@@ -252,8 +252,8 @@ def compute_label_stats(ds: Dataset) -> LabelStats:
     counts = np.diff(yt.indptr)
     sums = yt @ X.to_scipy()
     sums.sort_indices()
-    means = sums.data / np.repeat(counts, np.diff(sums.indptr))
-    pbar = SparseMatrix(sums.indptr, sums.indices, means, X.n_cols, validate=False)
+    sums.data /= np.repeat(counts, np.diff(sums.indptr))
+    pbar = SparseMatrix.from_scipy(sums)
 
     xbar = X.rmatvec(np.ones(n)) / n
     # Only the aop start reads xbar_sq; an overflow makes every aop start
@@ -371,9 +371,7 @@ def generate_synthetic(
         val_parts.append(np.asarray([v for _, v in rows[i]], dtype=np.float64))
         indptr[i + 1] = indptr[i] + len(rows[i])
 
-    features = SparseMatrix(
-        indptr, np.concatenate(idx_parts), np.concatenate(val_parts), d, validate=False
-    )
+    features = SparseMatrix(indptr, np.concatenate(idx_parts), np.concatenate(val_parts), d)
     label_arrays = [np.asarray(sorted(lbls), dtype=np.int64) for lbls in labels]
     return Dataset(features=features, labels=label_arrays, n_labels=l)
 

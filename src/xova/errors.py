@@ -10,7 +10,8 @@ class DimensionMismatchError(XovaError, ValueError):
 
 
 class InvalidEntryError(XovaError, ValueError):
-    """A sparse matrix entry whose column is out of range or out of order in its row."""
+    """A sparse matrix entry whose column is out of range or out of order in
+    its row, or whose value is not finite."""
 
     def __init__(self, message: str, row: int, col: int):
         super().__init__(message)
@@ -18,22 +19,16 @@ class InvalidEntryError(XovaError, ValueError):
         self.col = col
 
 
-class TextFormatError(XovaError, ValueError):
-    """A text file violates its format, at ``line`` where one is given."""
+class ParseError(XovaError, ValueError):
+    """A data file violates the text format, at ``line``."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 
-class ParseError(TextFormatError):
-    """A data file violates the expected text format."""
-
-
-class ModelFormatError(TextFormatError):
-    """A model file violates the expected text format."""
+class ModelFormatError(XovaError, ValueError):
+    """A model file violates the model format."""
 
 
 class ConfigError(XovaError, ValueError):

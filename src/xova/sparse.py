@@ -64,12 +64,13 @@ class SparseMatrix:
     """Row-compressed matrix, shared read-only; iterating yields its rows.
 
     Arrays passed to the constructor are adopted and frozen wherever scipy
-    keeps them; callers must not keep writable references. Validation raises
-    :class:`InvalidEntryError`, naming the row and the column index, for a
-    column index that is out of range or not strictly increasing within its
-    row; it checks the arrays as given, before scipy narrows them, so an
-    index beyond the int32 range is still out of range. The matrix is one
-    scipy CSR built here: ``indptr``, ``indices`` and ``data`` are its
+    keeps them; callers must not keep writable references. The constructor
+    validates them: it raises :class:`InvalidEntryError`, naming the row and
+    the column index, for a column index that is out of range or not
+    strictly increasing within its row; it checks the arrays as given,
+    before scipy narrows them, so an index beyond the int32 range is still
+    out of range. :meth:`from_scipy` adopts a CSR matrix unchecked. The
+    matrix is one scipy CSR: ``indptr``, ``indices`` and ``data`` are its
     arrays, the index arrays in scipy's index dtype (int32 unless the shape
     or the nonzero count needs int64). Its transpose is a CSC view of the
     same arrays, built once; the transpose of its elementwise square is built
@@ -82,33 +83,42 @@ class SparseMatrix:
 
     __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr", "_csc", "_csc_sq")
 
-    def __init__(self, indptr, indices, data, n_cols: int, *, validate: bool = True):
+    def __init__(self, indptr, indices, data, n_cols: int):
         indptr = np.ascontiguousarray(indptr)
         indices = np.ascontiguousarray(indices)
         data = np.ascontiguousarray(data, dtype=np.float64)
         if indptr.ndim != 1 or indptr.size < 1:
             raise ValueError("indptr must be a 1-d array with at least one entry")
         n_rows = indptr.shape[0] - 1
-        if validate:
-            if indptr[0] != 0:
-                raise ValueError("indptr must start at 0")
-            if np.any(np.diff(indptr) < 0):
-                raise ValueError("row offsets must be monotone non-decreasing")
-            if indptr[-1] != indices.shape[0] or indices.shape[0] != data.shape[0]:
-                raise ValueError("final offset must equal the number of nonzeros")
-            if indices.size:
-                bad = (indices < 0) | (indices >= n_cols)
-                row_start = np.zeros(indices.shape[0], dtype=bool)
-                row_start[indptr[:-1][np.diff(indptr) > 0]] = True
-                bad[1:] |= (np.diff(indices) <= 0) & ~row_start[1:]
-                if bad.any():
-                    pos = int(np.argmax(bad))
-                    j = int(indices[pos])
-                    what = "out of range" if not 0 <= j < n_cols else "repeated or out of order"
-                    row = int(np.searchsorted(indptr, pos, side="right")) - 1
-                    raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row, j)
+        if indptr[0] != 0:
+            raise ValueError("indptr must start at 0")
+        # compared, not subtracted: a difference of int64 offsets can wrap
+        if np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("row offsets must be monotone non-decreasing")
+        if indptr[-1] != indices.shape[0] or indices.shape[0] != data.shape[0]:
+            raise ValueError("final offset must equal the number of nonzeros")
+        if indices.size:
+            bad = (indices < 0) | (indices >= n_cols)
+            row_start = np.zeros(indices.shape[0], dtype=bool)
+            row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+            bad[1:] |= (np.diff(indices) <= 0) & ~row_start[1:]
+            if bad.any():
+                pos = int(np.argmax(bad))
+                j = int(indices[pos])
+                what = "out of range" if not 0 <= j < n_cols else "repeated or out of order"
+                row = int(np.searchsorted(indptr, pos, side="right")) - 1
+                raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row, j)
         csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols), copy=False)
         self._adopt(csr)
+
+    @classmethod
+    def from_scipy(cls, csr: scipy.sparse.csr_matrix) -> "SparseMatrix":
+        """``csr`` itself, unchecked and frozen: for a CSR matrix the package
+        built, with float64 data and each row's indices in range and
+        strictly increasing."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(csr)
+        return matrix
 
     def _adopt(self, csr: scipy.sparse.csr_matrix) -> None:
         for arr in (csr.indptr, csr.indices, csr.data):
@@ -202,9 +212,7 @@ class SparseMatrix:
             rows, np.arange(self.n_rows, dtype=np.int64)
         ):
             return self
-        sub = SparseMatrix.__new__(SparseMatrix)
-        sub._adopt(self._csr[rows])
-        return sub
+        return SparseMatrix.from_scipy(self._csr[rows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):

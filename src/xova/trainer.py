@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import operator
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -24,10 +25,7 @@ import numpy as np
 
 from . import losses
 from . import solver as solver_mod
-from .dataio import (
-    MAX_COUNT, Dataset, LabelStats, dataset_digest, format_row, parse_pairs,
-    reject_bad_characters, reject_non_finite,
-)
+from .dataio import MAX_COUNT, Dataset, LabelStats, dataset_digest, reject_non_finite
 from .errors import (
     ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError, NumericalError
 )
@@ -45,7 +43,7 @@ from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL, gr
 from .sparse import SparseMatrix
 
 MODEL_MAGIC = "xova"
-MODEL_VERSION = "v1"
+MODEL_VERSION = "v2"
 # Rows of X scored at once: the dense score block is this many rows by L,
 # whatever the chunk size below (README, "Prediction and evaluation").
 _BLOCK_ROWS = 512
@@ -117,18 +115,14 @@ class TrainConfig:
 
 
 @dataclass
-class ModelMeta:
-    loss: str
-    init: str
-
-
-@dataclass
 class OvaModel:
-    """Label weights, one row per label of an L x d matrix, plus training metadata."""
+    """Label weights, one row per label of an L x d matrix, and the loss and
+    init tokens of the training run."""
 
     weights: SparseMatrix
     bias_index: int | None
-    meta: ModelMeta
+    loss: str
+    init: str
 
     @property
     def n_labels(self) -> int:
@@ -354,7 +348,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     model = OvaModel(
         weights=SparseMatrix.stack(idx_parts, val_parts, ds.dim),
         bias_index=ds.bias_index,
-        meta=ModelMeta(loss=cfg.loss.token, init=init.kind),
+        loss=cfg.loss.token,
+        init=init.kind,
     )
     report = TrainReport(
         config=cfg,
@@ -462,88 +457,71 @@ def predict_topk(model: OvaModel, X: SparseMatrix, k: int) -> list[list[tuple[in
 
 
 def save_model(model: OvaModel, path) -> None:
-    """Text serialization; weight values at 17 significant digits round-trip exactly."""
+    """Write the model as one ASCII header line and W's CSR arrays
+    (README, "Model format"); the same model gives the same bytes."""
     W = model.weights
     bias = -1 if model.bias_index is None else model.bias_index
-    bounds = W.indptr.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{MODEL_MAGIC} {MODEL_VERSION} {model.n_labels} {model.dim} "
-            f"{bias} {model.meta.loss} {model.meta.init}\n"
-        )
-        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            fh.write(format_row(f"{j} {hi - lo}", W.indices[lo:hi], W.data[lo:hi]) + "\n")
+    header = (
+        f"{MODEL_MAGIC} {MODEL_VERSION} {model.n_labels} {model.dim} {W.nnz} {bias} "
+        f"{model.loss} {model.init}\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        np.asarray(W.indptr, dtype="<i8").tofile(fh)
+        np.asarray(W.indices, dtype="<i8").tofile(fh)
+        np.asarray(W.data, dtype="<f8").tofile(fh)
 
 
 def load_model(path) -> OvaModel:
-    """Parse a model file; every malformed, out-of-range or non-finite entry is
-    reported with its line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ModelFormatError("empty model file", 1)
-        reject_bad_characters(header, ModelFormatError, 1)
-        parts = header.split()
-        if len(parts) != 7:
-            raise ModelFormatError(f"malformed header {header.strip()!r}", 1)
-        magic, version, n_labels_s, dim_s, bias_s, loss_token, init_token = parts
+    """Read a model file. A malformed header, a file length other than the
+    header's arrays need, bad row offsets, and an invalid or non-finite
+    weight are each a ModelFormatError; a weight's error names its label."""
+    with open(path, "rb") as fh:
+        # A header is under 128 bytes; the cap bounds what a file without one costs.
+        header = fh.readline(256)
+        if not header.isascii() or b"_" in header:
+            raise ModelFormatError("invalid header character: digit separator '_' or non-ASCII")
+        parts = header.decode("ascii").split()
+        magic, version = (parts + ["", ""])[:2]
         if magic != MODEL_MAGIC:
-            raise ModelFormatError(f"not a model file (magic {magic!r})", 1)
+            raise ModelFormatError(f"not a model file (magic {magic!r})")
         if version != MODEL_VERSION:
             raise ModelFormatError(
-                f"unsupported model version {version!r}, expected {MODEL_VERSION!r}", 1
+                f"unsupported model version {version!r}, expected {MODEL_VERSION!r}"
             )
+        if len(parts) != 8 or not header.endswith(b"\n"):
+            raise ModelFormatError(f"malformed header {header[:80]!r}")
+        loss_token, init_token = parts[6:]
         try:
-            n_labels, dim, bias = int(n_labels_s), int(dim_s), int(bias_s)
+            n_labels, dim, nnz, bias = map(int, parts[2:6])
         except ValueError:
-            raise ModelFormatError("non-integer header field", 1) from None
-        if not (0 <= n_labels < MAX_COUNT and 0 <= dim < MAX_COUNT):
-            raise ModelFormatError(f"label count and dimension must lie in [0, {MAX_COUNT})", 1)
+            raise ModelFormatError("non-integer header field") from None
+        if not all(0 <= v < MAX_COUNT for v in (n_labels, dim, nnz)):
+            raise ModelFormatError(
+                f"label count, dimension and nonzero count must lie in [0, {MAX_COUNT})"
+            )
         try:
             parse_loss(loss_token)
         except ConfigError:
-            raise ModelFormatError(f"unknown loss token {loss_token!r}", 1) from None
+            raise ModelFormatError(f"unknown loss token {loss_token!r}") from None
         if init_token not in INIT_KINDS:
-            raise ModelFormatError(f"unknown init token {init_token!r}", 1)
+            raise ModelFormatError(f"unknown init token {init_token!r}")
         if bias not in (-1, dim - 1):
-            raise ModelFormatError(f"bias index {bias} is neither -1 nor dim - 1 = {dim - 1}", 1)
-        bias_index = None if bias == -1 else bias
-
-        idx_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        for j, line in zip(range(n_labels), fh):
-            reject_bad_characters(line, ModelFormatError, j + 2)
-            tokens = line.split()
-            if len(tokens) < 2:
-                raise ModelFormatError("label line needs 'j nnz' prefix", j + 2)
-            try:
-                label, nnz = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ModelFormatError("non-integer label line prefix", j + 2) from None
-            if label != j:
-                raise ModelFormatError(f"expected label {j}, found {label}", j + 2)
-            if nnz != len(tokens) - 2:
-                raise ModelFormatError(
-                    f"label {j} declares {nnz} entries but has {len(tokens) - 2}", j + 2
-                )
-            idx, val = parse_pairs(tokens[2:], ModelFormatError, j + 2, "weight")
-            idx_parts.append(idx)
-            val_parts.append(val)
-        if len(idx_parts) < n_labels:
-            raise ModelFormatError(
-                f"truncated model: expected {n_labels} label lines, got {len(idx_parts)}",
-                len(idx_parts) + 2,
-            )
-        extra = fh.read()
-        if extra.strip():
-            raise ModelFormatError("unexpected content after the last label line", n_labels + 2)
+            raise ModelFormatError(f"bias index {bias} is neither -1 nor dim - 1 = {dim - 1}")
+        # The length is checked before any array is allocated, so a count
+        # beyond the file allocates nothing.
+        size = os.fstat(fh.fileno()).st_size
+        want = len(header) + 8 * (n_labels + 1 + 2 * nnz)
+        if size != want:
+            raise ModelFormatError(f"file holds {size} bytes, its header needs {want}")
+        indptr = np.fromfile(fh, dtype="<i8", count=n_labels + 1)
+        indices = np.fromfile(fh, dtype="<i8", count=nnz)
+        data = np.fromfile(fh, dtype="<f8", count=nnz)
     try:
-        weights = SparseMatrix.stack(idx_parts, val_parts, dim)
+        weights = SparseMatrix(indptr, indices, data, dim)
+        reject_non_finite(weights, "weight")
     except InvalidEntryError as err:
-        raise ModelFormatError(f"weight {err}", err.row + 2) from None
-    reject_non_finite(weights, ModelFormatError, "weight")
-    return OvaModel(
-        weights=weights,
-        bias_index=bias_index,
-        meta=ModelMeta(loss=loss_token, init=init_token),
-    )
+        raise ModelFormatError(f"label {err.row}: {err}") from None
+    except ValueError as err:
+        raise ModelFormatError(f"weight row offsets: {err}") from None
+    return OvaModel(weights, None if bias == -1 else bias, loss_token, init_token)

@@ -6,7 +6,9 @@ import pytest
 
 from xova.cli import main
 from xova.initializers import InitStrategy
-from xova.trainer import TrainConfig
+from xova.trainer import OvaModel, TrainConfig, load_model, save_model
+
+from conftest import make_matrix
 
 try:
     import jsonschema
@@ -100,8 +102,9 @@ class TestTrain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "trained 10 labels" in out
-        header = (workdir / "model.txt").read_text().splitlines()[0]
-        assert header.startswith("xova v1 10 26 25 squared-hinge aop")
+        header = (workdir / "model.txt").read_bytes().split(b"\n", 1)[0].decode().split()
+        del header[4]  # the nonzero count
+        assert header == "xova v2 10 26 25 squared-hinge aop".split()
         report = json.loads((workdir / "report.json").read_text())
         assert list(report) == [
             "format", "dataset", "loss", "init", "init_params", "solver", "c",
@@ -188,7 +191,8 @@ class TestTrain:
                    "--diag-out", str(tmp_path / "huge.json")])
         assert rc == 3
         assert "trained 2 labels" in capsys.readouterr().out
-        assert model.read_text().startswith(f"xova v1 2 {d + 1} {d} ")
+        loaded = load_model(model)
+        assert (loaded.n_labels, loaded.dim, loaded.bias_index) == (2, d + 1, d)
         report = json.loads((tmp_path / "huge.json").read_text())
         # From -1 at the bias, the only row of the first file with a huge value
         # is negative for label 1 and starts outside the margin, so label 1 converges.
@@ -338,10 +342,22 @@ class TestPredictEval:
         data = tmp_path / "d.txt"
         data.write_text("1 2 2\n1 0:1.0\n")
         model = tmp_path / "m.model"
-        model.write_text("xova v1 2 2 -1 squared-hinge zero\n0 0\n1 1 0:2.0\n")
+        save_model(OvaModel(make_matrix([{}, {0: 2.0}], 2), None, "squared-hinge", "zero"), model)
         rc = main(["eval", "--model", str(model), "--data", str(data), "--k", "1"])
         assert rc == 0
         assert "P@1 1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda b: b[:-1], "file holds"),
+        (lambda b: b"xova v1 10 26 -1 squared-hinge zero\n" + b"0 0\n" * 10, "version 'v1'"),
+    ], ids=["cut_by_one_byte", "v1_text"])
+    def test_damaged_model_exit_2(self, workdir, trained, tmp_path, capsys, damage, match):
+        model = tmp_path / "bad.model"
+        model.write_bytes(damage(trained.read_bytes()))
+        rc = main(["predict", "--model", str(model), "--data", str(workdir / "test.txt"),
+                   "--k", "1", "--out", str(tmp_path / "p.txt")])
+        assert rc == 2
+        assert match in capsys.readouterr().err
 
 
 REPORT_HEAD = '{"format": "xova-report v1", "init": "zero", "loss": "squared-hinge", '

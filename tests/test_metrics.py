@@ -6,13 +6,13 @@ import pytest
 from xova.dataio import Dataset
 from xova.errors import ConfigError, DimensionMismatchError
 from xova.metrics import evaluate, macro_binary_pr, precision_at_k
-from xova.trainer import ModelMeta, OvaModel
+from xova.trainer import OvaModel
 
 from conftest import make_matrix
 
 
 def model_from(weight_dicts, dim):
-    return OvaModel(make_matrix(weight_dicts, dim), None, ModelMeta(loss="squared-hinge", init="zero"))
+    return OvaModel(make_matrix(weight_dicts, dim), None, "squared-hinge", "zero")
 
 
 def dataset_from(rows, labels, dim, n_labels):

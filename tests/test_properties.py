@@ -11,7 +11,7 @@ from xova.losses import MarginLoss
 from xova.solver import (
     TERM_CONVERGED, TERM_LINE_SEARCH, TERM_MAX_OUTER, SolverConfig, gradient, newton_cg
 )
-from xova.trainer import ModelMeta, OvaModel, load_model, predict_topk, save_model
+from xova.trainer import OvaModel, load_model, predict_topk, save_model
 
 from conftest import dense_matrix, make_matrix, random_problem
 
@@ -27,7 +27,7 @@ def sparse_dicts(dim, values, max_rows):
 
 
 def model_from(weight_dicts, dim):
-    return OvaModel(make_matrix(weight_dicts, dim), None, ModelMeta(loss="squared-hinge", init="zero"))
+    return OvaModel(make_matrix(weight_dicts, dim), None, "squared-hinge", "zero")
 
 
 @st.composite
@@ -70,6 +70,8 @@ def test_save_load_model_is_value_exact(tmp_path_factory, case):
         a, b = model.weights.row(j), loaded.weights.row(j)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.values, b.values)
+    save_model(loaded, path.with_suffix(".again"))
+    assert path.with_suffix(".again").read_bytes() == path.read_bytes()
 
 
 @st.composite
@@ -143,19 +145,37 @@ def test_data_parser_raises_only_parse_errors(tmp_path_factory, ds, data):
         pass
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=6).flatmap(
     lambda dim: st.tuples(st.just(dim), sparse_dicts(dim, FINITE, 5).filter(len))
-), st.data())
-def test_model_parser_raises_only_model_format_errors(tmp_path_factory, case, data):
+), st.sampled_from(["truncate", "extend", "flip"]), st.data())
+def test_model_parser_raises_only_model_format_errors(tmp_path_factory, case, damage, data):
+    """A valid file cut short, extended, or with one byte changed: a cut or
+    an extension is always an error; a changed byte is an error, or gives a
+    model whose every check holds."""
     dim, weight_dicts = case
     path = tmp_path_factory.mktemp("model") / "m.model"
     save_model(model_from(weight_dicts, dim), path)
-    path.write_text(mutate(data.draw, path.read_text()))
+    raw = path.read_bytes()
+    if damage == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif damage == "extend":
+        raw += data.draw(st.binary(min_size=1, max_size=24))
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1))
+        flip = data.draw(st.integers(1, 255))
+        raw = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+    path.write_bytes(raw)
     try:
-        load_model(path)
+        model = load_model(path)
     except ModelFormatError:
-        pass
+        return
+    assert damage == "flip"
+    W = model.weights
+    assert np.isfinite(W.data).all() and np.all(np.diff(W.indptr) >= 0)
+    for j in range(W.n_rows):
+        idx = W.row(j).indices
+        assert np.all(np.diff(idx) > 0) and np.all((idx >= 0) & (idx < W.n_cols))
 
 
 # The row codec converts a whole row per call; these per-pair and per-token
@@ -164,25 +184,25 @@ def reference_format_row(head, indices, values):
     return " ".join([head, *map("{}:{:.17g}".format, indices.tolist(), values.tolist())])
 
 
-def reference_parse_pairs(tokens, error, lineno, what):
+def reference_parse_pairs(tokens, lineno):
     bad = next((tok for tok in tokens if tok.count(":") != 1), None)
     if bad is not None:
-        raise error(f"invalid {what} token {bad!r}, expected index:value", lineno)
+        raise ParseError(f"invalid feature token {bad!r}, expected index:value", lineno)
     flat = ":".join(tokens).split(":")
     try:
         idx = np.fromiter(map(int, flat[0::2]), dtype=np.int64, count=len(tokens))
         val = np.fromiter(map(float, flat[1::2]), dtype=np.float64, count=len(tokens))
     except ValueError as err:
-        raise error(f"non-numeric {what} index or value ({err})", lineno) from None
+        raise ParseError(f"non-numeric feature index or value ({err})", lineno) from None
     except OverflowError:
-        raise error(f"{what} index beyond the int64 range", lineno) from None
+        raise ParseError("feature index beyond the int64 range", lineno) from None
     return idx, val
 
 
 def parse_outcome(parse, tokens):
     """The arrays' dtypes and bits, or the error's type, message and line."""
     try:
-        idx, val = parse(tokens, ParseError, 7, "feature")
+        idx, val = parse(tokens, 7)
     except ParseError as err:
         return type(err), str(err), err.line
     return idx.dtype, idx.tobytes(), val.dtype, val.tobytes()

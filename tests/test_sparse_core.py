@@ -100,6 +100,8 @@ class TestSparseMatrix:
     def test_invariants_checked(self):
         with pytest.raises(ValueError):
             SparseMatrix([0, 2, 1], [0, 1], [1.0, 2.0], 3)  # offsets decrease
+        with pytest.raises(ValueError, match="monotone"):  # their differences wrap to >= 0
+            SparseMatrix(np.array([0, 2**62, 2**63 - 1, -(2**63) + 1, 0]), [], [], 3)
         with pytest.raises(ValueError):
             SparseMatrix([0, 1], [5], [1.0], 3)  # column out of range
         with pytest.raises(ValueError):
@@ -132,8 +134,7 @@ class TestSparseMatrix:
         csr.data = rng.normal(size=csr.nnz) * 10.0 ** rng.integers(-8, 9, size=csr.nnz)
         csr.indices = csr.indices.astype(index_dtype)
         csr.indptr = csr.indptr.astype(index_dtype)
-        X = SparseMatrix.__new__(SparseMatrix)
-        X._adopt(csr)
+        X = SparseMatrix.from_scipy(csr)
         # scipy narrows a transpose's indices; widen them back
         X._csc.indices = X._csc.indices.astype(index_dtype)
         X._csc.indptr = X._csc.indptr.astype(index_dtype)

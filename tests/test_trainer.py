@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from xova.solver import (
 from xova.sparse import SparseMatrix
 import xova.trainer as trainer_mod
 from xova.trainer import (
-    ModelMeta,
     OvaModel,
     TrainConfig,
     block_topk,
@@ -38,7 +38,7 @@ def small_data():
 
 
 def simple_model(weight_dicts, dim, bias_index=None, loss="squared-hinge", init="zero"):
-    return OvaModel(make_matrix(weight_dicts, dim), bias_index, ModelMeta(loss=loss, init=init))
+    return OvaModel(make_matrix(weight_dicts, dim), bias_index, loss, init)
 
 
 class TestTrainOva:
@@ -607,6 +607,17 @@ class TestBlockTopk:
         assert block_topk(np.array(block), k).tolist() == want
 
 
+def write_v2(path, indptr, indices, data, n_labels=None, dim=2, bias=-1):
+    """A v2 model file written field by field; the label count is the
+    arrays' unless given."""
+    n_labels = len(indptr) - 1 if n_labels is None else n_labels
+    with open(path, "wb") as fh:
+        fh.write(f"xova v2 {n_labels} {dim} {len(indices)} {bias} squared-hinge zero\n".encode())
+        for arr, dtype in ((indptr, "<i8"), (indices, "<i8"), (data, "<f8")):
+            fh.write(np.asarray(arr, dtype=dtype).tobytes())
+    return path
+
+
 class TestModelRoundTrip:
     def test_save_load_exact(self, small_data, tmp_path):
         ds, stats = small_data
@@ -617,65 +628,102 @@ class TestModelRoundTrip:
         assert loaded.n_labels == model.n_labels
         assert loaded.dim == model.dim
         assert loaded.bias_index == model.bias_index
-        assert loaded.meta.loss == model.meta.loss
-        assert loaded.meta.init == model.meta.init
-        # float-exact via 17 significant digits
-        for j in range(model.n_labels):
-            a, b = model.weights.row(j), loaded.weights.row(j)
-            assert a.indices.tolist() == b.indices.tolist()
-            assert a.values.tolist() == b.values.tolist()
+        assert (loaded.loss, loaded.init) == (model.loss, model.init) == ("squared-hinge", "zero")
+        assert loaded.weights == model.weights
+        assert loaded.weights.indices.dtype == model.weights.indices.dtype
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        model = simple_model([{0: 0.5, 2: -1.25}, {}], dim=3, bias_index=2, init="aop")
+        a, b = tmp_path / "a.model", tmp_path / "b.model"
+        save_model(model, a)
+        save_model(model, b)
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes().startswith(b"xova v2 2 3 2 2 squared-hinge aop\n")
+        # the header, then little-endian int64 [0, 2, 2] and [0, 2] and float64 [0.5, -1.25]
+        assert hashlib.sha256(a.read_bytes()).hexdigest()[:16] == "0f0e2b0cbb11233c"
 
     def test_empty_weight_line(self, tmp_path):
         model = simple_model([{}, {1: 0.5}], dim=2)
         path = tmp_path / "m.model"
         save_model(model, path)
-        assert "0 0\n" in path.read_text()
         assert load_model(path).weights.row(0).indices.size == 0
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "m.model"
-        path.write_text("xova v2 1 2 -1 squared-hinge zero\n0 0\n")
-        with pytest.raises(ModelFormatError, match="version"):
+        path.write_text("xova v1 2 2 -1 squared-hinge zero\n0 0\n1 1 0:2.0\n")
+        with pytest.raises(ModelFormatError, match="version 'v1'"):
             load_model(path)
 
     @pytest.mark.parametrize("bias", [999, 3, -2])
     def test_impossible_bias_index(self, tmp_path, bias):
-        path = tmp_path / "m.model"
-        path.write_text(f"xova v1 1 5 {bias} squared-hinge zero\n0 0\n")
-        with pytest.raises(ModelFormatError, match=f"bias index {bias}") as e:
+        path = write_v2(tmp_path / "m.model", [0, 0], [], [], dim=5, bias=bias)
+        with pytest.raises(ModelFormatError, match=f"bias index {bias}"):
             load_model(path)
-        assert e.value.line == 1
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "m.model"
-        path.write_text("nope v1 1 2 -1 squared-hinge zero\n0 0\n")
+        path.write_bytes(b"nope v2 1 2 0 -1 squared-hinge zero\n" + bytes(8))
         with pytest.raises(ModelFormatError, match="magic"):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", [
+        b"xova v2 1 2 0 -1 squared-hinge\n",
+        b"xova v2 1 2 0 -1 squared-hinge zero 7\n",
+        b"xova v2 1 2 0 -1 squared-hinge zero",
+        b"xova v2 1 2 0 -1 squared-hinge zero" + b" " * 300 + b"\n",
+    ], ids=["field_short", "field_over", "no_end_of_line", "beyond_cap"])
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "m.model"
+        path.write_bytes(header + bytes(8))
+        with pytest.raises(ModelFormatError, match="malformed header"):
+            load_model(path)
+
+    @pytest.mark.parametrize("header, match", [
+        (b"xova v2 1 2 0 -1 squared-hinge zero\n".replace(b"1", b"1_0", 1), "invalid header"),
+        ("xova v2 \u0661 2 0 -1 squared-hinge zero\n".encode(), "invalid header"),
+        (b"xova v2 one 2 0 -1 squared-hinge zero\n", "non-integer"),
+        (b"xova v2 1 2 0 -1 hinge zero\n", "unknown loss token 'hinge'"),
+        (b"xova v2 1 2 0 -1 squared-hinge warm\n", "unknown init token 'warm'"),
+        (b"xova v2 1 2 -1 -1 squared-hinge zero\n", "must lie in"),
+    ], ids=["digit_separator", "non_ascii", "non_integer", "loss", "init", "negative_count"])
+    def test_bad_header_field(self, tmp_path, header, match):
+        path = tmp_path / "m.model"
+        path.write_bytes(header + bytes(8))
+        with pytest.raises(ModelFormatError, match=match):
             load_model(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "m.model"
-        path.write_text("xova v1 2 2 -1 squared-hinge zero\n0 0\n")
-        with pytest.raises(ModelFormatError, match="truncated") as e:
+        save_model(simple_model([{0: 1.0}, {1: 2.0}], dim=2), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ModelFormatError, match="file holds 91 bytes, its header needs 92"):
             load_model(path)
-        assert e.value.line == 3
+
+    def test_trailing_byte(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(simple_model([{0: 1.0}, {1: 2.0}], dim=2), path)
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(ModelFormatError, match="file holds 93 bytes, its header needs 92"):
+            load_model(path)
 
     def test_nnz_mismatch(self, tmp_path):
-        path = tmp_path / "m.model"
-        path.write_text("xova v1 1 2 -1 squared-hinge zero\n0 2 0:1.0\n")
-        with pytest.raises(ModelFormatError, match="declares 2"):
+        # the header and the length agree on 2 weights, the offsets hold 1
+        path = write_v2(tmp_path / "m.model", [0, 1], [0, 1], [1.0, 2.0])
+        with pytest.raises(ModelFormatError, match="final offset must equal the number of nonzeros"):
             load_model(path)
 
     def test_label_order_enforced(self, tmp_path):
-        path = tmp_path / "m.model"
-        path.write_text("xova v1 2 2 -1 squared-hinge zero\n1 0\n0 0\n")
-        with pytest.raises(ModelFormatError, match="expected label 0"):
-            load_model(path)
-
-    def test_malformed_pair(self, tmp_path):
-        path = tmp_path / "m.model"
-        path.write_text("xova v1 1 2 -1 squared-hinge zero\n0 1 broken\n")
-        with pytest.raises(ModelFormatError, match="weight token"):
-            load_model(path)
+        """Label j's weights lie between offsets j and j + 1: offsets that
+        decrease, or that do not start at 0, are an error."""
+        for indptr in (
+            [0, 2, 1, 2],
+            [1, 1, 2, 2],
+            # the differences of these offsets wrap around int64 to non-negative values
+            [0, 2**62, 2**63 - 1, -(2**63) + 1, -(2**62), 2],
+        ):
+            path = write_v2(tmp_path / "m.model", indptr, [0, 1], [1.0, 2.0])
+            with pytest.raises(ModelFormatError, match="weight row offsets"):
+                load_model(path)
 
     def test_bias_none_round_trips(self, tmp_path):
         model = simple_model([{0: 1.0}], dim=2, bias_index=None)
@@ -694,29 +742,27 @@ class TestModelRoundTrip:
             ("-1:1.0", "index -1 out of range"),
             ("0:1.0 0:2.0", "index 0 repeated or out of order"),
             ("1:1.0 0:2.0", "index 0 repeated or out of order"),
-            ("0:1_5", "invalid character"),
-            ("1_0:1.0", "invalid character"),
-            ("1:\u0661", "invalid character"),
         ],
     )
     def test_bad_weight_entry(self, tmp_path, entries, match):
-        path = tmp_path / "m.model"
-        n = len(entries.split())
-        path.write_text(f"xova v1 3 2 -1 squared-hinge zero\n0 1 0:0.5\n1 {n} {entries}\n2 0\n")
-        with pytest.raises(ModelFormatError, match=match) as e:
+        pairs = [token.split(":") for token in entries.split()]
+        indices = [0] + [int(i) for i, _ in pairs]
+        data = [0.5] + [float(v) for _, v in pairs]
+        path = write_v2(tmp_path / "m.model", [0, 1, len(indices), len(indices)], indices, data)
+        with pytest.raises(ModelFormatError, match=f"^label 1: {match}"):
             load_model(path)
-        assert e.value.line == 3
 
     def test_dimension_beyond_int64(self, tmp_path):
-        path = tmp_path / "m.model"
-        path.write_text("xova v1 1 99999999999999999999 -1 squared-hinge zero\n0 0\n")
-        with pytest.raises(ModelFormatError, match="dimension must lie in") as e:
+        path = write_v2(tmp_path / "m.model", [0, 0], [], [], dim=99999999999999999999)
+        with pytest.raises(ModelFormatError, match="dimension and nonzero count must lie in"):
             load_model(path)
-        assert e.value.line == 1
 
-    def test_huge_label_count_is_truncated_not_allocated(self, tmp_path):
-        path = tmp_path / "m.model"
-        path.write_text("xova v1 1000000000000000 2 -1 squared-hinge zero\n0 0\n")
-        with pytest.raises(ModelFormatError, match="expected 1000000000000000 label lines, got 1") as e:
+    def test_huge_label_count_is_truncated_not_allocated(self, tmp_path, monkeypatch):
+        path = write_v2(tmp_path / "m.model", [0, 0], [], [], n_labels=10**15)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an array was read before the length check")
+
+        monkeypatch.setattr(np, "fromfile", no_read)
+        with pytest.raises(ModelFormatError, match="its header needs 8000000000000059"):
             load_model(path)
-        assert e.value.line == 3
