@@ -363,15 +363,11 @@ def generate_synthetic(
     for tgt, src in copy_source.items():
         rows[tgt] = rows[src]
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    idx_parts = []
-    val_parts = []
-    for i in range(n):
-        idx_parts.append(np.asarray([k for k, _ in rows[i]], dtype=np.int64))
-        val_parts.append(np.asarray([v for _, v in rows[i]], dtype=np.float64))
-        indptr[i + 1] = indptr[i] + len(rows[i])
-
-    features = SparseMatrix(indptr, np.concatenate(idx_parts), np.concatenate(val_parts), d)
+    features = SparseMatrix.stack(
+        [np.array([k for k, _ in row], dtype=np.int64) for row in rows],
+        [np.array([v for _, v in row], dtype=np.float64) for row in rows],
+        d,
+    )
     label_arrays = [np.asarray(sorted(lbls), dtype=np.int64) for lbls in labels]
     return Dataset(features=features, labels=label_arrays, n_labels=l)
 

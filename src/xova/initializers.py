@@ -107,14 +107,17 @@ def ovap_solve(
     """Solve the virtual all-negative label from zero with a loose criterion.
 
     The vector is computed once per dataset and reused as the starting
-    vector for every label; the solver trace is returned with it.
+    vector for every label; the solver trace is returned with it. As in a
+    label's solve, a numerical failure keeps the last accepted iterate, and
+    the trace's ``failure`` says why.
     """
     if np.any(all_negative_problem.signs != -1.0):
         raise ConfigError("the ovap problem must have every sign equal to -1")
     loose = replace(cfg, eps_outer=stop_rel)
-    w0 = np.zeros(all_negative_problem.dim, dtype=np.float64)
+    w0 = np.zeros((1, all_negative_problem.dim), dtype=np.float64)
     grad0_ref = solver.grad0_norm(all_negative_problem)
-    return solver.newton_cg(all_negative_problem, w0, loose, grad0_ref)
+    W, [trace] = solver.newton_cg_block([all_negative_problem], w0, loose, [grad0_ref])
+    return W[0], trace
 
 
 def aop_init(

@@ -148,13 +148,13 @@ class SolverTrace:
 
 class CgBlock(NamedTuple):
     """:func:`cg_solve`'s answer for a block: a direction per row, the
-    iterations summed over the rows and per row, and per row the
-    NumericalError that stopped it, if one did."""
+    iterations summed over the rows and per row, and per row the message of
+    the numerical failure that stopped it, if one did."""
 
     p: np.ndarray
     iters: int
     row_iters: list[int]
-    errors: list[NumericalError | None]
+    errors: list[str | None]
 
 
 def margins(problem: BinaryProblem, w: DenseVector) -> np.ndarray:
@@ -283,12 +283,12 @@ def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) 
     ``eps_cg`` times the preconditioned norm of its gradient, or at
     ``max_cg``. ``hvp(D, rows)`` returns the products of the directions
     ``D`` of the block rows ``rows`` that still iterate. A numerical failure
-    stops its row alone and is reported in the :class:`CgBlock`.
+    stops its row alone; its message is the row's entry of ``errors``.
     """
     b = G.shape[0]
     P = np.zeros_like(G)
     iters = [0] * b
-    errors: list[NumericalError | None] = [None] * b
+    errors: list[str | None] = [None] * b
     m_inv = 1.0 / (cfg.precond_alpha * diag + (1.0 - cfg.precond_alpha))
     R = -G
     D = m_inv * R  # the first directions are the preconditioned residuals
@@ -301,7 +301,7 @@ def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) 
         rz[k] = float(np.dot(R[k], D[k]))
         ref[k] = np.sqrt(rz[k])
         if not np.isfinite(ref[k]):
-            errors[k] = NumericalError("non-finite preconditioned gradient norm in CG")
+            errors[k] = "non-finite preconditioned gradient norm in CG"
             continue
         live.append(k)
     while live:
@@ -311,12 +311,10 @@ def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) 
             d, hd = D[k], HD[j]
             dhd = float(np.dot(d, hd))
             if not np.isfinite(dhd):
-                errors[k] = NumericalError(f"non-finite curvature in CG iteration {iters[k] + 1}")
+                errors[k] = f"non-finite curvature in CG iteration {iters[k] + 1}"
                 continue
             if dhd <= 0.0:
-                errors[k] = NumericalError(
-                    f"non-positive curvature {dhd:g} in CG iteration {iters[k] + 1}"
-                )
+                errors[k] = f"non-positive curvature {dhd:g} in CG iteration {iters[k] + 1}"
                 continue
             alpha = rz[k] / dhd
             P[k] += alpha * d
@@ -325,7 +323,7 @@ def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) 
             z = m_inv[k] * R[k]
             rz_next = float(np.dot(R[k], z))
             if not np.isfinite(rz_next):
-                errors[k] = NumericalError(f"non-finite residual in CG iteration {iters[k]}")
+                errors[k] = f"non-finite residual in CG iteration {iters[k]}"
                 continue
             if np.sqrt(max(rz_next, 0.0)) <= cfg.eps_cg * ref[k] or iters[k] == cfg.max_cg:
                 continue
@@ -472,7 +470,7 @@ def newton_cg_block(
         P, cg_iters, g_dot_p = {}, {}, {}
         for k, p, iters, error in zip(solving, cg.p, cg.row_iters, cg.errors):
             if error is not None:
-                fail(k, str(error))
+                fail(k, error)
                 continue
             traces[k].hvp_touches += iters * n_active[k]
             g_dot_p[k] = float(np.dot(G[k], p))

@@ -26,9 +26,7 @@ import numpy as np
 from . import losses
 from . import solver as solver_mod
 from .dataio import MAX_COUNT, Dataset, LabelStats, dataset_digest, reject_non_finite
-from .errors import (
-    ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError, NumericalError
-)
+from .errors import ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError
 from .initializers import (
     INIT_KINDS,
     AopPrecompute,
@@ -68,7 +66,6 @@ class TrainConfig:
     c: float = 1.0
     clip_threshold: float = 0.01
     threads: int = 1
-    collect_traces: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.clip_threshold < np.inf:
@@ -157,10 +154,10 @@ class TrainReport:
     iter_count: list[int]
     total_wall_ms: float
     total_hvp_touches: int
+    traces: dict[int, SolverTrace]  # by label
     init_wall_ms: float = 0.0
     init_hvp_touches: int = 0
     init_failure: str | None = None  # why ovap's shared solve failed, if it did
-    traces: dict[int, SolverTrace] | None = None
     # milliseconds of each phase of `xova train`; None where nothing timed them
     phases: dict[str, float] | None = None
 
@@ -267,15 +264,11 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         s, t = init.resolved_aop(cfg.loss)
     elif init.kind == "ovap":
         all_neg = BinaryProblem(X, np.full(n, -1.0), cfg.loss, cfg.c)
-        # An overflow ends in a non-finite value, which the shared solve
-        # raises as a NumericalError. As in a label's solve, the last
-        # accepted iterate is kept: every label is still solved from it,
+        # An overflow ends the shared solve with a failure on its trace and
+        # its last accepted iterate: every label is still solved from it,
         # and those that fail are reported as numerical_failure.
         with np.errstate(over="ignore"):
-            try:
-                w_shared, ovap_trace = ovap_solve(all_neg, cfg.solver, init.ovap_stop_rel)
-            except NumericalError as err:
-                w_shared, ovap_trace = err.w_last, err.trace
+            w_shared, ovap_trace = ovap_solve(all_neg, cfg.solver, init.ovap_stop_rel)
         init_wall_ms = (time.perf_counter() - t_start) * 1e3
         init_hvp_touches = ovap_trace.hvp_touches
         init_failure = ovap_trace.failure
@@ -327,11 +320,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
 
     every = range(ds.n_labels)
     blocks = [every[lo : lo + _BLOCK_LABELS] for lo in every[::_BLOCK_LABELS]]
-    if cfg.threads == 1 or len(blocks) <= 1:
-        solved_blocks = list(map(work, blocks))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            solved_blocks = list(pool.map(work, blocks))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        solved_blocks = list(pool.map(work, blocks))
     outcomes = [outcome for block in solved_blocks for outcome in block]
     idx_parts, val_parts, results, traces = zip(*outcomes) if outcomes else ((),) * 4
     # per outer iteration, the rows of the labels that reached it, in label order
@@ -360,10 +350,10 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         iter_count=[len(it) for it in iterations],
         total_wall_ms=(time.perf_counter() - t_start) * 1e3,
         total_hvp_touches=init_hvp_touches + sum(r.hvp_touches for r in results),
+        traces=dict(enumerate(traces)),
         init_wall_ms=init_wall_ms,
         init_hvp_touches=init_hvp_touches,
         init_failure=init_failure,
-        traces=dict(enumerate(traces)) if cfg.collect_traces else None,
     )
     return model, report
 

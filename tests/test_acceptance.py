@@ -86,7 +86,7 @@ def runs_tight(synth):
         ("ovap", InitStrategy("ovap")),
         ("aop", InitStrategy("aop")),
     ]:
-        cfg = TrainConfig(init=st, solver=TIGHT, collect_traces=True)
+        cfg = TrainConfig(init=st, solver=TIGHT)
         out[name] = train_ova(train, stats, cfg)
     _COSTS["runs_tight"] = time.perf_counter() - t0
     return out
@@ -103,7 +103,7 @@ def runs_default(synth):
         ("bias1", InitStrategy("bias", bias_scale=1.0)),
         ("bias2", InitStrategy("bias", bias_scale=2.0)),
     ]:
-        cfg = TrainConfig(init=st, collect_traces=True)
+        cfg = TrainConfig(init=st)
         out[name] = train_ova(train, stats, cfg)
     _COSTS["runs_default"] = time.perf_counter() - t0
     return out

@@ -103,6 +103,37 @@ class TestParsing:
             load_xmc_dataset(write(tmp_path, "1 3 1\n0 1:1.0 0:3.0 1:2.0\n"))
         assert e.value.line == 2
 
+    def test_rows_in_reverse_order_parse_like_their_sorted_twin(self, tmp_path):
+        ds = generate_synthetic(300, 25, 40, 1.2, 11)
+        write_xmc_dataset(ds, tmp_path / "sorted.txt")
+        header, *lines = (tmp_path / "sorted.txt").read_text().splitlines()
+        reversed_lines = []
+        for line in lines:
+            head, *pairs = line.split(" ")
+            reversed_lines.append(" ".join([head, *pairs[::-1]]))
+        assert reversed_lines != lines
+        text = "\n".join([header, *reversed_lines]) + "\n"
+        twin = load_xmc_dataset(write(tmp_path, text, "reversed.txt"))
+        sorted_ds = load_xmc_dataset(tmp_path / "sorted.txt")
+        assert twin.features == sorted_ds.features == ds.features
+        assert twin.features.indices.dtype == sorted_ds.features.indices.dtype
+        assert dataset_digest(twin) == dataset_digest(sorted_ds) == dataset_digest(ds)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ("2:1.0 1:1.0 0:3.0 1:2.0", "duplicate feature index 1"),
+            ("2:1.0 2147483648:1.0 0:1.0", "feature index 2147483648 out of range"),
+            ("2:1.0 -1:1.0", "feature index -1 out of range"),
+        ],
+        ids=["duplicate", "beyond_int32", "negative"],
+    )
+    def test_bad_index_in_an_unsorted_row_names_its_line(self, tmp_path, pairs, message):
+        text = f"3 3 1\n0 2:1.0 0:1.0\n0 {pairs}\n0 1:1.0\n"
+        with pytest.raises(ParseError, match=message) as e:
+            load_xmc_dataset(write(tmp_path, text))
+        assert e.value.line == 3
+
     def test_duplicate_label(self, tmp_path):
         with pytest.raises(ParseError, match="duplicate label"):
             load_xmc_dataset(write(tmp_path, "1 3 2\n0,0 1:1.0\n"))

@@ -13,7 +13,7 @@ from xova.initializers import (
     zero_init,
 )
 from xova.losses import MarginLoss, active_set
-from xova.solver import BinaryProblem, SolverConfig, gradient, margins, objective
+from xova.solver import TERM_NUMERICAL, BinaryProblem, SolverConfig, gradient, margins, objective
 from xova.sparse import SparseVector
 from xova.trainer import TrainConfig
 
@@ -121,6 +121,18 @@ class TestOvap:
         g0 = float(np.linalg.norm(gradient(p, np.zeros(ds.dim))))
         w = ovap_solve(p, SolverConfig(), 0.01)[0]
         assert float(np.linalg.norm(gradient(p, w))) <= 0.01 * g0
+
+    def test_overflow_is_a_failure_on_the_trace(self):
+        # the rows of the CLI's huge.txt plus a bias column: the gradient at
+        # the zero start overflows, so no step is accepted
+        rows = [{0: 1e308, 1: 1.0, 2: 1.0}, {0: 1e308, 1: 2.0, 2: 1.0}, {1: 1.0, 2: 1.0}]
+        X = make_matrix(rows, 3)
+        p = BinaryProblem(X, np.full(3, -1.0))
+        with np.errstate(over="ignore"):
+            w, trace = ovap_solve(p, SolverConfig(), 0.01)
+        assert trace.termination == TERM_NUMERICAL
+        assert trace.failure == "non-finite gradient"
+        np.testing.assert_array_equal(w, np.zeros(3))
 
     def test_rejects_positive_signs(self):
         p = BinaryProblem(make_matrix([{0: 1.0}], 1), np.array([1.0]))

@@ -106,7 +106,6 @@ class TestTrainOva:
 
     def test_numerical_failure_recorded_not_fatal(self, small_data, monkeypatch, tmp_path):
         import xova.trainer as trainer_mod
-        from xova.errors import NumericalError
 
         ds, stats = small_data
         real, calls = trainer_mod.solver_mod.cg_solve, []
@@ -115,7 +114,7 @@ class TestTrainOva:
         def label_0_fails(*args):
             result = real(*args)
             if not calls:  # the first block's first step: row 0 is label 0
-                result.errors[0] = NumericalError(message)
+                result.errors[0] = message
             calls.append(1)
             return result
 
@@ -140,7 +139,6 @@ class TestTrainOva:
 
     def test_cg_failure_keeps_accepted_steps(self, monkeypatch):
         import xova.trainer as trainer_mod
-        from xova.errors import NumericalError
 
         ds = augment_bias(generate_synthetic(200, 20, 3, 1.2, 21))
         real, calls = trainer_mod.solver_mod.cg_solve, []
@@ -149,7 +147,7 @@ class TestTrainOva:
             result = real(*args)
             calls.append(1)
             if len(calls) == 2:  # the block's second outer iteration; row 0 is label 0
-                result.errors[0] = NumericalError("injected CG failure")
+                result.errors[0] = "injected CG failure"
             return result
 
         monkeypatch.setattr(trainer_mod.solver_mod, "cg_solve", second_call_fails)
@@ -168,12 +166,31 @@ class TestTrainOva:
         save_model(m4, p4)
         assert p1.read_bytes() == p4.read_bytes()
 
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_thread_count_changes_no_bit(self, small_data, kind, monkeypatch):
+        # blocks of 3 labels: 8 labels make three blocks for three workers
+        monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 3)
+        ds, stats = small_data
+        untimed = {"wall_ms": 0.0, "cpu_ms": 0.0}
+        runs = []
+        for threads in (1, 3):
+            cfg = TrainConfig(init=InitStrategy(kind), threads=threads)
+            model, report = train_ova(ds, stats, cfg)
+            W = model.weights
+            runs.append((
+                W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes(),
+                [replace(r, **untimed) for r in report.labels],
+                [replace(report.traces[j], **untimed) for j in range(ds.n_labels)],
+            ))
+        assert runs[0] == runs[1]
+
     def test_report_consistency(self, small_data):
         ds, stats = small_data
-        cfg = TrainConfig(collect_traces=True)
-        _, report = train_ova(ds, stats, cfg)
+        _, report = train_ova(ds, stats, TrainConfig())
+        assert list(report.traces) == list(range(ds.n_labels))
         for row in report.labels:
             trace = report.traces[row.label]
+            assert len(trace.rows) == row.outer_iters
             assert row.hvp_touches == sum(
                 r.cg_iters * r.active_count for r in trace.rows
             )
@@ -226,7 +243,6 @@ class TestTrainOva:
 
     def test_failing_label_leaves_its_block(self, monkeypatch):
         import xova.trainer as trainer_mod
-        from xova.errors import NumericalError
 
         ds = augment_bias(generate_synthetic(300, 25, 6, 1.2, 11))
         stats = compute_label_stats(ds)
@@ -240,7 +256,7 @@ class TestTrainOva:
             result = real(*args)
             calls.append(1)
             if len(calls) == 2:  # every label is still in the block; row 2 is label 2
-                result.errors[2] = NumericalError("injected CG failure")
+                result.errors[2] = "injected CG failure"
             return result
 
         monkeypatch.setattr(trainer_mod.solver_mod, "cg_solve", label_2_fails_in_its_second_step)
@@ -287,8 +303,7 @@ class TestTrainOva:
     @pytest.mark.parametrize("kind", INIT_KINDS)
     def test_iteration_means_add_in_label_order(self, small_data, kind):
         ds, stats = small_data
-        cfg = TrainConfig(init=InitStrategy(kind), collect_traces=True)
-        _, report = train_ova(ds, stats, cfg)
+        _, report = train_ova(ds, stats, TrainConfig(init=InitStrategy(kind)))
         depth = max(len(t.rows) for t in report.traces.values())
         frac, step, count = [0.0] * depth, [0.0] * depth, [0] * depth
         for j in range(ds.n_labels):
@@ -342,7 +357,6 @@ class TestTrainOva:
         base = TrainConfig()
         assert replace(base, **change).digest() != base.digest()
         assert replace(base, **change, threads=4).digest() == replace(base, **change).digest()
-        assert replace(base, collect_traces=True).digest() == base.digest()
 
     def test_settings_are_the_report_keys(self, small_data):
         ds, stats = small_data
