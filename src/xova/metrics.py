@@ -41,17 +41,6 @@ class EvalResult:
             fh.write(f"macro_recall,,{self.macro_recall:.6f}\n")
 
 
-def _check_compatible(model: OvaModel, test: Dataset) -> None:
-    if test.dim != model.dim:
-        raise DimensionMismatchError(
-            f"test feature dimension {test.dim} != model dimension {model.dim}"
-        )
-    if test.n_labels != model.n_labels:
-        raise DimensionMismatchError(
-            f"test label count {test.n_labels} != model label count {model.n_labels}"
-        )
-
-
 def precision_at_k(model: OvaModel, test: Dataset, ks: list[int]) -> dict[int, float]:
     """Mean over test instances of ``|top-k predictions & relevant| / k``."""
     return evaluate(model, test, ks).p_at
@@ -73,7 +62,11 @@ def evaluate(model: OvaModel, test: Dataset, ks: list[int]) -> EvalResult:
     are excluded from the averages; 0/0 ratios inside a counted label are
     taken as 0.
     """
-    _check_compatible(model, test)
+    # score_blocks checks the dimension
+    if test.n_labels != model.n_labels:
+        raise DimensionMismatchError(
+            f"test label count {test.n_labels} != model label count {model.n_labels}"
+        )
     ks = sorted(set(int(k) for k in ks))
     if ks and (ks[0] < 1 or ks[-1] > model.n_labels):
         raise ConfigError(f"k must lie in [1, {model.n_labels}], got {ks}")

@@ -120,8 +120,10 @@ class SolverTrace:
 
     ``wall_ms`` and ``cpu_ms`` are the label's shares of its block's wall
     and thread CPU time: each step's time is split equally among the labels
-    still in the block. ``failure`` says why a solve that ended in
-    ``numerical_failure`` failed, and is None otherwise.
+    still in the block. ``train_ova`` adds to them the label's own set-up
+    and clipping, and to the ``ovap`` shared solve's its set-up. ``failure``
+    says why a solve that ended in ``numerical_failure`` failed, and is None
+    otherwise.
     """
 
     initial_loss: float = float("nan")
@@ -141,6 +143,10 @@ class SolverTrace:
     @property
     def first_step_size(self) -> float | None:
         return self.rows[0].step_size if self.rows else None
+
+    @property
+    def final_loss(self) -> float:
+        return self.rows[-1].loss if self.rows else self.initial_loss
 
     def losses(self) -> list[float]:
         return [self.initial_loss] + [r.loss for r in self.rows]

@@ -130,48 +130,81 @@ class OvaModel:
         return self.weights.n_cols
 
 
-@dataclass
-class LabelResult:
-    label: int
-    positives: int
-    outer_iters: int
-    hvp_touches: int
-    wall_ms: float
-    cpu_ms: float  # CPU time of the worker thread
-    final_loss: float
-    termination: str
-    first_step_size: float | None
-    failure: str | None  # why a numerical_failure failed, from SolverTrace.failure
+# The labels CSV's columns, and the format of each that is not written as is.
+_CSV_COLUMNS = (
+    "label", "positives", "outer_iters", "hvp_touches", "wall_ms", "final_loss", "termination",
+    "cpu_ms", "failure",
+)
+_CSV_FORMATS = {"wall_ms": "{:.3f}", "final_loss": "{:.17g}", "cpu_ms": "{:.3f}"}
+
+
+def _mean(values: list[float]) -> float:
+    # one addition at a time, in label order: sum() compensates float
+    # rounding from Python 3.12 on, so the means would vary by interpreter
+    return functools.reduce(operator.add, values, 0.0) / len(values)
 
 
 @dataclass
 class TrainReport:
+    """What a training run did: each label's solver trace, and the
+    aggregates that the report's JSON and CSV derive from them."""
+
     config: TrainConfig
     dataset: dict  # n, dim, n_labels and digest of the training set
-    labels: list[LabelResult]
-    iter_active_fraction_mean: list[float]
-    iter_step_size_mean: list[float]
-    iter_count: list[int]
+    positives: list[int]  # by label
+    labels: list[SolverTrace]  # by label
     total_wall_ms: float
-    total_hvp_touches: int
-    traces: dict[int, SolverTrace]  # by label
-    init_wall_ms: float = 0.0
-    init_hvp_touches: int = 0
-    init_failure: str | None = None  # why ovap's shared solve failed, if it did
+    init: SolverTrace | None = None  # ovap's shared solve; None for the other inits
     # milliseconds of each phase of `xova train`; None where nothing timed them
     phases: dict[str, float] | None = None
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for r in self.labels if r.termination == TERM_NUMERICAL)
+        return sum(1 for t in self.labels if t.termination == TERM_NUMERICAL)
+
+    @property
+    def total_hvp_touches(self) -> int:
+        init = self.init or SolverTrace()  # without a shared solve: 0 touches, 0 ms
+        return init.hvp_touches + sum(t.hvp_touches for t in self.labels)
 
     def mean_outer_iters(self) -> float:
         if not self.labels:
             return 0.0
-        return float(np.mean([r.outer_iters for r in self.labels]))
+        return float(np.mean([t.outer_iters for t in self.labels]))
+
+    @property
+    def iterations(self) -> dict:
+        """Per outer iteration, over the labels that reached it, in label
+        order: the mean active fraction and step size, and their count."""
+        reached = [
+            [row for row in rows if row is not None]
+            for rows in itertools.zip_longest(*(t.rows for t in self.labels))
+        ]
+        return {
+            "active_fraction_mean": [_mean([r.active_fraction for r in it]) for it in reached],
+            "step_size_mean": [_mean([r.step_size for r in it]) for it in reached],
+            "count": [len(it) for it in reached],
+        }
+
+    def label_rows(self) -> Iterator[dict]:
+        """Each label's row of the report, in the JSON's key order."""
+        for j, (positives, t) in enumerate(zip(self.positives, self.labels)):
+            yield {
+                "label": j,
+                "positives": positives,
+                "outer_iters": t.outer_iters,
+                "hvp_touches": t.hvp_touches,
+                "wall_ms": t.wall_ms,
+                "cpu_ms": t.cpu_ms,
+                "final_loss": t.final_loss,
+                "termination": t.termination,
+                "first_step_size": t.first_step_size,
+                "failure": t.failure,
+            }
 
     def to_json_dict(self) -> dict:
         cfg = self.config
+        init = self.init or SolverTrace()
         return {
             "format": "xova-report v1",
             "dataset": self.dataset,
@@ -182,20 +215,16 @@ class TrainReport:
                 "hvp_touches": self.total_hvp_touches,
                 "labels_trained": len(self.labels),
                 "failed": self.n_failed,
-                "init_wall_ms": self.init_wall_ms,
-                "init_hvp_touches": self.init_hvp_touches,
-                "init_failure": self.init_failure,
+                "init_wall_ms": init.wall_ms,
+                "init_hvp_touches": init.hvp_touches,
+                "init_failure": init.failure,
             },
             "phases": self.phases,
-            "iterations": {
-                "active_fraction_mean": self.iter_active_fraction_mean,
-                "step_size_mean": self.iter_step_size_mean,
-                "count": self.iter_count,
-            },
+            "iterations": self.iterations,
             # strict JSON has no NaN: a label that failed at its start has a null final_loss
             "labels": [
-                {**asdict(r), "final_loss": r.final_loss if np.isfinite(r.final_loss) else None}
-                for r in self.labels
+                {**row, "final_loss": row["final_loss"] if np.isfinite(row["final_loss"]) else None}
+                for row in self.label_rows()
             ],
         }
 
@@ -206,17 +235,13 @@ class TrainReport:
 
     def write_labels_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination,cpu_ms,"
-                "failure\n"
-            )
-            for r in self.labels:
+            fh.write(",".join(_CSV_COLUMNS) + "\n")
+            for row in self.label_rows():
                 # quoted as CSV quotes a field, so that a comma in the message is safe
-                failure = "" if r.failure is None else '"' + r.failure.replace('"', '""') + '"'
+                failure = row["failure"]
+                row["failure"] = "" if failure is None else '"' + failure.replace('"', '""') + '"'
                 fh.write(
-                    f"{r.label},{r.positives},{r.outer_iters},{r.hvp_touches},"
-                    f"{r.wall_ms:.3f},{r.final_loss:.17g},{r.termination},{r.cpu_ms:.3f},"
-                    f"{failure}\n"
+                    ",".join(_CSV_FORMATS.get(k, "{}").format(row[k]) for k in _CSV_COLUMNS) + "\n"
                 )
 
 
@@ -252,10 +277,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
 
     # Every start but aop's is one shared vector; np.array(w0s) copies it
     # into each block's starts, so one vector serves every label.
-    t_start = time.perf_counter()
-    init_wall_ms = 0.0
-    init_hvp_touches = 0
-    init_failure = None
+    t_start, c_start = time.perf_counter(), time.thread_time()
+    init_trace = None
     if init.kind == "aop":
         # An overflowing <xbar, xbar> makes every aop start non-finite, which
         # each label's solve reports as numerical_failure.
@@ -268,10 +291,10 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         # its last accepted iterate: every label is still solved from it,
         # and those that fail are reported as numerical_failure.
         with np.errstate(over="ignore"):
-            w_shared, ovap_trace = ovap_solve(all_neg, cfg.solver, init.ovap_stop_rel)
-        init_wall_ms = (time.perf_counter() - t_start) * 1e3
-        init_hvp_touches = ovap_trace.hvp_touches
-        init_failure = ovap_trace.failure
+            w_shared, init_trace = ovap_solve(all_neg, cfg.solver, init.ovap_stop_rel)
+        # the shared solve's time, its set-up included
+        init_trace.wall_ms = (time.perf_counter() - t_start) * 1e3
+        init_trace.cpu_ms = (time.thread_time() - c_start) * 1e3
     elif init.kind == "bias":
         w_shared = bias_init(ds.dim, ds.bias_index, init.bias_scale)
     else:
@@ -300,22 +323,12 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                 own.append((time.perf_counter() - t0, time.thread_time() - c0))
             W, traces = solver_mod.newton_cg_block(problems, np.array(w0s), cfg.solver, refs)
         out = []
-        for label, w, trace, (wall, cpu) in zip(labels, W, traces, own):
+        for w, trace, (wall, cpu) in zip(W, traces, own):
             t0, c0 = time.perf_counter(), time.thread_time()
             kept = np.flatnonzero(np.abs(w) >= cfg.clip_threshold)
-            result = LabelResult(
-                label=label,
-                positives=int(stats.positives[label].size),
-                outer_iters=trace.outer_iters,
-                hvp_touches=trace.hvp_touches,
-                wall_ms=(wall + time.perf_counter() - t0) * 1e3 + trace.wall_ms,
-                cpu_ms=(cpu + time.thread_time() - c0) * 1e3 + trace.cpu_ms,
-                final_loss=trace.rows[-1].loss if trace.rows else trace.initial_loss,
-                termination=trace.termination,
-                first_step_size=trace.first_step_size,
-                failure=trace.failure,
-            )
-            out.append((kept, w[kept], result, trace))
+            trace.wall_ms += (wall + time.perf_counter() - t0) * 1e3
+            trace.cpu_ms += (cpu + time.thread_time() - c0) * 1e3
+            out.append((kept, w[kept], trace))
         return out
 
     every = range(ds.n_labels)
@@ -323,18 +336,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         solved_blocks = list(pool.map(work, blocks))
     outcomes = [outcome for block in solved_blocks for outcome in block]
-    idx_parts, val_parts, results, traces = zip(*outcomes) if outcomes else ((),) * 4
-    # per outer iteration, the rows of the labels that reached it, in label order
-    iterations = [
-        [row for row in rows if row is not None]
-        for rows in itertools.zip_longest(*(trace.rows for trace in traces))
-    ]
-
-    def mean(values: list[float]) -> float:
-        # one addition at a time, in label order: sum() compensates float
-        # rounding from Python 3.12 on, so the means would vary by interpreter
-        return functools.reduce(operator.add, values, 0.0) / len(values)
-
+    idx_parts, val_parts, traces = zip(*outcomes) if outcomes else ((),) * 3
     model = OvaModel(
         weights=SparseMatrix.stack(idx_parts, val_parts, ds.dim),
         bias_index=ds.bias_index,
@@ -344,16 +346,10 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     report = TrainReport(
         config=cfg,
         dataset={"n": n, "dim": ds.dim, "n_labels": ds.n_labels, "digest": dataset_digest(ds)},
-        labels=list(results),
-        iter_active_fraction_mean=[mean([r.active_fraction for r in it]) for it in iterations],
-        iter_step_size_mean=[mean([r.step_size for r in it]) for it in iterations],
-        iter_count=[len(it) for it in iterations],
+        positives=[int(p.size) for p in stats.positives],
+        labels=list(traces),
         total_wall_ms=(time.perf_counter() - t_start) * 1e3,
-        total_hvp_touches=init_hvp_touches + sum(r.hvp_touches for r in results),
-        traces=dict(enumerate(traces)),
-        init_wall_ms=init_wall_ms,
-        init_hvp_touches=init_hvp_touches,
-        init_failure=init_failure,
+        init=init_trace,
     )
     return model, report
 

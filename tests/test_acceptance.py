@@ -252,8 +252,8 @@ def test_criterion_5_implicit_mining_speedup_proxy(runs_default):
     zero_rep = runs_default["zero"][1]
     aop_rep = runs_default["aop"][1]
     ratio = aop_rep.total_hvp_touches / zero_rep.total_hvp_touches
-    zero_f0 = zero_rep.iter_active_fraction_mean[0]
-    aop_f0 = aop_rep.iter_active_fraction_mean[0]
+    zero_f0 = zero_rep.iterations["active_fraction_mean"][0]
+    aop_f0 = aop_rep.iterations["active_fraction_mean"][0]
     elapsed = time.perf_counter() - t0 + _charge("synth", "runs_default")
     ok = ratio <= 0.6 and aop_f0 < 0.5 and zero_f0 == 1.0 and elapsed < 120.0
     _report(5, "implicit-negative-mining speedup proxy", ok,
@@ -288,7 +288,7 @@ def test_criterion_7_monotonicity_and_determinism(synth, runs_default, tmp_path)
     violations = 0
     n_traces = 0
     for _, rep in runs_default.values():
-        for trace in rep.traces.values():
+        for trace in rep.labels:
             seq = trace.losses()
             n_traces += 1
             if any(b > a for a, b in zip(seq, seq[1:])):

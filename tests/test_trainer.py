@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,14 @@ import xova.solver as solver_mod
 from xova.initializers import INIT_KINDS, InitStrategy
 from xova.losses import MarginLoss
 from xova.solver import (
-    BinaryProblem, SolverConfig, TERM_LINE_SEARCH, TERM_NUMERICAL, grad0_norm, gradient, newton_cg
+    BinaryProblem,
+    SolverConfig,
+    SolverTrace,
+    TERM_LINE_SEARCH,
+    TERM_NUMERICAL,
+    grad0_norm,
+    gradient,
+    newton_cg,
 )
 from xova.sparse import SparseMatrix
 import xova.trainer as trainer_mod
@@ -53,7 +61,7 @@ class TestTrainOva:
         g0 = float(np.linalg.norm(gradient(p, np.zeros(ds.dim))))
         w_ref, trace = newton_cg(p, np.zeros(ds.dim), cfg.solver, g0)
         np.testing.assert_array_equal(model.weights.row(j).to_dense(ds.dim), w_ref)
-        row = next(r for r in report.labels if r.label == j)
+        row = report.labels[j]
         assert row.outer_iters == trace.outer_iters
         assert row.hvp_touches == trace.hvp_touches
 
@@ -120,7 +128,7 @@ class TestTrainOva:
 
         monkeypatch.setattr(trainer_mod.solver_mod, "cg_solve", label_0_fails)
         model, report = train_ova(ds, stats, TrainConfig())
-        by_label = {r.label: r for r in report.labels}
+        by_label = dict(enumerate(report.labels))
         assert by_label[0].termination == TERM_NUMERICAL
         assert all(
             by_label[j].termination != TERM_NUMERICAL for j in range(1, ds.n_labels)
@@ -179,24 +187,35 @@ class TestTrainOva:
             W = model.weights
             runs.append((
                 W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes(),
-                [replace(r, **untimed) for r in report.labels],
-                [replace(report.traces[j], **untimed) for j in range(ds.n_labels)],
+                [replace(t, **untimed) for t in report.labels],
             ))
         assert runs[0] == runs[1]
 
     def test_report_consistency(self, small_data):
         ds, stats = small_data
         _, report = train_ova(ds, stats, TrainConfig())
-        assert list(report.traces) == list(range(ds.n_labels))
-        for row in report.labels:
-            trace = report.traces[row.label]
-            assert len(trace.rows) == row.outer_iters
-            assert row.hvp_touches == sum(
+        assert len(report.labels) == ds.n_labels
+        for trace in report.labels:
+            assert len(trace.rows) == trace.outer_iters
+            assert trace.hvp_touches == sum(
                 r.cg_iters * r.active_count for r in trace.rows
             )
         assert report.total_hvp_touches == sum(r.hvp_touches for r in report.labels)
-        assert report.total_wall_ms >= max(r.wall_ms for r in report.labels) * 0.0
         assert sum(r.wall_ms for r in report.labels) >= max(r.wall_ms for r in report.labels)
+
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_label_times_add_up_within_the_run(self, small_data, kind):
+        ds, stats = small_data
+        _, report = train_ova(ds, stats, TrainConfig(init=InitStrategy(kind), threads=1))
+        assert all(t.wall_ms >= 0 and t.cpu_ms >= 0 for t in report.labels)
+        if kind == "ovap":
+            assert isinstance(report.init, SolverTrace)
+        else:
+            assert report.init is None
+        # the labels' times are shares of their blocks' times, so with the
+        # shared solve's they fit in the run
+        shared_ms = report.init.wall_ms if report.init else 0.0
+        assert sum(t.wall_ms for t in report.labels) + shared_ms <= report.total_wall_ms
 
     def test_cpu_time_per_label(self, small_data):
         ds, stats = small_data
@@ -297,23 +316,24 @@ class TestTrainOva:
     def test_iteration_aggregates(self, small_data):
         ds, stats = small_data
         _, report = train_ova(ds, stats, TrainConfig(init=InitStrategy("zero")))
-        assert report.iter_active_fraction_mean[0] == 1.0
-        assert report.iter_count[0] == len(report.labels)
+        assert report.iterations["active_fraction_mean"][0] == 1.0
+        assert report.iterations["count"][0] == len(report.labels)
 
     @pytest.mark.parametrize("kind", INIT_KINDS)
     def test_iteration_means_add_in_label_order(self, small_data, kind):
         ds, stats = small_data
         _, report = train_ova(ds, stats, TrainConfig(init=InitStrategy(kind)))
-        depth = max(len(t.rows) for t in report.traces.values())
+        depth = max(len(t.rows) for t in report.labels)
         frac, step, count = [0.0] * depth, [0.0] * depth, [0] * depth
         for j in range(ds.n_labels):
-            for i, row in enumerate(report.traces[j].rows):
+            for i, row in enumerate(report.labels[j].rows):
                 frac[i] += row.active_fraction
                 step[i] += row.step_size
                 count[i] += 1
-        assert report.iter_count == count
-        assert report.iter_active_fraction_mean == [f / c for f, c in zip(frac, count)]
-        assert report.iter_step_size_mean == [s / c for s, c in zip(step, count)]
+        iterations = report.iterations
+        assert iterations["count"] == count
+        assert iterations["active_fraction_mean"] == [f / c for f, c in zip(frac, count)]
+        assert iterations["step_size_mean"] == [s / c for s, c in zip(step, count)]
 
     @pytest.mark.parametrize("kind", INIT_KINDS)
     def test_no_labels(self, small_data, kind):
@@ -322,8 +342,34 @@ class TestTrainOva:
         cfg = TrainConfig(init=InitStrategy(kind))
         model, report = train_ova(empty, compute_label_stats(empty), cfg)
         assert (model.n_labels, model.dim) == (0, ds.dim)
-        assert report.labels == [] and report.iter_count == []
-        assert report.iter_active_fraction_mean == report.iter_step_size_mean == []
+        iterations = report.iterations
+        assert report.labels == [] and iterations["count"] == []
+        assert iterations["active_fraction_mean"] == iterations["step_size_mean"] == []
+
+    @pytest.mark.parametrize(
+        "kind, json_digest, csv_digest",
+        [
+            ("ovap", "cfc69ba6c8253be1", "fe37334e45fdb7ff"),
+            ("aop", "7164e7a6969b484e", "b411e2d0e80a7b8c"),
+        ],
+    )
+    def test_report_values_are_pinned(self, kind, json_digest, csv_digest, tmp_path):
+        # the report JSON and labels CSV, their timing values dropped, as
+        # written before the report was rebuilt on the labels' traces
+        ds = augment_bias(generate_synthetic(300, 25, 40, 1.2, 11))
+        _, report = train_ova(ds, compute_label_stats(ds), TrainConfig(init=InitStrategy(kind)))
+        report.write_json(tmp_path / "report.json")
+        report.write_labels_csv(tmp_path / "labels.csv")
+        doc = json.loads((tmp_path / "report.json").read_text())
+        for label in doc["labels"]:
+            del label["wall_ms"], label["cpu_ms"]
+        del doc["totals"]["wall_ms"], doc["totals"]["init_wall_ms"], doc["phases"]
+        with open(tmp_path / "labels.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        timed = {rows[0].index("wall_ms"), rows[0].index("cpu_ms")}
+        table = "\n".join(",".join(v for i, v in enumerate(r) if i not in timed) for r in rows)
+        digests = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in (json.dumps(doc), table)]
+        assert digests == [json_digest, csv_digest]
 
     def test_config_digest_sensitivity(self):
         a = TrainConfig()
