@@ -5,8 +5,9 @@ Four strategies:
 * ``zero``  -- the all-zero vector.
 * ``bias``  -- ``-scale`` on the bias coordinate, zero elsewhere; with
   scale 1 every instance sits at margin exactly 1 on the negative side.
-* ``ovap``  -- solve a virtual label with all-negative signs once (with a
-  loose stopping criterion) and reuse that vector for every label.
+* ``ovap``  -- solve a virtual label with all-negative signs over the
+  shared X, loss and C once (with a loose stopping criterion) and reuse
+  that vector for every label.
 * ``aop``   -- place the mean of the positives at margin ``s`` and the mean
   of the negatives at margin ``t`` with the minimum-norm vector in the span
   of the positive mean and the global mean.
@@ -21,7 +22,7 @@ import numpy as np
 from . import solver
 from .errors import ConfigError
 from .losses import MarginLoss
-from .sparse import DenseVector, SparseVector
+from .sparse import DenseVector, SparseMatrix, SparseVector
 
 INIT_KINDS = ("zero", "bias", "ovap", "aop")
 
@@ -100,23 +101,25 @@ def bias_init(dim: int, bias_index: int | None, scale: float) -> DenseVector:
 
 
 def ovap_solve(
-    all_negative_problem: solver.BinaryProblem,
+    X: SparseMatrix,
+    loss: MarginLoss,
+    c: float,
     cfg: solver.SolverConfig,
     stop_rel: float = 0.01,
 ) -> tuple[DenseVector, solver.SolverTrace]:
-    """Solve the virtual all-negative label from zero with a loose criterion.
+    """Solve the virtual all-negative label over ``X`` from zero with a
+    loose criterion.
 
     The vector is computed once per dataset and reused as the starting
     vector for every label; the solver trace is returned with it. As in a
     label's solve, a numerical failure keeps the last accepted iterate, and
     the trace's ``failure`` says why.
     """
-    if np.any(all_negative_problem.signs != -1.0):
-        raise ConfigError("the ovap problem must have every sign equal to -1")
+    signs = np.full(X.n_rows, -1.0)
     loose = replace(cfg, eps_outer=stop_rel)
-    w0 = np.zeros((1, all_negative_problem.dim), dtype=np.float64)
-    grad0_ref = solver.grad0_norm(all_negative_problem)
-    W, [trace] = solver.newton_cg_block([all_negative_problem], w0, loose, [grad0_ref])
+    w0 = np.zeros((1, X.n_cols), dtype=np.float64)
+    grad0_ref = solver.grad0_norm(solver.BinaryProblem(X, signs, loss, c))
+    W, [trace] = solver.newton_cg_block(X, loss, c, [signs], w0, loose, [grad0_ref])
     return W[0], trace
 
 

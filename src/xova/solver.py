@@ -14,16 +14,19 @@ hinge an inactive row's gradient and curvature coefficients are exactly
 zero, so it would only add zeros: skipping it is exact, not an
 approximation.
 
-The labels of a block share the design matrix X and move in lockstep:
-each step makes one sparse product for the whole block where one label
-would make one of its own. Every product runs over the whole X with a
-literal 0 weight on a label's inactive rows: the active rows' values are
-gathered and scattered back into zeros, so an inactive row whose
-``<x_i, d>`` overflowed never enters a sum. Everything else is per label,
-on that label's own contiguous rows (``np.dot``, ``np.linalg.norm`` and
-``np.sum`` on one row, never a reduction along an axis), and a column of
-a scipy product sums in the same order as the product with that column
-alone, so a label's bits do not depend on the block it is solved in.
+A block of labels is one design matrix X, one loss and one C, and each
+label's +-1 signs; the labels move in lockstep, and each step makes one
+sparse product for the whole block where one label would make one of its
+own. The one-label API takes a :class:`BinaryProblem`, which checks its
+signs; the block solver trusts the signs its callers build. Every product
+runs over the whole X with a literal 0 weight on a label's inactive rows:
+the active rows' values are gathered and scattered back into zeros, so an
+inactive row whose ``<x_i, d>`` overflowed never enters a sum. Everything
+else is per label, on that label's own contiguous rows (``np.dot``,
+``np.linalg.norm`` and ``np.sum`` on one row, never a reduction along an
+axis), and a column of a scipy product sums in the same order as the
+product with that column alone, so a label's bits do not depend on the
+block it is solved in.
 """
 
 from __future__ import annotations
@@ -65,8 +68,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.eps_outer < np.inf and 0.0 < self.eps_cg < np.inf):
             raise ConfigError("tolerances must be positive and finite")
-        if self.max_outer < 1 or self.max_cg < 1:
-            raise ConfigError("iteration limits must be >= 1")
+        # a limit that is not a whole number is never met: CG stops at iters == max_cg
+        if not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1
+            for v in (self.max_outer, self.max_cg)
+        ):
+            raise ConfigError("iteration limits must be whole numbers >= 1")
 
 
 @dataclass(frozen=True)
@@ -375,34 +382,37 @@ def newton_cg(
     :class:`NumericalError` with the trace's ``failure`` message, which
     carries the last accepted iterate and the trace so far.
     """
-    W, [trace] = newton_cg_block([problem], w0[None], cfg, [grad0_ref])
+    W, [trace] = newton_cg_block(
+        problem.features, problem.loss, problem.c, [problem.signs], w0[None], cfg, [grad0_ref]
+    )
     if trace.failure is not None:
         raise NumericalError(trace.failure, w_last=W[0], trace=trace)
     return W[0], trace
 
 
 def newton_cg_block(
-    problems: Sequence[BinaryProblem],
+    X: SparseMatrix,
+    loss: MarginLoss,
+    c: float,
+    S: Sequence[np.ndarray],
     W0: np.ndarray,
     cfg: SolverConfig,
     grad0_refs: Sequence[float],
 ) -> tuple[np.ndarray, list[SolverTrace]]:
-    """:func:`newton_cg` for every problem of a block in lockstep, from the
-    rows of ``W0`` (``b x dim``), with one stopping reference per problem.
+    """:func:`newton_cg` for a block of labels over one design matrix ``X``,
+    loss and C, in lockstep, from the rows of ``W0`` (``b x dim``), with one
+    stopping reference per label.
 
-    The block's (at least one) problems must share one design matrix
-    object, loss and C; they differ only in their signs. A label leaves the
-    block when it converges, reaches ``max_outer``, fails its line search or
-    meets a non-finite value; the others go on. Returns the ``b x dim``
-    last iterates and one trace per label; a label that failed numerically
-    keeps its last accepted iterate, and its trace's ``failure`` says why.
-    Each label's result is bit for bit the one it gets alone.
+    ``S[k]`` holds label ``k``'s signs, unchecked: float64 of length ``n``,
+    each +1 or -1, as the callers build them (:class:`BinaryProblem` is the
+    checked form of one label). A label leaves the block when it converges,
+    reaches ``max_outer``, fails its line search or meets a non-finite
+    value; the others go on. Returns the ``b x dim`` last iterates and one
+    trace per label; a label that failed numerically keeps its last accepted
+    iterate, and its trace's ``failure`` says why. Each label's result is
+    bit for bit the one it gets alone.
     """
-    X, loss, c = problems[0].features, problems[0].loss, problems[0].c
-    if any(p.features is not X or p.loss != loss or p.c != c for p in problems):
-        raise ConfigError("the problems of a block must share X, the loss and C")
-    S = [p.signs for p in problems]
-    n, b = X.n_rows, len(problems)
+    n, b = X.n_rows, len(S)
     W = np.array(W0, dtype=np.float64)
     if W.shape != (b, X.n_cols):
         raise DimensionMismatchError(f"starts of shape {W.shape} for {b} labels of dim {X.n_cols}")

@@ -286,12 +286,11 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
             aop_pre = AopPrecompute(xbar=stats.xbar, xbar_sq=stats.xbar_sq, n=stats.n)
         s, t = init.resolved_aop(cfg.loss)
     elif init.kind == "ovap":
-        all_neg = BinaryProblem(X, np.full(n, -1.0), cfg.loss, cfg.c)
         # An overflow ends the shared solve with a failure on its trace and
         # its last accepted iterate: every label is still solved from it,
         # and those that fail are reported as numerical_failure.
         with np.errstate(over="ignore"):
-            w_shared, init_trace = ovap_solve(all_neg, cfg.solver, init.ovap_stop_rel)
+            w_shared, init_trace = ovap_solve(X, cfg.loss, cfg.c, cfg.solver, init.ovap_stop_rel)
         # the shared solve's time, its set-up included
         init_trace.wall_ms = (time.perf_counter() - t_start) * 1e3
         init_trace.cpu_ms = (time.thread_time() - c_start) * 1e3
@@ -303,7 +302,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     def work(labels: range):
         """Solve one block of labels. Each label is charged its own set-up
         and clipping and its share of the block's solver steps."""
-        problems, w0s, refs, own = [], [], [], []
+        S, w0s, refs, own = [], [], [], []
         # Overflow on huge inputs ends in non-finite values (inf, or nan from
         # inf * 0 in the aop start), which the solver reports as
         # numerical_failure. errstate is per thread, so it is set here.
@@ -312,16 +311,20 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                 t0, c0 = time.perf_counter(), time.thread_time()
                 signs = np.full(n, -1.0)
                 signs[stats.positives[label]] = 1.0
-                problems.append(BinaryProblem(X, signs, cfg.loss, cfg.c))
+                S.append(signs)
                 if init.kind == "aop":
                     p_count = int(stats.positives[label].size)
                     w0s.append(aop_init(stats.pbar.row(label), p_count, aop_pre, s, t))
                 else:
                     w0s.append(w_shared)
                 ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
-                refs.append(ref if np.isfinite(ref) else grad0_norm(problems[-1]))
+                if not np.isfinite(ref):  # the means overflowed: one pass over X instead
+                    ref = grad0_norm(BinaryProblem(X, signs, cfg.loss, cfg.c))
+                refs.append(ref)
                 own.append((time.perf_counter() - t0, time.thread_time() - c0))
-            W, traces = solver_mod.newton_cg_block(problems, np.array(w0s), cfg.solver, refs)
+            W, traces = solver_mod.newton_cg_block(
+                X, cfg.loss, cfg.c, S, np.array(w0s), cfg.solver, refs
+            )
         out = []
         for w, trace, (wall, cpu) in zip(W, traces, own):
             t0, c0 = time.perf_counter(), time.thread_time()

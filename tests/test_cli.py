@@ -1,7 +1,6 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from xova.cli import main

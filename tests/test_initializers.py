@@ -103,15 +103,13 @@ class TestZeroAndBias:
 class TestOvap:
     def test_bias_only_closed_form(self):
         X = make_matrix([{0: 1.0}], 1)
-        p = BinaryProblem(X, np.array([-1.0]))
-        w = ovap_solve(p, SolverConfig(), 0.01)[0]
+        w = ovap_solve(X, MarginLoss.SQUARED_HINGE, 1.0, SolverConfig(), 0.01)[0]
         assert w[0] == pytest.approx(-2.0 / 3.0, abs=1e-2)
 
     def test_large_n_approaches_minus_one(self):
         n = 2000
         X = make_matrix([{0: 1.0}] * n, 1)
-        p = BinaryProblem(X, np.full(n, -1.0))
-        w = ovap_solve(p, SolverConfig(), 1e-6)[0]
+        w = ovap_solve(X, MarginLoss.SQUARED_HINGE, 1.0, SolverConfig(), 1e-6)[0]
         assert w[0] == pytest.approx(-2.0 * n / (1 + 2.0 * n), abs=1e-4)
         assert abs(w[0] + 1.0) < 1e-3
 
@@ -119,7 +117,7 @@ class TestOvap:
         ds = augment_bias(generate_synthetic(120, 12, 5, 1.2, 4))
         p = BinaryProblem(ds.features, np.full(ds.n, -1.0))
         g0 = float(np.linalg.norm(gradient(p, np.zeros(ds.dim))))
-        w = ovap_solve(p, SolverConfig(), 0.01)[0]
+        w = ovap_solve(ds.features, p.loss, p.c, SolverConfig(), 0.01)[0]
         assert float(np.linalg.norm(gradient(p, w))) <= 0.01 * g0
 
     def test_overflow_is_a_failure_on_the_trace(self):
@@ -127,17 +125,11 @@ class TestOvap:
         # the zero start overflows, so no step is accepted
         rows = [{0: 1e308, 1: 1.0, 2: 1.0}, {0: 1e308, 1: 2.0, 2: 1.0}, {1: 1.0, 2: 1.0}]
         X = make_matrix(rows, 3)
-        p = BinaryProblem(X, np.full(3, -1.0))
         with np.errstate(over="ignore"):
-            w, trace = ovap_solve(p, SolverConfig(), 0.01)
+            w, trace = ovap_solve(X, MarginLoss.SQUARED_HINGE, 1.0, SolverConfig(), 0.01)
         assert trace.termination == TERM_NUMERICAL
         assert trace.failure == "non-finite gradient"
         np.testing.assert_array_equal(w, np.zeros(3))
-
-    def test_rejects_positive_signs(self):
-        p = BinaryProblem(make_matrix([{0: 1.0}], 1), np.array([1.0]))
-        with pytest.raises(ConfigError):
-            ovap_solve(p, SolverConfig(), 0.01)
 
 
 def brute_force_nbar(pbar, p_count, pre):

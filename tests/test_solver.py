@@ -23,7 +23,7 @@ from xova.solver import (
     newton_cg,
     objective,
 )
-from xova.sparse import SparseVector, SparseMatrix
+from xova.sparse import SparseMatrix
 
 from conftest import dense_matrix, make_matrix, random_problem
 
@@ -69,7 +69,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(**bad)
 
-    @pytest.mark.parametrize("bad", [{"max_outer": 0}, {"max_cg": 0}])
+    @pytest.mark.parametrize(
+        "bad", [{"max_outer": 0}, {"max_cg": 0}, {"max_outer": 2.5}, {"max_cg": 2.5}]
+    )
     def test_iteration_limits_validated(self, bad):
         with pytest.raises(ConfigError, match="iteration limits"):
             SolverConfig(**bad)
@@ -254,7 +256,8 @@ class TestActiveRows:
         others, _ = other_labels(rng, p, 2)
         with np.errstate(over="ignore"):
             W, traces = solver_mod.newton_cg_block(
-                [p] + others, np.stack([w0, -w0, 0 * w0]), SolverConfig(), [1.0] * 3
+                p.features, p.loss, p.c, [q.signs for q in [p] + others],
+                np.stack([w0, -w0, 0 * w0]), SolverConfig(), [1.0] * 3,
             )
         trace_block = traces[0]
         assert trace_block.failure is None
@@ -351,22 +354,6 @@ class TestLineSearch:
 
 
 class TestNewtonCg:
-    def test_block_problems_must_share_x_loss_and_c(self, rng, monkeypatch):
-        p = random_problem(rng, n=20, d=5, loss=SQH)
-        X = p.features
-        same_values = SparseMatrix(X.indptr.copy(), X.indices.copy(), X.data.copy(), X.n_cols)
-        assert same_values == X
-        steps = []
-        monkeypatch.setattr(losses_mod, "active_set", lambda *a: steps.append(a))
-        for other in (
-            BinaryProblem(same_values, p.signs, p.loss, p.c),
-            BinaryProblem(X, p.signs, LOG, p.c),
-            BinaryProblem(X, p.signs, p.loss, 2.0 * p.c),
-        ):
-            with pytest.raises(ConfigError):
-                solver_mod.newton_cg_block([p, other], np.zeros((2, 5)), SolverConfig(), [1.0] * 2)
-        assert steps == []
-
     @pytest.mark.parametrize("n", [1, 10, 1000])
     def test_closed_form_all_negative(self, n):
         p = all_negative_1d(n)
@@ -490,7 +477,8 @@ class TestNewtonCg:
 
         monkeypatch.setattr(solver_mod, "cg_solve", label_1_fails_in_its_first_step)
         W, traces = solver_mod.newton_cg_block(
-            problems, np.zeros((3, 8)), SolverConfig(), [grad0_ref(q) for q in problems]
+            p.features, p.loss, p.c, [q.signs for q in problems],
+            np.zeros((3, 8)), SolverConfig(), [grad0_ref(q) for q in problems],
         )
         assert [t.failure for t in traces] == [None, "injected CG failure", None]
         assert [t.termination for t in traces] == [TERM_CONVERGED, TERM_NUMERICAL, TERM_CONVERGED]

@@ -22,7 +22,6 @@ from xova.solver import (
     gradient,
     newton_cg,
 )
-from xova.sparse import SparseMatrix
 import xova.trainer as trainer_mod
 from xova.trainer import (
     OvaModel,
@@ -371,6 +370,48 @@ class TestTrainOva:
         digests = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in (json.dumps(doc), table)]
         assert digests == [json_digest, csv_digest]
 
+    @pytest.mark.parametrize(
+        "loss, c, kind, model_digest",
+        [
+            (MarginLoss.SQUARED_HINGE, 1.0, "zero", "41bbb7979e26093b"),
+            (MarginLoss.SQUARED_HINGE, 1.0, "bias", "d84e9ecc72f854e7"),
+            (MarginLoss.SQUARED_HINGE, 1.0, "ovap", "f88940f390386248"),
+            (MarginLoss.SQUARED_HINGE, 1.0, "aop", "908235dab9f45b29"),
+            (MarginLoss.LOGISTIC, 1.0, "zero", "b9579e8df12e0e8e"),
+            (MarginLoss.LOGISTIC, 1.0, "bias", "a54b478a8d913acc"),
+            (MarginLoss.LOGISTIC, 1.0, "ovap", "62717f503d7a3ca1"),
+            (MarginLoss.LOGISTIC, 1.0, "aop", "eace9fabf595ca01"),
+            # a C other than 1 tells a loss/C mix-up in the solver's calls apart
+            (MarginLoss.SQUARED_HINGE, 0.5, "ovap", "84ae130cf469d897"),
+            (MarginLoss.SQUARED_HINGE, 0.5, "aop", "88b9f7b128b5f10c"),
+        ],
+    )
+    def test_model_bytes_are_pinned(self, loss, c, kind, model_digest, tmp_path):
+        ds = augment_bias(generate_synthetic(300, 25, 40, 1.2, 11))
+        cfg = TrainConfig(loss=loss, init=InitStrategy(kind), c=c)
+        model, _ = train_ova(ds, compute_label_stats(ds), cfg)
+        save_model(model, tmp_path / "model.bin")
+        digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()[:16]
+        assert digest == model_digest
+
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_labels_are_solved_without_a_checked_problem_each(self, kind, monkeypatch):
+        # train_ova builds each label's signs itself, as +-1, and hands them
+        # to the block solver unchecked; ovap's shared solve checks its one
+        # all-negative problem for its stopping reference
+        checked = []
+        real = BinaryProblem.__post_init__
+
+        def counting(problem):
+            checked.append(problem)
+            real(problem)
+
+        ds = augment_bias(generate_synthetic(300, 25, 40, 1.2, 11))
+        stats = compute_label_stats(ds)
+        monkeypatch.setattr(BinaryProblem, "__post_init__", counting)
+        train_ova(ds, stats, TrainConfig(init=InitStrategy(kind)))
+        assert len(checked) == (1 if kind == "ovap" else 0)
+
     def test_config_digest_sensitivity(self):
         a = TrainConfig()
         b = TrainConfig(clip_threshold=0.5)
@@ -450,9 +491,9 @@ class TestGrad0ClosedForm:
         seen = []
         real = solver_mod.newton_cg_block
 
-        def spy(problems, W0, solver_cfg, refs):
+        def spy(X, loss, c, S, W0, solver_cfg, refs):
             seen.append(refs)
-            return real(problems, W0, solver_cfg, refs)
+            return real(X, loss, c, S, W0, solver_cfg, refs)
 
         monkeypatch.setattr(solver_mod, "newton_cg_block", spy)
         train_ova(ds, stats, cfg)
