@@ -16,7 +16,6 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     ModelFormatError,
-    NumericalError,
     ParseError,
     XovaError,
 )
@@ -251,9 +250,6 @@ def main(argv=None) -> int:
     except (ParseError, ModelFormatError, DimensionMismatchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except XovaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A numerical failure in a solve is not one of them: it is returned on the
+solve's trace (``SolverTrace.failure``).
+"""
 
 
 class XovaError(Exception):
@@ -33,16 +37,3 @@ class ModelFormatError(XovaError, ValueError):
 
 class ConfigError(XovaError, ValueError):
     """Invalid configuration, or invalid state for the requested operation."""
-
-
-class NumericalError(XovaError, RuntimeError):
-    """Non-finite values encountered during optimization.
-
-    Carries the last accepted weight vector and the trace collected so far,
-    so callers can salvage partial progress.
-    """
-
-    def __init__(self, message: str, w_last=None, trace=None):
-        super().__init__(message)
-        self.w_last = w_last
-        self.trace = trace

@@ -6,8 +6,8 @@ Four strategies:
 * ``bias``  -- ``-scale`` on the bias coordinate, zero elsewhere; with
   scale 1 every instance sits at margin exactly 1 on the negative side.
 * ``ovap``  -- solve a virtual label with all-negative signs over the
-  shared X, loss and C once (with a loose stopping criterion) and reuse
-  that vector for every label.
+  shared X, loss and C once, one ``newton_cg`` call with a loose stopping
+  criterion, and reuse that vector for every label.
 * ``aop``   -- place the mean of the positives at margin ``s`` and the mean
   of the negatives at margin ``t`` with the minimum-norm vector in the span
   of the positive mean and the global mean.
@@ -54,9 +54,12 @@ class InitStrategy:
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ConfigError(f"unknown init kind {self.kind!r}; expected one of {INIT_KINDS}")
-        if not np.isfinite(self.bias_scale):
+        if isinstance(self.bias_scale, bool) or not np.isfinite(self.bias_scale):
             raise ConfigError("bias scale must be finite")
-        if any(v is not None and not np.isfinite(v) for v in (self.aop_s, self.aop_t)):
+        if any(
+            v is not None and (isinstance(v, bool) or not np.isfinite(v))
+            for v in (self.aop_s, self.aop_t)
+        ):
             raise ConfigError("aop margin targets must be finite")
         if not 0.0 < self.ovap_stop_rel < 1.0:
             raise ConfigError("ovap stopping ratio must lie in (0, 1)")
@@ -108,19 +111,18 @@ def ovap_solve(
     stop_rel: float = 0.01,
 ) -> tuple[DenseVector, solver.SolverTrace]:
     """Solve the virtual all-negative label over ``X`` from zero with a
-    loose criterion.
+    loose criterion: one :func:`solver.newton_cg` call.
 
     The vector is computed once per dataset and reused as the starting
-    vector for every label; the solver trace is returned with it. As in a
-    label's solve, a numerical failure keeps the last accepted iterate, and
+    vector for every label; the solver trace is returned with it. As in
+    every solve, a numerical failure keeps the last accepted iterate, and
     the trace's ``failure`` says why.
     """
-    signs = np.full(X.n_rows, -1.0)
-    loose = replace(cfg, eps_outer=stop_rel)
-    w0 = np.zeros((1, X.n_cols), dtype=np.float64)
-    grad0_ref = solver.grad0_norm(solver.BinaryProblem(X, signs, loss, c))
-    W, [trace] = solver.newton_cg_block(X, loss, c, [signs], w0, loose, [grad0_ref])
-    return W[0], trace
+    problem = solver.BinaryProblem(X, np.full(X.n_rows, -1.0), loss, c)
+    w0 = np.zeros(X.n_cols, dtype=np.float64)
+    return solver.newton_cg(
+        problem, w0, replace(cfg, eps_outer=stop_rel), solver.grad0_norm(problem)
+    )
 
 
 def aop_init(

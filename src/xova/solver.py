@@ -27,6 +27,10 @@ else is per label, on that label's own contiguous rows (``np.dot``,
 axis), and a column of a scipy product sums in the same order as the
 product with that column alone, so a label's bits do not depend on the
 block it is solved in.
+
+A solve's outcome is its trace, for one label as for a block: every
+termination, a numerical failure included, returns the last accepted
+iterate and the trace, whose ``failure`` says why a failed solve failed.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from . import losses
-from .errors import ConfigError, DimensionMismatchError, NumericalError
+from .errors import ConfigError, DimensionMismatchError
 from .losses import MarginLoss
 from .sparse import DenseVector, SparseMatrix
 
@@ -66,7 +70,9 @@ class SolverConfig:
     ls_max_steps: ClassVar[int] = 20
 
     def __post_init__(self):
-        if not (0.0 < self.eps_outer < np.inf and 0.0 < self.eps_cg < np.inf):
+        if not all(
+            not isinstance(v, bool) and 0.0 < v < np.inf for v in (self.eps_outer, self.eps_cg)
+        ):
             raise ConfigError("tolerances must be positive and finite")
         # a limit that is not a whole number is never met: CG stops at iters == max_cg
         if not all(
@@ -378,15 +384,13 @@ def newton_cg(
     ``grad0_ref`` is the gradient norm at the zero vector for this problem;
     the outer loop stops once ``|grad| <= eps_outer * grad0_ref``, so every
     initialization strategy targets the same stopping surface. The solve is
-    :func:`newton_cg_block` on a block of one; a numerical failure raises a
-    :class:`NumericalError` with the trace's ``failure`` message, which
-    carries the last accepted iterate and the trace so far.
+    :func:`newton_cg_block` on a block of one, and its outcome is the
+    trace, whatever the termination: a numerical failure keeps the last
+    accepted iterate, and the trace's ``failure`` says why.
     """
     W, [trace] = newton_cg_block(
         problem.features, problem.loss, problem.c, [problem.signs], w0[None], cfg, [grad0_ref]
     )
-    if trace.failure is not None:
-        raise NumericalError(trace.failure, w_last=W[0], trace=trace)
     return W[0], trace
 
 
@@ -417,7 +421,6 @@ def newton_cg_block(
     if W.shape != (b, X.n_cols):
         raise DimensionMismatchError(f"starts of shape {W.shape} for {b} labels of dim {X.n_cols}")
     traces = [SolverTrace(grad0_ref=ref) for ref in grad0_refs]
-    loss_val = [0.0] * b
 
     def fail(k: int, message: str) -> None:
         traces[k].termination = TERM_NUMERICAL
@@ -438,11 +441,11 @@ def newton_cg_block(
     live = []
     for k in range(b):
         M[k] *= S[k]
-        loss_val[k] = _objective(loss, c, W[k], M[k])
-        if not np.isfinite(loss_val[k]):
+        initial = _objective(loss, c, W[k], M[k])
+        if not np.isfinite(initial):
             fail(k, "non-finite objective at the initial point")
             continue
-        traces[k].initial_loss = loss_val[k]
+        traces[k].initial_loss = initial
         live.append(k)
     charge(range(b))
 
@@ -503,16 +506,15 @@ def newton_cg_block(
         for (k, p), xdir in zip(P.items(), XP.T):
             mdir = S[k] * xdir
             eval_at = _TrialObjective(loss, c, W[k], M[k], p, mdir)
-            lam, accepted = backtracking_search(eval_at, loss_val[k], g_dot_p[k], cfg)
+            lam, accepted = backtracking_search(eval_at, traces[k].final_loss, g_dot_p[k], cfg)
             if not accepted:
                 traces[k].termination = TERM_LINE_SEARCH
                 traces[k].final_grad_norm = gnorm[k]
                 continue
             W[k] += lam * p
             M[k] += lam * mdir
-            loss_val[k] = eval_at.value
             traces[k].rows.append(TraceRow(
-                loss=loss_val[k],
+                loss=eval_at.value,
                 grad_norm=gnorm[k],
                 active_count=n_active[k],
                 active_fraction=n_active[k] / n if n else 0.0,

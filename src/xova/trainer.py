@@ -68,11 +68,13 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.clip_threshold < np.inf:
+        # a bool is an int to Python, but no count or weight
+        if isinstance(self.clip_threshold, bool) or not 0.0 <= self.clip_threshold < np.inf:
             raise ConfigError("clip threshold must be finite and >= 0")
-        if self.threads < 1:
-            raise ConfigError("thread count must be >= 1")
-        if not 0.0 < self.c < np.inf:
+        if not (isinstance(self.threads, int) and not isinstance(self.threads, bool)
+                and self.threads >= 1):
+            raise ConfigError("thread count must be a whole number >= 1")
+        if isinstance(self.c, bool) or not 0.0 < self.c < np.inf:
             raise ConfigError("loss weight c must be finite and > 0")
         if self.init.kind == "aop":
             s, t = self.init.resolved_aop(self.loss)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import xova.solver as solver_mod
 from xova.dataio import augment_bias, compute_label_stats, generate_synthetic
 from xova.errors import ConfigError
 from xova.initializers import (
@@ -13,7 +14,9 @@ from xova.initializers import (
     zero_init,
 )
 from xova.losses import MarginLoss, active_set
-from xova.solver import TERM_NUMERICAL, BinaryProblem, SolverConfig, gradient, margins, objective
+from xova.solver import (
+    TERM_NUMERICAL, BinaryProblem, SolverConfig, grad0_norm, gradient, margins, objective
+)
 from xova.sparse import SparseVector
 from xova.trainer import TrainConfig
 
@@ -26,6 +29,13 @@ class TestStrategy:
             InitStrategy(kind="magic")
         with pytest.raises(ConfigError):
             InitStrategy(kind="ovap", ovap_stop_rel=1.5)
+
+    @pytest.mark.parametrize(
+        "bad", [{"bias_scale": True}, {"aop_s": True}, {"aop_t": False}, {"ovap_stop_rel": True}]
+    )
+    def test_numbers_are_not_bools(self, bad):
+        with pytest.raises(ConfigError):
+            InitStrategy(**bad)
 
     def test_aop_defaults_per_loss(self):
         st = InitStrategy(kind="aop")
@@ -130,6 +140,25 @@ class TestOvap:
         assert trace.termination == TERM_NUMERICAL
         assert trace.failure == "non-finite gradient"
         np.testing.assert_array_equal(w, np.zeros(3))
+
+    def test_is_one_newton_cg_call(self, monkeypatch):
+        # looked up on the solver module at call time, so a wrapper sees the shared solve
+        calls = []
+        real = solver_mod.newton_cg
+
+        def spy(problem, w0, cfg, grad0_ref):
+            calls.append((problem, w0, cfg, grad0_ref))
+            return real(problem, w0, cfg, grad0_ref)
+
+        monkeypatch.setattr(solver_mod, "newton_cg", spy)
+        X = make_matrix([{0: 1.0, 1: 2.0}, {1: 1.0}], 2)
+        w, trace = ovap_solve(X, MarginLoss.LOGISTIC, 0.5, SolverConfig(), 0.1)
+        [(problem, w0, cfg, grad0_ref)] = calls
+        assert problem.signs.tolist() == [-1.0, -1.0]
+        assert (problem.features, problem.loss, problem.c) == (X, MarginLoss.LOGISTIC, 0.5)
+        assert w0.tolist() == [0.0, 0.0] and cfg.eps_outer == 0.1
+        assert grad0_ref == grad0_norm(problem)
+        assert trace.outer_iters > 0
 
 
 def brute_force_nbar(pbar, p_count, pre):

@@ -412,6 +412,22 @@ class TestTrainOva:
         train_ova(ds, stats, TrainConfig(init=InitStrategy(kind)))
         assert len(checked) == (1 if kind == "ovap" else 0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"threads": 0},
+            {"threads": 2.5},
+            {"threads": True},
+            {"c": True},
+            {"c": 0.0},
+            {"clip_threshold": True},
+            {"clip_threshold": -1.0},
+        ],
+    )
+    def test_config_validation(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+
     def test_config_digest_sensitivity(self):
         a = TrainConfig()
         b = TrainConfig(clip_threshold=0.5)
