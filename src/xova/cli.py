@@ -11,14 +11,15 @@ import sys
 import time
 
 from . import diag
-from .dataio import augment_bias, compute_label_stats, generate_synthetic, load_xmc_dataset, split_dataset, write_xmc_dataset
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    ModelFormatError,
-    ParseError,
-    XovaError,
+from .dataio import (
+    augment_bias,
+    compute_label_stats,
+    generate_synthetic,
+    load_xmc_dataset,
+    split_dataset,
+    write_xmc_dataset,
 )
+from .errors import ConfigError, DimensionMismatchError, XovaError
 from .initializers import INIT_KINDS, InitStrategy
 from .losses import MarginLoss, parse_loss
 from .metrics import evaluate
@@ -247,10 +248,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ModelFormatError, DimensionMismatchError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except XovaError as err:
+    except (XovaError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -119,10 +119,9 @@ def ovap_solve(
     the trace's ``failure`` says why.
     """
     problem = solver.BinaryProblem(X, np.full(X.n_rows, -1.0), loss, c)
-    w0 = np.zeros(X.n_cols, dtype=np.float64)
-    return solver.newton_cg(
-        problem, w0, replace(cfg, eps_outer=stop_rel), solver.grad0_norm(problem)
-    )
+    w0 = zero_init(X.n_cols)
+    grad0_ref = float(np.linalg.norm(solver.gradient(problem, w0)))
+    return solver.newton_cg(problem, w0, replace(cfg, eps_outer=stop_rel), grad0_ref)
 
 
 def aop_init(

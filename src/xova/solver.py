@@ -227,11 +227,9 @@ def _diag(X: SparseMatrix, idx, dd) -> np.ndarray:
 def _hvp(X: SparseMatrix, idx, dd, D: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     """``d + sum_{i in idx} dd_i * <x_i, d> * x_i`` for each direction ``d``
     of ``D``, whose row ``j`` belongs to the label ``rows[j]`` of ``idx``/``dd``."""
-    weights = X.matvec(D.T)  # X d; each column then becomes its HVP weights in place
-    for j, k in enumerate(rows):
-        vals = dd[k] * weights[idx[k], j]
-        weights[:, j] = 0.0
-        weights[idx[k], j] = vals
+    XD = X.matvec(D.T)
+    vals = (dd[k] * XD[idx[k], j] for j, k in enumerate(rows))
+    weights = _scatter(X.n_rows, [idx[k] for k in rows], vals)
     return D + _rows(X.rmatvec(weights))
 
 
@@ -268,13 +266,6 @@ def gradient(problem: BinaryProblem, w: DenseVector) -> DenseVector:
     every = np.arange(problem.n)
     coef = _grad_coef(problem.loss, problem.c, margins(problem, w), problem.signs, every)
     return _gradient(problem.features, w[None], [every], [coef])[0]
-
-
-def grad0_norm(problem: BinaryProblem) -> float:
-    """``|grad(0)|``, the stopping reference. Every margin at zero is 0, so
-    the gradient is ``C * sum phi'(0) * y_i * x_i`` and needs no ``X w`` pass."""
-    coef = problem.c * losses.dphi(problem.loss, np.zeros(problem.n)) * problem.signs
-    return float(np.linalg.norm(problem.features.rmatvec(coef)))
 
 
 def hessian_vec(
@@ -383,7 +374,8 @@ def newton_cg(
 
     ``grad0_ref`` is the gradient norm at the zero vector for this problem;
     the outer loop stops once ``|grad| <= eps_outer * grad0_ref``, so every
-    initialization strategy targets the same stopping surface. The solve is
+    initialization strategy targets the same stopping surface; a reference
+    that is not finite is a numerical failure at the first test. The solve is
     :func:`newton_cg_block` on a block of one, and its outcome is the
     trace, whatever the termination: a numerical failure keeps the last
     accepted iterate, and the trace's ``failure`` says why.
@@ -462,6 +454,8 @@ def newton_cg_block(
         for k in live:
             if not np.isfinite(gnorm[k]):
                 fail(k, "non-finite gradient")
+            elif not np.isfinite(traces[k].grad0_ref):  # inf would pass any test, nan none
+                fail(k, "non-finite stopping reference")
             elif gnorm[k] <= cfg.eps_outer * traces[k].grad0_ref:
                 traces[k].termination = TERM_CONVERGED
             elif traces[k].outer_iters >= cfg.max_outer:

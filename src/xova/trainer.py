@@ -9,7 +9,6 @@ touching the optimization itself.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import hashlib
 import itertools
@@ -18,6 +17,7 @@ import operator
 import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -37,7 +37,7 @@ from .initializers import (
     zero_init,
 )
 from .losses import MarginLoss, parse_loss
-from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL, grad0_norm
+from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL
 from .sparse import SparseMatrix
 
 MODEL_MAGIC = "xova"
@@ -172,7 +172,7 @@ class TrainReport:
     def mean_outer_iters(self) -> float:
         if not self.labels:
             return 0.0
-        return float(np.mean([t.outer_iters for t in self.labels]))
+        return _mean([t.outer_iters for t in self.labels])
 
     @property
     def iterations(self) -> dict:
@@ -321,7 +321,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                     w0s.append(w_shared)
                 ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
                 if not np.isfinite(ref):  # the means overflowed: one pass over X instead
-                    ref = grad0_norm(BinaryProblem(X, signs, cfg.loss, cfg.c))
+                    problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
+                    ref = float(np.linalg.norm(solver_mod.gradient(problem, zero_init(ds.dim))))
                 refs.append(ref)
                 own.append((time.perf_counter() - t0, time.thread_time() - c0))
             W, traces = solver_mod.newton_cg_block(
@@ -338,7 +339,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
 
     every = range(ds.n_labels)
     blocks = [every[lo : lo + _BLOCK_LABELS] for lo in every[::_BLOCK_LABELS]]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    # more threads than CPUs would only contend; the report keeps cfg.threads
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
         solved_blocks = list(pool.map(work, blocks))
     outcomes = [outcome for block in solved_blocks for outcome in block]
     idx_parts, val_parts, traces = zip(*outcomes) if outcomes else ((),) * 3

@@ -174,10 +174,10 @@ class TestTrain:
         loaded = load_model(model)
         assert (loaded.n_labels, loaded.dim, loaded.bias_index) == (2, d + 1, d)
         report = json.loads((tmp_path / "huge.json").read_text())
-        # From -1 at the bias, the only row of the first file with a huge value
-        # is negative for label 1 and starts outside the margin, so label 1 converges.
-        one_fails = (init, name) == ("bias", "one_huge_value")
-        assert report["totals"]["failed"] == (1 if one_fails else 2)
+        # From -1 at the bias, label 1's positives start at margin -1, inside
+        # the margin, and its stopping reference |grad(0)| overflows to inf: a
+        # numerical failure, as in every other case.
+        assert report["totals"]["failed"] == 2
 
     def test_failure_at_the_start_writes_strict_json(self, tmp_path):
         # the aop start of the one label is not finite, so it has no finite loss
@@ -216,6 +216,24 @@ class TestTrain:
             [row] = list(csv.DictReader(fh))
         assert row["termination"] == "numerical_failure"
         assert row["failure"] == want
+
+    @pytest.mark.parametrize("init", ["zero", "bias", "ovap", "aop"])
+    def test_an_overflowing_stopping_reference_exit_3(self, tmp_path, capsys, init):
+        # The unlabeled rows' 1e308 values overflow |grad(0)| of the one label.
+        # From the bias start those rows sit outside the margin and the
+        # gradient is finite, so only the reference stops bias; the others
+        # meet the overflow in the gradient itself.
+        data = tmp_path / "ref.txt"
+        data.write_text("6 2 1\n" + " 0:1e308 1:1\n" * 4 + "0 1:2\n" * 2)
+        out = tmp_path / "ref.json"
+        rc = main(["train", "--data", str(data), "--init", init,
+                   "--model-out", str(tmp_path / "m.model"), "--diag-out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical failure: 1 labels failed")
+        [label] = json.loads(out.read_text())["labels"]
+        assert label["termination"] == "numerical_failure"
+        assert label["failure"] == ("non-finite stopping reference" if init == "bias"
+                                    else "non-finite gradient")
 
     def test_non_finite_data_exit_2(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"

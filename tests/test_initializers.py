@@ -15,7 +15,7 @@ from xova.initializers import (
 )
 from xova.losses import MarginLoss, active_set
 from xova.solver import (
-    TERM_NUMERICAL, BinaryProblem, SolverConfig, grad0_norm, gradient, margins, objective
+    TERM_NUMERICAL, BinaryProblem, SolverConfig, gradient, margins, objective
 )
 from xova.sparse import SparseVector
 from xova.trainer import TrainConfig
@@ -157,7 +157,7 @@ class TestOvap:
         assert problem.signs.tolist() == [-1.0, -1.0]
         assert (problem.features, problem.loss, problem.c) == (X, MarginLoss.LOGISTIC, 0.5)
         assert w0.tolist() == [0.0, 0.0] and cfg.eps_outer == 0.1
-        assert grad0_ref == grad0_norm(problem)
+        assert grad0_ref == float(np.linalg.norm(gradient(problem, np.zeros(2))))
         assert trace.outer_iters > 0
 
 

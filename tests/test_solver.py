@@ -16,7 +16,6 @@ from xova.solver import (
     TERM_NUMERICAL,
     backtracking_search,
     cg_solve,
-    grad0_norm,
     gradient,
     hessian_vec,
     margins,
@@ -126,14 +125,6 @@ class TestGradient:
                 fd[k] = (objective(p, w + e) - objective(p, w - e)) / (2 * h)
             err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             assert err <= 1e-6
-
-    @pytest.mark.parametrize("c", [0.1, 0.3, 1.0, 10.0])
-    @pytest.mark.parametrize("loss", [SQH, LOG])
-    def test_grad0_norm_is_gradient_norm_at_zero(self, loss, c, rng):
-        # the stopping reference skips the X @ 0 pass but must keep every bit
-        for _ in range(10):
-            p = random_problem(rng, n=30, d=8, loss=loss, c=c)
-            assert grad0_norm(p) == float(np.linalg.norm(gradient(p, np.zeros(p.dim))))
 
 
 class TestHessianVec:
@@ -443,6 +434,16 @@ class TestNewtonCg:
         p = BinaryProblem(X, np.array([1.0, -1.0]))
         _, trace = newton_cg(p, np.zeros(1), SolverConfig(), 1.0)
         assert trace.termination == TERM_NUMERICAL
+
+    @pytest.mark.parametrize("ref", [np.inf, np.nan])
+    def test_a_non_finite_reference_is_a_numerical_failure(self, ref):
+        # |grad| <= eps * inf would hold at any finite gradient, and nan never
+        p = BinaryProblem(make_matrix([{0: 1.0}, {0: 2.0}], 1), np.array([1.0, -1.0]))
+        w, trace = newton_cg(p, np.array([0.5]), SolverConfig(), ref)
+        assert trace.termination == TERM_NUMERICAL
+        assert trace.failure == "non-finite stopping reference"
+        assert trace.outer_iters == 0 and np.isfinite(trace.final_grad_norm)
+        assert w.tolist() == [0.5]
 
     def test_an_overflowing_start_keeps_a_nan_initial_loss(self):
         # the labels CSV writes nan, not inf, for a start with no finite objective

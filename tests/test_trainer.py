@@ -18,7 +18,6 @@ from xova.solver import (
     SolverTrace,
     TERM_LINE_SEARCH,
     TERM_NUMERICAL,
-    grad0_norm,
     gradient,
     newton_cg,
 )
@@ -172,6 +171,34 @@ class TestTrainOva:
         save_model(m1, p1)
         save_model(m4, p4)
         assert p1.read_bytes() == p4.read_bytes()
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_the_pool_is_clamped_to_the_cpu_count(self, small_data, monkeypatch, cpus, workers):
+        # a stand-in pool records its size and maps serially, so no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: cpus)
+        ds, stats = small_data
+        cfg = TrainConfig(threads=10**6)
+        _, report = train_ova(ds, stats, cfg)
+        assert sizes == [workers]
+        written = report.to_json_dict()
+        assert written["threads"] == 10**6
+        assert written["config_digest"] == replace(cfg, threads=1).digest()
 
     @pytest.mark.parametrize("kind", INIT_KINDS)
     def test_thread_count_changes_no_bit(self, small_data, kind, monkeypatch):
@@ -492,7 +519,8 @@ class TestGrad0ClosedForm:
         for j in range(L + 2):
             signs = np.full(ds.n, -1.0)
             signs[stats.positives[j]] = 1.0
-            ref = grad0_norm(BinaryProblem(ds.features, signs, loss, c))
+            problem = BinaryProblem(ds.features, signs, loss, c)
+            ref = float(np.linalg.norm(gradient(problem, np.zeros(ds.dim))))
             assert abs(grad0_closed_form(stats, j, loss, c) - ref) <= 1e-14 * ref
 
     def test_non_finite_falls_back_to_the_pass(self, monkeypatch):
@@ -515,7 +543,7 @@ class TestGrad0ClosedForm:
         train_ova(ds, stats, cfg)
         [[ref]] = seen
         problem = BinaryProblem(X, np.array([1.0, -1.0]), cfg.loss, cfg.c)
-        assert ref == grad0_norm(problem) == pytest.approx(0.2)
+        assert ref == float(np.linalg.norm(gradient(problem, np.zeros(2)))) == pytest.approx(0.2)
 
 
 def scores(model, rows):
