@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ConfigError
+from .errors import ConfigError, is_number
 
 
 def load_report(path) -> dict:
@@ -35,20 +35,15 @@ def load_report(path) -> dict:
     for key in ("init", "loss"):
         need(isinstance(report[key], str), key, "a string")
     fractions = iterations.get("active_fraction_mean") if isinstance(iterations, dict) else None
-    need(isinstance(fractions, list) and all(_is_number(v, float) for v in fractions),
+    need(isinstance(fractions, list) and all(is_number(v) for v in fractions),
          "iterations.active_fraction_mean", "a list of numbers")
     need(isinstance(labels, list) and all(isinstance(row, dict) for row in labels),
          "labels", "a list of objects")
     for i, row in enumerate(labels):
-        for key, kind in (("positives", int), ("outer_iters", float), ("wall_ms", float)):
-            need(_is_number(row.get(key), kind), f"labels[{i}].{key}",
-                 "an integer" if kind is int else "a number")
+        for key, whole in (("positives", True), ("outer_iters", False), ("wall_ms", False)):
+            need(is_number(row.get(key), whole), f"labels[{i}].{key}",
+                 "an integer" if whole else "a number")
     return report
-
-
-def _is_number(value, kind: type) -> bool:
-    """An int, or also a float when ``kind`` is float; never a bool."""
-    return isinstance(value, (int, kind)) and not isinstance(value, bool)
 
 
 def method_names(reports: list[dict]) -> list[str]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``is_number``, the rule for a number.
 
 A numerical failure in a solve is not one of them: it is returned on the
 solve's trace (``SolverTrace.failure``).
@@ -37,3 +37,9 @@ class ModelFormatError(XovaError, ValueError):
 
 class ConfigError(XovaError, ValueError):
     """Invalid configuration, or invalid state for the requested operation."""
+
+
+def is_number(value, whole: bool = False) -> bool:
+    """A Python int, or also a float unless ``whole``; never a bool. A float
+    subclass such as numpy.float64 counts; numpy.float32 and str do not."""
+    return isinstance(value, int if whole else (int, float)) and not isinstance(value, bool)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .errors import ConfigError
+from .errors import ConfigError, is_number
 from .losses import MarginLoss
 from .sparse import DenseVector, SparseMatrix, SparseVector
 
@@ -54,14 +54,11 @@ class InitStrategy:
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ConfigError(f"unknown init kind {self.kind!r}; expected one of {INIT_KINDS}")
-        if isinstance(self.bias_scale, bool) or not np.isfinite(self.bias_scale):
+        if not (is_number(self.bias_scale) and np.isfinite(self.bias_scale)):
             raise ConfigError("bias scale must be finite")
-        if any(
-            v is not None and (isinstance(v, bool) or not np.isfinite(v))
-            for v in (self.aop_s, self.aop_t)
-        ):
+        if not all(v is None or is_number(v) and np.isfinite(v) for v in (self.aop_s, self.aop_t)):
             raise ConfigError("aop margin targets must be finite")
-        if not 0.0 < self.ovap_stop_rel < 1.0:
+        if not (is_number(self.ovap_stop_rel) and 0.0 < self.ovap_stop_rel < 1.0):
             raise ConfigError("ovap stopping ratio must lie in (0, 1)")
 
     def resolved_aop(self, loss: MarginLoss) -> tuple[float, float]:

@@ -18,14 +18,14 @@ A block of labels is one design matrix X, one loss and one C, and each
 label's +-1 signs; the labels move in lockstep, and each step makes one
 sparse product for the whole block where one label would make one of its
 own. The one-label API takes a :class:`BinaryProblem`, which checks its
-signs; the block solver trusts the signs its callers build. Every product
-runs over the whole X with a literal 0 weight on a label's inactive rows:
-the active rows' values are gathered and scattered back into zeros, so an
-inactive row whose ``<x_i, d>`` overflowed never enters a sum. Everything
-else is per label, on that label's own contiguous rows (``np.dot``,
-``np.linalg.norm`` and ``np.sum`` on one row, never a reduction along an
-axis), and a column of a scipy product sums in the same order as the
-product with that column alone, so a label's bits do not depend on the
+signs, loss and C; the block solver trusts the signs its callers build.
+Every product runs over the whole X with a literal 0 weight on a label's
+inactive rows: the active rows' values are gathered and scattered back into
+zeros, so an inactive row whose ``<x_i, d>`` overflowed never enters a sum.
+Everything else is per label, on that label's own contiguous rows
+(``np.dot``, ``np.linalg.norm`` and ``np.sum`` on one row, never a reduction
+along an axis), and a column of a scipy product sums in the same order as
+the product with that column alone, so a label's bits do not depend on the
 block it is solved in.
 
 A solve's outcome is its trace, for one label as for a block: every
@@ -43,7 +43,7 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from . import losses
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, is_number
 from .losses import MarginLoss
 from .sparse import DenseVector, SparseMatrix
 
@@ -70,15 +70,10 @@ class SolverConfig:
     ls_max_steps: ClassVar[int] = 20
 
     def __post_init__(self):
-        if not all(
-            not isinstance(v, bool) and 0.0 < v < np.inf for v in (self.eps_outer, self.eps_cg)
-        ):
+        if not all(is_number(v) and 0.0 < v < np.inf for v in (self.eps_outer, self.eps_cg)):
             raise ConfigError("tolerances must be positive and finite")
         # a limit that is not a whole number is never met: CG stops at iters == max_cg
-        if not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1
-            for v in (self.max_outer, self.max_cg)
-        ):
+        if not all(is_number(v, whole=True) and v >= 1 for v in (self.max_outer, self.max_cg)):
             raise ConfigError("iteration limits must be whole numbers >= 1")
 
 
@@ -92,6 +87,10 @@ class BinaryProblem:
     c: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.loss, MarginLoss):
+            raise ConfigError(f"loss: expected MarginLoss, got {self.loss!r}")
+        if not (is_number(self.c) and 0.0 < self.c < np.inf):
+            raise ConfigError("loss weight c must be finite and > 0")
         signs = np.ascontiguousarray(self.signs, dtype=np.float64)
         if signs.shape[0] != self.features.n_rows:
             raise DimensionMismatchError(

@@ -26,7 +26,8 @@ import numpy as np
 from . import losses
 from . import solver as solver_mod
 from .dataio import MAX_COUNT, Dataset, LabelStats, dataset_digest, reject_non_finite
-from .errors import ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError
+from .errors import (ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError,
+                     is_number)
 from .initializers import (
     INIT_KINDS,
     AopPrecompute,
@@ -68,13 +69,14 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        # a bool is an int to Python, but no count or weight
-        if isinstance(self.clip_threshold, bool) or not 0.0 <= self.clip_threshold < np.inf:
+        for name, kind in (("loss", MarginLoss), ("init", InitStrategy), ("solver", SolverConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name}: expected {kind.__name__}, got {getattr(self, name)!r}")
+        if not (is_number(self.clip_threshold) and 0.0 <= self.clip_threshold < np.inf):
             raise ConfigError("clip threshold must be finite and >= 0")
-        if not (isinstance(self.threads, int) and not isinstance(self.threads, bool)
-                and self.threads >= 1):
+        if not (is_number(self.threads, whole=True) and self.threads >= 1):
             raise ConfigError("thread count must be a whole number >= 1")
-        if isinstance(self.c, bool) or not 0.0 < self.c < np.inf:
+        if not (is_number(self.c) and 0.0 < self.c < np.inf):
             raise ConfigError("loss weight c must be finite and > 0")
         if self.init.kind == "aop":
             s, t = self.init.resolved_aop(self.loss)
@@ -270,7 +272,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     """
     if ds.n == 0:
         raise ConfigError("cannot train on an empty dataset")
-    if stats.n != ds.n or stats.n_labels != ds.n_labels:
+    if (stats.n, stats.n_labels, stats.xbar.shape[0]) != (ds.n, ds.n_labels, ds.dim):
         raise ConfigError("label statistics were computed from a different dataset")
 
     X = ds.features

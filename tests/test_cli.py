@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import xova.trainer as trainer_mod
 from xova.cli import main
 from xova.initializers import InitStrategy
 from xova.trainer import OvaModel, TrainConfig, load_model, save_model
@@ -149,7 +150,10 @@ class TestTrain:
         assert rc == 1
         assert "bias" in capsys.readouterr().err
 
-    def test_reproducible_across_threads(self, workdir):
+    def test_reproducible_across_threads(self, workdir, monkeypatch):
+        # blocks of 3 labels: 10 labels make four blocks for four workers on any host
+        monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 3)
+        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 4)
         rc1 = main(train_args(workdir, model="m1.model", **{"--threads": "1"}))
         rc2 = main(train_args(workdir, model="m2.model", **{"--threads": "4"}))
         assert rc1 == rc2 == 0
@@ -158,6 +162,27 @@ class TestTrain:
     def test_missing_data_exit_2(self, workdir):
         rc = main(train_args(workdir, **{"--data": str(workdir / "nope.txt")}))
         assert rc == 2
+
+    def test_empty_data_file_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "empty.txt"
+        data.write_text("")
+        rc = main(["train", "--data", str(data), "--model-out", str(tmp_path / "m.model")])
+        assert rc == 2
+        assert "line 1: empty file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("init, message", [
+        ("zero", "dimension must be >= 1"),
+        ("bias", "bias initialization needs a bias-augmented dataset"),
+        ("ovap", "dimension must be >= 1"),
+        ("aop", "zero-dimensional feature space"),
+    ])
+    def test_zero_dimensional_data_exit_1(self, tmp_path, capsys, init, message):
+        data = tmp_path / "d0.txt"
+        data.write_text("3 0 1\n0\n0\n0\n")
+        rc = main(["train", "--data", str(data), "--no-augment", "--init", init,
+                   "--model-out", str(tmp_path / "m.model")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(HUGE_VALUES))
     @pytest.mark.parametrize("init", ["zero", "bias", "ovap", "aop"])
@@ -327,6 +352,21 @@ class TestPredictEval:
         values = [*data["p_at"].values(), data["macro_precision"], data["macro_recall"]]
         assert all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
         assert all(0 <= v <= 1 for v in values)
+
+    def test_eval_csv_rows_are_the_json_values(self, workdir, trained, tmp_path):
+        jpath, cpath = tmp_path / "eval.json", tmp_path / "eval.csv"
+        rc = main(["eval", "--model", str(trained), "--data", str(workdir / "test.txt"),
+                   "--k", "1,3,5", "--json", str(jpath), "--csv", str(cpath)])
+        assert rc == 0
+        data = json.loads(jpath.read_text())
+        with open(cpath, newline="", encoding="utf-8") as fh:
+            rows = [(r["metric"], r["k"], r["value"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            *(("p_at", k, f"{v:.6f}") for k, v in data["p_at"].items()),
+            ("macro_precision", "", f"{data['macro_precision']:.6f}"),
+            ("macro_recall", "", f"{data['macro_recall']:.6f}"),
+        ]
+        assert [k for _, k, _ in rows[:3]] == ["1", "3", "5"]
 
     @pytest.mark.parametrize(
         "init, predict_digest, eval_digest",

@@ -31,7 +31,19 @@ class TestStrategy:
             InitStrategy(kind="ovap", ovap_stop_rel=1.5)
 
     @pytest.mark.parametrize(
-        "bad", [{"bias_scale": True}, {"aop_s": True}, {"aop_t": False}, {"ovap_stop_rel": True}]
+        "bad",
+        [
+            {"bias_scale": True},
+            {"aop_s": True},
+            {"aop_t": False},
+            {"ovap_stop_rel": True},
+            {"kind": "bias", "bias_scale": np.float32(2)},
+            {"bias_scale": "1"},
+            {"aop_s": np.float32(1)},
+            {"aop_t": "-2"},
+            {"ovap_stop_rel": None},
+            {"kind": "ovap", "ovap_stop_rel": np.float32(0.1)},
+        ],
     )
     def test_numbers_are_not_bools(self, bad):
         with pytest.raises(ConfigError):

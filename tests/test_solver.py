@@ -64,11 +64,30 @@ class TestConfig:
             {"eps_cg": -1.0},
             {"eps_outer": True},
             {"eps_cg": True},
+            {"eps_outer": np.float32(0.1)},
+            {"eps_outer": "0.1"},
+            {"eps_cg": None},
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             SolverConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"loss": "squared-hinge"},
+            {"c": -1.0},
+            {"c": 0.0},
+            {"c": np.inf},
+            {"c": True},
+            {"c": None},
+            {"c": np.float32(1.0)},
+        ],
+    )
+    def test_binary_problem_validation(self, bad):
+        with pytest.raises(ConfigError):
+            BinaryProblem(make_matrix([{0: 1.0}], 1), np.ones(1), **bad)
 
     @pytest.mark.parametrize(
         "bad", [{"max_outer": 0}, {"max_cg": 0}, {"max_outer": 2.5}, {"max_cg": 2.5}]
@@ -307,6 +326,19 @@ class TestCgSolve:
         assert iters == 0
         assert error == "non-positive curvature -1 in CG iteration 1"
 
+    @pytest.mark.parametrize("g, hvp, iters, message", [
+        # finite, but its square overflows
+        ([1e200], lambda d: d, 0, "non-finite preconditioned gradient norm in CG"),
+        ([1.0], lambda d: d * np.inf, 0, "non-finite curvature in CG iteration 1"),
+        # d'Hd = 1, so alpha = 1, but the residual's second entry becomes -1e200
+        ([1.0, 0.0], lambda d: np.array([-1.0, 1e200]), 1,
+         "non-finite residual in CG iteration 1"),
+    ], ids=["gradient_norm", "curvature", "residual"])
+    def test_non_finite_values_reported(self, g, hvp, iters, message):
+        with np.errstate(over="ignore"):  # as in train_ova's blocks
+            _, got_iters, error = cg_one(np.array(g), hvp, SolverConfig(), np.ones(len(g)))
+        assert (got_iters, error) == (iters, message)
+
 
 class TestLineSearch:
     def test_direct_substitution(self):
@@ -495,6 +527,22 @@ class TestNewtonCg:
         assert [t.termination for t in traces] == [TERM_CONVERGED, TERM_NUMERICAL, TERM_CONVERGED]
         assert traces[1].outer_iters == 0
         np.testing.assert_array_equal(W[1], 0.0)
+
+    def test_a_non_descent_direction_is_a_numerical_failure(self, rng, monkeypatch):
+        # +G is an ascent direction: g.p = |g|^2 > 0
+        monkeypatch.setattr(
+            solver_mod, "cg_solve",
+            lambda G, hvp, cfg, diag: solver_mod.CgBlock(
+                G.copy(), len(G), [1] * len(G), [None] * len(G)
+            ),
+        )
+        p = random_problem(rng, n=40, d=8, loss=SQH)
+        w0 = rng.normal(size=8)
+        w, trace = newton_cg(p, w0, SolverConfig(), grad0_ref(p))
+        assert trace.termination == TERM_NUMERICAL
+        assert trace.failure.startswith("CG returned a non-descent direction (g.p = ")
+        assert trace.outer_iters == 0
+        np.testing.assert_array_equal(w, w0)
 
     def test_newton_cg_returns_the_block_outcome(self, rng, monkeypatch):
         p = random_problem(rng, n=40, d=8, loss=SQH)

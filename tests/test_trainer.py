@@ -163,7 +163,10 @@ class TestTrainOva:
         assert first.outer_iters == 1
         assert np.isfinite(first.final_loss)
 
-    def test_thread_determinism(self, small_data, tmp_path):
+    def test_thread_determinism(self, small_data, tmp_path, monkeypatch):
+        # blocks of 2 labels: 8 labels make four blocks for four workers on any host
+        monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 2)
+        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 4)
         ds, stats = small_data
         m1, _ = train_ova(ds, stats, TrainConfig(threads=1))
         m4, _ = train_ova(ds, stats, TrainConfig(threads=4))
@@ -202,8 +205,9 @@ class TestTrainOva:
 
     @pytest.mark.parametrize("kind", INIT_KINDS)
     def test_thread_count_changes_no_bit(self, small_data, kind, monkeypatch):
-        # blocks of 3 labels: 8 labels make three blocks for three workers
+        # blocks of 3 labels: 8 labels make three blocks for three workers on any host
         monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 3)
+        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 3)
         ds, stats = small_data
         untimed = {"wall_ms": 0.0, "cpu_ms": 0.0}
         runs = []
@@ -449,6 +453,14 @@ class TestTrainOva:
             {"c": 0.0},
             {"clip_threshold": True},
             {"clip_threshold": -1.0},
+            {"clip_threshold": np.float32(0.01)},
+            {"c": None},
+            {"c": "1"},
+            {"c": np.float32(0.3)},
+            {"loss": "squared-hinge"},
+            {"loss": "logistic", "init": InitStrategy("aop")},
+            {"init": "zero"},
+            {"solver": None},
         ],
     )
     def test_config_validation(self, bad):
@@ -503,6 +515,12 @@ class TestTrainOva:
         other = compute_label_stats(augment_bias(generate_synthetic(60, 20, 8, 1.2, 1)))
         with pytest.raises(ConfigError):
             train_ova(ds, other, TrainConfig())
+        # same rows and labels, but the statistics miss the bias column
+        unbiased = compute_label_stats(generate_synthetic(200, 20, 8, 1.2, 21))
+        assert (unbiased.n, unbiased.n_labels) == (ds.n, ds.n_labels)
+        for kind in INIT_KINDS:
+            with pytest.raises(ConfigError, match="different dataset"):
+                train_ova(ds, unbiased, TrainConfig(init=InitStrategy(kind)))
 
 
 class TestGrad0ClosedForm:
