@@ -4,6 +4,8 @@ A numerical failure in a solve is not one of them: it is returned on the
 solve's trace (``SolverTrace.failure``).
 """
 
+import sys
+
 
 class XovaError(Exception):
     """Base class for all errors raised by this package."""
@@ -41,5 +43,10 @@ class ConfigError(XovaError, ValueError):
 
 def is_number(value, whole: bool = False) -> bool:
     """A Python int, or also a float unless ``whole``; never a bool. A float
-    subclass such as numpy.float64 counts; numpy.float32 and str do not."""
-    return isinstance(value, int if whole else (int, float)) and not isinstance(value, bool)
+    subclass such as numpy.float64 counts; numpy.float32 and str do not.
+    Unless ``whole``, an int must lie in the float range, as a real setting
+    is used as a float: a range test against ``inf`` compares an int
+    exactly, so 10**400 would pass it."""
+    if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
+        return False
+    return whole or isinstance(value, float) or abs(value) <= sys.float_info.max

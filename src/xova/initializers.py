@@ -117,7 +117,7 @@ def ovap_solve(
     """
     problem = solver.BinaryProblem(X, np.full(X.n_rows, -1.0), loss, c)
     w0 = zero_init(X.n_cols)
-    grad0_ref = float(np.linalg.norm(solver.gradient(problem, w0)))
+    grad0_ref = solver.norm(solver.gradient(problem, w0))
     return solver.newton_cg(problem, w0, replace(cfg, eps_outer=stop_rel), grad0_ref)
 
 

@@ -175,6 +175,19 @@ class CgBlock(NamedTuple):
     errors: list[str | None]
 
 
+def norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)``, which squares before its square root, so an
+    entry above about 1.3e154 makes it infinite. Where that happens to a
+    finite ``v``, the norm of ``v / max|v|`` is scaled back instead; the
+    result is then infinite only where the norm is beyond the float range.
+    Wherever the plain norm is finite, its bits are returned."""
+    out = float(np.linalg.norm(v))
+    if out == np.inf and np.isfinite(v).all():
+        scale = float(np.max(np.abs(v)))
+        out = scale * float(np.linalg.norm(v / scale))
+    return out
+
+
 def margins(problem: BinaryProblem, w: DenseVector) -> np.ndarray:
     """Per-instance margins ``y_i * <w, x_i>``."""
     return problem.signs * problem.features.matvec(w)
@@ -448,7 +461,7 @@ def newton_cg_block(
         idx = {k: losses.active_set(loss, M[k]) for k in live}
         coef = (_grad_coef(loss, c, M[k], S[k], idx[k]) for k in live)
         G = dict(zip(live, _gradient(X, W[live], list(idx.values()), coef)))
-        gnorm = {k: float(np.linalg.norm(G[k])) for k in live}
+        gnorm = {k: norm(G[k]) for k in live}
         solving = []
         for k in live:
             if not np.isfinite(gnorm[k]):

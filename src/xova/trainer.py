@@ -1,10 +1,10 @@
 """One-vs-all training across labels, the sparse model, and diagnostics.
 
 Each label is an independent binary solve against the shared read-only
-design matrix; workers only write into per-label slots, so results are
-identical for any thread count. Weights below the clip threshold are
-dropped once after convergence, which shrinks the stored model without
-touching the optimization itself.
+design matrix; the workers, the calling thread among them, only write
+into per-block slots, so results are identical for any thread count.
+Weights below the clip threshold are dropped once after convergence,
+which shrinks the stored model without touching the optimization itself.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 import json
 import operator
 import os
+import queue
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +23,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
+import scipy.sparse
 
 from . import losses
 from . import solver as solver_mod
@@ -260,7 +262,7 @@ def grad0_closed_form(stats: LabelStats, label: int, loss: MarginLoss, c: float)
     pbar = stats.pbar.row(label)
     v = -float(stats.n) * stats.xbar
     v[pbar.indices] += (2 * stats.positives[label].size) * pbar.values
-    return abs(c * losses.dphi(loss, 0.0)) * float(np.linalg.norm(v))
+    return abs(c * losses.dphi(loss, 0.0)) * solver_mod.norm(v)
 
 
 def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaModel, TrainReport]:
@@ -324,7 +326,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                 ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
                 if not np.isfinite(ref):  # the means overflowed: one pass over X instead
                     problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
-                    ref = float(np.linalg.norm(solver_mod.gradient(problem, zero_init(ds.dim))))
+                    ref = solver_mod.norm(solver_mod.gradient(problem, zero_init(ds.dim)))
                 refs.append(ref)
                 own.append((time.perf_counter() - t0, time.thread_time() - c0))
             W, traces = solver_mod.newton_cg_block(
@@ -341,13 +343,39 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
 
     every = range(ds.n_labels)
     blocks = [every[lo : lo + _BLOCK_LABELS] for lo in every[::_BLOCK_LABELS]]
-    # more threads than CPUs would only contend; the report keeps cfg.threads
-    with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
-        solved_blocks = list(pool.map(work, blocks))
-    outcomes = [outcome for block in solved_blocks for outcome in block]
+    todo = queue.SimpleQueue()
+    for item in enumerate(blocks):
+        todo.put(item)
+    solved = [None] * len(blocks)  # each block's outcomes, in block order
+
+    def drain():
+        while True:
+            try:
+                i, labels = todo.get_nowait()
+            except queue.Empty:
+                return
+            solved[i] = work(labels)
+
+    # The calling thread is one of the workers, so at one worker no thread
+    # starts: training then allocates from the main thread's memory arena,
+    # which the scoring after it reuses. More threads than CPUs would only
+    # contend; the report keeps cfg.threads.
+    workers = min(cfg.threads, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    outcomes = [outcome for block in solved for outcome in block]
     idx_parts, val_parts, traces = zip(*outcomes) if outcomes else ((),) * 3
+    # Each row's indices come from np.flatnonzero: sorted, unique and in
+    # range, so the matrix is adopted without SparseMatrix's checks.
+    values = np.concatenate([np.empty(0), *val_parts])
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *idx_parts])
+    indptr = np.cumsum([0, *map(len, idx_parts)], dtype=np.int64)
+    weights = scipy.sparse.csr_matrix((values, indices, indptr), shape=(ds.n_labels, ds.dim))
     model = OvaModel(
-        weights=SparseMatrix.stack(idx_parts, val_parts, ds.dim),
+        weights=SparseMatrix.from_scipy(weights),
         bias_index=ds.bias_index,
         loss=cfg.loss.token,
         init=init.kind,

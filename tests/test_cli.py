@@ -260,6 +260,19 @@ class TestTrain:
         assert label["failure"] == ("non-finite stopping reference" if init == "bias"
                                     else "non-finite gradient")
 
+    def test_a_finite_gradient_beyond_1e154_is_not_a_gradient_failure(self, tmp_path):
+        # |grad(0)| = 2e160 is finite, though its entry's square overflows.
+        # The curvature 2e320 is not: the preconditioner's diagonal is
+        # infinite, so CG's direction is 0 and the label fails there.
+        data = tmp_path / "big.txt"
+        data.write_text("2 1 1\n0 0:1e160\n 0:1\n")
+        out = tmp_path / "big.json"
+        rc = main(["train", "--data", str(data), "--init", "zero",
+                   "--model-out", str(tmp_path / "m.model"), "--diag-out", str(out)])
+        assert rc == 3
+        [label] = json.loads(out.read_text())["labels"]
+        assert label["failure"] == "non-positive curvature 0 in CG iteration 1"
+
     def test_non_finite_data_exit_2(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"
         data.write_text("2 2 2\n0 0:1.0 1:1.0\n1 0:nan\n")

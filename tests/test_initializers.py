@@ -43,6 +43,7 @@ class TestStrategy:
             {"aop_t": "-2"},
             {"ovap_stop_rel": None},
             {"kind": "ovap", "ovap_stop_rel": np.float32(0.1)},
+            {"kind": "bias", "bias_scale": 10**400},
         ],
     )
     def test_numbers_are_not_bools(self, bad):

@@ -20,6 +20,7 @@ from xova.solver import (
     hessian_vec,
     margins,
     newton_cg,
+    norm,
     objective,
 )
 from xova.sparse import SparseMatrix
@@ -66,6 +67,7 @@ class TestConfig:
             {"eps_cg": True},
             {"eps_outer": np.float32(0.1)},
             {"eps_outer": "0.1"},
+            {"eps_outer": 10**400},
             {"eps_cg": None},
         ],
     )
@@ -144,6 +146,21 @@ class TestGradient:
                 fd[k] = (objective(p, w + e) - objective(p, w - e)) / (2 * h)
             err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             assert err <= 1e-6
+
+
+class TestNorm:
+    @pytest.mark.parametrize("v, want", [
+        ([2e160, 0.0], 2e160),  # squaring overflows, the norm does not
+        ([1.5e308, 1.5e308], np.inf),  # the norm itself is beyond the float range
+        ([np.inf, 1.0], np.inf),
+    ])
+    def test_scaled_where_squaring_overflows(self, v, want):
+        with np.errstate(over="ignore"):
+            assert norm(np.array(v)) == want
+
+    def test_the_plain_norm_wherever_it_is_finite(self, rng):
+        for v in (rng.normal(size=50), rng.normal(size=7) * 1e150, np.zeros(3)):
+            assert norm(v) == float(np.linalg.norm(v))
 
 
 class TestHessianVec:

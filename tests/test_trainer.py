@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import threading
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from xova.solver import (
     gradient,
     newton_cg,
 )
+from xova.sparse import SparseMatrix
 import xova.trainer as trainer_mod
 from xova.trainer import (
     OvaModel,
@@ -175,14 +178,16 @@ class TestTrainOva:
         save_model(m4, p4)
         assert p1.read_bytes() == p4.read_bytes()
 
-    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
-    def test_the_pool_is_clamped_to_the_cpu_count(self, small_data, monkeypatch, cpus, workers):
-        # a stand-in pool records its size and maps serially, so no thread starts
-        sizes = []
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """A stand-in pool that runs each submit at once on a thread of its
+        own, and records the pool's size, the submits, and the thread that
+        solved each block."""
+        record = {"sizes": [], "submits": 0, "solvers": []}
 
-        class SerialPool:
+        class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                record["sizes"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -190,18 +195,67 @@ class TestTrainOva:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn):
+                record["submits"] += 1
+                future = Future()
 
-        monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", SerialPool)
+                def run():
+                    try:
+                        future.set_result(fn())
+                    except Exception as err:
+                        future.set_exception(err)
+
+                thread = threading.Thread(target=run)
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+                return future
+
+        real = solver_mod.newton_cg_block
+
+        def solving(*args):
+            record["solvers"].append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(solver_mod, "newton_cg_block", solving)
+        monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 3)  # 8 labels: three blocks
+        return record
+
+    def test_one_worker_starts_no_thread(self, small_data, recorded):
+        ds, stats = small_data
+        train_ova(ds, stats, TrainConfig(threads=1))
+        assert recorded["submits"] == 0
+        assert recorded["solvers"] == [threading.get_ident()] * 3
+
+    @pytest.mark.parametrize("cpus, helpers", [(3, 2), (None, 0)])
+    def test_the_helpers_are_clamped_to_the_cpu_count(self, small_data, recorded, monkeypatch,
+                                                      cpus, helpers):
         monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: cpus)
         ds, stats = small_data
         cfg = TrainConfig(threads=10**6)
         _, report = train_ova(ds, stats, cfg)
-        assert sizes == [workers]
+        assert recorded["sizes"] == [helpers + 1]
+        assert recorded["submits"] == helpers
+        assert len(recorded["solvers"]) == 3
         written = report.to_json_dict()
         assert written["threads"] == 10**6
         assert written["config_digest"] == replace(cfg, threads=1).digest()
+
+    def test_an_error_in_a_helper_propagates(self, small_data, recorded, monkeypatch):
+        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 2)
+        caller, solving = threading.get_ident(), solver_mod.newton_cg_block
+
+        def fails_off_the_caller(*args):
+            if threading.get_ident() != caller:
+                raise RuntimeError("injected in a helper")
+            return solving(*args)
+
+        monkeypatch.setattr(solver_mod, "newton_cg_block", fails_off_the_caller)
+        ds, stats = small_data
+        with pytest.raises(RuntimeError, match="injected in a helper"):
+            train_ova(ds, stats, TrainConfig(threads=2))
+        assert recorded["submits"] == 1
 
     @pytest.mark.parametrize("kind", INIT_KINDS)
     def test_thread_count_changes_no_bit(self, small_data, kind, monkeypatch):
@@ -425,6 +479,14 @@ class TestTrainOva:
         digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()[:16]
         assert digest == model_digest
 
+    def test_the_model_passes_the_checked_constructor(self, small_data):
+        # train_ova adopts W's CSR unchecked, from np.flatnonzero's indices
+        ds, stats = small_data
+        W = train_ova(ds, stats, TrainConfig())[0].weights
+        checked = SparseMatrix(W.indptr, W.indices, W.data, ds.dim)
+        assert checked == W and (W.n_rows, W.n_cols) == (ds.n_labels, ds.dim)
+        assert W.indices.dtype == checked.indices.dtype == np.int32
+
     @pytest.mark.parametrize("kind", INIT_KINDS)
     def test_labels_are_solved_without_a_checked_problem_each(self, kind, monkeypatch):
         # train_ova builds each label's signs itself, as +-1, and hands them
@@ -457,6 +519,7 @@ class TestTrainOva:
             {"c": None},
             {"c": "1"},
             {"c": np.float32(0.3)},
+            {"c": 10**400},
             {"loss": "squared-hinge"},
             {"loss": "logistic", "init": InitStrategy("aop")},
             {"init": "zero"},
