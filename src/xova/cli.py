@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_for_model(model, path):
-    """Load an evaluation/prediction dataset and match the model's augmentation."""
+    """Load a dataset for the model and match its augmentation; scoring checks the dimension."""
     ds = load_xmc_dataset(path)
     if model.bias_index is not None:
         if ds.dim != model.dim - 1:
@@ -107,10 +107,6 @@ def _load_for_model(model, path):
                 f"model expects {model.dim - 1} raw features (+bias), data has {ds.dim}"
             )
         ds = augment_bias(ds)
-    elif ds.dim != model.dim:
-        raise DimensionMismatchError(
-            f"model dimension {model.dim} != data dimension {ds.dim}"
-        )
     if ds.n_labels != model.n_labels:
         raise DimensionMismatchError(
             f"model has {model.n_labels} labels, data header says {ds.n_labels}"

@@ -59,7 +59,6 @@ class LabelStats:
     positives: list[np.ndarray]  # sorted instance indices per label
     pbar: SparseMatrix  # L x d, row j the mean of label j's positive rows (empty if none)
     xbar: DenseVector  # mean of all rows
-    xbar_sq: float  # <xbar, xbar>
     n: int
 
     @property
@@ -256,14 +255,10 @@ def compute_label_stats(ds: Dataset) -> LabelStats:
     pbar = SparseMatrix.from_scipy(sums)
 
     xbar = X.rmatvec(np.ones(n)) / n
-    # Only the aop start reads xbar_sq; an overflow makes every aop start
-    # non-finite, which each label's solve reports as numerical_failure.
-    with np.errstate(over="ignore"):
-        xbar_sq = float(np.dot(xbar, xbar))
     rows = yt.indices.astype(np.int64)
     rows.flags.writeable = False
     positives = np.split(rows, yt.indptr[1:-1]) if ds.n_labels else []
-    return LabelStats(positives=positives, pbar=pbar, xbar=xbar, xbar_sq=xbar_sq, n=n)
+    return LabelStats(positives=positives, pbar=pbar, xbar=xbar, n=n)
 
 
 def dataset_digest(ds: Dataset) -> str:

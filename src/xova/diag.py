@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import ConfigError, is_number
+from .trainer import REPORT_FORMAT
 
 
 def load_report(path) -> dict:
@@ -18,7 +19,7 @@ def load_report(path) -> dict:
             report = json.load(fh)
         except ValueError as err:
             raise ConfigError(f"{path}: not a training report (invalid JSON: {err})") from None
-    if not isinstance(report, dict) or report.get("format") != "xova-report v1":
+    if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
         raise ConfigError(f"{path}: not a training report (format field mismatch)")
     missing = sorted({"dataset", "init", "loss", "iterations", "labels"} - report.keys())
     if missing:

@@ -105,7 +105,7 @@ def ovap_solve(
     loss: MarginLoss,
     c: float,
     cfg: solver.SolverConfig,
-    stop_rel: float = 0.01,
+    stop_rel: float,
 ) -> tuple[DenseVector, solver.SolverTrace]:
     """Solve the virtual all-negative label over ``X`` from zero with a
     loose criterion: one :func:`solver.newton_cg` call.

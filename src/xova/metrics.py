@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import Dataset, label_matrix
 from .errors import ConfigError, DimensionMismatchError
-from .trainer import OvaModel, block_topk, score_blocks
+from .trainer import OvaModel, block_topk, score_blocks, write_strict_json
 
 
 @dataclass
@@ -28,9 +27,7 @@ class EvalResult:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_strict_json(self.to_json_dict(), path)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -324,8 +324,10 @@ def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) 
         ref[k] = np.sqrt(rz[k])
         if not np.isfinite(ref[k]):
             errors[k] = "non-finite preconditioned gradient norm in CG"
-            continue
-        live.append(k)
+        elif rz[k] == 0.0:  # M^-1 is 0, or underflows, wherever the gradient is not 0
+            errors[k] = "zero preconditioned gradient in CG: the Hessian diagonal is too large"
+        else:
+            live.append(k)
     while live:
         HD = hvp(D[live], live)
         still = []
@@ -464,6 +466,7 @@ def newton_cg_block(
         gnorm = {k: norm(G[k]) for k in live}
         solving = []
         for k in live:
+            traces[k].final_grad_norm = gnorm[k]
             if not np.isfinite(gnorm[k]):
                 fail(k, "non-finite gradient")
             elif not np.isfinite(traces[k].grad0_ref):  # inf would pass any test, nan none
@@ -474,8 +477,6 @@ def newton_cg_block(
                 traces[k].termination = TERM_MAX_OUTER
             else:
                 solving.append(k)
-                continue
-            traces[k].final_grad_norm = gnorm[k]
         if not solving:
             return []
 
@@ -515,7 +516,6 @@ def newton_cg_block(
             lam, accepted = backtracking_search(eval_at, traces[k].final_loss, g_dot_p[k], cfg)
             if not accepted:
                 traces[k].termination = TERM_LINE_SEARCH
-                traces[k].final_grad_norm = gnorm[k]
                 continue
             W[k] += lam * p
             M[k] += lam * mdir

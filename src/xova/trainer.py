@@ -45,6 +45,7 @@ from .sparse import SparseMatrix
 
 MODEL_MAGIC = "xova"
 MODEL_VERSION = "v2"
+REPORT_FORMAT = "xova-report v1"  # the report JSON's "format", which diag-summary checks
 # Rows of X scored at once: the dense score block is this many rows by L,
 # whatever the chunk size below (README, "Prediction and evaluation").
 _BLOCK_ROWS = 512
@@ -100,14 +101,16 @@ class TrainConfig:
         return {}
 
     def settings(self) -> dict:
-        """The settings as the report writes them, in its key order."""
+        """The settings as the report writes them, in its key order. Every
+        real-valued one is a float, so 1 and 1.0 give one digest."""
+        eps = {"eps_outer": float(self.solver.eps_outer), "eps_cg": float(self.solver.eps_cg)}
         return {
             "loss": self.loss.token,
             "init": self.init.kind,
-            "init_params": self.resolved_init_params(),
-            "solver": asdict(self.solver),
-            "c": self.c,
-            "clip_threshold": self.clip_threshold,
+            "init_params": {k: float(v) for k, v in self.resolved_init_params().items()},
+            "solver": {**asdict(self.solver), **eps},
+            "c": float(self.c),
+            "clip_threshold": float(self.clip_threshold),
             "threads": self.threads,
         }
 
@@ -134,6 +137,13 @@ class OvaModel:
     @property
     def dim(self) -> int:
         return self.weights.n_cols
+
+
+def write_strict_json(doc: dict, path) -> None:
+    """Write ``doc`` as indented, strict JSON (NaN or inf raise ValueError) and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, allow_nan=False)
+        fh.write("\n")
 
 
 # The labels CSV's columns, and the format of each that is not written as is.
@@ -212,7 +222,7 @@ class TrainReport:
         cfg = self.config
         init = self.init or SolverTrace()
         return {
-            "format": "xova-report v1",
+            "format": REPORT_FORMAT,
             "dataset": self.dataset,
             **cfg.settings(),
             "config_digest": cfg.digest(),
@@ -235,9 +245,7 @@ class TrainReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, allow_nan=False)
-            fh.write("\n")
+        write_strict_json(self.to_json_dict(), path)
 
     def write_labels_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -289,7 +297,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         # An overflowing <xbar, xbar> makes every aop start non-finite, which
         # each label's solve reports as numerical_failure.
         with np.errstate(over="ignore"):
-            aop_pre = AopPrecompute(xbar=stats.xbar, xbar_sq=stats.xbar_sq, n=stats.n)
+            xbar_sq = float(np.dot(stats.xbar, stats.xbar))
+            aop_pre = AopPrecompute(xbar=stats.xbar, xbar_sq=xbar_sq, n=stats.n)
         s, t = init.resolved_aop(cfg.loss)
     elif init.kind == "ovap":
         # An overflow ends the shared solve with a failure on its trace and

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import xova.trainer as trainer_mod
+from xova import diag
 from xova.cli import main
 from xova.initializers import InitStrategy
 from xova.trainer import OvaModel, TrainConfig, load_model, save_model
@@ -263,7 +264,8 @@ class TestTrain:
     def test_a_finite_gradient_beyond_1e154_is_not_a_gradient_failure(self, tmp_path):
         # |grad(0)| = 2e160 is finite, though its entry's square overflows.
         # The curvature 2e320 is not: the preconditioner's diagonal is
-        # infinite, so CG's direction is 0 and the label fails there.
+        # infinite, so the preconditioned gradient is 0 and CG fails at its
+        # set-up, before a step: the start is kept.
         data = tmp_path / "big.txt"
         data.write_text("2 1 1\n0 0:1e160\n 0:1\n")
         out = tmp_path / "big.json"
@@ -271,7 +273,10 @@ class TestTrain:
                    "--model-out", str(tmp_path / "m.model"), "--diag-out", str(out)])
         assert rc == 3
         [label] = json.loads(out.read_text())["labels"]
-        assert label["failure"] == "non-positive curvature 0 in CG iteration 1"
+        assert label["failure"] == (
+            "zero preconditioned gradient in CG: the Hessian diagonal is too large"
+        )
+        assert (label["outer_iters"], label["final_loss"]) == (0, 2.0)
 
     def test_non_finite_data_exit_2(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"
@@ -350,6 +355,35 @@ class TestPredictEval:
         rc = main(["predict", "--model", str(trained), "--data", str(bad),
                    "--k", "1", "--out", str(tmp_path / "p.txt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("bias, header, message", [
+        (True, "1 24 10", "model expects 25 raw features (+bias), data has 24"),
+        (False, "1 24 10", "data dimension 24 != model dimension 25"),
+        (True, "1 25 9", "model has 10 labels, data header says 9"),
+    ], ids=["bias_dimension", "dimension", "label_count"])
+    def test_data_that_does_not_fit_the_model_exit_2(self, tmp_path, capsys, command, bias,
+                                                     header, message):
+        # a model of 10 labels over 25 raw features, with or without the bias column
+        model = tmp_path / "m.model"
+        weights = make_matrix([{}] * 10, 25 + bias)
+        save_model(OvaModel(weights, 25 if bias else None, "squared-hinge", "zero"), model)
+        data = tmp_path / "d.txt"
+        data.write_text(header + "\n 0:1.0\n")
+        out = ["--out", str(tmp_path / "p.txt")] if command == "predict" else []
+        rc = main([command, "--model", str(model), "--data", str(data), "--k", "1", *out])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("k, message", [
+        ("1,x", "invalid k list '1,x'; expected e.g. '1,3,5'"),
+        (",", "empty k list"),
+    ], ids=["not_a_number", "empty"])
+    def test_bad_k_list_exit_1(self, workdir, trained, capsys, k, message):
+        rc = main(["eval", "--model", str(trained), "--data", str(workdir / "test.txt"),
+                   "--k", k])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_eval_prints_and_json(self, workdir, trained, capsys, tmp_path):
         jpath = tmp_path / "eval.json"
@@ -491,6 +525,15 @@ class TestDiagSummary:
         assert rc == 1
         assert "different datasets" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("runs, names", [
+        ([("zero", "squared-hinge"), ("aop", "squared-hinge")], ["zero", "aop"]),
+        ([("zero", "squared-hinge"), ("zero", "logistic")],
+         ["zero:squared-hinge", "zero:logistic"]),
+        ([("aop", "logistic"), ("aop", "logistic")], ["aop:logistic", "aop:logistic#2"]),
+    ], ids=["by_init", "by_init_and_loss", "numbered"])
+    def test_method_names(self, runs, names):
+        assert diag.method_names([{"init": i, "loss": l} for i, l in runs]) == names
 
     @pytest.mark.parametrize(
         "text",

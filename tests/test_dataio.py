@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from xova.dataio import (
     split_dataset,
     write_xmc_dataset,
 )
-from xova.errors import ConfigError, ParseError, XovaError
+from xova.errors import ConfigError, DimensionMismatchError, ParseError, XovaError
 from xova.sparse import SparseMatrix
 
 from conftest import dense_matrix, entries, make_matrix
@@ -277,8 +279,10 @@ class TestLabelStats:
         assert sum(p.size for p in stats.positives) == total
 
     def test_xbar_sq(self):
+        # <xbar, xbar> is no statistic: only the aop start reads it, and
+        # train_ova computes it from xbar there
         stats = compute_label_stats(self.three_point())
-        assert stats.xbar_sq == pytest.approx(float(stats.xbar @ stats.xbar), rel=1e-12)
+        assert [f.name for f in dataclasses.fields(stats)] == ["positives", "pbar", "xbar", "n"]
 
 
 class TestSyntheticGenerator:
@@ -337,7 +341,18 @@ class TestSyntheticGenerator:
             generate_synthetic(5, 3, 2, -1.0, 1)
 
 
+class TestDataset:
+    def test_one_label_list_per_row(self):
+        with pytest.raises(DimensionMismatchError, match="1 label lists for 2 instances"):
+            Dataset(make_matrix([{0: 1.0}, {}], 1), [np.array([0])], 1)
+
+
 class TestSplit:
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0])
+    def test_fraction_out_of_range(self, fraction):
+        with pytest.raises(ConfigError, match="test fraction"):
+            split_dataset(generate_synthetic(20, 5, 3, 1.2, 1), fraction, 1)
+
     def test_sizes_and_determinism(self):
         ds = generate_synthetic(200, 20, 10, 1.2, 9)
         tr1, te1 = split_dataset(ds, 0.2, 9)

@@ -122,6 +122,11 @@ class TestZeroAndBias:
         with pytest.raises(ConfigError, match="bias"):
             bias_init(4, None, 1.0)
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_bias_index_out_of_range(self, index):
+        with pytest.raises(ConfigError, match=f"bias index {index} out of range"):
+            bias_init(4, index, 1.0)
+
 
 class TestOvap:
     def test_bias_only_closed_form(self):
@@ -210,6 +215,17 @@ class TestAop:
         np.testing.assert_allclose(w0, [-1.0, -1.0])
         assert float(w0 @ pre.xbar) == pytest.approx(-2.0)
 
+    def test_no_positives_and_a_zero_mean_give_zero(self):
+        pre = AopPrecompute(xbar=np.zeros(2), xbar_sq=0.0, n=10)
+        empty = SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
+        assert aop_init(empty, 0, pre, 1.0, -2.0).tolist() == [0.0, 0.0]
+
+    def test_empty_precompute_rejected(self):
+        pre = AopPrecompute(xbar=np.array([1.0]), xbar_sq=1.0, n=0)
+        empty = SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
+        with pytest.raises(ConfigError, match="empty dataset"):
+            aop_init(empty, 0, pre, 1.0, -2.0)
+
     def test_constraints_random(self, rng):
         # smaller sibling of the acceptance-scale sweep
         for _ in range(200):
@@ -272,7 +288,7 @@ class TestSparsityEffect:
     def test_active_fraction_below_one_for_every_label(self):
         ds = augment_bias(generate_synthetic(400, 40, 20, 1.2, 7))
         stats = compute_label_stats(ds)
-        pre = AopPrecompute(xbar=stats.xbar, xbar_sq=stats.xbar_sq, n=stats.n)
+        pre = AopPrecompute(xbar=stats.xbar, xbar_sq=float(stats.xbar @ stats.xbar), n=stats.n)
         for j in range(ds.n_labels):
             pos = stats.positives[j]
             if pos.size == 0:

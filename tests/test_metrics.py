@@ -87,6 +87,12 @@ class TestPrecisionAtK:
         with pytest.raises(DimensionMismatchError):
             precision_at_k(model, test, [1])
 
+    def test_label_count_mismatch(self):
+        model = model_from([{}], dim=2)
+        test = dataset_from([{0: 1.0}], [[]], 2, 2)
+        with pytest.raises(DimensionMismatchError, match="label count 2 != model label count 1"):
+            evaluate(model, test, [1])
+
 
 class TestMacroBinaryPR:
     def test_perfect_separator(self):

@@ -6,7 +6,7 @@ import pytest
 
 import xova.losses as losses_mod
 import xova.solver as solver_mod
-from xova.errors import ConfigError
+from xova.errors import ConfigError, DimensionMismatchError
 from xova.losses import MarginLoss, active_set
 from xova.solver import (
     BinaryProblem,
@@ -179,6 +179,11 @@ class TestHessianVec:
         d = np.array([0.3, -0.7])
         np.testing.assert_allclose(hessian_vec(p, w, d, act), d)
 
+    def test_direction_length_checked(self):
+        p = BinaryProblem(make_matrix([{0: 1.0}], 2), np.array([1.0]))
+        with pytest.raises(DimensionMismatchError, match="direction length 3 != dim 2"):
+            hessian_vec(p, np.zeros(2), np.ones(3), np.array([0]))
+
     @pytest.mark.parametrize("loss", [SQH, LOG])
     def test_dense_assembly_oracle(self, loss, rng):
         for _ in range(8):
@@ -343,6 +348,15 @@ class TestCgSolve:
         assert iters == 0
         assert error == "non-positive curvature -1 in CG iteration 1"
 
+    def test_an_infinite_diagonal_is_named(self):
+        # M^-1 is 0 where the only nonzero gradient entry is: the first
+        # direction would be 0, and its curvature 0
+        g, diag = np.array([-2e160, 0.0]), np.array([np.inf, 5.0])
+        with np.errstate(over="ignore"):
+            p, iters, error = cg_one(g, lambda d: d, SolverConfig(), diag)
+        assert error == "zero preconditioned gradient in CG: the Hessian diagonal is too large"
+        assert iters == 0 and p.tolist() == [0.0, 0.0]
+
     @pytest.mark.parametrize("g, hvp, iters, message", [
         # finite, but its square overflows
         ([1e200], lambda d: d, 0, "non-finite preconditioned gradient norm in CG"),
@@ -493,6 +507,18 @@ class TestNewtonCg:
         assert trace.failure == "non-finite stopping reference"
         assert trace.outer_iters == 0 and np.isfinite(trace.final_grad_norm)
         assert w.tolist() == [0.5]
+
+    def test_a_cg_failure_keeps_the_last_gradient_norm(self):
+        # |grad(0)| = 2e160 is finite; the curvature 2e320 is not, so CG fails
+        X = make_matrix([{0: 1e160}, {0: 1.0}], 1)
+        p = BinaryProblem(X, np.array([1.0, -1.0]))
+        with np.errstate(over="ignore"):
+            w, trace = newton_cg(p, np.zeros(1), SolverConfig(), 2e160)
+        assert trace.failure == (
+            "zero preconditioned gradient in CG: the Hessian diagonal is too large"
+        )
+        assert (trace.outer_iters, trace.hvp_touches, trace.final_grad_norm) == (0, 0, 2e160)
+        assert w.tolist() == [0.0]
 
     def test_an_overflowing_start_keeps_a_nan_initial_loss(self):
         # the labels CSV writes nan, not inf, for a start with no finite objective
@@ -650,6 +676,14 @@ class TestNewtonCg:
         )
         _, trace = newton_cg(p, np.zeros(5), SolverConfig(), grad0_ref(p))
         assert trace.termination == TERM_LINE_SEARCH
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3)])
+    def test_starts_of_the_wrong_shape_rejected(self, shape):
+        p = BinaryProblem(make_matrix([{0: 1.0}, {1: 1.0}], 2), np.array([1.0, -1.0]))
+        with pytest.raises(DimensionMismatchError, match="starts of shape"):
+            solver_mod.newton_cg_block(
+                p.features, p.loss, p.c, [p.signs], np.zeros(shape), SolverConfig(), [1.0]
+            )
 
     def test_signs_validated(self):
         X = make_matrix([{0: 1.0}], 1)

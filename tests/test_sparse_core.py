@@ -112,6 +112,17 @@ class TestSparseMatrix:
             SparseMatrix([0, 1, 1, 3], [2, 2, 1], [1.0, 2.0, 3.0], 3)  # row 2 decreases
         assert e.value.row == 2
 
+    @pytest.mark.parametrize("indptr", [np.zeros(0, dtype=np.int64), np.zeros((1, 1), np.int64)],
+                             ids=["empty", "2d"])
+    def test_indptr_must_be_one_dimensional_and_non_empty(self, indptr):
+        with pytest.raises(ValueError, match="indptr must be a 1-d array"):
+            SparseMatrix(indptr, [], [], 3)
+
+    def test_equality_with_another_type(self):
+        X = make_matrix([{0: 1.0}], 2)
+        assert X.__eq__("X") is NotImplemented
+        assert X != "X"
+
     def test_empty_rows_allowed(self):
         X = make_matrix([{}, {1: 2.0}, {}], 3)
         assert X.n_rows == 3
@@ -167,6 +178,11 @@ class TestSparseMatrix:
             X.matvec(np.zeros(3))
         with pytest.raises(DimensionMismatchError):
             X.rmatvec(np.zeros(2))
+
+    def test_rmatvec_squared_dim_check(self):
+        X = make_matrix([{0: 1.0}], 2)
+        with pytest.raises(DimensionMismatchError, match="coefficient length 2 != n_rows 1"):
+            X.rmatvec_squared(np.zeros(2))
 
     def test_submatrix(self):
         X = make_matrix([{0: 1.0}, {1: 2.0}, {2: 3.0}], 3)

@@ -530,6 +530,16 @@ class TestTrainOva:
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
+    def test_empty_dataset_rejected(self, small_data):
+        ds, stats = small_data
+        empty = Dataset(ds.features.submatrix(np.zeros(0, dtype=np.int64)), [], ds.n_labels)
+        with pytest.raises(ConfigError, match="empty dataset"):
+            train_ova(empty, stats, TrainConfig())
+
+    def test_no_labels_mean_no_outer_iterations(self):
+        report = trainer_mod.TrainReport(TrainConfig(), {}, [], [], 0.0)
+        assert report.mean_outer_iters() == 0.0
+
     def test_config_digest_sensitivity(self):
         a = TrainConfig()
         b = TrainConfig(clip_threshold=0.5)
@@ -541,6 +551,26 @@ class TestTrainOva:
         # or removed setting changes every digest
         assert TrainConfig().digest() == "d9d21dbba16c"
         assert TrainConfig(init=InitStrategy("aop")).digest() == "2f13c119c1a1"
+
+    @pytest.mark.parametrize(
+        "whole, real",
+        [
+            ({"c": 1}, {"c": 1.0}),
+            ({"clip_threshold": 0}, {"clip_threshold": 0.0}),
+            ({"solver": SolverConfig(eps_outer=1)}, {"solver": SolverConfig(eps_outer=1.0)}),
+            ({"solver": SolverConfig(eps_cg=2)}, {"solver": SolverConfig(eps_cg=2.0)}),
+            ({"init": InitStrategy("bias", bias_scale=2)},
+             {"init": InitStrategy("bias", bias_scale=2.0)}),
+            ({"init": InitStrategy("aop", aop_s=2, aop_t=-3)},
+             {"init": InitStrategy("aop", aop_s=2.0, aop_t=-3.0)}),
+        ],
+        ids=["c", "clip_threshold", "eps_outer", "eps_cg", "bias_scale", "aop_s_t"],
+    )
+    def test_an_int_setting_is_written_as_its_float(self, whole, real):
+        # one model, one digest: 1 and 1.0 are the same setting
+        a, b = TrainConfig(**whole), TrainConfig(**real)
+        assert json.dumps(a.settings()) == json.dumps(b.settings())
+        assert a.digest() == b.digest()
 
     @pytest.mark.parametrize(
         "change",
