@@ -69,12 +69,15 @@ class InitStrategy:
 
 @dataclass(frozen=True)
 class AopPrecompute:
-    """Dataset-level quantities shared by every label's aop solve."""
+    """Dataset-level quantities shared by every label's aop solve. An
+    ``xbar`` whose ``<xbar, xbar>`` overflows is checked against an
+    infinite ``xbar_sq`` without a warning."""
 
     xbar: DenseVector
     xbar_sq: float
     n: int
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         expected = float(np.dot(self.xbar, self.xbar))
         if abs(self.xbar_sq - expected) > 1e-12 * max(expected, 1.0):
@@ -121,6 +124,7 @@ def ovap_solve(
     return solver.newton_cg(problem, w0, replace(cfg, eps_outer=stop_rel), grad0_ref)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def aop_init(
     pbar: SparseVector,
     p_count: int,
@@ -146,6 +150,9 @@ def aop_init(
        ``u = s/<pbar,pbar>`` and ``v = (|N| t + |P| s) / (|X| <xbar,xbar>)``.
     3. No positives at all: return ``t * xbar / <xbar,xbar>``, which puts
        the global mean at margin ``|t|`` on the negative side.
+
+    Means that overflow give a start that is not finite, without a warning;
+    the label's solve reports it as a numerical failure.
     """
     dim = pre.xbar.shape[0]
     if dim < 1:

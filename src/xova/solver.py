@@ -31,6 +31,11 @@ block it is solved in.
 A solve's outcome is its trace, for one label as for a block: every
 termination, a numerical failure included, returns the last accepted
 iterate and the trace, whose ``failure`` says why a failed solve failed.
+The solves, :func:`cg_solve` and :func:`norm` set numpy's error state
+themselves, so an overflow becomes a non-finite value or a failure on the
+trace, never a warning or an error, whatever the caller's state; the
+one-label kernels (:func:`objective`, :func:`gradient`,
+:func:`hessian_vec`) follow the caller's state, as numpy does.
 """
 
 from __future__ import annotations
@@ -175,6 +180,7 @@ class CgBlock(NamedTuple):
     errors: list[str | None]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def norm(v: np.ndarray) -> float:
     """``np.linalg.norm(v)``, which squares before its square root, so an
     entry above about 1.3e154 makes it infinite. Where that happens to a
@@ -289,12 +295,11 @@ def hessian_vec(
     The leading ``d`` is the L2-regularizer block; the label signs square
     away inside the curvature term.
     """
-    if d.shape[0] != problem.dim:
-        raise DimensionMismatchError(f"direction length {d.shape[0]} != dim {problem.dim}")
     dd = _curvature(problem.loss, problem.c, margins(problem, w), active)
     return _hvp(problem.features, [active], [dd], d[None], [0])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) -> CgBlock:
     """Approximately solve ``H_k p_k = -G[k]`` for every row ``k`` of the
     ``(b, dim)`` block of gradients ``G`` by preconditioned CG, in lockstep.
@@ -400,6 +405,7 @@ def newton_cg(
     return W[0], trace
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def newton_cg_block(
     X: SparseMatrix,
     loss: MarginLoss,

@@ -259,13 +259,14 @@ class TrainReport:
                 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grad0_closed_form(stats: LabelStats, label: int, loss: MarginLoss, c: float) -> float:
     """``|grad(0)|`` of one label from its statistics, with no pass over X.
 
     Every margin at zero is 0, so ``grad(0) = C * phi'(0) * sum_i y_i x_i``,
     and the positives' and the negatives' sums follow from the means:
-    ``sum_i y_i x_i = 2 |P| pbar - n xbar``. Not finite where the means
-    overflow.
+    ``sum_i y_i x_i = 2 |P| pbar - n xbar``. Not finite, without a
+    warning, where the means overflow.
     """
     pbar = stats.pbar.row(label)
     v = -float(stats.n) * stats.xbar
@@ -304,8 +305,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         # An overflow ends the shared solve with a failure on its trace and
         # its last accepted iterate: every label is still solved from it,
         # and those that fail are reported as numerical_failure.
-        with np.errstate(over="ignore"):
-            w_shared, init_trace = ovap_solve(X, cfg.loss, cfg.c, cfg.solver, init.ovap_stop_rel)
+        w_shared, init_trace = ovap_solve(X, cfg.loss, cfg.c, cfg.solver, init.ovap_stop_rel)
         # the shared solve's time, its set-up included
         init_trace.wall_ms = (time.perf_counter() - t_start) * 1e3
         init_trace.cpu_ms = (time.thread_time() - c_start) * 1e3
@@ -318,29 +318,23 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
         """Solve one block of labels. Each label is charged its own set-up
         and clipping and its share of the block's solver steps."""
         S, w0s, refs, own = [], [], [], []
-        # Overflow on huge inputs ends in non-finite values (inf, or nan from
-        # inf * 0 in the aop start), which the solver reports as
-        # numerical_failure. errstate is per thread, so it is set here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for label in labels:
-                t0, c0 = time.perf_counter(), time.thread_time()
-                signs = np.full(n, -1.0)
-                signs[stats.positives[label]] = 1.0
-                S.append(signs)
-                if init.kind == "aop":
-                    p_count = int(stats.positives[label].size)
-                    w0s.append(aop_init(stats.pbar.row(label), p_count, aop_pre, s, t))
-                else:
-                    w0s.append(w_shared)
-                ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
-                if not np.isfinite(ref):  # the means overflowed: one pass over X instead
-                    problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
-                    ref = solver_mod.norm(solver_mod.gradient(problem, zero_init(ds.dim)))
-                refs.append(ref)
-                own.append((time.perf_counter() - t0, time.thread_time() - c0))
-            W, traces = solver_mod.newton_cg_block(
-                X, cfg.loss, cfg.c, S, np.array(w0s), cfg.solver, refs
-            )
+        for label in labels:
+            t0, c0 = time.perf_counter(), time.thread_time()
+            signs = np.full(n, -1.0)
+            signs[stats.positives[label]] = 1.0
+            S.append(signs)
+            if init.kind == "aop":
+                p_count = int(stats.positives[label].size)
+                w0s.append(aop_init(stats.pbar.row(label), p_count, aop_pre, s, t))
+            else:
+                w0s.append(w_shared)
+            ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
+            if not np.isfinite(ref):  # the means overflowed: one pass over X instead
+                problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
+                ref = solver_mod.norm(solver_mod.gradient(problem, zero_init(ds.dim)))
+            refs.append(ref)
+            own.append((time.perf_counter() - t0, time.thread_time() - c0))
+        W, traces = solver_mod.newton_cg_block(X, cfg.loss, cfg.c, S, np.array(w0s), cfg.solver, refs)
         out = []
         for w, trace, (wall, cpu) in zip(W, traces, own):
             t0, c0 = time.perf_counter(), time.thread_time()

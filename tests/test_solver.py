@@ -6,7 +6,9 @@ import pytest
 
 import xova.losses as losses_mod
 import xova.solver as solver_mod
+from xova.dataio import Dataset, compute_label_stats
 from xova.errors import ConfigError, DimensionMismatchError
+from xova.initializers import AopPrecompute, aop_init
 from xova.losses import MarginLoss, active_set
 from xova.solver import (
     BinaryProblem,
@@ -23,7 +25,8 @@ from xova.solver import (
     norm,
     objective,
 )
-from xova.sparse import SparseMatrix
+from xova.sparse import SparseMatrix, SparseVector
+from xova.trainer import grad0_closed_form
 
 from conftest import dense_matrix, make_matrix, random_problem
 
@@ -155,8 +158,7 @@ class TestNorm:
         ([np.inf, 1.0], np.inf),
     ])
     def test_scaled_where_squaring_overflows(self, v, want):
-        with np.errstate(over="ignore"):
-            assert norm(np.array(v)) == want
+        assert norm(np.array(v)) == want
 
     def test_the_plain_norm_wherever_it_is_finite(self, rng):
         for v in (rng.normal(size=50), rng.normal(size=7) * 1e150, np.zeros(3)):
@@ -181,7 +183,7 @@ class TestHessianVec:
 
     def test_direction_length_checked(self):
         p = BinaryProblem(make_matrix([{0: 1.0}], 2), np.array([1.0]))
-        with pytest.raises(DimensionMismatchError, match="direction length 3 != dim 2"):
+        with pytest.raises(DimensionMismatchError, match="vector length 3 != n_cols 2"):
             hessian_vec(p, np.zeros(2), np.ones(3), np.array([0]))
 
     @pytest.mark.parametrize("loss", [SQH, LOG])
@@ -283,16 +285,14 @@ class TestActiveRows:
 
     def test_inactive_row_whose_squares_overflow(self, rng):
         p, w0 = overflowing_squares_problem(rng)
-        with np.errstate(over="ignore"):
-            w, trace = newton_cg(p, w0, SolverConfig(), 1.0)
+        w, trace = newton_cg(p, w0, SolverConfig(), 1.0)
         assert trace.outer_iters > 0
         # the same label beside two others, in one block
         others, _ = other_labels(rng, p, 2)
-        with np.errstate(over="ignore"):
-            W, traces = solver_mod.newton_cg_block(
-                p.features, p.loss, p.c, [q.signs for q in [p] + others],
-                np.stack([w0, -w0, 0 * w0]), SolverConfig(), [1.0] * 3,
-            )
+        W, traces = solver_mod.newton_cg_block(
+            p.features, p.loss, p.c, [q.signs for q in [p] + others],
+            np.stack([w0, -w0, 0 * w0]), SolverConfig(), [1.0] * 3,
+        )
         trace_block = traces[0]
         assert trace_block.failure is None
         assert W[0].tobytes() == w.tobytes()
@@ -352,8 +352,7 @@ class TestCgSolve:
         # M^-1 is 0 where the only nonzero gradient entry is: the first
         # direction would be 0, and its curvature 0
         g, diag = np.array([-2e160, 0.0]), np.array([np.inf, 5.0])
-        with np.errstate(over="ignore"):
-            p, iters, error = cg_one(g, lambda d: d, SolverConfig(), diag)
+        p, iters, error = cg_one(g, lambda d: d, SolverConfig(), diag)
         assert error == "zero preconditioned gradient in CG: the Hessian diagonal is too large"
         assert iters == 0 and p.tolist() == [0.0, 0.0]
 
@@ -366,8 +365,7 @@ class TestCgSolve:
          "non-finite residual in CG iteration 1"),
     ], ids=["gradient_norm", "curvature", "residual"])
     def test_non_finite_values_reported(self, g, hvp, iters, message):
-        with np.errstate(over="ignore"):  # as in train_ova's blocks
-            _, got_iters, error = cg_one(np.array(g), hvp, SolverConfig(), np.ones(len(g)))
+        _, got_iters, error = cg_one(np.array(g), hvp, SolverConfig(), np.ones(len(g)))
         assert (got_iters, error) == (iters, message)
 
 
@@ -512,8 +510,7 @@ class TestNewtonCg:
         # |grad(0)| = 2e160 is finite; the curvature 2e320 is not, so CG fails
         X = make_matrix([{0: 1e160}, {0: 1.0}], 1)
         p = BinaryProblem(X, np.array([1.0, -1.0]))
-        with np.errstate(over="ignore"):
-            w, trace = newton_cg(p, np.zeros(1), SolverConfig(), 2e160)
+        w, trace = newton_cg(p, np.zeros(1), SolverConfig(), 2e160)
         assert trace.failure == (
             "zero preconditioned gradient in CG: the Hessian diagonal is too large"
         )
@@ -523,8 +520,7 @@ class TestNewtonCg:
     def test_an_overflowing_start_keeps_a_nan_initial_loss(self):
         # the labels CSV writes nan, not inf, for a start with no finite objective
         p = BinaryProblem(make_matrix([{0: 1.0}, {0: 1.0}], 1), np.array([1.0, -1.0]))
-        with np.errstate(over="ignore"):
-            w, trace = newton_cg(p, np.array([1e200]), SolverConfig(), 1.0)
+        w, trace = newton_cg(p, np.array([1e200]), SolverConfig(), 1.0)
         assert trace.failure == "non-finite objective at the initial point"
         assert np.isnan(trace.initial_loss) and np.isnan(trace.final_loss)
         assert w.tolist() == [1e200]
@@ -691,3 +687,42 @@ class TestNewtonCg:
             BinaryProblem(X, np.array([0.5]))
         with pytest.raises(Exception):
             BinaryProblem(X, np.array([1.0, -1.0]))
+
+
+def _start_overflows():
+    p = BinaryProblem(make_matrix([{0: 1.0}, {0: 1.0}], 1), np.array([1.0, -1.0]))
+    w, trace = newton_cg(p, np.array([1e200]), SolverConfig(), 1.0)
+    assert trace.failure == "non-finite objective at the initial point"
+    assert w.tolist() == [1e200]
+
+
+def _cg_gradient_norm_overflows():
+    cg = cg_solve(np.array([[1e200]]), lambda D, rows: D, SolverConfig(), np.ones((1, 1)))
+    assert cg.errors == ["non-finite preconditioned gradient norm in CG"]
+
+
+def _norm_squares_overflow():
+    assert norm(np.array([2e160, 0.0])) == 2e160
+
+
+def _means_overflow():
+    # the statistics of TestGrad0ClosedForm::test_non_finite_falls_back_to_the_pass
+    X = make_matrix([{0: 1e308, 1: 1.0}, {0: 1e308, 1: 2.0}], 2)
+    stats = compute_label_stats(Dataset(X, [np.array([0]), np.array([], dtype=np.int64)], 1))
+    assert not np.isfinite(grad0_closed_form(stats, 0, SQH, 1.0))
+
+
+def _aop_means_overflow():
+    pre = AopPrecompute(xbar=np.array([1e308, 1.0]), xbar_sq=np.inf, n=3)
+    pbar = SparseVector(np.array([0]), np.array([1e308]))
+    assert isinstance(aop_init(pbar, 1, pre, 1.0, -2.0), np.ndarray)
+
+
+@pytest.mark.parametrize("case", [
+    _start_overflows, _cg_gradient_norm_overflows, _norm_squares_overflow, _means_overflow,
+    _aop_means_overflow,
+], ids=["newton_cg", "cg_solve", "norm", "grad0_closed_form", "aop"])
+def test_overflow_is_returned_not_raised(case):
+    # each function sets its own error state, so the caller's does not matter
+    with np.errstate(all="raise"):
+        case()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xova.dataio import Dataset, augment_bias, compute_label_stats, generate_synthetic
+from xova.dataio import Dataset, LabelStats, augment_bias, compute_label_stats, generate_synthetic
 from xova.errors import ConfigError, DimensionMismatchError, ModelFormatError
 import xova.solver as solver_mod
 from xova.initializers import INIT_KINDS, InitStrategy
@@ -533,8 +533,16 @@ class TestTrainOva:
     def test_empty_dataset_rejected(self, small_data):
         ds, stats = small_data
         empty = Dataset(ds.features.submatrix(np.zeros(0, dtype=np.int64)), [], ds.n_labels)
-        with pytest.raises(ConfigError, match="empty dataset"):
-            train_ova(empty, stats, TrainConfig())
+        # statistics that agree with an empty dataset, built by hand since
+        # compute_label_stats rejects one: without the check, they would train
+        no_rows = np.zeros(0, dtype=np.int64)
+        agreeing = (
+            Dataset(make_matrix([], 3), [], 2),
+            LabelStats([no_rows] * 2, make_matrix([{}, {}], 3), np.zeros(3), 0),
+        )
+        for data, data_stats in ((empty, stats), agreeing):
+            with pytest.raises(ConfigError, match="empty dataset"):
+                train_ova(data, data_stats, TrainConfig())
 
     def test_no_labels_mean_no_outer_iterations(self):
         report = trainer_mod.TrainReport(TrainConfig(), {}, [], [], 0.0)
@@ -641,8 +649,7 @@ class TestGrad0ClosedForm:
         ds = Dataset(X, [np.array([0]), np.array([], dtype=np.int64)], 1)
         stats = compute_label_stats(ds)
         cfg = TrainConfig(c=0.1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(grad0_closed_form(stats, 0, cfg.loss, cfg.c))
+        assert not np.isfinite(grad0_closed_form(stats, 0, cfg.loss, cfg.c))
         seen = []
         real = solver_mod.newton_cg_block
 
@@ -789,8 +796,7 @@ class TestScoreChunks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trainer_mod, "_CHUNK_BYTES", 8 * model.dim * labels_per_chunk)
             mp.setattr(trainer_mod, "_BLOCK_ROWS", rows_per_block)
-            with np.errstate(over="ignore", invalid="ignore"):
-                blocks = list(score_blocks(model, X))
+            blocks = list(score_blocks(model, X))
         assert [lo for lo, _ in blocks] == list(range(0, X.n_rows, rows_per_block))
         got = np.vstack([b for _, b in blocks]) if blocks else np.zeros((0, model.n_labels))
         assert got.shape == want.shape
