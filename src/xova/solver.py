@@ -26,7 +26,9 @@ Everything else is per label, on that label's own contiguous rows
 (``np.dot``, ``np.linalg.norm`` and ``np.sum`` on one row, never a reduction
 along an axis), and a column of a scipy product sums in the same order as
 the product with that column alone, so a label's bits do not depend on the
-block it is solved in.
+block it is solved in. The products, the weights and the CG vectors of a
+step are written into a :class:`Buffers`, which one worker reuses for every
+block it solves.
 
 A solve's outcome is its trace, for one label as for a block: every
 termination, a numerical failure included, returns the last accepted
@@ -41,6 +43,7 @@ one-label kernels (:func:`objective`, :func:`gradient`,
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple, Sequence
@@ -199,20 +202,59 @@ def margins(problem: BinaryProblem, w: DenseVector) -> np.ndarray:
     return problem.signs * problem.features.matvec(w)
 
 
+class Buffers:
+    """Scratch arrays that one worker's solves reuse, so that a step writes
+    into memory the worker already holds instead of faulting in fresh pages,
+    for blocks of up to ``b`` labels over an ``n x dim`` design matrix: the
+    ``(n, b)`` products and weights, the ``(dim, b)`` transposed products,
+    and the ``(b, dim)`` gradients, diagonals, HVPs and CG vectors.
+
+    ``get(slot, shape)`` returns the slot's first ``prod(shape)`` entries as
+    a C-contiguous float64 array of that shape, holding whatever was left
+    there. Ownership: an array that ``get`` returned is valid until its slot
+    is asked for again, so it lives no longer than the step or the CG
+    iteration that asked for it. Nothing that outlives a step, such as the
+    margins, the iterates or a trace, is a view of a slot. A set serves one
+    thread at a time.
+
+    The slots are views of one allocation. Freed at once when the worker is
+    done, it raises glibc's dynamic mmap and trim thresholds above the
+    scoring's arrays, so that the scoring after training reuses the heap
+    instead of faulting it in again at each call. With one array per slot, a
+    later ``xova predict`` call on the ``tail`` bench file faulted in about
+    1,000 pages in 9 of 20 bench rounds; with one allocation, in none.
+    """
+
+    _N_SLOTS = ("product", "weights")  # n * b values each
+    _DIM_SLOTS = ("transposed", "gradient", "diag", "hvp", "cg_p", "cg_r", "cg_d", "cg_m_inv")
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, n: int, dim: int, b: int):
+        sizes = [n * b] * len(self._N_SLOTS) + [dim * b] * len(self._DIM_SLOTS)
+        arena = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self._flat = dict(zip(self._N_SLOTS + self._DIM_SLOTS, arena))
+
+    def get(self, slot: str, shape: tuple[int, ...]) -> np.ndarray:
+        flat, size = self._flat[slot], math.prod(shape)
+        if size > flat.size:
+            raise ValueError(f"{shape} does not fit the {flat.size} values of slot {slot!r}")
+        return flat[:size].reshape(shape)
+
+
 # The kernels below take inputs the caller has already computed (margins,
 # active rows, products with X), so that the block solver and the public
 # one-label wrappers after them run the same code without extra passes.
+# Their products go into the slots of a Buffers; the one-label wrappers
+# pass a fresh set.
 
 
-def _rows(product: np.ndarray) -> np.ndarray:
-    """An ``(n, r)`` product as ``r`` contiguous rows, one per label."""
-    return np.ascontiguousarray(product.T)
-
-
-def _scatter(n: int, idx: Sequence[np.ndarray], values: Sequence[np.ndarray]) -> np.ndarray:
-    """The ``(n, r)`` weights whose column ``j`` holds ``values[j]`` at the
-    rows ``idx[j]`` and a literal 0 on every other row."""
-    out = np.zeros((n, len(idx)))
+def _scatter(
+    idx: Sequence[np.ndarray], values: Sequence[np.ndarray], out: np.ndarray
+) -> np.ndarray:
+    """Fill the ``(n, r)`` weights ``out``: column ``j`` holds ``values[j]``
+    at the rows ``idx[j]`` and a literal 0 on every other row."""
+    out.fill(0.0)
     for j, (rows, vals) in enumerate(zip(idx, values)):
         out[rows, j] = vals
     return out
@@ -232,23 +274,38 @@ def _curvature(loss: MarginLoss, c: float, m: np.ndarray, idx) -> np.ndarray:
     return c * losses.ddphi(loss, m[idx])
 
 
-def _gradient(X: SparseMatrix, W: np.ndarray, idx, coef) -> np.ndarray:
+def _rmatvec_scattered(
+    X: SparseMatrix, idx, values, buffers: Buffers, squared: bool = False
+) -> np.ndarray:
+    """The ``(dim, r)`` product of ``X.T`` (of the squares with ``squared``)
+    with the weights that :func:`_scatter` builds from ``idx`` and ``values``."""
+    r = len(idx)
+    weights = _scatter(idx, values, buffers.get("weights", (X.n_rows, r)))
+    product = X.rmatvec_squared if squared else X.rmatvec
+    return product(weights, out=buffers.get("transposed", (X.n_cols, r)))
+
+
+def _gradient(X: SparseMatrix, W: np.ndarray, idx, coef, buffers: Buffers) -> np.ndarray:
     """Per row ``k`` of ``W``, ``w_k + sum_{i in idx[k]} coef[k]_i * x_i``."""
-    return W + _rows(X.rmatvec(_scatter(X.n_rows, idx, coef)))
+    T = _rmatvec_scattered(X, idx, coef, buffers)
+    return np.add(W, T.T, out=buffers.get("gradient", W.shape))
 
 
-def _diag(X: SparseMatrix, idx, dd) -> np.ndarray:
+def _diag(X: SparseMatrix, idx, dd, buffers: Buffers) -> np.ndarray:
     """Per label, the Hessian's diagonal ``1 + sum_{i in idx} dd_i * x_i^2``."""
-    return 1.0 + _rows(X.rmatvec_squared(_scatter(X.n_rows, idx, dd)))
+    T = _rmatvec_scattered(X, idx, dd, buffers, squared=True)
+    return np.add(1.0, T.T, out=buffers.get("diag", T.T.shape))
 
 
-def _hvp(X: SparseMatrix, idx, dd, D: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+def _hvp(
+    X: SparseMatrix, idx, dd, D: np.ndarray, rows: Sequence[int], buffers: Buffers
+) -> np.ndarray:
     """``d + sum_{i in idx} dd_i * <x_i, d> * x_i`` for each direction ``d``
     of ``D``, whose row ``j`` belongs to the label ``rows[j]`` of ``idx``/``dd``."""
-    XD = X.matvec(D.T)
+    XD = X.matvec(D.T, out=buffers.get("product", (X.n_rows, D.shape[0])))
     vals = (dd[k] * XD[idx[k], j] for j, k in enumerate(rows))
-    weights = _scatter(X.n_rows, [idx[k] for k in rows], vals)
-    return D + _rows(X.rmatvec(weights))
+    T = _rmatvec_scattered(X, [idx[k] for k in rows], vals, buffers)
+    return np.add(D, T.T, out=buffers.get("hvp", D.shape))
 
 
 @dataclass
@@ -283,7 +340,8 @@ def gradient(problem: BinaryProblem, w: DenseVector) -> DenseVector:
     """``w + C * sum phi'(margin_i) * y_i * x_i``, summed over every row."""
     every = np.arange(problem.n)
     coef = _grad_coef(problem.loss, problem.c, margins(problem, w), problem.signs, every)
-    return _gradient(problem.features, w[None], [every], [coef])[0]
+    buffers = Buffers(problem.n, problem.dim, 1)
+    return _gradient(problem.features, w[None], [every], [coef], buffers)[0]
 
 
 def hessian_vec(
@@ -296,11 +354,18 @@ def hessian_vec(
     away inside the curvature term.
     """
     dd = _curvature(problem.loss, problem.c, margins(problem, w), active)
-    return _hvp(problem.features, [active], [dd], d[None], [0])[0]
+    buffers = Buffers(problem.n, problem.dim, 1)
+    return _hvp(problem.features, [active], [dd], d[None], [0], buffers)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) -> CgBlock:
+def cg_solve(
+    G: np.ndarray,
+    hvp: Callable,
+    cfg: SolverConfig,
+    diag: np.ndarray,
+    buffers: Buffers | None = None,
+) -> CgBlock:
     """Approximately solve ``H_k p_k = -G[k]`` for every row ``k`` of the
     ``(b, dim)`` block of gradients ``G`` by preconditioned CG, in lockstep.
 
@@ -311,14 +376,22 @@ def cg_solve(G: np.ndarray, hvp: Callable, cfg: SolverConfig, diag: np.ndarray) 
     ``max_cg``. ``hvp(D, rows)`` returns the products of the directions
     ``D`` of the block rows ``rows`` that still iterate. A numerical failure
     stops its row alone; its message is the row's entry of ``errors``.
+    The directions and residuals live in ``buffers`` (a new set if none is
+    given), and the answer's ``p`` is one of its slots.
     """
     b = G.shape[0]
-    P = np.zeros_like(G)
+    if buffers is None:
+        buffers = Buffers(0, G.shape[1], b)
+    P = buffers.get("cg_p", G.shape)
+    P.fill(0.0)
     iters = [0] * b
     errors: list[str | None] = [None] * b
-    m_inv = 1.0 / (cfg.precond_alpha * diag + (1.0 - cfg.precond_alpha))
-    R = -G
-    D = m_inv * R  # the first directions are the preconditioned residuals
+    m_inv = np.multiply(cfg.precond_alpha, diag, out=buffers.get("cg_m_inv", G.shape))
+    m_inv += 1.0 - cfg.precond_alpha
+    np.divide(1.0, m_inv, out=m_inv)
+    R = np.negative(G, out=buffers.get("cg_r", G.shape))
+    # the first directions are the preconditioned residuals
+    D = np.multiply(m_inv, R, out=buffers.get("cg_d", G.shape))
     rz = [0.0] * b
     ref = [0.0] * b
     live = []
@@ -414,6 +487,7 @@ def newton_cg_block(
     W0: np.ndarray,
     cfg: SolverConfig,
     grad0_refs: Sequence[float],
+    buffers: Buffers | None = None,
 ) -> tuple[np.ndarray, list[SolverTrace]]:
     """:func:`newton_cg` for a block of labels over one design matrix ``X``,
     loss and C, in lockstep, from the rows of ``W0`` (``b x dim``), with one
@@ -426,9 +500,13 @@ def newton_cg_block(
     value; the others go on. Returns the ``b x dim`` last iterates and one
     trace per label; a label that failed numerically keeps its last accepted
     iterate, and its trace's ``failure`` says why. Each label's result is
-    bit for bit the one it gets alone.
+    bit for bit the one it gets alone. The products and CG vectors go into
+    ``buffers``, a new set if none is given; a worker passes its own set to
+    every block it solves.
     """
     n, b = X.n_rows, len(S)
+    if buffers is None:
+        buffers = Buffers(n, X.n_cols, b)
     W = np.array(W0, dtype=np.float64)
     if W.shape != (b, X.n_cols):
         raise DimensionMismatchError(f"starts of shape {W.shape} for {b} labels of dim {X.n_cols}")
@@ -449,7 +527,9 @@ def newton_cg_block(
             traces[k].cpu_ms += cpu
         clock[:] = now
 
-    M = _rows(X.matvec(W.T))  # the margins, once each row is multiplied by its signs
+    # the margins, once each row is multiplied by its signs: a copy, as the
+    # product is a slot of the buffers and the margins outlive the step
+    M = X.matvec(W.T, out=buffers.get("product", (n, b))).T.copy()
     live = []
     for k in range(b):
         M[k] *= S[k]
@@ -468,7 +548,7 @@ def newton_cg_block(
         # margins -> active set -> gradient -> stopping test
         idx = {k: losses.active_set(loss, M[k]) for k in live}
         coef = (_grad_coef(loss, c, M[k], S[k], idx[k]) for k in live)
-        G = dict(zip(live, _gradient(X, W[live], list(idx.values()), coef)))
+        G = dict(zip(live, _gradient(X, W[live], list(idx.values()), coef, buffers)))
         gnorm = {k: norm(G[k]) for k in live}
         solving = []
         for k in live:
@@ -490,15 +570,16 @@ def newton_cg_block(
         act = [idx[k] for k in solving]
         n_active = {k: int(idx[k].shape[0]) for k in solving}
         dd = [_curvature(loss, c, M[k], idx[k]) for k in solving]
-        diag = _diag(X, act, dd)
+        diag = _diag(X, act, dd, buffers)
         for row, rows, weights in zip(diag, act, dd):
             if np.isnan(row).any():
                 # 0 * inf: a row of weight 0 whose squares overflow. A copy
                 # of the active rows leaves the inactive ones out.
                 row[:] = 1.0 + X.submatrix(rows).rmatvec_squared(weights)
         G_solving = np.array([G[k] for k in solving])
-        cg = cg_solve(G_solving, functools.partial(_hvp, X, act, dd), cfg, diag)
-        del idx, act, dd  # up to n entries per label: freed before the line search
+        hvp = functools.partial(_hvp, X, act, dd, buffers=buffers)
+        cg = cg_solve(G_solving, hvp, cfg, diag, buffers)
+        del idx, act, dd, hvp  # up to n entries per label: freed before the line search
         P, cg_iters, g_dot_p = {}, {}, {}
         for k, p, iters, error in zip(solving, cg.p, cg.row_iters, cg.errors):
             if error is not None:
@@ -514,7 +595,7 @@ def newton_cg_block(
             return []
 
         # line search and update; the accepted trial's value is the new objective
-        XP = X.matvec(np.array(list(P.values())).T)
+        XP = X.matvec(np.array(list(P.values())).T, out=buffers.get("product", (n, len(P))))
         stepped = []
         for (k, p), xdir in zip(P.items(), XP.T):
             mdir = S[k] * xdir

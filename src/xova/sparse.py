@@ -5,8 +5,9 @@ per-label means and the stored weights are each one row-compressed scipy CSR
 matrix. One of its rows is a :class:`SparseVector`, the pair of views
 ``(indices, values)`` of the matrix's arrays. Dense feature-space vectors
 (weight vectors, descent directions, the global feature mean) are plain
-contiguous float64 numpy arrays. Matrix products are delegated to
-scipy.sparse; everything else is numpy.
+contiguous float64 numpy arrays. Matrix products call scipy's own sparse
+kernels, the ``_sparsetools`` functions that scipy's ``@`` calls, so that a
+caller can pass the output array; everything else is numpy.
 
 All arithmetic is in 64-bit floats. A matrix's arrays are frozen at
 construction, so matrices and their rows can be shared read-only across
@@ -19,6 +20,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .errors import DimensionMismatchError, InvalidEntryError
 
@@ -78,7 +80,10 @@ class SparseMatrix:
 
     The products take one vector or a 2-d block of them, one per column; a
     column of the block's product sums in the same order as the product with
-    that column alone, so it has the same bits.
+    that column alone, so it has the same bits. Each product is written into
+    ``out`` where one is given (a C-contiguous float64 array of the
+    product's shape, whose values are overwritten), and into a new array
+    otherwise.
     """
 
     __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_csr", "_csc", "_csc_sq")
@@ -178,23 +183,23 @@ class SparseMatrix:
         # perfbench/round.py iterates over a model's weight rows.
         return (self.row(i) for i in range(self.n_rows))
 
-    def matvec(self, w: np.ndarray) -> np.ndarray:
+    def matvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``X @ w`` for a vector ``w``, or an ``(n_cols, b)`` block of them."""
         if w.shape[0] != self.n_cols:
             raise DimensionMismatchError(
                 f"vector length {w.shape[0]} != n_cols {self.n_cols}"
             )
-        return self.to_scipy() @ w
+        return _product(self._csr, w, out)
 
-    def rmatvec(self, coef: np.ndarray) -> np.ndarray:
+    def rmatvec(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``X.T @ coef`` for a vector ``coef``, or an ``(n_rows, b)`` block of them."""
         if coef.shape[0] != self.n_rows:
             raise DimensionMismatchError(
                 f"coefficient length {coef.shape[0]} != n_rows {self.n_rows}"
             )
-        return self._csc @ coef
+        return _product(self._csc, coef, out)
 
-    def rmatvec_squared(self, coef: np.ndarray) -> np.ndarray:
+    def rmatvec_squared(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``(X * X).T @ coef`` with elementwise squaring, for a vector or an
         ``(n_rows, b)`` block. A square that overflows is ``inf``, without a
         warning. Threads that race to build the squares build the same."""
@@ -206,7 +211,7 @@ class SparseMatrix:
             with np.errstate(over="ignore"):
                 squared = (self.data * self.data, self.indices, self.indptr)
             self._csc_sq = scipy.sparse.csr_matrix(squared, shape=self._csr.shape, copy=False).T
-        return self._csc_sq @ coef
+        return _product(self._csc_sq, coef, out)
 
     def submatrix(self, rows: np.ndarray) -> "SparseMatrix":
         """Row-selection copy. Selecting every row returns ``self``."""
@@ -232,3 +237,27 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+
+def _product(A, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``A @ x`` for a CSR or CSC ``A``, through the kernel that scipy's ``@``
+    calls, which adds into a zeroed output: a vector, or a block of one
+    column, goes to ``<format>_matvec`` and a wider block to
+    ``<format>_matvecs``. ``x`` is read as a C-contiguous float64 array, a
+    copy where it is not one, as ``@`` reads it."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    shape = (A.shape[0], *x.shape[1:])
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"output {out.dtype}{list(out.shape)} for a float64{list(shape)} product")
+    else:
+        out.fill(0.0)
+    rows, cols = A.shape
+    if x.ndim == 1 or x.shape[1] == 1:
+        kernel = getattr(_sparsetools, A.format + "_matvec")
+        kernel(rows, cols, A.indptr, A.indices, A.data, x.ravel(), out.ravel())
+    else:
+        kernel = getattr(_sparsetools, A.format + "_matvecs")
+        kernel(rows, cols, x.shape[1], A.indptr, A.indices, A.data, x.ravel(), out.ravel())
+    return out

@@ -314,9 +314,10 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     else:
         w_shared = zero_init(ds.dim)
 
-    def work(labels: range):
-        """Solve one block of labels. Each label is charged its own set-up
-        and clipping and its share of the block's solver steps."""
+    def work(labels: range, buffers: solver_mod.Buffers):
+        """Solve one block of labels with the worker's ``buffers``. Each
+        label is charged its own set-up and clipping and its share of the
+        block's solver steps."""
         S, w0s, refs, own = [], [], [], []
         for label in labels:
             t0, c0 = time.perf_counter(), time.thread_time()
@@ -334,7 +335,9 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
                 ref = solver_mod.norm(solver_mod.gradient(problem, zero_init(ds.dim)))
             refs.append(ref)
             own.append((time.perf_counter() - t0, time.thread_time() - c0))
-        W, traces = solver_mod.newton_cg_block(X, cfg.loss, cfg.c, S, np.array(w0s), cfg.solver, refs)
+        W, traces = solver_mod.newton_cg_block(
+            X, cfg.loss, cfg.c, S, np.array(w0s), cfg.solver, refs, buffers
+        )
         out = []
         for w, trace, (wall, cpu) in zip(W, traces, own):
             t0, c0 = time.perf_counter(), time.thread_time()
@@ -352,12 +355,15 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     solved = [None] * len(blocks)  # each block's outcomes, in block order
 
     def drain():
+        # one set of scratch arrays per worker, reused by every block it
+        # takes and dropped when the queue is empty
+        buffers = solver_mod.Buffers(n, ds.dim, _BLOCK_LABELS)
         while True:
             try:
                 i, labels = todo.get_nowait()
             except queue.Empty:
                 return
-            solved[i] = work(labels)
+            solved[i] = work(labels, buffers)
 
     # The calling thread is one of the workers, so at one worker no thread
     # starts: training then allocates from the main thread's memory arena,

@@ -8,7 +8,7 @@ import xova.losses as losses_mod
 import xova.solver as solver_mod
 from xova.dataio import Dataset, compute_label_stats
 from xova.errors import ConfigError, DimensionMismatchError
-from xova.initializers import AopPrecompute, aop_init
+from xova.initializers import AopPrecompute, aop_init, ovap_solve
 from xova.losses import MarginLoss, active_set
 from xova.solver import (
     BinaryProblem,
@@ -229,8 +229,9 @@ def block_kernels(problems, ws, ds):
     labels = list(zip(problems, m, idx))
     coef = [solver_mod._grad_coef(q.loss, q.c, mk, q.signs, i) for q, mk, i in labels]
     dd = [solver_mod._curvature(q.loss, q.c, mk, i) for q, mk, i in labels]
-    G = solver_mod._gradient(X, np.stack(ws), idx, coef)
-    H = solver_mod._hvp(X, idx, dd, np.stack(ds), range(len(problems)))
+    buffers = solver_mod.Buffers(X.n_rows, X.n_cols, len(problems))
+    G = solver_mod._gradient(X, np.stack(ws), idx, coef, buffers)
+    H = solver_mod._hvp(X, idx, dd, np.stack(ds), range(len(problems)), buffers)
     return G, H, idx, dd
 
 
@@ -571,7 +572,7 @@ class TestNewtonCg:
         # +G is an ascent direction: g.p = |g|^2 > 0
         monkeypatch.setattr(
             solver_mod, "cg_solve",
-            lambda G, hvp, cfg, diag: solver_mod.CgBlock(
+            lambda G, hvp, cfg, diag, buffers: solver_mod.CgBlock(
                 G.copy(), len(G), [1] * len(G), [None] * len(G)
             ),
         )
@@ -687,6 +688,68 @@ class TestNewtonCg:
             BinaryProblem(X, np.array([0.5]))
         with pytest.raises(Exception):
             BinaryProblem(X, np.array([1.0, -1.0]))
+
+
+def untimed(trace):
+    """A trace's fields but its times, for an exact comparison."""
+    fields = asdict(trace)
+    del fields["wall_ms"], fields["cpu_ms"]
+    return fields
+
+
+class TestBuffers:
+    def test_one_set_serves_every_block_and_the_shared_solve(self, rng):
+        # one worker's set passes through blocks of 16, 3 and 1 labels and
+        # then the all-negative shared solve: every label must get the bits,
+        # touches and trace rows of a fresh solve. The references are solved
+        # in blocks of two or more, each with a fresh set; at b = 1 the
+        # margins' transpose is contiguous, so margins that viewed the
+        # product slot instead of copying it would be overwritten there
+        p = random_problem(rng, n=120, d=10, loss=SQH)
+        others, _ = other_labels(rng, p, 19)
+        problems = [p] + others
+        X, cfg = p.features, SolverConfig(eps_outer=1e-4)
+        W0 = rng.normal(0, 0.5, size=(20, 10))
+        refs = [grad0_ref(q) for q in problems]
+        S = [q.signs for q in problems]
+        W_fresh, fresh = solver_mod.newton_cg_block(X, SQH, 1.0, S, W0, cfg, refs)
+        assert all(t.outer_iters > 1 and t.hvp_touches > 0 for t in fresh)
+        buffers = solver_mod.Buffers(X.n_rows, X.n_cols, 16)
+        for labels in (range(16), range(16, 19), range(19, 20)):
+            W, traces = solver_mod.newton_cg_block(
+                X, SQH, 1.0, [S[k] for k in labels], W0[labels], cfg,
+                [refs[k] for k in labels], buffers,
+            )
+            for w, trace, k in zip(W, traces, labels):
+                assert w.tobytes() == W_fresh[k].tobytes()
+                assert untimed(trace) == untimed(fresh[k])
+        negative = np.full(X.n_rows, -1.0)
+        zero, shared_cfg = np.zeros((2, 10)), replace(cfg, eps_outer=0.01)
+        ref = norm(gradient(BinaryProblem(X, negative), zero[0]))
+        W_ovap, ovap_fresh = solver_mod.newton_cg_block(
+            X, SQH, 1.0, [negative, S[0]], zero, shared_cfg, [ref, refs[0]]
+        )
+        [w], [trace] = solver_mod.newton_cg_block(
+            X, SQH, 1.0, [negative], zero[:1], shared_cfg, [ref], buffers
+        )
+        assert ovap_fresh[0].hvp_touches > 0
+        assert w.tobytes() == W_ovap[0].tobytes()
+        assert untimed(trace) == untimed(ovap_fresh[0])
+        w, trace = ovap_solve(X, SQH, 1.0, cfg, 0.01)
+        assert w.tobytes() == W_ovap[0].tobytes()
+        assert untimed(trace) == untimed(ovap_fresh[0])
+
+    def test_a_slot_is_the_front_of_its_share_of_one_array(self):
+        buffers = solver_mod.Buffers(5, 3, 4)
+        product = buffers.get("product", (5, 4))
+        small = buffers.get("product", (2, 3))
+        assert small.flags.c_contiguous and small.shape == (2, 3)
+        assert np.shares_memory(product, small) and small.base is product.base
+        slots = [buffers.get(slot, (4, 3)) for slot in ("transposed", "diag", "cg_p")]
+        assert all(a.base is product.base for a in slots)
+        assert not any(np.shares_memory(a, b) for a in slots for b in slots + [product] if a is not b)
+        with pytest.raises(ValueError, match="does not fit the 12 values of slot 'hvp'"):
+            buffers.get("hvp", (5, 3))
 
 
 def _start_overflows():

@@ -140,28 +140,47 @@ class TestSparseMatrix:
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_block_columns_are_bit_identical(self, rng, index_dtype):
         # the block solver's premise: a column of a block product sums in the
-        # same order as the product with that column alone
+        # same order as the product with that column alone; and every product
+        # has the bits of scipy's `@`, whose kernels it calls directly
         csr = scipy.sparse.random(300, 40, density=0.2, format="csr", random_state=7)
         csr.data = rng.normal(size=csr.nnz) * 10.0 ** rng.integers(-8, 9, size=csr.nnz)
         csr.indices = csr.indices.astype(index_dtype)
         csr.indptr = csr.indptr.astype(index_dtype)
         X = SparseMatrix.from_scipy(csr)
+        X.rmatvec_squared(np.zeros(300))  # builds the squares
         # scipy narrows a transpose's indices; widen them back
-        X._csc.indices = X._csc.indices.astype(index_dtype)
-        X._csc.indptr = X._csc.indptr.astype(index_dtype)
-        assert X.indices.dtype == index_dtype and X._csc.indices.dtype == index_dtype
+        for transposed in (X._csc, X._csc_sq):
+            transposed.indices = transposed.indices.astype(index_dtype)
+            transposed.indptr = transposed.indptr.astype(index_dtype)
+            assert transposed.indices.dtype == index_dtype
+        assert X.indices.dtype == index_dtype
         W = rng.normal(size=(40, 16)) * 10.0 ** rng.integers(-8, 9, size=(40, 16))
         C = rng.normal(size=(300, 16)) * 10.0 ** rng.integers(-8, 9, size=(300, 16))
-        for block, one, B in (
-            (X.matvec, X.matvec, W),
-            (X.rmatvec, X.rmatvec, C),
-            (X.rmatvec_squared, X.rmatvec_squared, C),
+        for block, matrix, B in (
+            (X.matvec, X.to_scipy(), W),
+            (X.rmatvec, X._csc, C),
+            (X.rmatvec_squared, X._csc_sq, C),
         ):
             out = block(B)
+            assert out.tobytes() == (matrix @ B).tobytes()
             for j in range(B.shape[1]):
-                assert out[:, j].tobytes() == one(np.ascontiguousarray(B[:, j])).tobytes()
+                column = np.ascontiguousarray(B[:, j])
+                assert out[:, j].tobytes() == block(column).tobytes()
+                assert out[:, j].tobytes() == (matrix @ column).tobytes()
+            # into an output that holds NaN, which the product must not read;
+            # one column goes to the one-vector kernel, as `@` sends it
+            for part in (B[:, 0], B[:, :1], B, np.asfortranarray(B)):
+                into = np.full((out.shape[0], *part.shape[1:]), np.nan)
+                assert block(part, out=into) is into
+                assert into.tobytes() == (matrix @ part).tobytes()
             # a transposed (column-major) block gives the same bits
             assert block(np.asfortranarray(B)).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("shape, order", [((300, 16), "F"), ((300, 15), "C"), ((300,), "C")])
+    def test_an_output_that_does_not_fit_rejected(self, shape, order):
+        X = SparseMatrix.from_scipy(scipy.sparse.random(300, 40, density=0.2, format="csr"))
+        with pytest.raises(ValueError, match=r"for a float64\[300, 16\] product"):
+            X.matvec(np.ones((40, 16)), out=np.zeros(shape, order=order))
 
     def test_squares_built_once_and_overflow_quietly(self):
         X = make_matrix([{0: 1e200, 1: 2.0}, {1: 3.0}], 2)

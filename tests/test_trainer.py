@@ -653,9 +653,9 @@ class TestGrad0ClosedForm:
         seen = []
         real = solver_mod.newton_cg_block
 
-        def spy(X, loss, c, S, W0, solver_cfg, refs):
+        def spy(X, loss, c, S, W0, solver_cfg, refs, buffers):
             seen.append(refs)
-            return real(X, loss, c, S, W0, solver_cfg, refs)
+            return real(X, loss, c, S, W0, solver_cfg, refs, buffers)
 
         monkeypatch.setattr(solver_mod, "newton_cg_block", spy)
         train_ova(ds, stats, cfg)
