@@ -225,7 +225,8 @@ def augment_bias(ds: Dataset) -> Dataset:
         raise ConfigError("dataset is already bias-augmented")
     X, d = ds.features, ds.dim
     ones = scipy.sparse.csr_matrix(np.ones((X.n_rows, 1)))
-    features = SparseMatrix.from_scipy(scipy.sparse.hstack([X.to_scipy(), ones], format="csr"))
+    csr = scipy.sparse.hstack([X.to_scipy(), ones], format="csr")
+    features = SparseMatrix(csr.indptr, csr.indices, csr.data, d + 1)
     return Dataset(features=features, labels=ds.labels, n_labels=ds.n_labels, bias_index=d)
 
 
@@ -252,7 +253,7 @@ def compute_label_stats(ds: Dataset) -> LabelStats:
     sums = yt @ X.to_scipy()
     sums.sort_indices()
     sums.data /= np.repeat(counts, np.diff(sums.indptr))
-    pbar = SparseMatrix.from_scipy(sums)
+    pbar = SparseMatrix(sums.indptr, sums.indices, sums.data, X.n_cols)
 
     xbar = X.rmatvec(np.ones(n)) / n
     rows = yt.indices.astype(np.int64)

@@ -484,32 +484,34 @@ def newton_cg_block(
     loss: MarginLoss,
     c: float,
     S: Sequence[np.ndarray],
-    W0: np.ndarray,
+    W0: np.ndarray | Sequence[DenseVector],
     cfg: SolverConfig,
     grad0_refs: Sequence[float],
     buffers: Buffers | None = None,
 ) -> tuple[np.ndarray, list[SolverTrace]]:
     """:func:`newton_cg` for a block of labels over one design matrix ``X``,
-    loss and C, in lockstep, from the rows of ``W0`` (``b x dim``), with one
-    stopping reference per label.
+    loss and C, in lockstep, from the ``b`` starts ``W0`` (rows of length
+    ``dim``), with one stopping reference per label.
 
     ``S[k]`` holds label ``k``'s signs, unchecked: float64 of length ``n``,
     each +1 or -1, as the callers build them (:class:`BinaryProblem` is the
     checked form of one label). A label leaves the block when it converges,
     reaches ``max_outer``, fails its line search or meets a non-finite
     value; the others go on. Returns the ``b x dim`` last iterates and one
-    trace per label; a label that failed numerically keeps its last accepted
-    iterate, and its trace's ``failure`` says why. Each label's result is
-    bit for bit the one it gets alone. The products and CG vectors go into
-    ``buffers``, a new set if none is given; a worker passes its own set to
-    every block it solves.
+    trace per label, at once for an empty block; a label that failed
+    numerically keeps its last accepted iterate, and its trace's ``failure``
+    says why. Each label's result is bit for bit the one it gets alone. The
+    products and CG vectors go into ``buffers``, a new set if none is given;
+    a worker passes its own set to every block it solves.
     """
     n, b = X.n_rows, len(S)
-    if buffers is None:
-        buffers = Buffers(n, X.n_cols, b)
-    W = np.array(W0, dtype=np.float64)
+    W = np.array(W0, dtype=np.float64)  # copies the starts, which may share one vector
     if W.shape != (b, X.n_cols):
         raise DimensionMismatchError(f"starts of shape {W.shape} for {b} labels of dim {X.n_cols}")
+    if not b:
+        return W, []
+    if buffers is None:
+        buffers = Buffers(n, X.n_cols, b)
     traces = [SolverTrace(grad0_ref=ref) for ref in grad0_refs]
 
     def fail(k: int, message: str) -> None:
@@ -549,19 +551,16 @@ def newton_cg_block(
         idx = {k: losses.active_set(loss, M[k]) for k in live}
         coef = (_grad_coef(loss, c, M[k], S[k], idx[k]) for k in live)
         G = dict(zip(live, _gradient(X, W[live], list(idx.values()), coef, buffers)))
-        gnorm = {k: norm(G[k]) for k in live}
         solving = []
         for k in live:
-            traces[k].final_grad_norm = gnorm[k]
-            if not np.isfinite(gnorm[k]):
+            gnorm = traces[k].final_grad_norm = norm(G[k])
+            if not np.isfinite(gnorm):
                 fail(k, "non-finite gradient")
             elif not np.isfinite(traces[k].grad0_ref):  # inf would pass any test, nan none
                 fail(k, "non-finite stopping reference")
-            elif gnorm[k] <= cfg.eps_outer * traces[k].grad0_ref:
+            elif gnorm <= cfg.eps_outer * traces[k].grad0_ref:
                 traces[k].termination = TERM_CONVERGED
-            elif traces[k].outer_iters >= cfg.max_outer:
-                traces[k].termination = TERM_MAX_OUTER
-            else:
+            elif traces[k].outer_iters < cfg.max_outer:  # else it ends as the trace's max_outer
                 solving.append(k)
         if not solving:
             return []
@@ -608,7 +607,7 @@ def newton_cg_block(
             M[k] += lam * mdir
             traces[k].rows.append(TraceRow(
                 loss=eval_at.value,
-                grad_norm=gnorm[k],
+                grad_norm=traces[k].final_grad_norm,
                 active_count=n_active[k],
                 active_fraction=n_active[k] / n if n else 0.0,
                 cg_iters=cg_iters[k],

@@ -16,7 +16,7 @@ worker threads.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -65,18 +65,20 @@ class SparseVector(NamedTuple):
 class SparseMatrix:
     """Row-compressed matrix, shared read-only; iterating yields its rows.
 
-    Arrays passed to the constructor are adopted and frozen wherever scipy
-    keeps them; callers must not keep writable references. The constructor
-    validates them: it raises :class:`InvalidEntryError`, naming the row and
-    the column index, for a column index that is out of range or not
-    strictly increasing within its row; it checks the arrays as given,
-    before scipy narrows them, so an index beyond the int32 range is still
-    out of range. :meth:`from_scipy` adopts a CSR matrix unchecked. The
-    matrix is one scipy CSR: ``indptr``, ``indices`` and ``data`` are its
-    arrays, the index arrays in scipy's index dtype (int32 unless the shape
-    or the nonzero count needs int64). Its transpose is a CSC view of the
-    same arrays, built once; the transpose of its elementwise square is built
-    on first use and kept.
+    The constructor is the one way to make a matrix, so every matrix has
+    passed its structural check: a range test on the arrays as given (before
+    scipy narrows them, so an index beyond int32 is still out of range) and
+    scipy's ``has_canonical_format``, one C pass that allocates nothing per
+    nonzero. Only a matrix that fails is checked again with per-nonzero
+    masks, to name the fault: an :class:`InvalidEntryError` names the row
+    and the column index of the first index out of range or not strictly
+    increasing in its row. The arrays are adopted and frozen wherever scipy
+    keeps them; callers must not keep writable references. The matrix is
+    one scipy CSR: ``indptr``, ``indices`` and ``data`` are its arrays, the
+    index arrays in scipy's index dtype (int32 unless the shape or the
+    nonzero count needs int64). Its transpose is a CSC view of the same
+    arrays, built once; the transpose of its elementwise square is built on
+    first use and kept.
 
     The products take one vector or a 2-d block of them, one per column; a
     column of the block's product sums in the same order as the product with
@@ -92,49 +94,20 @@ class SparseMatrix:
         indptr = np.ascontiguousarray(indptr)
         indices = np.ascontiguousarray(indices)
         data = np.ascontiguousarray(data, dtype=np.float64)
-        if indptr.ndim != 1 or indptr.size < 1:
-            raise ValueError("indptr must be a 1-d array with at least one entry")
-        n_rows = indptr.shape[0] - 1
-        if indptr[0] != 0:
-            raise ValueError("indptr must start at 0")
-        # compared, not subtracted: a difference of int64 offsets can wrap
-        if np.any(indptr[1:] < indptr[:-1]):
-            raise ValueError("row offsets must be monotone non-decreasing")
-        if indptr[-1] != indices.shape[0] or indices.shape[0] != data.shape[0]:
-            raise ValueError("final offset must equal the number of nonzeros")
-        if indices.size:
-            bad = (indices < 0) | (indices >= n_cols)
-            row_start = np.zeros(indices.shape[0], dtype=bool)
-            row_start[indptr[:-1][np.diff(indptr) > 0]] = True
-            bad[1:] |= (np.diff(indices) <= 0) & ~row_start[1:]
-            if bad.any():
-                pos = int(np.argmax(bad))
-                j = int(indices[pos])
-                what = "out of range" if not 0 <= j < n_cols else "repeated or out of order"
-                row = int(np.searchsorted(indptr, pos, side="right")) - 1
-                raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row, j)
-        csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols), copy=False)
-        self._adopt(csr)
-
-    @classmethod
-    def from_scipy(cls, csr: scipy.sparse.csr_matrix) -> "SparseMatrix":
-        """``csr`` itself, unchecked and frozen: for a CSR matrix the package
-        built, with float64 data and each row's indices in range and
-        strictly increasing."""
-        matrix = cls.__new__(cls)
-        matrix._adopt(csr)
-        return matrix
-
-    def _adopt(self, csr: scipy.sparse.csr_matrix) -> None:
+        nnz, csr = indices.shape[0], None
+        # no offset beyond nnz: scipy's pass then reads inside the arrays
+        if (indptr.ndim == 1 and indptr.size and indptr[0] == 0 and indptr.max() <= nnz
+                and indptr[-1] == nnz == data.shape[0]
+                and (not nnz or 0 <= indices.min() and indices.max() < n_cols)):
+            shape = (indptr.shape[0] - 1, n_cols)
+            csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=shape, copy=False)
+        if csr is None or not csr.has_canonical_format:
+            _name_fault(indptr, indices, data, n_cols)
         for arr in (csr.indptr, csr.indices, csr.data):
             arr.flags.writeable = False
         self.n_rows, self.n_cols = csr.shape
-        self.indptr = csr.indptr
-        self.indices = csr.indices
-        self.data = csr.data
-        self._csr = csr
-        self._csc = csr.T
-        self._csc_sq = None
+        self.indptr, self.indices, self.data = csr.indptr, csr.indices, csr.data
+        self._csr, self._csc, self._csc_sq = csr, csr.T, None
 
     @classmethod
     def stack(
@@ -220,7 +193,8 @@ class SparseMatrix:
             rows, np.arange(self.n_rows, dtype=np.int64)
         ):
             return self
-        return SparseMatrix.from_scipy(self._csr[rows])
+        csr = self._csr[rows]
+        return SparseMatrix(csr.indptr, csr.indices, csr.data, self.n_cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -237,6 +211,28 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+
+def _name_fault(indptr, indices, data, n_cols: int) -> NoReturn:
+    """Raise the error naming the first fault of a matrix that failed the check."""
+    if indptr.ndim != 1 or indptr.size < 1:
+        raise ValueError("indptr must be a 1-d array with at least one entry")
+    if indptr[0] != 0:
+        raise ValueError("indptr must start at 0")
+    # compared, not subtracted: a difference of int64 offsets can wrap
+    if np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("row offsets must be monotone non-decreasing")
+    if indptr[-1] != indices.shape[0] or indices.shape[0] != data.shape[0]:
+        raise ValueError("final offset must equal the number of nonzeros")
+    bad = (indices < 0) | (indices >= n_cols)
+    row_start = np.zeros(indices.shape[0], dtype=bool)
+    row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+    bad[1:] |= (np.diff(indices) <= 0) & ~row_start[1:]
+    pos = int(np.argmax(bad))
+    j = int(indices[pos])
+    what = "out of range" if not 0 <= j < n_cols else "repeated or out of order"
+    row = int(np.searchsorted(indptr, pos, side="right")) - 1
+    raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row, j)
 
 
 def _product(A, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse
 
 from . import losses
 from . import solver as solver_mod
@@ -290,8 +289,6 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     n = ds.n
     init = cfg.init
 
-    # Every start but aop's is one shared vector; np.array(w0s) copies it
-    # into each block's starts, so one vector serves every label.
     t_start, c_start = time.perf_counter(), time.thread_time()
     init_trace = None
     if init.kind == "aop":
@@ -336,7 +333,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
             refs.append(ref)
             own.append((time.perf_counter() - t0, time.thread_time() - c0))
         W, traces = solver_mod.newton_cg_block(
-            X, cfg.loss, cfg.c, S, np.array(w0s), cfg.solver, refs, buffers
+            X, cfg.loss, cfg.c, S, w0s, cfg.solver, refs, buffers
         )
         out = []
         for w, trace, (wall, cpu) in zip(W, traces, own):
@@ -377,14 +374,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
             helper.result()
     outcomes = [outcome for block in solved for outcome in block]
     idx_parts, val_parts, traces = zip(*outcomes) if outcomes else ((),) * 3
-    # Each row's indices come from np.flatnonzero: sorted, unique and in
-    # range, so the matrix is adopted without SparseMatrix's checks.
-    values = np.concatenate([np.empty(0), *val_parts])
-    indices = np.concatenate([np.empty(0, dtype=np.int64), *idx_parts])
-    indptr = np.cumsum([0, *map(len, idx_parts)], dtype=np.int64)
-    weights = scipy.sparse.csr_matrix((values, indices, indptr), shape=(ds.n_labels, ds.dim))
     model = OvaModel(
-        weights=SparseMatrix.from_scipy(weights),
+        weights=SparseMatrix.stack(idx_parts, val_parts, ds.dim),
         bias_index=ds.bias_index,
         loss=cfg.loss.token,
         init=init.kind,

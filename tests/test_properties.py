@@ -1,16 +1,18 @@
-"""Properties of scoring, of the data and model round-trips, of the parsers,
-of the row codec and of the Newton-CG solver."""
+"""Properties of scoring, of the data and model round-trips, of the matrix
+constructor's check, of the parsers, of the row codec and of the Newton-CG
+solver."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xova.dataio import Dataset, format_row, load_xmc_dataset, parse_pairs, write_xmc_dataset
-from xova.errors import ModelFormatError, ParseError
+from xova.errors import InvalidEntryError, ModelFormatError, ParseError
 from xova.losses import MarginLoss
 from xova.solver import (
     TERM_CONVERGED, TERM_LINE_SEARCH, TERM_MAX_OUTER, SolverConfig, gradient, newton_cg
 )
+from xova.sparse import SparseMatrix
 from xova.trainer import OvaModel, load_model, predict_topk, save_model
 
 from conftest import dense_matrix, make_matrix, random_problem
@@ -72,6 +74,50 @@ def test_save_load_model_is_value_exact(tmp_path_factory, case):
         assert np.array_equal(a.values, b.values)
     save_model(loaded, path.with_suffix(".again"))
     assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
+@st.composite
+def index_rows(draw):
+    """An index dtype, a column count and rows of column indices: in order or
+    not, repeated, negative, at or beyond the column count, and, in int64,
+    beyond the int32 range that scipy narrows to."""
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    n_cols = draw(st.integers(min_value=1, max_value=6))
+    info = np.iinfo(dtype)
+    far = st.sampled_from([info.min, info.max, 2**31 + 1, 2**32 + 1] if dtype is np.int64
+                          else [info.min, info.max])
+    anything = st.lists(st.one_of(st.integers(-2, n_cols + 1), far), max_size=5)
+    valid = st.lists(st.integers(0, n_cols - 1), unique=True, max_size=5).map(sorted)
+    rows = draw(st.lists(st.one_of(anything, valid), max_size=6))
+    return dtype, n_cols, rows
+
+
+def first_bad_entry(rows, n_cols):
+    """``(row, column)`` of the first index, row by row, that is out of range
+    or not above the one before it in its row; None if there is none."""
+    for i, row in enumerate(rows):
+        for pos, j in enumerate(row):
+            if not 0 <= j < n_cols or (pos and j <= row[pos - 1]):
+                return i, j
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_rows())
+def test_the_constructor_rejects_exactly_the_bad_entries(case):
+    dtype, n_cols, rows = case
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(dtype)
+    indices = np.array([j for row in rows for j in row], dtype=dtype)
+    data = np.arange(indices.size, dtype=np.float64)
+    bad = first_bad_entry(rows, n_cols)
+    if bad is None:
+        X = SparseMatrix(indptr, indices, data, n_cols)
+        assert [r.indices.tolist() for r in X] == rows
+        assert X.data.tolist() == data.tolist()
+    else:
+        with pytest.raises(InvalidEntryError) as err:
+            SparseMatrix(indptr, indices, data, n_cols)
+        assert (err.value.row, err.value.col) == bad
 
 
 @st.composite

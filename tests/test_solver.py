@@ -15,6 +15,7 @@ from xova.solver import (
     SolverConfig,
     TERM_CONVERGED,
     TERM_LINE_SEARCH,
+    TERM_MAX_OUTER,
     TERM_NUMERICAL,
     backtracking_search,
     cg_solve,
@@ -517,6 +518,20 @@ class TestNewtonCg:
         )
         assert (trace.outer_iters, trace.hvp_touches, trace.final_grad_norm) == (0, 0, 2e160)
         assert w.tolist() == [0.0]
+
+    def test_an_empty_block_returns_at_once(self):
+        X = make_matrix([{0: 1.0}, {1: 2.0}], 2)
+        W, traces = solver_mod.newton_cg_block(X, SQH, 1.0, [], np.empty((0, 2)), SolverConfig(), [])
+        assert W.shape == (0, 2) and traces == []
+
+    def test_a_label_at_max_outer_keeps_its_trace_row_gradient_norms(self, rng):
+        p = random_problem(rng, n=40, d=8, loss=SQH)
+        cfg = SolverConfig(eps_outer=1e-12, max_outer=2)
+        _, trace = newton_cg(p, np.zeros(8), cfg, grad0_ref(p))
+        assert trace.termination == TERM_MAX_OUTER and trace.outer_iters == 2
+        # each row holds the norm at its step's start; the trace, at the last stop test
+        assert trace.rows[0].grad_norm == grad0_ref(p)
+        assert trace.final_grad_norm < trace.rows[1].grad_norm < trace.rows[0].grad_norm
 
     def test_an_overflowing_start_keeps_a_nan_initial_loss(self):
         # the labels CSV writes nan, not inf, for a start with no finite objective

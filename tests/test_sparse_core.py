@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -112,6 +114,29 @@ class TestSparseMatrix:
             SparseMatrix([0, 1, 1, 3], [2, 2, 1], [1.0, 2.0, 3.0], 3)  # row 2 decreases
         assert e.value.row == 2
 
+    def test_an_offset_beyond_the_nonzeros_never_reaches_scipy(self, monkeypatch):
+        # row 0 would span 10**12 entries of a 3-entry index array, which
+        # scipy's canonical-format pass would read past the array's end
+        monkeypatch.setattr(scipy.sparse, "csr_matrix", None)
+        with pytest.raises(ValueError, match="monotone"):
+            SparseMatrix(np.array([0, 10**12, 3]), [0, 1, 2], [1.0, 2.0, 3.0], 3)
+
+    def test_a_valid_matrix_is_checked_without_per_nonzero_memory(self):
+        # a million int32 nonzeros: the range test and scipy's canonical-format
+        # pass allocate nothing per nonzero, and scipy keeps the arrays
+        n_rows, n_cols = 1000, 1000
+        indptr = np.arange(0, n_rows * n_cols + 1, n_cols, dtype=np.int32)
+        indices = np.tile(np.arange(n_cols, dtype=np.int32), n_rows)
+        data = np.ones(indices.size)
+        tracemalloc.start()
+        try:
+            X = SparseMatrix(indptr, indices, data, n_cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.nnz == 10**6 and np.shares_memory(X.indices, indices)
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("indptr", [np.zeros(0, dtype=np.int64), np.zeros((1, 1), np.int64)],
                              ids=["empty", "2d"])
     def test_indptr_must_be_one_dimensional_and_non_empty(self, indptr):
@@ -144,11 +169,12 @@ class TestSparseMatrix:
         # has the bits of scipy's `@`, whose kernels it calls directly
         csr = scipy.sparse.random(300, 40, density=0.2, format="csr", random_state=7)
         csr.data = rng.normal(size=csr.nnz) * 10.0 ** rng.integers(-8, 9, size=csr.nnz)
-        csr.indices = csr.indices.astype(index_dtype)
-        csr.indptr = csr.indptr.astype(index_dtype)
-        X = SparseMatrix.from_scipy(csr)
+        X = SparseMatrix(csr.indptr, csr.indices, csr.data, 40)
         X.rmatvec_squared(np.zeros(300))  # builds the squares
-        # scipy narrows a transpose's indices; widen them back
+        # scipy narrows indices that fit int32, in the matrix and in its
+        # transposes; widen them back
+        X._csr.indices = X.indices = X.indices.astype(index_dtype)
+        X._csr.indptr = X.indptr = X.indptr.astype(index_dtype)
         for transposed in (X._csc, X._csc_sq):
             transposed.indices = transposed.indices.astype(index_dtype)
             transposed.indptr = transposed.indptr.astype(index_dtype)
@@ -178,7 +204,8 @@ class TestSparseMatrix:
 
     @pytest.mark.parametrize("shape, order", [((300, 16), "F"), ((300, 15), "C"), ((300,), "C")])
     def test_an_output_that_does_not_fit_rejected(self, shape, order):
-        X = SparseMatrix.from_scipy(scipy.sparse.random(300, 40, density=0.2, format="csr"))
+        csr = scipy.sparse.random(300, 40, density=0.2, format="csr")
+        X = SparseMatrix(csr.indptr, csr.indices, csr.data, 40)
         with pytest.raises(ValueError, match=r"for a float64\[300, 16\] product"):
             X.matvec(np.ones((40, 16)), out=np.zeros(shape, order=order))
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xova.dataio import Dataset, LabelStats, augment_bias, compute_label_stats, generate_synthetic
+from xova.dataio import (
+    Dataset, LabelStats, augment_bias, compute_label_stats, generate_synthetic, split_dataset
+)
 from xova.errors import ConfigError, DimensionMismatchError, ModelFormatError
 import xova.solver as solver_mod
 from xova.initializers import INIT_KINDS, InitStrategy
@@ -479,8 +481,25 @@ class TestTrainOva:
         digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()[:16]
         assert digest == model_digest
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tail_bench_model_bytes_are_pinned(self, threads, tmp_path):
+        # the seed-5 `tail` bench workload's train file, built in memory as
+        # perfbench/workloads.py writes it, and trained as a bench round does
+        train, _ = split_dataset(generate_synthetic(10000, 2000, 200, 1.2, 5), 0.2, 5)
+        ds = augment_bias(train)
+        stats = compute_label_stats(ds)
+        digests = {}
+        for kind in INIT_KINDS:
+            model, _ = train_ova(ds, stats, TrainConfig(init=InitStrategy(kind), threads=threads))
+            save_model(model, tmp_path / "model.bin")
+            digests[kind] = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()[:12]
+        assert digests == {
+            "zero": "bb80acb1801b", "bias": "9ea0e813fd00", "ovap": "15f6dd0c670d",
+            "aop": "839dcfa45be7",
+        }
+
     def test_the_model_passes_the_checked_constructor(self, small_data):
-        # train_ova adopts W's CSR unchecked, from np.flatnonzero's indices
+        # SparseMatrix.stack builds W from np.flatnonzero's int64 indices
         ds, stats = small_data
         W = train_ova(ds, stats, TrainConfig())[0].weights
         checked = SparseMatrix(W.indptr, W.indices, W.data, ds.dim)
