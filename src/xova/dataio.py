@@ -16,7 +16,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 
 import numpy as np
 import scipy.sparse
@@ -184,11 +184,14 @@ def load_xmc_dataset(path) -> Dataset:
         reject_non_finite(features, "value")
     except InvalidEntryError as err:
         raise ParseError(str(err), err.row + 2) from None
-    label_ids = Y.indices.astype(np.int64)
-    label_ids.flags.writeable = False
-    bounds = Y.indptr.tolist()
-    labels = [label_ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    return Dataset(features=features, labels=labels, n_labels=l)
+    return Dataset(features=features, labels=_row_indices(Y), n_labels=l)
+
+
+def _row_indices(M) -> list[np.ndarray]:
+    """Each row's indices of a CSR ``M``, read-only views of one int64 copy."""
+    ids = M.indices.astype(np.int64)
+    ids.flags.writeable = False
+    return [ids[lo:hi] for lo, hi in pairwise(M.indptr.tolist())]
 
 
 def reject_non_finite(X: SparseMatrix, what: str) -> None:
@@ -210,6 +213,7 @@ def write_xmc_dataset(ds: Dataset, path) -> None:
     """
     if ds.bias_index is not None:
         raise ConfigError("refusing to serialize a bias-augmented dataset")
+    label_matrix(ds)  # the label ids are checked before a file is created
     X = ds.features
     bounds = X.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
@@ -231,8 +235,12 @@ def augment_bias(ds: Dataset) -> Dataset:
 
 
 def label_matrix(ds: Dataset) -> SparseMatrix:
-    """The n x L indicator matrix Y of the instances' labels (entries 1.0)."""
-    return SparseMatrix.stack(ds.labels, None, ds.n_labels)
+    """The n x L indicator matrix Y of the instances' labels (entries 1.0); a
+    label id out of range or out of order is an error naming its instance."""
+    try:
+        return SparseMatrix.stack(ds.labels, None, ds.n_labels)
+    except InvalidEntryError as err:  # row: the instance, col: the label id
+        raise InvalidEntryError(f"instance {err.row}: label {err}", err.row, err.col) from None
 
 
 def compute_label_stats(ds: Dataset) -> LabelStats:
@@ -256,10 +264,7 @@ def compute_label_stats(ds: Dataset) -> LabelStats:
     pbar = SparseMatrix(sums.indptr, sums.indices, sums.data, X.n_cols)
 
     xbar = X.rmatvec(np.ones(n)) / n
-    rows = yt.indices.astype(np.int64)
-    rows.flags.writeable = False
-    positives = np.split(rows, yt.indptr[1:-1]) if ds.n_labels else []
-    return LabelStats(positives=positives, pbar=pbar, xbar=xbar, n=n)
+    return LabelStats(positives=_row_indices(yt), pbar=pbar, xbar=xbar, n=n)
 
 
 def dataset_digest(ds: Dataset) -> str:

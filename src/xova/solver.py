@@ -308,29 +308,6 @@ def _hvp(
     return np.add(D, T.T, out=buffers.get("hvp", D.shape))
 
 
-@dataclass
-class _TrialObjective:
-    """``lam -> L(w + lam * direction)``, from the margins ``m`` of ``w`` and
-    ``mdir = y * X direction``. As the signs are +-1 and negation is exact,
-    ``m + lam * mdir`` has the bits of ``y * (X w + lam * X direction)``,
-    except that a zero may differ in sign, which no loss reads. ``value`` is
-    the last trial's objective."""
-
-    loss: MarginLoss
-    c: float
-    w: DenseVector
-    m: np.ndarray
-    direction: DenseVector
-    mdir: np.ndarray
-    value: float = float("nan")
-
-    def __call__(self, lam: float) -> float:
-        self.value = _objective(
-            self.loss, self.c, self.w + lam * self.direction, self.m + lam * self.mdir
-        )
-        return self.value
-
-
 def objective(problem: BinaryProblem, w: DenseVector) -> float:
     """``0.5 * |w|^2 + C * sum phi(margin_i)``."""
     return _objective(problem.loss, problem.c, w, margins(problem, w))
@@ -364,7 +341,7 @@ def cg_solve(
     hvp: Callable,
     cfg: SolverConfig,
     diag: np.ndarray,
-    buffers: Buffers | None = None,
+    buffers: Buffers,
 ) -> CgBlock:
     """Approximately solve ``H_k p_k = -G[k]`` for every row ``k`` of the
     ``(b, dim)`` block of gradients ``G`` by preconditioned CG, in lockstep.
@@ -375,13 +352,10 @@ def cg_solve(
     ``eps_cg`` times the preconditioned norm of its gradient, or at
     ``max_cg``. ``hvp(D, rows)`` returns the products of the directions
     ``D`` of the block rows ``rows`` that still iterate. A numerical failure
-    stops its row alone; its message is the row's entry of ``errors``.
-    The directions and residuals live in ``buffers`` (a new set if none is
-    given), and the answer's ``p`` is one of its slots.
+    stops its row alone; its message is the row's entry of ``errors``. The
+    directions, the residuals and the answer's ``p`` are slots of ``buffers``.
     """
     b = G.shape[0]
-    if buffers is None:
-        buffers = Buffers(0, G.shape[1], b)
     P = buffers.get("cg_p", G.shape)
     P.fill(0.0)
     iters = [0] * b
@@ -546,7 +520,7 @@ def newton_cg_block(
     def step(live: list[int]) -> list[int]:
         """One lockstep outer iteration of the labels ``live``; returns the
         labels that took a step. Labels are block positions, and every
-        per-label value is keyed by its label."""
+        per-label value is keyed by its label or carries it."""
         # margins -> active set -> gradient -> stopping test
         idx = {k: losses.active_set(loss, M[k]) for k in live}
         coef = (_grad_coef(loss, c, M[k], S[k], idx[k]) for k in live)
@@ -567,7 +541,6 @@ def newton_cg_block(
 
         # CG on the Newton systems
         act = [idx[k] for k in solving]
-        n_active = {k: int(idx[k].shape[0]) for k in solving}
         dd = [_curvature(loss, c, M[k], idx[k]) for k in solving]
         diag = _diag(X, act, dd, buffers)
         for row, rows, weights in zip(diag, act, dd):
@@ -575,42 +548,50 @@ def newton_cg_block(
                 # 0 * inf: a row of weight 0 whose squares overflow. A copy
                 # of the active rows leaves the inactive ones out.
                 row[:] = 1.0 + X.submatrix(rows).rmatvec_squared(weights)
-        G_solving = np.array([G[k] for k in solving])
         hvp = functools.partial(_hvp, X, act, dd, buffers=buffers)
-        cg = cg_solve(G_solving, hvp, cfg, diag, buffers)
-        del idx, act, dd, hvp  # up to n entries per label: freed before the line search
-        P, cg_iters, g_dot_p = {}, {}, {}
-        for k, p, iters, error in zip(solving, cg.p, cg.row_iters, cg.errors):
+        cg = cg_solve(np.array([G[k] for k in solving]), hvp, cfg, diag, buffers)
+        # (label, direction, g.p, CG iterations, active rows) per descent direction
+        descents = []
+        for k, p, iters, error, count in zip(solving, cg.p, cg.row_iters, cg.errors, map(len, act)):
             if error is not None:
                 fail(k, error)
                 continue
-            traces[k].hvp_touches += iters * n_active[k]
-            g_dot_p[k] = float(np.dot(G[k], p))
-            if g_dot_p[k] >= 0.0:
-                fail(k, f"CG returned a non-descent direction (g.p = {g_dot_p[k]:g})")
+            traces[k].hvp_touches += iters * count
+            slope = float(np.dot(G[k], p))
+            if slope >= 0.0:
+                fail(k, f"CG returned a non-descent direction (g.p = {slope:g})")
                 continue
-            P[k], cg_iters[k] = p, iters
-        if not P:
+            descents.append((k, p, slope, iters, count))
+        del idx, act, dd, hvp  # up to n entries per label: freed before the line search
+        if not descents:
             return []
 
         # line search and update; the accepted trial's value is the new objective
-        XP = X.matvec(np.array(list(P.values())).T, out=buffers.get("product", (n, len(P))))
+        directions = np.array([p for _, p, *_ in descents])
+        XP = X.matvec(directions.T, out=buffers.get("product", (n, len(descents))))
         stepped = []
-        for (k, p), xdir in zip(P.items(), XP.T):
+        for (k, p, slope, iters, count), xdir in zip(descents, XP.T):
             mdir = S[k] * xdir
-            eval_at = _TrialObjective(loss, c, W[k], M[k], p, mdir)
-            lam, accepted = backtracking_search(eval_at, traces[k].final_loss, g_dot_p[k], cfg)
+            trials = []  # each trial's objective; the last is the accepted one
+
+            def eval_at(lam: float) -> float:
+                # the signs are +-1 and negation is exact, so m + lam * mdir has the bits
+                # of y * (X w + lam * X p), but for the sign of a zero, which no loss reads
+                trials.append(_objective(loss, c, W[k] + lam * p, M[k] + lam * mdir))
+                return trials[-1]
+
+            lam, accepted = backtracking_search(eval_at, traces[k].final_loss, slope, cfg)
             if not accepted:
                 traces[k].termination = TERM_LINE_SEARCH
                 continue
             W[k] += lam * p
             M[k] += lam * mdir
             traces[k].rows.append(TraceRow(
-                loss=eval_at.value,
+                loss=trials[-1],
                 grad_norm=traces[k].final_grad_norm,
-                active_count=n_active[k],
-                active_fraction=n_active[k] / n if n else 0.0,
-                cg_iters=cg_iters[k],
+                active_count=count,
+                active_fraction=count / n if n else 0.0,
+                cg_iters=iters,
                 step_size=lam,
             ))
             stepped.append(k)

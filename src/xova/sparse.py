@@ -72,8 +72,9 @@ class SparseMatrix:
     nonzero. Only a matrix that fails is checked again with per-nonzero
     masks, to name the fault: an :class:`InvalidEntryError` names the row
     and the column index of the first index out of range or not strictly
-    increasing in its row. The arrays are adopted and frozen wherever scipy
-    keeps them; callers must not keep writable references. The matrix is
+    increasing in its row. The given arrays, and every array they view,
+    become read-only, as scipy may keep them (another view of the same
+    memory, taken before, stays writable). The matrix is
     one scipy CSR: ``indptr``, ``indices`` and ``data`` are its arrays, the
     index arrays in scipy's index dtype (int32 unless the shape or the
     nonzero count needs int64). Its transpose is a CSC view of the same
@@ -103,8 +104,11 @@ class SparseMatrix:
             csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=shape, copy=False)
         if csr is None or not csr.has_canonical_format:
             _name_fault(indptr, indices, data, n_cols)
-        for arr in (csr.indptr, csr.indices, csr.data):
-            arr.flags.writeable = False
+        # scipy keeps views of the given arrays, which may be views themselves
+        for arr in (indptr, indices, data, csr.indptr, csr.indices, csr.data):
+            while isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+                arr = arr.base
         self.n_rows, self.n_cols = csr.shape
         self.indptr, self.indices, self.data = csr.indptr, csr.indices, csr.data
         self._csr, self._csc, self._csc_sq = csr, csr.T, None

@@ -13,7 +13,7 @@ from xova.dataio import (
     split_dataset,
     write_xmc_dataset,
 )
-from xova.errors import ConfigError, DimensionMismatchError, ParseError, XovaError
+from xova.errors import ConfigError, DimensionMismatchError, InvalidEntryError, ParseError, XovaError
 from xova.sparse import SparseMatrix
 
 from conftest import dense_matrix, entries, make_matrix
@@ -189,6 +189,18 @@ class TestRoundTrip:
         ds = load_xmc_dataset(write(tmp_path, "1 2 1\n0 0:1.0\n"))
         with pytest.raises(ConfigError):
             write_xmc_dataset(augment_bias(ds), tmp_path / "x.txt")
+
+    @pytest.mark.parametrize("labels, message, bad", [
+        ([[5], [1, 0]], "instance 0: label index 5 out of range", (0, 5)),
+        ([[1], [1, 0]], "instance 1: label index 0 repeated or out of order", (1, 0)),
+    ], ids=["out of range", "out of order"])
+    def test_refuses_label_ids_that_label_stats_would_reject(self, tmp_path, labels, message, bad):
+        # such a file would not load, or would load as another dataset
+        ds = Dataset(make_matrix([{0: 1.0}, {1: 2.0}], 2), [np.array(a) for a in labels], 2)
+        with pytest.raises(InvalidEntryError, match=message) as err:
+            write_xmc_dataset(ds, tmp_path / "x.txt")
+        assert (err.value.row, err.value.col) == bad
+        assert not (tmp_path / "x.txt").exists()
 
 
 class TestAugmentBias:

@@ -313,7 +313,8 @@ class TestActiveRows:
 
 def cg_one(g, hvp, cfg, diag):
     """``cg_solve`` on a block of one: the direction, the iterations, the error."""
-    res = cg_solve(g[None], lambda D, rows: hvp(D[0])[None], cfg, diag[None])
+    buffers = solver_mod.Buffers(0, g.shape[0], 1)
+    res = cg_solve(g[None], lambda D, rows: hvp(D[0])[None], cfg, diag[None], buffers)
     return res.p[0], res.iters, res.errors[0]
 
 
@@ -775,7 +776,8 @@ def _start_overflows():
 
 
 def _cg_gradient_norm_overflows():
-    cg = cg_solve(np.array([[1e200]]), lambda D, rows: D, SolverConfig(), np.ones((1, 1)))
+    buffers = solver_mod.Buffers(0, 1, 1)
+    cg = cg_solve(np.array([[1e200]]), lambda D, rows: D, SolverConfig(), np.ones((1, 1)), buffers)
     assert cg.errors == ["non-finite preconditioned gradient norm in CG"]
 
 

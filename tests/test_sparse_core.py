@@ -137,6 +137,18 @@ class TestSparseMatrix:
         assert X.nnz == 10**6 and np.shares_memory(X.indices, indices)
         assert peak < 1 << 20
 
+    def test_the_given_arrays_and_what_they_view_become_read_only(self):
+        # scipy keeps views of the given arrays: a write through the caller's
+        # reference, or through the array it views, would change a checked matrix
+        indptr = np.array([0, 2], dtype=np.int32)
+        backing = np.array([0, 1, 2], dtype=np.int32)
+        indices = backing[:2]
+        X = SparseMatrix(indptr, indices, np.ones(2), 3)
+        for arr in (indptr, indices, backing):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 0
+        assert X.row(0).indices.tolist() == [0, 1]
+
     @pytest.mark.parametrize("indptr", [np.zeros(0, dtype=np.int64), np.zeros((1, 1), np.int64)],
                              ids=["empty", "2d"])
     def test_indptr_must_be_one_dimensional_and_non_empty(self, indptr):
