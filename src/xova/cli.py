@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import chain
 
 from . import diag
 from .dataio import (
@@ -170,9 +171,12 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = _load_for_model(model, args.data)
     rows = predict_topk(model, ds.features, args.k)
+    # every row holds k pairs, each formatted by one % over its interleaved
+    # pairs, as in dataio.format_row; "%.6g" gives the bytes of format(s, ".6g")
+    line = " ".join(["%d:%.6g"] * args.k) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
         for pairs in rows:
-            fh.write(" ".join(f"{j}:{score:.6g}" for j, score in pairs) + "\n")
+            fh.write(line % tuple(chain.from_iterable(pairs)))
     return EXIT_OK
 
 

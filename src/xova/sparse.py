@@ -119,15 +119,9 @@ class SparseMatrix:
         idx_parts: Sequence[np.ndarray],
         val_parts: Sequence[np.ndarray] | None,
         n_cols: int,
-        *,
-        sort: bool = False,
     ) -> "SparseMatrix":
         """The validated matrix whose row ``i`` holds ``idx_parts[i]`` and
-        ``val_parts[i]`` (every value 1.0 when ``val_parts`` is None). With
-        ``sort``, each row's entries are first put in index order, so a row
-        may list them in any order; a repeated index stays invalid. scipy's
-        sort does nothing when every row is already in order, and scipy
-        does not narrow an index beyond int32, so the validation sees it."""
+        ``val_parts[i]`` (every value 1.0 when ``val_parts`` is None)."""
         sizes = np.fromiter(map(len, idx_parts), dtype=np.int64, count=len(idx_parts))
         indptr = np.concatenate(([0], np.cumsum(sizes)))
         indices = np.concatenate([np.empty(0, dtype=np.int64), *idx_parts])
@@ -135,10 +129,6 @@ class SparseMatrix:
             data = np.ones(indices.shape[0])
         else:
             data = np.concatenate([np.empty(0), *val_parts])
-        if sort:
-            csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(sizes), n_cols))
-            csr.sort_indices()
-            indptr, indices, data = csr.indptr, csr.indices, csr.data
         return cls(indptr, indices, data, n_cols)
 
     @property

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from xova import dataio
 from xova.dataio import (
     Dataset,
     augment_bias,
@@ -171,6 +172,60 @@ class TestParsing:
     def test_empty_dataset_allowed(self, tmp_path):
         ds = load_xmc_dataset(write(tmp_path, "0 3 2\n"))
         assert ds.n == 0 and ds.dim == 3
+
+
+def many_rows(n, header_n=None):
+    """A valid file of ``n`` rows, about 30 characters each."""
+    rows = [f"{i % 7},{i % 7 + 1} {i % 5}:{i / 3!r} 9:-{i}" for i in range(n)]
+    return "\n".join([f"{n if header_n is None else header_n} 10 8", *rows]) + "\n"
+
+
+# one line per read, a few lines per read, and the default: several reads of
+# many_rows(5000)
+READ_SIZES = [1, 100, dataio._READ_BYTES]
+
+
+class TestReads:
+    """Instance lines are read ``_READ_BYTES`` characters at a time; the read
+    size changes nothing a file gives, nor the line an error names."""
+
+    def test_many_rows_takes_several_default_reads(self):
+        assert len(many_rows(5000)) > 2 * dataio._READ_BYTES
+
+    @pytest.mark.parametrize("read_bytes", READ_SIZES)
+    def test_content_past_n_in_the_last_read_is_checked(self, tmp_path, monkeypatch, read_bytes):
+        monkeypatch.setattr(dataio, "_READ_BYTES", read_bytes)
+        blank = load_xmc_dataset(write(tmp_path, "2 3 1\n0 0:1.0\n0 1:1.0\n \n\n", "blank.txt"))
+        assert blank.n == 2
+        with pytest.raises(ParseError, match="unexpected content after 2 instance lines") as e:
+            load_xmc_dataset(write(tmp_path, "2 3 1\n0 0:1.0\n0 1:1.0\n\n0 2:1.0\n"))
+        assert e.value.line == 4
+
+    @pytest.mark.parametrize("read_bytes", READ_SIZES)
+    def test_a_short_file_names_the_line_after_its_last(self, tmp_path, monkeypatch, read_bytes):
+        monkeypatch.setattr(dataio, "_READ_BYTES", read_bytes)
+        with pytest.raises(ParseError, match="expected 5003 instance lines, file ends after 5000") as e:
+            load_xmc_dataset(write(tmp_path, many_rows(5000, header_n=5003)))
+        assert e.value.line == 5002
+
+    @pytest.mark.parametrize("read_bytes", READ_SIZES)
+    def test_a_fault_in_a_later_read_names_its_line(self, tmp_path, monkeypatch, read_bytes):
+        monkeypatch.setattr(dataio, "_READ_BYTES", read_bytes)
+        lines = many_rows(5000).split("\n")
+        lines[4000] += " 3:abc"
+        with pytest.raises(ParseError, match="non-numeric") as e:
+            load_xmc_dataset(write(tmp_path, "\n".join(lines)))
+        assert e.value.line == 4001
+
+    @pytest.mark.parametrize("read_bytes", READ_SIZES)
+    def test_a_crlf_file_loads_as_its_lf_twin(self, tmp_path, monkeypatch, read_bytes):
+        text = many_rows(5000)
+        lf = load_xmc_dataset(write(tmp_path, text, "lf.txt"))
+        (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode())
+        monkeypatch.setattr(dataio, "_READ_BYTES", read_bytes)
+        crlf = load_xmc_dataset(tmp_path / "crlf.txt")
+        assert crlf.features == lf.features
+        assert dataset_digest(crlf) == dataset_digest(lf)
 
 
 class TestRoundTrip:

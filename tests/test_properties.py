@@ -1,12 +1,17 @@
 """Properties of scoring, of the data and model round-trips, of the matrix
-constructor's check, of the parsers, of the row codec and of the Newton-CG
-solver."""
+constructor's check, of the parsers and their read size, of the row codec and
+of the Newton-CG solver."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xova.dataio import Dataset, format_row, load_xmc_dataset, parse_pairs, write_xmc_dataset
+from xova import dataio
+from xova.dataio import (
+    Dataset, dataset_digest, format_row, load_xmc_dataset, parse_pairs, write_xmc_dataset
+)
 from xova.errors import InvalidEntryError, ModelFormatError, ParseError
 from xova.losses import MarginLoss
 from xova.solver import (
@@ -189,6 +194,97 @@ def test_data_parser_raises_only_parse_errors(tmp_path_factory, ds, data):
         load_xmc_dataset(path)
     except ParseError:
         pass
+
+
+# A fault put in a valid file, and what it puts on the line in place of the
+# features (None: not a feature fault), with the start of the error message.
+FAULTS = {
+    "bad character": ("0:1_5", "invalid character"),
+    "token without a colon": ("5", "invalid feature token '5'"),
+    "non-numeric token": ("0:abc", "non-numeric feature index or value"),
+    "bad label field": (None, "invalid label ids"),
+    "out-of-range index": ("{dim}:1", "feature index {dim} out of range for dimension {dim}"),
+    "duplicate index": ("0:1 0:2", "duplicate feature index 0"),
+    "non-finite value": ("0:inf", "non-finite value inf for feature 0"),
+    "trailing content": (None, "unexpected content after {n} instance lines"),
+    "short file": (None, "expected {n} instance lines, file ends after {kept}"),
+}
+
+
+@st.composite
+def data_files(draw):
+    """The bytes of a data file, with LF or CRLF line ends and labels and
+    features in any order, and either the Dataset it holds or, when one
+    fault is put in it, the start of the error message and its line."""
+    dim, n_labels = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, n_labels - 1), unique=True, max_size=n_labels),
+        st.lists(st.tuples(st.integers(0, dim - 1), FINITE), unique_by=lambda p: p[0], max_size=dim),
+        st.sampled_from([" ", "\t"]),
+    ), max_size=30))
+    fields = [",".join(map(str, labels)) for labels, _, _ in rows]
+    features = [" ".join(f"{j}:{v!r}" for j, v in pairs) for _, pairs, _ in rows]
+    body = [field + sep + text for field, (_, _, sep), text in zip(fields, rows, features)]
+    n, trail = len(rows), draw(st.sampled_from(["", "\n", " \n\n"]))
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    if fault is not None and not n:
+        fault = "trailing content"
+    want, line = None, None
+    if fault == "trailing content":
+        body += [""] * draw(st.integers(0, 2)) + [draw(st.sampled_from(["0 0:1", "x", " \t1"]))]
+        line = n + 2
+    elif fault == "short file":
+        kept = draw(st.integers(0, n - 1))
+        body, trail, line = body[:kept], "", kept + 2
+    elif fault is not None:
+        r = draw(st.integers(0, n - 1))
+        bad, sep, line = FAULTS[fault][0], rows[r][2], r + 2
+        if bad is None:  # a label field with an empty id: "," or "0,"
+            body[r] = fields[r] + "," + sep + features[r]
+        else:
+            body[r] = fields[r] + sep + bad.format(dim=dim)
+    if fault is not None:
+        want = FAULTS[fault][1].format(dim=dim, n=n, kept=line - 2), line
+    else:
+        want = Dataset(make_matrix([dict(pairs) for _, pairs, _ in rows], dim),
+                       [np.array(sorted(labels), dtype=np.int64) for labels, _, _ in rows],
+                       n_labels)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from([newline, ""])) if not trail else newline
+    text = newline.join([f"{n} {dim} {n_labels}", *body]) + end + trail.replace("\n", newline)
+    return text.encode(), want
+
+
+def load_outcome(path):
+    """The dataset's digest and arrays, or the error's type, message and line."""
+    try:
+        ds = load_xmc_dataset(path)
+    except ParseError as err:
+        return type(err), str(err), err.line
+    X = ds.features
+    return (dataset_digest(ds), X.indptr.tolist(), X.indices.tolist(), X.data.tobytes(),
+            [a.tolist() for a in ds.labels])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_files())
+def test_the_read_size_changes_no_outcome(tmp_path_factory, case):
+    """One line per read, a few lines per read and the default give the same
+    dataset or the same error, on the line that holds the fault."""
+    raw, want = case
+    path = tmp_path_factory.mktemp("data") / "d.txt"
+    path.write_bytes(raw)
+    outcomes = []
+    for read_bytes in (1, 100, dataio._READ_BYTES):
+        with mock.patch.object(dataio, "_READ_BYTES", read_bytes):
+            outcomes.append(load_outcome(path))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    if isinstance(want, Dataset):
+        assert outcomes[0][0] == dataset_digest(want)
+    else:
+        kind, message, line = outcomes[0]
+        assert kind is ParseError and message.startswith(f"line {want[1]}: {want[0]}")
+        assert line == want[1]
 
 
 @settings(max_examples=300, deadline=None)
