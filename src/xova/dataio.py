@@ -14,6 +14,7 @@ reported with its line number, whatever the read size.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -36,20 +37,29 @@ MAX_COUNT = np.iinfo(np.int64).max
 _READ_BYTES = 64 << 10
 
 
-@dataclass
 class Dataset:
-    """Instances, their label sets, and the (possibly bias-augmented) features."""
+    """Instances, their read-only n x ``n_labels`` label matrix ``Y`` (entries
+    1.0) and the (possibly bias-augmented) features. ``labels`` is Y itself, or
+    one sorted id array per instance, stacked into Y and checked here."""
 
-    features: SparseMatrix
-    labels: list[np.ndarray]  # sorted int64 label ids, one array per instance
-    n_labels: int
-    bias_index: int | None = None
+    def __init__(self, features: SparseMatrix, labels, n_labels: int,
+                 bias_index: int | None = None):
+        Y = labels
+        if not isinstance(Y, SparseMatrix):
+            try:
+                Y = SparseMatrix.stack(labels, None, n_labels)
+            except InvalidEntryError as err:  # row: the instance, col: the label id
+                raise InvalidEntryError(f"instance {err.row}: label {err}", err.row, err.col) from None
+        if Y.n_rows != features.n_rows:
+            raise DimensionMismatchError(f"{Y.n_rows} label lists for {features.n_rows} instances")
+        if Y.n_cols != n_labels:
+            raise DimensionMismatchError(f"{Y.n_cols} label columns for {n_labels} labels")
+        self.features, self.Y, self.n_labels, self.bias_index = features, Y, n_labels, bias_index
 
-    def __post_init__(self):
-        if len(self.labels) != self.features.n_rows:
-            raise DimensionMismatchError(
-                f"{len(self.labels)} label lists for {self.features.n_rows} instances"
-            )
+    @functools.cached_property
+    def labels(self) -> list[np.ndarray]:
+        """Each instance's sorted label ids: read-only int64 views of one copy of Y's."""
+        return _row_indices(self.Y)
 
     @property
     def n(self) -> int:
@@ -200,7 +210,8 @@ def load_xmc_dataset(path) -> Dataset:
 
     The instance lines are read ``_READ_BYTES`` of text at a time, and each
     read's lines are parsed together (:func:`_parse_lines`)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte becomes a lone surrogate, which the ASCII check rejects
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         if not header:
             raise ParseError("empty file, expected 'n d l' header", 1)
@@ -226,7 +237,7 @@ def load_xmc_dataset(path) -> Dataset:
         reject_non_finite(features, "value")
     except InvalidEntryError as err:
         raise ParseError(str(err), err.row + 2) from None
-    return Dataset(features=features, labels=_row_indices(Y), n_labels=l)
+    return Dataset(features=features, labels=Y, n_labels=l)
 
 
 def _row_indices(M) -> list[np.ndarray]:
@@ -255,13 +266,12 @@ def write_xmc_dataset(ds: Dataset, path) -> None:
     """
     if ds.bias_index is not None:
         raise ConfigError("refusing to serialize a bias-augmented dataset")
-    label_matrix(ds)  # the label ids are checked before a file is created
-    X = ds.features
-    bounds = X.indptr.tolist()
+    X, ids = ds.features, ds.Y.indices.tolist()
+    bounds, label_bounds = X.indptr.tolist(), ds.Y.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{ds.n} {ds.dim} {ds.n_labels}\n")
-        for lbls, lo, hi in zip(ds.labels, bounds, bounds[1:]):
-            head = ",".join(map(str, lbls.tolist()))
+        for lo, hi, a, b in zip(bounds, bounds[1:], label_bounds, label_bounds[1:]):
+            head = ",".join(map(str, ids[a:b]))
             fh.write(format_row(head, X.indices[lo:hi], X.data[lo:hi]) + "\n")
 
 
@@ -273,16 +283,7 @@ def augment_bias(ds: Dataset) -> Dataset:
     ones = scipy.sparse.csr_matrix(np.ones((X.n_rows, 1)))
     csr = scipy.sparse.hstack([X.to_scipy(), ones], format="csr")
     features = SparseMatrix(csr.indptr, csr.indices, csr.data, d + 1)
-    return Dataset(features=features, labels=ds.labels, n_labels=ds.n_labels, bias_index=d)
-
-
-def label_matrix(ds: Dataset) -> SparseMatrix:
-    """The n x L indicator matrix Y of the instances' labels (entries 1.0); a
-    label id out of range or out of order is an error naming its instance."""
-    try:
-        return SparseMatrix.stack(ds.labels, None, ds.n_labels)
-    except InvalidEntryError as err:  # row: the instance, col: the label id
-        raise InvalidEntryError(f"instance {err.row}: label {err}", err.row, err.col) from None
+    return Dataset(features=features, labels=ds.Y, n_labels=ds.n_labels, bias_index=d)
 
 
 def compute_label_stats(ds: Dataset) -> LabelStats:
@@ -298,7 +299,7 @@ def compute_label_stats(ds: Dataset) -> LabelStats:
         raise ConfigError("cannot compute label statistics of an empty dataset")
     X = ds.features
     # Row j of Y^T lists label j's instances in increasing order.
-    yt = label_matrix(ds).to_scipy().T.tocsr()
+    yt = ds.Y.to_scipy().T.tocsr()
     counts = np.diff(yt.indptr)
     sums = yt @ X.to_scipy()
     sums.sort_indices()
@@ -316,8 +317,9 @@ def dataset_digest(ds: Dataset) -> str:
     h.update(ds.features.indptr.astype(np.int64).tobytes())
     h.update(ds.features.indices.astype(np.int64).tobytes())
     h.update(ds.features.data.tobytes())
-    # each row's label ids, then b";"
-    h.update(b";".join([*map(np.ndarray.tobytes, ds.labels), b""]))
+    # each row's label ids as int64 bytes, then b";"
+    ids = ds.Y.indices.astype(np.int64).view(np.uint8)
+    h.update(np.insert(ids, 8 * ds.Y.indptr[1:].astype(np.int64), ord(";")).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -427,10 +429,6 @@ def split_dataset(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset
     train_rows = np.sort(perm[n_test:])
 
     def take(rows: np.ndarray) -> Dataset:
-        return Dataset(
-            features=ds.features.submatrix(rows),
-            labels=[ds.labels[int(i)] for i in rows],
-            n_labels=ds.n_labels,
-        )
+        return Dataset(ds.features.submatrix(rows), ds.Y.submatrix(rows), ds.n_labels)
 
     return take(train_rows), take(test_rows)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, label_matrix
+from .dataio import Dataset
 from .errors import ConfigError, DimensionMismatchError
 from .trainer import OvaModel, block_topk, score_blocks, write_strict_json
 
@@ -73,7 +73,7 @@ def evaluate(model: OvaModel, test: Dataset, ks: list[int]) -> EvalResult:
     tp = np.zeros(l, dtype=np.int64)
     fp = np.zeros(l, dtype=np.int64)
     fn = np.zeros(l, dtype=np.int64)
-    relevant = label_matrix(test).to_scipy()
+    relevant = test.Y.to_scipy()
     for lo, block in score_blocks(model, test.features):
         rel = relevant[lo : lo + block.shape[0]].toarray() > 0.0
         if kmax:

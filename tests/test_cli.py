@@ -471,7 +471,34 @@ class TestPredictEval:
         assert match in capsys.readouterr().err
 
 
-REPORT_HEAD = '{"format": "xova-report v1", "init": "zero", "loss": "squared-hinge", '
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a data error on its line, for every command
+    that reads a data file: exit 2, one line on stderr, no traceback."""
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    @pytest.mark.parametrize("raw, line", [
+        (b"2 3 1\xff\n0 0:1\n0 1:1\n", 1),
+        (b"2 3 1\n0 0:1\n0\xff 1:1\n", 3),
+        (b"2 3 1\n0 0:1\n0 1:\xff\n", 3),
+    ], ids=["header", "label_field", "value"])
+    def test_exit_2_naming_the_line(self, tmp_path, capsys, command, raw, line):
+        data = tmp_path / "d.txt"
+        data.write_bytes(raw)
+        model = tmp_path / "m.model"
+        if command == "train":
+            args = ["--model-out", str(model)]
+        else:
+            save_model(OvaModel(make_matrix([{}], 4), 3, "squared-hinge", "zero"), model)
+            args = ["--model", str(model), "--k", "1"]
+            args += ["--out", str(tmp_path / "p.txt")] if command == "predict" else []
+        rc = main([command, "--data", str(data), *args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: invalid character")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+REPORT_HEAD ='{"format": "xova-report v1", "init": "zero", "loss": "squared-hinge", '
 
 
 class TestDiagSummary:

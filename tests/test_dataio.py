@@ -251,8 +251,8 @@ class TestRoundTrip:
     ], ids=["out of range", "out of order"])
     def test_refuses_label_ids_that_label_stats_would_reject(self, tmp_path, labels, message, bad):
         # such a file would not load, or would load as another dataset
-        ds = Dataset(make_matrix([{0: 1.0}, {1: 2.0}], 2), [np.array(a) for a in labels], 2)
         with pytest.raises(InvalidEntryError, match=message) as err:
+            ds = Dataset(make_matrix([{0: 1.0}, {1: 2.0}], 2), [np.array(a) for a in labels], 2)
             write_xmc_dataset(ds, tmp_path / "x.txt")
         assert (err.value.row, err.value.col) == bad
         assert not (tmp_path / "x.txt").exists()
@@ -274,7 +274,7 @@ class TestAugmentBias:
 
     def test_labels_shared(self):
         ds = Dataset(make_matrix([{0: 0.5}], 3), [np.array([0])], 1)
-        assert augment_bias(ds).labels is ds.labels
+        assert augment_bias(ds).Y is ds.Y
 
     @pytest.mark.parametrize(
         "text, indptr, indices, data",
@@ -412,6 +412,15 @@ class TestDataset:
     def test_one_label_list_per_row(self):
         with pytest.raises(DimensionMismatchError, match="1 label lists for 2 instances"):
             Dataset(make_matrix([{0: 1.0}, {}], 1), [np.array([0])], 1)
+
+    def test_a_label_matrix_is_checked_like_label_lists(self):
+        X = make_matrix([{0: 1.0}, {}], 1)
+        Y = SparseMatrix.stack([np.array([0]), np.array([], dtype=np.int64)], None, 2)
+        assert Dataset(X, Y, 2).Y is Y
+        with pytest.raises(DimensionMismatchError, match="2 label columns for 3 labels"):
+            Dataset(X, Y, 3)
+        with pytest.raises(DimensionMismatchError, match="2 label lists for 1 instances"):
+            Dataset(make_matrix([{}], 1), Y, 2)
 
 
 class TestSplit:

@@ -2,6 +2,7 @@
 constructor's check, of the parsers and their read size, of the row codec and
 of the Newton-CG solver."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from xova import dataio
 from xova.dataio import (
-    Dataset, dataset_digest, format_row, load_xmc_dataset, parse_pairs, write_xmc_dataset
+    Dataset, dataset_digest, format_row, load_xmc_dataset, parse_pairs, split_dataset,
+    write_xmc_dataset,
 )
 from xova.errors import InvalidEntryError, ModelFormatError, ParseError
 from xova.losses import MarginLoss
@@ -147,6 +149,56 @@ def test_write_load_dataset_round_trips(tmp_path_factory, ds):
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(back.features, name), getattr(ds.features, name))
     assert [a.tolist() for a in back.labels] == [a.tolist() for a in ds.labels]
+
+
+# The forms a caller may give each instance's sorted label ids in.
+LABEL_FORMS = {
+    "int32": lambda row: np.array(row, dtype=np.int32),
+    "int64": lambda row: np.array(row, dtype=np.int64),
+    "list": list,
+}
+
+
+@st.composite
+def label_rows(draw):
+    """Sorted label ids per row, empty rows and no rows included, in one of
+    the forms above, with the label count."""
+    n_labels = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.sets(st.integers(0, n_labels - 1)).map(sorted), max_size=8))
+    form = LABEL_FORMS[draw(st.sampled_from(sorted(LABEL_FORMS)))]
+    return [form(row) for row in rows], rows, n_labels
+
+
+def reference_dataset_digest(ds, rows):
+    """dataset_digest with the label ids hashed row by row, as int64."""
+    h = hashlib.sha256(f"xova-ds {ds.n} {ds.dim} {ds.n_labels} {ds.bias_index}".encode())
+    h.update(ds.features.indptr.astype(np.int64).tobytes())
+    h.update(ds.features.indices.astype(np.int64).tobytes())
+    h.update(ds.features.data.tobytes())
+    h.update(b";".join([*(np.array(row, dtype=np.int64).tobytes() for row in rows), b""]))
+    return h.hexdigest()[:16]
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_rows(), st.floats(min_value=0.0, max_value=0.9), st.integers(0, 2**32 - 1))
+def test_every_label_form_gives_one_label_matrix(tmp_path_factory, case, fraction, seed):
+    """Y, the row views, the digest, the split and the file do not depend on
+    the form the label ids were given in."""
+    labels, rows, n_labels = case
+    # row i's one feature value is i + 1, so that a split's rows can be told
+    ds = Dataset(make_matrix([{0: i + 1.0} for i in range(len(rows))], 1), labels, n_labels)
+    assert [row.indices.tolist() for row in ds.Y] == rows
+    assert ds.Y.data.tolist() == [1.0] * ds.Y.nnz
+    assert [a.tolist() for a in ds.labels] == rows
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in ds.labels)
+    assert dataset_digest(ds) == reference_dataset_digest(ds, rows)
+    for part in split_dataset(ds, fraction, seed):
+        taken = [int(v) - 1 for v in part.features.data]
+        assert [a.tolist() for a in part.labels] == [ds.labels[i].tolist() for i in taken]
+    path = tmp_path_factory.mktemp("data") / "d.txt"
+    write_xmc_dataset(ds, path)
+    back = load_xmc_dataset(path)
+    assert back.Y == ds.Y and dataset_digest(back) == dataset_digest(ds)
 
 
 # Tokens that break a valid line: a bare separator, a non-finite value, a
