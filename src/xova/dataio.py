@@ -9,7 +9,8 @@ the ``f:v`` pairs of a row. A file is read ``_READ_BYTES`` of text at a
 time, in whole lines, and each read's feature indices, values and label ids
 are converted by one numpy call each. Parsing is strict: no comments, no
 digit separators or non-ASCII digits, and every malformed token is
-reported with its line number, whatever the read size.
+reported with its line number. Neither the dataset nor an error depends on
+the read size.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ _READ_BYTES = 64 << 10
 class Dataset:
     """Instances, their read-only n x ``n_labels`` label matrix ``Y`` (entries
     1.0) and the (possibly bias-augmented) features. ``labels`` is Y itself, or
-    one sorted id array per instance, stacked into Y and checked here."""
+    one sorted id array per instance (any integer dtype, or a Python list),
+    stacked into Y; either is checked here, so no invalid Dataset exists."""
 
     def __init__(self, features: SparseMatrix, labels, n_labels: int,
                  bias_index: int | None = None):
@@ -50,6 +52,10 @@ class Dataset:
                 Y = SparseMatrix.stack(labels, None, n_labels)
             except InvalidEntryError as err:  # row: the instance, col: the label id
                 raise InvalidEntryError(f"instance {err.row}: label {err}", err.row, err.col) from None
+        elif not (ones := Y.data == 1.0).all():  # statistics and evaluation read the entries
+            pos = int(np.argmin(ones))
+            i, j = _entry(Y, pos)
+            raise InvalidEntryError(f"instance {i}: label {j} has entry {Y.data[pos]}, not 1.0", i, j)
         if Y.n_rows != features.n_rows:
             raise DimensionMismatchError(f"{Y.n_rows} label lists for {features.n_rows} instances")
         if Y.n_cols != n_labels:
@@ -74,7 +80,7 @@ class Dataset:
 class LabelStats:
     """Per-label positive index lists and means, plus the global mean."""
 
-    positives: list[np.ndarray]  # sorted instance indices per label
+    positives: list[np.ndarray]  # sorted int64 instance indices per label
     pbar: SparseMatrix  # L x d, row j the mean of label j's positive rows (empty if none)
     xbar: DenseVector  # mean of all rows
     n: int
@@ -253,9 +259,14 @@ def reject_non_finite(X: SparseMatrix, what: str) -> None:
     finite = np.isfinite(X.data)
     if not finite.all():
         pos = int(np.argmin(finite))
-        row = int(np.searchsorted(X.indptr, pos, side="right")) - 1
-        value, feature = float(X.data[pos]), int(X.indices[pos])
+        row, feature = _entry(X, pos)
+        value = float(X.data[pos])
         raise InvalidEntryError(f"non-finite {what} {value} for feature {feature}", row, feature)
+
+
+def _entry(X: SparseMatrix, pos: int) -> tuple[int, int]:
+    """The row and the column of ``X``'s stored entry at ``pos``."""
+    return int(np.searchsorted(X.indptr, pos, side="right")) - 1, int(X.indices[pos])
 
 
 def write_xmc_dataset(ds: Dataset, path) -> None:

@@ -13,10 +13,17 @@ from .errors import ConfigError, is_number
 from .trainer import REPORT_FORMAT
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 def load_report(path) -> dict:
+    """The report at ``path``, with the types and ranges of the fields that
+    the tables read checked: a ConfigError names the file and the field.
+    Reports are strict JSON, so a NaN or Infinity token is rejected too."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            report = json.load(fh)
+            report = json.load(fh, parse_constant=_reject_constant)
         except ValueError as err:
             raise ConfigError(f"{path}: not a training report (invalid JSON: {err})") from None
     if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
@@ -36,14 +43,16 @@ def load_report(path) -> dict:
     for key in ("init", "loss"):
         need(isinstance(report[key], str), key, "a string")
     fractions = iterations.get("active_fraction_mean") if isinstance(iterations, dict) else None
-    need(isinstance(fractions, list) and all(is_number(v) for v in fractions),
-         "iterations.active_fraction_mean", "a list of numbers")
+    need(isinstance(fractions, list) and all(is_number(v) and 0 <= v <= 1 for v in fractions),
+         "iterations.active_fraction_mean", "a list of numbers in [0, 1]")
     need(isinstance(labels, list) and all(isinstance(row, dict) for row in labels),
          "labels", "a list of objects")
+    # a number too large for a float, such as 1e400, reads as inf
     for i, row in enumerate(labels):
-        for key, whole in (("positives", True), ("outer_iters", False), ("wall_ms", False)):
-            need(is_number(row.get(key), whole), f"labels[{i}].{key}",
-                 "an integer" if whole else "a number")
+        for key, whole in (("positives", True), ("outer_iters", True), ("wall_ms", False)):
+            value = row.get(key)
+            need(is_number(value, whole) and 0 <= value < float("inf"), f"labels[{i}].{key}",
+                 "a whole number >= 0" if whole else "a finite number >= 0")
     return report
 
 

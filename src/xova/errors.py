@@ -17,7 +17,8 @@ class DimensionMismatchError(XovaError, ValueError):
 
 class InvalidEntryError(XovaError, ValueError):
     """A sparse matrix entry whose column is out of range or out of order in
-    its row, or whose value is not finite."""
+    its row, or whose value is not finite; ``col`` is -1 where the column
+    indices are not integers."""
 
     def __init__(self, message: str, row: int, col: int):
         super().__init__(message)
@@ -42,8 +43,10 @@ class ConfigError(XovaError, ValueError):
 
 
 def is_number(value, whole: bool = False) -> bool:
-    """A Python int, or also a float unless ``whole``; never a bool. A float
-    subclass such as numpy.float64 counts; numpy.float32 and str do not.
+    """A Python int, or also a float unless ``whole``; never a bool, which the
+    report would write as true or false. A float subclass such as
+    numpy.float64 counts; str does not, nor numpy.float32, which would
+    compute every objective in 32 bits.
     Unless ``whole``, an int must lie in the float range, as a real setting
     is used as a float: a range test against ``inf`` compares an int
     exactly, so 10**400 would pass it."""

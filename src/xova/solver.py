@@ -35,9 +35,10 @@ termination, a numerical failure included, returns the last accepted
 iterate and the trace, whose ``failure`` says why a failed solve failed.
 The solves, :func:`cg_solve` and :func:`norm` set numpy's error state
 themselves, so an overflow becomes a non-finite value or a failure on the
-trace, never a warning or an error, whatever the caller's state; the
-one-label kernels (:func:`objective`, :func:`gradient`,
-:func:`hessian_vec`) follow the caller's state, as numpy does.
+trace, never a warning or an error, whatever the caller's state or warning
+filters, and worker threads need no state of their own; the one-label
+kernels (:func:`objective`, :func:`gradient`, :func:`hessian_vec`) follow
+the caller's state, as numpy does.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class SolverTrace:
     still in the block. ``train_ova`` adds to them the label's own set-up
     and clipping, and to the ``ovap`` shared solve's its set-up. ``failure``
     says why a solve that ended in ``numerical_failure`` failed, and is None
-    otherwise.
+    otherwise. ``final_grad_norm`` is the gradient norm of the last stopping
+    test, whatever the termination.
     """
 
     initial_loss: float = float("nan")

@@ -69,15 +69,17 @@ class SparseMatrix:
     passed its structural check: a range test on the arrays as given (before
     scipy narrows them, so an index beyond int32 is still out of range) and
     scipy's ``has_canonical_format``, one C pass that allocates nothing per
-    nonzero. Only a matrix that fails is checked again with per-nonzero
-    masks, to name the fault: an :class:`InvalidEntryError` names the row
-    and the column index of the first index out of range or not strictly
-    increasing in its row. The given arrays, and every array they view,
-    become read-only, as scipy may keep them (another view of the same
-    memory, taken before, stays writable). The matrix is
-    one scipy CSR: ``indptr``, ``indices`` and ``data`` are its arrays, the
-    index arrays in scipy's index dtype (int32 unless the shape or the
-    nonzero count needs int64). Its transpose is a CSC view of the same
+    nonzero; index arrays with entries must be of an integer dtype, not bool,
+    which scipy would cast. Only a matrix that fails is checked again with
+    per-nonzero masks, to name the fault: a ValueError for bad row offsets,
+    or an :class:`InvalidEntryError` naming the row and the column index of
+    the first index out of range or not strictly increasing in its row. The
+    given arrays, and every array they view, become read-only, as scipy
+    keeps them uncopied where their dtypes are its own (another view of the
+    same memory, taken before, stays writable). The matrix is one scipy
+    CSR: ``indptr``, ``indices`` and ``data`` are its arrays, the index
+    arrays in scipy's index dtype (int32 unless the shape or the nonzero
+    count needs int64). Its transpose is a CSC view of the same
     arrays, built once; the transpose of its elementwise square is built on
     first use and kept.
 
@@ -97,9 +99,10 @@ class SparseMatrix:
         data = np.ascontiguousarray(data, dtype=np.float64)
         nnz, csr = indices.shape[0], None
         # no offset beyond nnz: scipy's pass then reads inside the arrays
-        if (indptr.ndim == 1 and indptr.size and indptr[0] == 0 and indptr.max() <= nnz
-                and indptr[-1] == nnz == data.shape[0]
-                and (not nnz or 0 <= indices.min() and indices.max() < n_cols)):
+        if (indptr.ndim == 1 and indptr.size and indptr.dtype.kind in "iu" and indptr[0] == 0
+                and indptr.max() <= nnz and indptr[-1] == nnz == data.shape[0]
+                and (not nnz or indices.dtype.kind in "iu"
+                     and 0 <= indices.min() and indices.max() < n_cols)):
             shape = (indptr.shape[0] - 1, n_cols)
             csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=shape, copy=False)
         if csr is None or not csr.has_canonical_format:
@@ -124,7 +127,8 @@ class SparseMatrix:
         ``val_parts[i]`` (every value 1.0 when ``val_parts`` is None)."""
         sizes = np.fromiter(map(len, idx_parts), dtype=np.int64, count=len(idx_parts))
         indptr = np.concatenate(([0], np.cumsum(sizes)))
-        indices = np.concatenate([np.empty(0, dtype=np.int64), *idx_parts])
+        parts = [p for p in idx_parts if len(p)]  # an empty list would read as float64
+        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         if val_parts is None:
             data = np.ones(indices.shape[0])
         else:
@@ -211,6 +215,8 @@ def _name_fault(indptr, indices, data, n_cols: int) -> NoReturn:
     """Raise the error naming the first fault of a matrix that failed the check."""
     if indptr.ndim != 1 or indptr.size < 1:
         raise ValueError("indptr must be a 1-d array with at least one entry")
+    if indptr.dtype.kind not in "iu":  # scipy would cast floats and bools without a word
+        raise ValueError(f"row offsets must be integers, not {indptr.dtype}")
     if indptr[0] != 0:
         raise ValueError("indptr must start at 0")
     # compared, not subtracted: a difference of int64 offsets can wrap
@@ -218,6 +224,10 @@ def _name_fault(indptr, indices, data, n_cols: int) -> NoReturn:
         raise ValueError("row offsets must be monotone non-decreasing")
     if indptr[-1] != indices.shape[0] or indices.shape[0] != data.shape[0]:
         raise ValueError("final offset must equal the number of nonzeros")
+    if indices.dtype.kind not in "iu":
+        row = int(np.searchsorted(indptr, 0, side="right")) - 1  # the row of the first entry
+        what = f"index {indices[0].item()!r} of dtype {indices.dtype}"
+        raise InvalidEntryError(f"{what}, not an integer", row, -1)
     bad = (indices < 0) | (indices >= n_cols)
     row_start = np.zeros(indices.shape[0], dtype=bool)
     row_start[indptr[:-1][np.diff(indptr) > 0]] = True

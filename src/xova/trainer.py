@@ -46,7 +46,7 @@ MODEL_MAGIC = "xova"
 MODEL_VERSION = "v2"
 REPORT_FORMAT = "xova-report v1"  # the report JSON's "format", which diag-summary checks
 # Rows of X scored at once: the dense score block is this many rows by L,
-# whatever the chunk size below (README, "Prediction and evaluation").
+# whatever the chunk size below.
 _BLOCK_ROWS = 512
 # Bytes of one dense chunk of W.T: d rows by as many labels as fit, at
 # least one. A model that fits is densified once per scoring call, a larger
@@ -55,9 +55,9 @@ _BLOCK_ROWS = 512
 # peak RSS by 2.4%; at 2 MiB it stays below the sparse product's.
 _CHUNK_BYTES = 2 << 20
 # Labels solved in lockstep, one sparse product per step for all of them
-# (README, "Solver"). The solver holds a few dense arrays of this many rows
-# by n, so it bounds the memory a worker adds; the models do not depend on
-# it.
+# (solver.newton_cg_block). The solver holds a few dense arrays of this many
+# rows by n, so it bounds the memory a worker adds; the models do not depend
+# on it.
 _BLOCK_LABELS = 16
 
 
@@ -365,7 +365,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     # The calling thread is one of the workers, so at one worker no thread
     # starts: training then allocates from the main thread's memory arena,
     # which the scoring after it reuses. More threads than CPUs would only
-    # contend; the report keeps cfg.threads.
+    # contend; the report keeps cfg.threads. A helper's error is raised here.
     workers = min(cfg.threads, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
@@ -444,8 +444,8 @@ def block_topk(block: np.ndarray, k: int) -> np.ndarray:
     ``np.partition`` finds each row's k-th best value; the columns strictly
     better than it, and then its ties from the lowest column up, are the k
     chosen, and only those k are sorted, stably. -0 ties with +0. A row
-    whose k-th best is NaN (fewer than k scores that are not NaN) is sorted
-    whole.
+    whose k-th best is NaN (fewer than k scores that are not NaN, which only
+    an overflowing product makes) is sorted whole, NaN last.
     """
     neg = -block
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
@@ -496,9 +496,11 @@ def save_model(model: OvaModel, path) -> None:
 
 
 def load_model(path) -> OvaModel:
-    """Read a model file. A malformed header, a file length other than the
-    header's arrays need, bad row offsets, and an invalid or non-finite
-    weight are each a ModelFormatError; a weight's error names its label."""
+    """Read a model file, each array straight into its own with
+    ``np.fromfile``, so no whole-file buffer is held. A malformed header, a
+    file length other than the header's arrays need, bad row offsets, and an
+    invalid or non-finite weight are each a ModelFormatError; a weight's
+    error names its label."""
     with open(path, "rb") as fh:
         # A header is under 128 bytes; the cap bounds what a file without one costs.
         header = fh.readline(256)

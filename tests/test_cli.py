@@ -499,6 +499,8 @@ class TestNotUtf8:
 
 
 REPORT_HEAD ='{"format": "xova-report v1", "init": "zero", "loss": "squared-hinge", '
+LABEL_HEAD = (REPORT_HEAD + '"dataset": {"digest": "d"}, "iterations": {"active_fraction_mean": '
+              '[]}, "labels": [{')
 
 
 class TestDiagSummary:
@@ -572,9 +574,20 @@ class TestDiagSummary:
             REPORT_HEAD + '"dataset": {"digest": "d"}, "iterations": {}, "labels": []}',
             REPORT_HEAD + '"dataset": {"digest": "d"}, "iterations": {"active_fraction_mean": []}, '
             '"labels": [{"positives": "x"}]}',
+            # strict JSON holds no NaN or Infinity, and a count is a whole number >= 0
+            LABEL_HEAD + '"positives": 3, "outer_iters": 2, "wall_ms": NaN}]}',
+            LABEL_HEAD + '"positives": 3, "outer_iters": 2, "wall_ms": -Infinity}]}',
+            LABEL_HEAD + '"positives": 3, "outer_iters": 2, "wall_ms": 1e400}]}',
+            LABEL_HEAD + '"positives": 3, "outer_iters": 2, "wall_ms": -1.0}]}',
+            LABEL_HEAD + '"positives": -3, "outer_iters": 2, "wall_ms": 1.0}]}',
+            LABEL_HEAD + '"positives": 3, "outer_iters": 2.5, "wall_ms": 1.0}]}',
+            REPORT_HEAD + '"dataset": {"digest": "d"}, "iterations": {"active_fraction_mean": '
+            '[Infinity]}, "labels": []}',
         ],
         ids=["list", "not_json", "no_fields", "dataset_int", "no_active_fraction",
-             "positives_str"],
+             "positives_str", "wall_ms_nan", "wall_ms_minus_inf", "wall_ms_overflow",
+             "wall_ms_negative", "positives_negative", "outer_iters_fraction",
+             "active_fraction_inf"],
     )
     def test_malformed_report_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "r.json"
@@ -582,6 +595,18 @@ class TestDiagSummary:
         rc = main(["diag-summary", "--reports", str(path), "--out", str(tmp_path / "s")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("row, named", [
+        ('"positives": -3, "outer_iters": 2, "wall_ms": 1.0', "labels[0].positives must be"),
+        ('"positives": 3, "outer_iters": 2, "wall_ms": NaN', "NaN is not strict JSON"),
+    ], ids=["field", "token"])
+    def test_malformed_report_names_what_is_wrong(self, tmp_path, capsys, row, named):
+        path = tmp_path / "r.json"
+        path.write_text(LABEL_HEAD + row + "}]}")
+        rc = main(["diag-summary", "--reports", str(path), "--out", str(tmp_path / "s")])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s.positives_buckets.csv").exists()
 
 
 class TestExitCodes:

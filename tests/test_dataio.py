@@ -422,6 +422,22 @@ class TestDataset:
         with pytest.raises(DimensionMismatchError, match="2 label lists for 1 instances"):
             Dataset(make_matrix([{}], 1), Y, 2)
 
+    def test_label_ids_that_are_not_integers_rejected(self):
+        X = make_matrix([{0: 1.0}], 1)
+        for ids in (np.array([1.5]), np.array([True])):
+            with pytest.raises(InvalidEntryError, match="instance 0: label index .* not an integer"):
+                Dataset(X, [ids], 3)
+
+    def test_a_label_matrix_holds_ones_only(self):
+        # other entries would weigh the positive means and read as "not relevant"
+        X = make_matrix([{0: 1.0}, {0: 2.0}], 1)
+        for data, where in (([2.0, -3.0], (0, 0)), ([1.0, np.nan], (1, 0))):
+            Y = SparseMatrix([0, 1, 2], [0, 0], data, 1)
+            with pytest.raises(InvalidEntryError, match=f"instance {where[0]}: label 0 has entry"
+                               ) as e:
+                Dataset(X, Y, 1)
+            assert (e.value.row, e.value.col) == where
+
 
 class TestSplit:
     @pytest.mark.parametrize("fraction", [-0.1, 1.0])

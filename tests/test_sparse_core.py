@@ -155,6 +155,26 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="indptr must be a 1-d array"):
             SparseMatrix(indptr, [], [], 3)
 
+    @pytest.mark.parametrize("indices", [[1.7], [True], np.array([1.0])], ids=["float", "bool",
+                                                                               "whole_float"])
+    def test_indices_that_are_not_integers_rejected(self, indices):
+        # scipy would cast them, so that 1.7 became column 1
+        with pytest.raises(InvalidEntryError, match="not an integer") as e:
+            SparseMatrix([0, 0, 1], indices, [2.0], 3)
+        assert (e.value.row, e.value.col) == (1, -1)
+
+    def test_offsets_that_are_not_integers_rejected(self):
+        for indptr in ([0.0, 1.0], np.array([False, True])):
+            with pytest.raises(ValueError, match="row offsets must be integers"):
+                SparseMatrix(indptr, [1], [2.0], 3)
+
+    def test_no_entries_need_no_integer_dtype(self):
+        assert SparseMatrix([0], np.array([], dtype=np.float64), [], 3).nnz == 0
+        assert SparseMatrix.stack([[], [0, 2], []], None, 3).row(1).indices.tolist() == [0, 2]
+        assert SparseMatrix.stack([[], []], None, 3).nnz == 0
+        with pytest.raises(InvalidEntryError, match="not an integer"):
+            SparseMatrix.stack([[], np.array([1.5])], None, 3)
+
     def test_equality_with_another_type(self):
         X = make_matrix([{0: 1.0}], 2)
         assert X.__eq__("X") is NotImplemented
