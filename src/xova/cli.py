@@ -21,7 +21,7 @@ from .dataio import (
     write_xmc_dataset,
 )
 from .errors import ConfigError, DimensionMismatchError, XovaError
-from .initializers import INIT_KINDS, InitStrategy
+from .initializers import AOP_DEFAULT_T, INIT_KINDS, InitStrategy
 from .losses import MarginLoss, parse_loss
 from .metrics import evaluate
 from .solver import SolverConfig
@@ -55,8 +55,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--bias-scale", type=float, default=defaults.init.bias_scale)
     p.add_argument("--ovap-stop", type=float, default=defaults.init.ovap_stop_rel)
     p.add_argument("--aop-s", type=float, default=None)
-    p.add_argument("--aop-t", type=float, default=None,
-                   help="default -2 for squared hinge, -3 for logistic")
+    p.add_argument("--aop-t", type=float, default=None, help="default " + ", ".join(
+        f"{t:g} for {loss.token}" for loss, t in AOP_DEFAULT_T.items()))
     p.add_argument("--c", type=float, default=defaults.c, help="loss weight C")
     p.add_argument("--eps", type=float, default=defaults.solver.eps_outer,
                    help="outer stopping ratio")

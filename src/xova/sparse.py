@@ -127,6 +127,10 @@ class SparseMatrix:
         ``val_parts[i]`` (every value 1.0 when ``val_parts`` is None)."""
         sizes = np.fromiter(map(len, idx_parts), dtype=np.int64, count=len(idx_parts))
         indptr = np.concatenate(([0], np.cumsum(sizes)))
+        # checked per part: concatenated beside integer parts, a bool part becomes int64
+        for row, p in enumerate(idx_parts):
+            if isinstance(p, np.ndarray) and p.size and p.dtype.kind not in "iu":
+                _not_integers(p, row)
         parts = [p for p in idx_parts if len(p)]  # an empty list would read as float64
         indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         if val_parts is None:
@@ -225,9 +229,7 @@ def _name_fault(indptr, indices, data, n_cols: int) -> NoReturn:
     if indptr[-1] != indices.shape[0] or indices.shape[0] != data.shape[0]:
         raise ValueError("final offset must equal the number of nonzeros")
     if indices.dtype.kind not in "iu":
-        row = int(np.searchsorted(indptr, 0, side="right")) - 1  # the row of the first entry
-        what = f"index {indices[0].item()!r} of dtype {indices.dtype}"
-        raise InvalidEntryError(f"{what}, not an integer", row, -1)
+        _not_integers(indices, int(np.searchsorted(indptr, 0, side="right")) - 1)
     bad = (indices < 0) | (indices >= n_cols)
     row_start = np.zeros(indices.shape[0], dtype=bool)
     row_start[indptr[:-1][np.diff(indptr) > 0]] = True
@@ -237,6 +239,12 @@ def _name_fault(indptr, indices, data, n_cols: int) -> NoReturn:
     what = "out of range" if not 0 <= j < n_cols else "repeated or out of order"
     row = int(np.searchsorted(indptr, pos, side="right")) - 1
     raise InvalidEntryError(f"index {j} {what} for {n_cols} columns", row, j)
+
+
+def _not_integers(indices: np.ndarray, row: int) -> NoReturn:
+    """Raise the error for index entries, the first in ``row``, of a dtype not integer."""
+    raise InvalidEntryError(f"index {indices[0].item()!r} of dtype {indices.dtype}, not an integer",
+                            row, -1)
 
 
 def _product(A, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:

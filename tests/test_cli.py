@@ -7,6 +7,7 @@ import pytest
 import xova.trainer as trainer_mod
 from xova import diag
 from xova.cli import main
+from xova.errors import ConfigError
 from xova.initializers import InitStrategy
 from xova.trainer import OvaModel, TrainConfig, load_model, save_model
 
@@ -36,6 +37,14 @@ HUGE_VALUES = {
     "one_huge_value": "3 2 2\n0 0:1e308 1:1.0\n1 0:1.0 1:2.0\n0,1 0:0.5\n",
     "three_huge_values": "3 3 2\n0 0:1e308 1:1.0\n1 1:1e308 2:2.0\n0,1 0:1e308\n",
 }
+
+
+def strict_json(path):
+    """The JSON document at ``path``; NaN and the infinities are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def train_args(root, model="model.txt", **over):
@@ -146,6 +155,11 @@ class TestTrain:
         assert rc == 0
         assert json.loads((workdir / "t5.json").read_text())["init_params"]["t"] == -5.0
 
+    def test_aop_targets_s_not_above_t_warn_once(self, workdir, recwarn):
+        rc = main(train_args(workdir, model="st.model") + ["--aop-s", "-3", "--aop-t", "1"])
+        assert rc == 0
+        assert sum("margin targets" in str(w.message) for w in recwarn) == 1
+
     def test_bias_init_without_augmentation_exit_1(self, workdir, capsys):
         rc = main(train_args(workdir, model="x.model") + ["--init", "bias", "--no-augment"])
         assert rc == 1
@@ -212,11 +226,7 @@ class TestTrain:
         rc = main(["train", "--data", str(data), "--model-out", str(tmp_path / "m.model"),
                    "--diag-out", str(tmp_path / "huge.json")])
         assert rc == 3
-
-        def reject(token):
-            raise ValueError(f"{token} is not JSON")
-
-        report = json.loads((tmp_path / "huge.json").read_text(), parse_constant=reject)
+        report = strict_json(tmp_path / "huge.json")
         [label] = report["labels"]
         assert label["termination"] == "numerical_failure"
         assert label["final_loss"] is None
@@ -224,7 +234,7 @@ class TestTrain:
         assert ",nan,numerical_failure," in csv_row
 
     @pytest.mark.parametrize("init", ["zero", "bias", "ovap", "aop"])
-    def test_failed_labels_say_why(self, tmp_path, init):
+    def test_failed_labels_say_why(self, tmp_path, capsys, init):
         # zero, bias and ovap fail on the first gradient, aop at its start;
         # ovap's shared solve fails too
         data = tmp_path / "huge.txt"
@@ -233,7 +243,9 @@ class TestTrain:
         rc = main(["train", "--data", str(data), "--init", init,
                    "--model-out", str(tmp_path / "m.model"), "--diag-out", str(out)])
         assert rc == 3
-        report = json.loads(out.read_text())
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: 1 labels failed") and err.count("\n") == 1
+        report = strict_json(out)
         want = ("non-finite objective at the initial point" if init == "aop"
                 else "non-finite gradient")
         assert [label["failure"] for label in report["labels"]] == [want]
@@ -255,8 +267,10 @@ class TestTrain:
         rc = main(["train", "--data", str(data), "--init", init,
                    "--model-out", str(tmp_path / "m.model"), "--diag-out", str(out)])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("numerical failure: 1 labels failed")
-        [label] = json.loads(out.read_text())["labels"]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: 1 labels failed")
+        assert err.count("\n") == 1
+        [label] = strict_json(out)["labels"]
         assert label["termination"] == "numerical_failure"
         assert label["failure"] == ("non-finite stopping reference" if init == "bias"
                                     else "non-finite gradient")
@@ -553,6 +567,9 @@ class TestDiagSummary:
                    str(tmp_path / "o.json"), "--out", str(tmp_path / "bad")])
         assert rc == 1
         assert "different datasets" in capsys.readouterr().err
+        # the command asks for one report at least; the Python API checks it
+        with pytest.raises(ConfigError, match="no reports to merge"):
+            diag.write_summary([], str(tmp_path / "none"))
 
 
     @pytest.mark.parametrize("runs, names", [

@@ -227,6 +227,16 @@ class TestReads:
         assert crlf.features == lf.features
         assert dataset_digest(crlf) == dataset_digest(lf)
 
+    @pytest.mark.parametrize("read_bytes", READ_SIZES)
+    def test_a_written_file_loads_and_writes_back_its_bytes(self, tmp_path, monkeypatch,
+                                                           read_bytes):
+        # 3000 rows take two default reads
+        write_xmc_dataset(generate_synthetic(3000, 200, 40, 1.2, 12), tmp_path / "a.txt")
+        assert (tmp_path / "a.txt").stat().st_size > dataio._READ_BYTES
+        monkeypatch.setattr(dataio, "_READ_BYTES", read_bytes)
+        write_xmc_dataset(load_xmc_dataset(tmp_path / "a.txt"), tmp_path / "b.txt")
+        assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
+
 
 class TestRoundTrip:
     def test_parse_write_reparse(self, tmp_path):
@@ -427,6 +437,9 @@ class TestDataset:
         for ids in (np.array([1.5]), np.array([True])):
             with pytest.raises(InvalidEntryError, match="instance 0: label index .* not an integer"):
                 Dataset(X, [ids], 3)
+        # concatenated beside an integer part, a bool part would read as int64
+        with pytest.raises(InvalidEntryError, match="instance 1: label index True .* not an integer"):
+            Dataset(make_matrix([{0: 1.0}, {0: 1.0}], 1), [np.array([1]), np.array([True])], 3)
 
     def test_a_label_matrix_holds_ones_only(self):
         # other entries would weigh the positive means and read as "not relevant"

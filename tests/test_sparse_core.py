@@ -174,6 +174,10 @@ class TestSparseMatrix:
         assert SparseMatrix.stack([[], []], None, 3).nnz == 0
         with pytest.raises(InvalidEntryError, match="not an integer"):
             SparseMatrix.stack([[], np.array([1.5])], None, 3)
+        # concatenated beside an integer part, a bool part would read as int64
+        with pytest.raises(InvalidEntryError, match="index True of dtype bool") as e:
+            SparseMatrix.stack([np.array([0]), [], np.array([True])], None, 3)
+        assert (e.value.row, e.value.col) == (2, -1)
 
     def test_equality_with_another_type(self):
         X = make_matrix([{0: 1.0}], 2)
@@ -184,6 +188,7 @@ class TestSparseMatrix:
         X = make_matrix([{}, {1: 2.0}, {}], 3)
         assert X.n_rows == 3
         assert X.nnz == 1
+        assert repr(X) == "SparseMatrix(3x3, nnz=1)"
 
     def test_matvec_matches_dense(self, rng):
         X = make_matrix([{0: 1.0, 2: -1.0}, {1: 2.0}, {}], 3)

@@ -259,8 +259,13 @@ class TestTrainOva:
             train_ova(ds, stats, TrainConfig(threads=2))
         assert recorded["submits"] == 1
 
-    @pytest.mark.parametrize("kind", INIT_KINDS)
-    def test_thread_count_changes_no_bit(self, small_data, kind, monkeypatch):
+    # each init under both losses; a squared-hinge case is named by its init alone
+    @pytest.mark.parametrize("kind, loss", [
+        pytest.param(kind, loss, id=kind if loss is MarginLoss.SQUARED_HINGE
+                     else f"{kind}-{loss.token}")
+        for loss in MarginLoss for kind in INIT_KINDS
+    ])
+    def test_thread_count_changes_no_bit(self, small_data, kind, loss, monkeypatch):
         # blocks of 3 labels: 8 labels make three blocks for three workers on any host
         monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 3)
         monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 3)
@@ -268,7 +273,7 @@ class TestTrainOva:
         untimed = {"wall_ms": 0.0, "cpu_ms": 0.0}
         runs = []
         for threads in (1, 3):
-            cfg = TrainConfig(init=InitStrategy(kind), threads=threads)
+            cfg = TrainConfig(loss=loss, init=InitStrategy(kind), threads=threads)
             model, report = train_ova(ds, stats, cfg)
             W = model.weights
             runs.append((
