@@ -20,8 +20,14 @@ sparse product for the whole block where one label would make one of its
 own. The one-label API takes a :class:`BinaryProblem`, which checks its
 signs, loss and C; the block solver trusts the signs its callers build.
 Every product runs over the whole X with a literal 0 weight on a label's
-inactive rows: the active rows' values are gathered and scattered back into
-zeros, so an inactive row whose ``<x_i, d>`` overflowed never enters a sum.
+inactive rows. A step scatters its labels' gradient coefficients, and then
+their curvature weights, into an ``(n, b)`` array of zeros; it keeps the
+curvature weights through its CG, and each HVP multiplies its product
+``X D`` by them in place. A scipy sum starts at +0, so it is never -0, and a
+term of either signed zero leaves it unchanged: the bits are those of a sum
+over the active rows alone. The one exception is an inactive row whose
+square or ``<x_i, d>`` overflowed, as ``0 * inf`` is NaN; the label's column
+is then recomputed from a copy of its active rows, which leaves that row out.
 Everything else is per label, on that label's own contiguous rows
 (``np.dot``, ``np.linalg.norm`` and ``np.sum`` on one row, never a reduction
 along an axis), and a column of a scipy product sums in the same order as
@@ -215,9 +221,11 @@ class Buffers:
     a C-contiguous float64 array of that shape, holding whatever was left
     there. Ownership: an array that ``get`` returned is valid until its slot
     is asked for again, so it lives no longer than the step or the CG
-    iteration that asked for it. Nothing that outlives a step, such as the
-    margins, the iterates or a trace, is a view of a slot. A set serves one
-    thread at a time.
+    iteration that asked for it. The ``weights`` slot holds a step's
+    curvature weights from its diagonal until its CG ends, for every HVP to
+    read, so nothing may ask for that slot in between. Nothing that outlives
+    a step, such as the margins, the iterates or a trace, is a view of a
+    slot. A set serves one thread at a time.
 
     The slots are views of one allocation. Freed at once when the worker is
     done, it raises glibc's dynamic mmap and trim thresholds above the
@@ -276,37 +284,61 @@ def _curvature(loss: MarginLoss, c: float, m: np.ndarray, idx) -> np.ndarray:
     return c * losses.ddphi(loss, m[idx])
 
 
-def _rmatvec_scattered(
-    X: SparseMatrix, idx, values, buffers: Buffers, squared: bool = False
-) -> np.ndarray:
-    """The ``(dim, r)`` product of ``X.T`` (of the squares with ``squared``)
-    with the weights that :func:`_scatter` builds from ``idx`` and ``values``."""
-    r = len(idx)
-    weights = _scatter(idx, values, buffers.get("weights", (X.n_rows, r)))
-    product = X.rmatvec_squared if squared else X.rmatvec
-    return product(weights, out=buffers.get("transposed", (X.n_cols, r)))
+def _mend_nan(
+    T: np.ndarray, X: SparseMatrix, idx, dd, rows: Sequence[int], D: np.ndarray | None = None
+) -> None:
+    """Recompute from a copy of its label's active rows each column ``j`` of
+    ``T``, the ``(dim, r)`` product of ``X.T`` with whole-X weights, that
+    holds a NaN: the curvature term of the diagonal, or with ``D`` that of
+    the direction ``D[j]``. Column ``j`` belongs to the label ``rows[j]`` of
+    ``idx``/``dd``. An inactive row's weight 0 times an overflowed square or
+    ``<x_i, d>`` is NaN, and the copy leaves that row out; a NaN that the
+    active rows make, the copy makes too."""
+    if np.isnan(T).any():
+        for j in np.flatnonzero(np.isnan(T).any(axis=0)):
+            active, weights = X.submatrix(idx[rows[j]]), dd[rows[j]]
+            if D is None:
+                T[:, j] = active.rmatvec_squared(weights)
+            else:
+                T[:, j] = active.rmatvec(weights * active.matvec(D[j]))
 
 
 def _gradient(X: SparseMatrix, W: np.ndarray, idx, coef, buffers: Buffers) -> np.ndarray:
     """Per row ``k`` of ``W``, ``w_k + sum_{i in idx[k]} coef[k]_i * x_i``."""
-    T = _rmatvec_scattered(X, idx, coef, buffers)
+    r = len(idx)
+    weights = _scatter(idx, coef, buffers.get("weights", (X.n_rows, r)))
+    T = X.rmatvec(weights, out=buffers.get("transposed", (X.n_cols, r)))
     return np.add(W, T.T, out=buffers.get("gradient", W.shape))
 
 
-def _diag(X: SparseMatrix, idx, dd, buffers: Buffers) -> np.ndarray:
-    """Per label, the Hessian's diagonal ``1 + sum_{i in idx} dd_i * x_i^2``."""
-    T = _rmatvec_scattered(X, idx, dd, buffers, squared=True)
+def _diag(X: SparseMatrix, DD: np.ndarray, idx, dd, buffers: Buffers) -> np.ndarray:
+    """Per label ``k``, the Hessian's diagonal ``1 + sum_{i in idx[k]} dd[k]_i
+    * x_i^2``, where column ``k`` of ``DD`` is ``dd[k]`` scattered (:func:`_scatter`)."""
+    T = X.rmatvec_squared(DD, out=buffers.get("transposed", (X.n_cols, DD.shape[1])))
+    _mend_nan(T, X, idx, dd, range(DD.shape[1]))
     return np.add(1.0, T.T, out=buffers.get("diag", T.T.shape))
 
 
 def _hvp(
-    X: SparseMatrix, idx, dd, D: np.ndarray, rows: Sequence[int], buffers: Buffers
+    X: SparseMatrix, DD: np.ndarray, idx, dd, D: np.ndarray, rows: Sequence[int],
+    buffers: Buffers,
 ) -> np.ndarray:
-    """``d + sum_{i in idx} dd_i * <x_i, d> * x_i`` for each direction ``d``
-    of ``D``, whose row ``j`` belongs to the label ``rows[j]`` of ``idx``/``dd``."""
-    XD = X.matvec(D.T, out=buffers.get("product", (X.n_rows, D.shape[0])))
-    vals = (dd[k] * XD[idx[k], j] for j, k in enumerate(rows))
-    T = _rmatvec_scattered(X, [idx[k] for k in rows], vals, buffers)
+    """``d + sum_{i in idx[k]} dd[k]_i * <x_i, d> * x_i`` for each direction
+    ``d`` of ``D``, whose row ``j`` belongs to the label ``k = rows[j]``.
+    ``rows`` increase and index the columns of ``DD``, the curvature weights
+    ``dd`` scattered (:func:`_scatter`) and kept for the step's CG, and of
+    ``idx``/``dd``, which only a NaN column reads. The product ``X D`` is
+    the one ``(n, r)`` array it writes: it is multiplied by ``DD`` at once
+    where CG still iterates on every label of the step, else column by column."""
+    XD = X.matvec(D.T, out=buffers.get("product", (X.n_rows, len(rows))))
+    with np.errstate(invalid="ignore"):  # an inactive row's 0 * inf, which _mend_nan mends
+        if len(rows) == DD.shape[1]:
+            XD *= DD
+        else:
+            for j, k in enumerate(rows):
+                XD[:, j] *= DD[:, k]
+    T = X.rmatvec(XD, out=buffers.get("transposed", (X.n_cols, len(rows))))
+    _mend_nan(T, X, idx, dd, rows, D)
     return np.add(D, T.T, out=buffers.get("hvp", D.shape))
 
 
@@ -334,7 +366,8 @@ def hessian_vec(
     """
     dd = _curvature(problem.loss, problem.c, margins(problem, w), active)
     buffers = Buffers(problem.n, problem.dim, 1)
-    return _hvp(problem.features, [active], [dd], d[None], [0], buffers)[0]
+    DD = _scatter([active], [dd], buffers.get("weights", (problem.n, 1)))
+    return _hvp(problem.features, DD, [active], [dd], d[None], [0], buffers)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -541,16 +574,12 @@ def newton_cg_block(
         if not solving:
             return []
 
-        # CG on the Newton systems
+        # CG on the Newton systems; the weights slot keeps DD until CG ends
         act = [idx[k] for k in solving]
         dd = [_curvature(loss, c, M[k], idx[k]) for k in solving]
-        diag = _diag(X, act, dd, buffers)
-        for row, rows, weights in zip(diag, act, dd):
-            if np.isnan(row).any():
-                # 0 * inf: a row of weight 0 whose squares overflow. A copy
-                # of the active rows leaves the inactive ones out.
-                row[:] = 1.0 + X.submatrix(rows).rmatvec_squared(weights)
-        hvp = functools.partial(_hvp, X, act, dd, buffers=buffers)
+        DD = _scatter(act, dd, buffers.get("weights", (n, len(solving))))
+        diag = _diag(X, DD, act, dd, buffers)
+        hvp = functools.partial(_hvp, X, DD, act, dd, buffers=buffers)
         cg = cg_solve(np.array([G[k] for k in solving]), hvp, cfg, diag, buffers)
         # (label, direction, g.p, CG iterations, active rows) per descent direction
         descents = []

@@ -127,10 +127,14 @@ class SparseMatrix:
         ``val_parts[i]`` (every value 1.0 when ``val_parts`` is None)."""
         sizes = np.fromiter(map(len, idx_parts), dtype=np.int64, count=len(idx_parts))
         indptr = np.concatenate(([0], np.cumsum(sizes)))
-        # checked per part: concatenated beside integer parts, a bool part becomes int64
+        # checked per part: concatenated beside integer parts, a bool part becomes
+        # int64; a part that is not an array, such as [0, True], per element
         for row, p in enumerate(idx_parts):
-            if isinstance(p, np.ndarray) and p.size and p.dtype.kind not in "iu":
-                _not_integers(p, row)
+            if isinstance(p, np.ndarray):
+                if p.size and p.dtype.kind not in "iu":
+                    _not_integers(p, row)
+            elif bools := [e for e in p if isinstance(e, (bool, np.bool_))]:
+                _not_integers(np.array(bools), row)
         parts = [p for p in idx_parts if len(p)]  # an empty list would read as float64
         indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         if val_parts is None:

@@ -438,8 +438,11 @@ class TestDataset:
             with pytest.raises(InvalidEntryError, match="instance 0: label index .* not an integer"):
                 Dataset(X, [ids], 3)
         # concatenated beside an integer part, a bool part would read as int64
-        with pytest.raises(InvalidEntryError, match="instance 1: label index True .* not an integer"):
-            Dataset(make_matrix([{0: 1.0}, {0: 1.0}], 1), [np.array([1]), np.array([True])], 3)
+        X = make_matrix([{0: 1.0}, {0: 1.0}], 1)
+        for labels in ([np.array([1]), np.array([True])], [[1], [True]], [np.array([1]), [True]]):
+            with pytest.raises(InvalidEntryError,
+                               match="instance 1: label index True .* not an integer"):
+                Dataset(X, labels, 3)
 
     def test_a_label_matrix_holds_ones_only(self):
         # other entries would weigh the positive means and read as "not relevant"

@@ -222,8 +222,10 @@ def other_labels(rng, p, count):
     ]
 
 
-def block_kernels(problems, ws, ds):
-    """Each label's active-row gradient and HVP, from one block product each."""
+def block_kernels(problems, ws, ds, rows=None):
+    """Each label's active-row gradient, and the HVPs of the directions
+    ``ds`` of the labels ``rows`` (every label by default), from one block
+    product each, with the curvature weights scattered once as a step does."""
     X = problems[0].features
     m = [margins(q, w) for q, w in zip(problems, ws)]
     idx = [active_set(q.loss, mk) for q, mk in zip(problems, m)]
@@ -232,7 +234,9 @@ def block_kernels(problems, ws, ds):
     dd = [solver_mod._curvature(q.loss, q.c, mk, i) for q, mk, i in labels]
     buffers = solver_mod.Buffers(X.n_rows, X.n_cols, len(problems))
     G = solver_mod._gradient(X, np.stack(ws), idx, coef, buffers)
-    H = solver_mod._hvp(X, idx, dd, np.stack(ds), range(len(problems)), buffers)
+    DD = solver_mod._scatter(idx, dd, buffers.get("weights", (X.n_rows, len(problems))))
+    rows = range(len(problems)) if rows is None else rows
+    H = solver_mod._hvp(X, DD, idx, dd, np.stack(ds), rows, buffers)
     return G, H, idx, dd
 
 
@@ -284,6 +288,33 @@ class TestActiveRows:
         other = BinaryProblem(X, np.array([-1.0, 1.0, 1.0]))
         _, H, _, _ = block_kernels([p, other], [w, w], [d, d])
         assert H[0].tolist() == [1e160, 5.0]
+
+    def test_hvp_over_a_strict_subset_of_the_block(self, rng):
+        # once CG has finished a label, the HVP runs over the labels still
+        # live, here rows 0 and 2 of 3: each column must take its own label's
+        # curvature weights, and keep the bits of that label's own HVP and of
+        # a copy of its active rows
+        def check(problems, ws, ds, rows):
+            _, H, idx, dd = block_kernels(problems, ws, ds, rows)
+            for h, d, k in zip(H, ds, rows):
+                q, w = problems[k], ws[k]
+                assert np.array_equal(h, hessian_vec(q, w, d, active_set(q.loss, margins(q, w))))
+                active = q.features.submatrix(idx[k])
+                assert np.array_equal(h, d + active.rmatvec(dd[k] * active.matvec(d)))
+            return H
+
+        for _ in range(5):
+            p, w_true = separable_problem(rng, n=60, d=10)
+            others, other_ws = other_labels(rng, p, 2)
+            check([p] + others, [0.1 * w_true] + other_ws, rng.normal(size=(2, p.dim)), [0, 2])
+        # the label of row 2 has the overflowing inactive row of the test
+        # above; for label 1 that row is active, with a nonzero weight
+        X = make_matrix([{0: 1e150}, {1: 1.0}, {1: -1.0}], 2)
+        problems = [BinaryProblem(X, np.array(s)) for s in
+                    ([1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0])]
+        ws = [np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0])]
+        H = check(problems, ws, np.array([[0.5, -2.0], [1e160, 1.0]]), [0, 2])
+        assert np.isfinite(H[0]).all() and H[1].tolist() == [1e160, 5.0]
 
     def test_inactive_row_whose_squares_overflow(self, rng):
         p, w0 = overflowing_squares_problem(rng)

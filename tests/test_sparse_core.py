@@ -178,6 +178,11 @@ class TestSparseMatrix:
         with pytest.raises(InvalidEntryError, match="index True of dtype bool") as e:
             SparseMatrix.stack([np.array([0]), [], np.array([True])], None, 3)
         assert (e.value.row, e.value.col) == (2, -1)
+        # and so does a Python bool, which numpy reads as a bool part, in a list
+        for parts in ([[0], [True]], [np.array([0]), [0, True]], [[1], [2, np.True_]]):
+            with pytest.raises(InvalidEntryError, match="index True of dtype bool") as e:
+                SparseMatrix.stack(parts, None, 3)
+            assert (e.value.row, e.value.col) == (1, -1)
 
     def test_equality_with_another_type(self):
         X = make_matrix([{0: 1.0}], 2)
