@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import ConfigError, is_number
-from .trainer import REPORT_FORMAT
+from .trainer import REPORT_FORMAT, _mean, write_csv
 
 
 def _reject_constant(token: str):
@@ -121,27 +121,13 @@ def bucket_table(reports: list[dict]) -> tuple[list[str], list[list]]:
         for r in reports:
             in_bucket = [x for x in r["labels"] if lo <= x["positives"] < hi]
             if in_bucket:
-                wall = sum(x["wall_ms"] for x in in_bucket) / len(in_bucket)
-                iters = sum(x["outer_iters"] for x in in_bucket) / len(in_bucket)
+                wall = _mean([x["wall_ms"] for x in in_bucket])
+                iters = _mean([x["outer_iters"] for x in in_bucket])
                 row += [wall, iters, len(in_bucket)]
             else:
                 row += [None, None, 0]
         rows.append(row)
     return header, rows
-
-
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    def fmt(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return f"{v:.6g}"
-        return str(v)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def write_summary(report_paths: list, out_prefix: str) -> tuple[str, str]:
@@ -152,8 +138,8 @@ def write_summary(report_paths: list, out_prefix: str) -> tuple[str, str]:
         raise ConfigError("no reports to merge")
     frac_path = f"{out_prefix}.active_fraction.csv"
     bucket_path = f"{out_prefix}.positives_buckets.csv"
-    header, rows = active_fraction_table(reports)
-    _write_csv(frac_path, header, rows)
-    header, rows = bucket_table(reports)
-    _write_csv(bucket_path, header, rows)
+    for path, (header, rows) in ((frac_path, active_fraction_table(reports)),
+                                 (bucket_path, bucket_table(reports))):
+        write_csv(path, header, ([f"{v:.6g}" if isinstance(v, float) else v for v in row]
+                                 for row in rows))
     return frac_path, bucket_path

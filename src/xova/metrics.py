@@ -8,7 +8,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import ConfigError, DimensionMismatchError
-from .trainer import OvaModel, block_topk, score_blocks, write_strict_json
+from .trainer import OvaModel, block_topk, score_blocks, write_csv, write_strict_json
 
 
 @dataclass
@@ -30,12 +30,10 @@ class EvalResult:
         write_strict_json(self.to_json_dict(), path)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("metric,k,value\n")
-            for k in sorted(self.p_at):
-                fh.write(f"p_at,{k},{self.p_at[k]:.6f}\n")
-            fh.write(f"macro_precision,,{self.macro_precision:.6f}\n")
-            fh.write(f"macro_recall,,{self.macro_recall:.6f}\n")
+        rows = [("p_at", k, f"{self.p_at[k]:.6f}") for k in sorted(self.p_at)]
+        rows += [("macro_precision", None, f"{self.macro_precision:.6f}"),
+                 ("macro_recall", None, f"{self.macro_recall:.6f}")]
+        write_csv(path, ["metric", "k", "value"], rows)
 
 
 def precision_at_k(model: OvaModel, test: Dataset, ks: list[int]) -> dict[int, float]:

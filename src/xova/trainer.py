@@ -9,10 +9,12 @@ which shrinks the stored model without touching the optimization itself.
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import queue
@@ -145,11 +147,26 @@ def write_strict_json(doc: dict, path) -> None:
         fh.write("\n")
 
 
-# The labels CSV's columns, and the format of each that is not written as is.
-_CSV_COLUMNS = (
-    "label", "positives", "outer_iters", "hvp_touches", "wall_ms", "final_loss", "termination",
-    "cpu_ms", "failure",
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV, one line each ending in a
+    newline: None is an empty field, and a field is quoted only where it
+    needs to be."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# A label's row of the report, after "label" and "positives": the SolverTrace
+# attributes that its JSON object and its labels CSV line hold, in this order.
+# The JSON writes a float that is not finite as null, the CSV as nan or inf;
+# None is null in the JSON and an empty CSV field. A new per-label value is
+# one attribute on SolverTrace and one name here.
+LABEL_FIELDS = (
+    "outer_iters", "hvp_touches", "wall_ms", "final_loss", "termination", "cpu_ms",
+    "first_step_size", "failure",
 )
+# The labels CSV's format of each value that is not written as is.
 _CSV_FORMATS = {"wall_ms": "{:.3f}", "final_loss": "{:.17g}", "cpu_ms": "{:.3f}"}
 
 
@@ -202,20 +219,10 @@ class TrainReport:
         }
 
     def label_rows(self) -> Iterator[dict]:
-        """Each label's row of the report, in the JSON's key order."""
+        """Each label's row of the report: ``label``, ``positives`` and its
+        trace's ``LABEL_FIELDS``."""
         for j, (positives, t) in enumerate(zip(self.positives, self.labels)):
-            yield {
-                "label": j,
-                "positives": positives,
-                "outer_iters": t.outer_iters,
-                "hvp_touches": t.hvp_touches,
-                "wall_ms": t.wall_ms,
-                "cpu_ms": t.cpu_ms,
-                "final_loss": t.final_loss,
-                "termination": t.termination,
-                "first_step_size": t.first_step_size,
-                "failure": t.failure,
-            }
+            yield {"label": j, "positives": positives, **{k: getattr(t, k) for k in LABEL_FIELDS}}
 
     def to_json_dict(self) -> dict:
         cfg = self.config
@@ -236,9 +243,10 @@ class TrainReport:
             },
             "phases": self.phases,
             "iterations": self.iterations,
-            # strict JSON has no NaN: a label that failed at its start has a null final_loss
+            # strict JSON has no NaN or inf
             "labels": [
-                {**row, "final_loss": row["final_loss"] if np.isfinite(row["final_loss"]) else None}
+                {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in row.items()}
                 for row in self.label_rows()
             ],
         }
@@ -247,15 +255,11 @@ class TrainReport:
         write_strict_json(self.to_json_dict(), path)
 
     def write_labels_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(_CSV_COLUMNS) + "\n")
-            for row in self.label_rows():
-                # quoted as CSV quotes a field, so that a comma in the message is safe
-                failure = row["failure"]
-                row["failure"] = "" if failure is None else '"' + failure.replace('"', '""') + '"'
-                fh.write(
-                    ",".join(_CSV_FORMATS.get(k, "{}").format(row[k]) for k in _CSV_COLUMNS) + "\n"
-                )
+        rows = (
+            [None if v is None else _CSV_FORMATS.get(k, "{}").format(v) for k, v in row.items()]
+            for row in self.label_rows()
+        )
+        write_csv(path, ["label", "positives", *LABEL_FIELDS], rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")

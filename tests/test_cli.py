@@ -113,8 +113,8 @@ class TestTrain:
         assert report["totals"]["init_failure"] is None
         assert list(report["iterations"]) == ["active_fraction_mean", "step_size_mean", "count"]
         assert list(report["labels"][0]) == [
-            "label", "positives", "outer_iters", "hvp_touches", "wall_ms", "cpu_ms", "final_loss",
-            "termination", "first_step_size", "failure",
+            "label", "positives", "outer_iters", "hvp_touches", "wall_ms", "final_loss",
+            "termination", "cpu_ms", "first_step_size", "failure",
         ]
         assert all(label["failure"] is None for label in report["labels"])
         assert report["init_params"] == {"s": 1.0, "t": -2.0}
@@ -124,7 +124,8 @@ class TestTrain:
         assert report["config_digest"] == TrainConfig(init=InitStrategy("aop")).digest()
         labels_csv = (workdir / "report.json.labels.csv").read_text().splitlines()
         assert labels_csv[0] == (
-            "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination,cpu_ms,failure"
+            "label,positives,outer_iters,hvp_touches,wall_ms,final_loss,termination,cpu_ms,"
+            "first_step_size,failure"
         )
         assert all(line.endswith(",") for line in labels_csv[1:])
         assert len(labels_csv) == 11
@@ -571,6 +572,31 @@ class TestDiagSummary:
         with pytest.raises(ConfigError, match="no reports to merge"):
             diag.write_summary([], str(tmp_path / "none"))
 
+    @pytest.mark.parametrize("init", ["aop,v2", '"aop" v2'], ids=["comma", "quote"])
+    def test_tables_stay_well_formed_for_any_method_name(self, tmp_path, init):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({
+            "format": "xova-report v1", "init": init, "loss": "squared-hinge",
+            "dataset": {"digest": "d"}, "iterations": {"active_fraction_mean": [1.0, 0.5]},
+            "labels": [{"positives": 3, "outer_iters": 2, "wall_ms": 1.5}],
+        }))
+        assert main(["diag-summary", "--reports", str(path), "--out", str(tmp_path / "s")]) == 0
+        for table, names in [
+            ("active_fraction", ["iteration", init]),
+            ("positives_buckets", ["bucket_lo", "bucket_hi", f"{init}:mean_wall_ms",
+                                   f"{init}:mean_outer_iters", f"{init}:n_labels"]),
+        ]:
+            with open(tmp_path / f"s.{table}.csv", newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == names
+            assert rows and all(len(row) == len(header) for row in rows)
+
+    def test_bucket_means_add_in_label_order(self):
+        # sum() compensates float rounding from Python 3.12 on, and would give 1/3
+        labels = [{"positives": 1, "outer_iters": 1, "wall_ms": w} for w in (1e16, 1.0, -1e16)]
+        report = {"init": "zero", "loss": "squared-hinge", "dataset": {"digest": "d"},
+                  "labels": labels}
+        assert diag.bucket_table([report])[1] == [[1, 2, 0.0, 1.0, 3]]
 
     @pytest.mark.parametrize("runs, names", [
         ([("zero", "squared-hinge"), ("aop", "squared-hinge")], ["zero", "aop"]),

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xova.dataio import (
-    Dataset, LabelStats, augment_bias, compute_label_stats, generate_synthetic, split_dataset
+    Dataset, LabelStats, augment_bias, compute_label_stats, generate_synthetic,
+    load_xmc_dataset, split_dataset
 )
 from xova.errors import ConfigError, DimensionMismatchError, ModelFormatError
 import xova.solver as solver_mod
@@ -440,8 +441,8 @@ class TestTrainOva:
     @pytest.mark.parametrize(
         "kind, json_digest, csv_digest",
         [
-            ("ovap", "cfc69ba6c8253be1", "fe37334e45fdb7ff"),
-            ("aop", "7164e7a6969b484e", "b411e2d0e80a7b8c"),
+            ("ovap", "cfc69ba6c8253be1", "54ce41a1a6aa33ea"),
+            ("aop", "7164e7a6969b484e", "8f38972b2529a7a0"),
         ],
     )
     def test_report_values_are_pinned(self, kind, json_digest, csv_digest, tmp_path):
@@ -461,6 +462,45 @@ class TestTrainOva:
         table = "\n".join(",".join(v for i, v in enumerate(r) if i not in timed) for r in rows)
         digests = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in (json.dumps(doc), table)]
         assert digests == [json_digest, csv_digest]
+
+    @pytest.mark.parametrize("extra", [(), ("final_grad_norm", "grad0_ref")],
+                             ids=["row", "row_extended"])
+    @pytest.mark.parametrize("data", ["synth", "failing"])
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_the_labels_csv_is_the_json_row(self, small_data, tmp_path, monkeypatch, kind, data,
+                                            extra):
+        # One tuple defines a label's row: a name added to it reaches both
+        # formats, and a value that is not finite is null in the JSON only.
+        monkeypatch.setattr(trainer_mod, "LABEL_FIELDS", trainer_mod.LABEL_FIELDS + extra)
+        ds, stats = small_data
+        if data == "failing":  # the 3-row file whose one label fails under every init
+            path = tmp_path / "huge.txt"
+            path.write_text("3 2 1\n0 0:1e308 1:1.0\n 0:1e308 1:2.0\n 1:1.0\n")
+            ds = augment_bias(load_xmc_dataset(path))
+            stats = compute_label_stats(ds)
+        _, report = train_ova(ds, stats, TrainConfig(init=InitStrategy(kind)))
+        assert (report.n_failed == 1) == (data == "failing")
+        report.write_json(tmp_path / "report.json")
+        report.write_labels_csv(tmp_path / "labels.csv")
+        labels = json.loads((tmp_path / "report.json").read_text())["labels"]
+        with open(tmp_path / "labels.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        keys = ["label", "positives", *trainer_mod.LABEL_FIELDS]
+        assert reader.fieldnames == keys
+        assert [list(obj) for obj in labels] == [keys] * ds.n_labels
+        assert len(rows) == ds.n_labels
+        for obj, row, trace in zip(labels, rows, report.labels):
+            for key in keys:
+                value = getattr(trace, key, obj[key])  # label and positives are not on the trace
+                fmt = trainer_mod._CSV_FORMATS.get(key, "{}")
+                if value is None:
+                    assert (obj[key], row[key]) == (None, "")
+                elif isinstance(value, float) and not np.isfinite(value):
+                    assert obj[key] is None and row[key] == fmt.format(value)
+                    assert row[key] in ("nan", "inf", "-inf")
+                else:
+                    assert row[key] == fmt.format(obj[key])
 
     @pytest.mark.parametrize(
         "loss, c, kind, model_digest",
