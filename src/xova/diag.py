@@ -61,11 +61,12 @@ def method_names(reports: list[dict]) -> list[str]:
     names = [r["init"] for r in reports]
     if len(set(names)) < len(names):
         names = [f"{r['init']}:{r['loss']}" for r in reports]
-    seen: dict[str, int] = {}
-    out = []
-    for name in names:
-        seen[name] = seen.get(name, 0) + 1
-        out.append(name if seen[name] == 1 else f"{name}#{seen[name]}")
+    out: list[str] = []
+    for name in names:  # numbered on until unused: a report's string may end in "#2"
+        count = 1
+        while (unique := name if count == 1 else f"{name}#{count}") in out:
+            count += 1
+        out.append(unique)
     return out
 
 

@@ -69,18 +69,20 @@ class InitStrategy:
 
 @dataclass(frozen=True)
 class AopPrecompute:
-    """Dataset-level quantities shared by every label's aop solve. An
-    ``xbar`` whose ``<xbar, xbar>`` overflows is checked against an
-    infinite ``xbar_sq`` without a warning."""
+    """Dataset-level quantities shared by every label's aop solve. ``xbar_sq``
+    is ``<xbar, xbar>``, computed here when not given, else checked against
+    ``xbar``; where that overflows, it is infinite, without a warning."""
 
     xbar: DenseVector
-    xbar_sq: float
     n: int
+    xbar_sq: float | None = None
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         expected = float(np.dot(self.xbar, self.xbar))
-        if abs(self.xbar_sq - expected) > 1e-12 * max(expected, 1.0):
+        if self.xbar_sq is None:
+            object.__setattr__(self, "xbar_sq", expected)
+        elif abs(self.xbar_sq - expected) > 1e-12 * max(expected, 1.0):
             raise ConfigError("xbar_sq is inconsistent with xbar")
 
 

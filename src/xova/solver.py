@@ -21,9 +21,9 @@ own. The one-label API takes a :class:`BinaryProblem`, which checks its
 signs, loss and C; the block solver trusts the signs its callers build.
 Every product runs over the whole X with a literal 0 weight on a label's
 inactive rows. A step scatters its labels' gradient coefficients, and then
-their curvature weights, into an ``(n, b)`` array of zeros; it keeps the
-curvature weights through its CG, and each HVP multiplies its product
-``X D`` by them in place. A scipy sum starts at +0, so it is never -0, and a
+their curvature weights, into an ``(n, b)`` array of zeros: the weights'
+one copy, kept through the step's CG, by which each HVP multiplies its
+product ``X D`` in place. A scipy sum starts at +0, so it is never -0, and a
 term of either signed zero leaves it unchanged: the bits are those of a sum
 over the active rows alone. The one exception is an inactive row whose
 square or ``<x_i, d>`` overflowed, as ``0 * inf`` is NaN; the label's column
@@ -53,7 +53,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,15 +70,15 @@ TERM_NUMERICAL = "numerical_failure"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters of the Newton-CG solver. The fields are what a caller
-    sets; the class constants are liblinear's fixed line search (Lin, Weng &
-    Keerthi, JMLR 2008) and preconditioner (Hsia, Chiang & Lin, ACML 2018)."""
+    """Newton-CG hyperparameters. The fields are what a caller sets; the class
+    constants are fixed: the outer-iteration cap and liblinear's line search
+    (Lin, Weng & Keerthi, JMLR 2008) and preconditioner (Hsia, Chiang & Lin, ACML 2018)."""
 
     eps_outer: float = 0.01  # stop when |grad| <= eps_outer * |grad at zero|
     eps_cg: float = 0.5  # relative preconditioned-residual tolerance
-    max_outer: int = 100
     max_cg: int = 250
 
+    max_outer: ClassVar[int] = 100  # a safety cap: a label that reaches it ends as max_outer
     precond_alpha: ClassVar[float] = 0.01  # M = alpha * diag(H) + (1 - alpha) * I
     ls_beta: ClassVar[float] = 0.5  # backtracking shrink factor
     ls_eta: ClassVar[float] = 0.01  # sufficient-decrease slope fraction
@@ -88,8 +88,8 @@ class SolverConfig:
         if not all(is_number(v) and 0.0 < v < np.inf for v in (self.eps_outer, self.eps_cg)):
             raise ConfigError("tolerances must be positive and finite")
         # a limit that is not a whole number is never met: CG stops at iters == max_cg
-        if not all(is_number(v, whole=True) and v >= 1 for v in (self.max_outer, self.max_cg)):
-            raise ConfigError("iteration limits must be whole numbers >= 1")
+        if not (is_number(self.max_cg, whole=True) and self.max_cg >= 1):
+            raise ConfigError("the CG iteration limit max_cg must be a whole number >= 1")
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ class Buffers:
 
 
 def _scatter(
-    idx: Sequence[np.ndarray], values: Sequence[np.ndarray], out: np.ndarray
+    idx: Sequence[np.ndarray], values: Iterable[np.ndarray], out: np.ndarray
 ) -> np.ndarray:
     """Fill the ``(n, r)`` weights ``out``: column ``j`` holds ``values[j]``
     at the rows ``idx[j]`` and a literal 0 on every other row."""
@@ -285,18 +285,21 @@ def _curvature(loss: MarginLoss, c: float, m: np.ndarray, idx) -> np.ndarray:
 
 
 def _mend_nan(
-    T: np.ndarray, X: SparseMatrix, idx, dd, rows: Sequence[int], D: np.ndarray | None = None
+    T: np.ndarray, X: SparseMatrix, DD: np.ndarray, idx, rows: Sequence[int],
+    D: np.ndarray | None = None,
 ) -> None:
     """Recompute from a copy of its label's active rows each column ``j`` of
-    ``T``, the ``(dim, r)`` product of ``X.T`` with whole-X weights, that
+    ``T``, the ``(dim, r)`` product of ``X.T`` with the weights ``DD``, that
     holds a NaN: the curvature term of the diagonal, or with ``D`` that of
-    the direction ``D[j]``. Column ``j`` belongs to the label ``rows[j]`` of
-    ``idx``/``dd``. An inactive row's weight 0 times an overflowed square or
-    ``<x_i, d>`` is NaN, and the copy leaves that row out; a NaN that the
-    active rows make, the copy makes too."""
+    the direction ``D[j]``. Column ``j`` belongs to the label ``k = rows[j]``:
+    its active rows ``idx[k]``, with the weights ``DD[idx[k], k]`` that
+    :func:`_scatter` wrote. An inactive row's weight 0 times an overflowed
+    square or ``<x_i, d>`` is NaN, and the copy leaves that row out; a NaN
+    that the active rows make, the copy makes too, even where a weight is 0."""
     if np.isnan(T).any():
         for j in np.flatnonzero(np.isnan(T).any(axis=0)):
-            active, weights = X.submatrix(idx[rows[j]]), dd[rows[j]]
+            k = rows[j]
+            active, weights = X.submatrix(idx[k]), DD[idx[k], k]
             if D is None:
                 T[:, j] = active.rmatvec_squared(weights)
             else:
@@ -311,25 +314,24 @@ def _gradient(X: SparseMatrix, W: np.ndarray, idx, coef, buffers: Buffers) -> np
     return np.add(W, T.T, out=buffers.get("gradient", W.shape))
 
 
-def _diag(X: SparseMatrix, DD: np.ndarray, idx, dd, buffers: Buffers) -> np.ndarray:
-    """Per label ``k``, the Hessian's diagonal ``1 + sum_{i in idx[k]} dd[k]_i
-    * x_i^2``, where column ``k`` of ``DD`` is ``dd[k]`` scattered (:func:`_scatter`)."""
+def _diag(X: SparseMatrix, DD: np.ndarray, idx, buffers: Buffers) -> np.ndarray:
+    """Per label ``k``, the Hessian's diagonal ``1 + sum_{i in idx[k]} DD[i, k]
+    * x_i^2``, with ``DD`` the scattered curvature weights (:func:`_scatter`)."""
     T = X.rmatvec_squared(DD, out=buffers.get("transposed", (X.n_cols, DD.shape[1])))
-    _mend_nan(T, X, idx, dd, range(DD.shape[1]))
+    _mend_nan(T, X, DD, idx, range(DD.shape[1]))
     return np.add(1.0, T.T, out=buffers.get("diag", T.T.shape))
 
 
 def _hvp(
-    X: SparseMatrix, DD: np.ndarray, idx, dd, D: np.ndarray, rows: Sequence[int],
-    buffers: Buffers,
+    X: SparseMatrix, DD: np.ndarray, idx, D: np.ndarray, rows: Sequence[int], buffers: Buffers
 ) -> np.ndarray:
-    """``d + sum_{i in idx[k]} dd[k]_i * <x_i, d> * x_i`` for each direction
+    """``d + sum_{i in idx[k]} DD[i, k] * <x_i, d> * x_i`` for each direction
     ``d`` of ``D``, whose row ``j`` belongs to the label ``k = rows[j]``.
     ``rows`` increase and index the columns of ``DD``, the curvature weights
-    ``dd`` scattered (:func:`_scatter`) and kept for the step's CG, and of
-    ``idx``/``dd``, which only a NaN column reads. The product ``X D`` is
-    the one ``(n, r)`` array it writes: it is multiplied by ``DD`` at once
-    where CG still iterates on every label of the step, else column by column."""
+    scattered (:func:`_scatter`) and kept for the step's CG, and of ``idx``,
+    which only a NaN column reads. The product ``X D`` is the one ``(n, r)``
+    array it writes, multiplied by ``DD`` at once where every label of the step
+    still iterates, else column by column (a gather ``DD[:, rows]`` is slower)."""
     XD = X.matvec(D.T, out=buffers.get("product", (X.n_rows, len(rows))))
     with np.errstate(invalid="ignore"):  # an inactive row's 0 * inf, which _mend_nan mends
         if len(rows) == DD.shape[1]:
@@ -338,7 +340,7 @@ def _hvp(
             for j, k in enumerate(rows):
                 XD[:, j] *= DD[:, k]
     T = X.rmatvec(XD, out=buffers.get("transposed", (X.n_cols, len(rows))))
-    _mend_nan(T, X, idx, dd, rows, D)
+    _mend_nan(T, X, DD, idx, rows, D)
     return np.add(D, T.T, out=buffers.get("hvp", D.shape))
 
 
@@ -367,7 +369,7 @@ def hessian_vec(
     dd = _curvature(problem.loss, problem.c, margins(problem, w), active)
     buffers = Buffers(problem.n, problem.dim, 1)
     DD = _scatter([active], [dd], buffers.get("weights", (problem.n, 1)))
-    return _hvp(problem.features, DD, [active], [dd], d[None], [0], buffers)[0]
+    return _hvp(problem.features, DD, [active], d[None], [0], buffers)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -576,10 +578,10 @@ def newton_cg_block(
 
         # CG on the Newton systems; the weights slot keeps DD until CG ends
         act = [idx[k] for k in solving]
-        dd = [_curvature(loss, c, M[k], idx[k]) for k in solving]
+        dd = (_curvature(loss, c, M[k], idx[k]) for k in solving)  # each is freed once scattered
         DD = _scatter(act, dd, buffers.get("weights", (n, len(solving))))
-        diag = _diag(X, DD, act, dd, buffers)
-        hvp = functools.partial(_hvp, X, DD, act, dd, buffers=buffers)
+        diag = _diag(X, DD, act, buffers)
+        hvp = functools.partial(_hvp, X, DD, act, buffers=buffers)
         cg = cg_solve(np.array([G[k] for k in solving]), hvp, cfg, diag, buffers)
         # (label, direction, g.p, CG iterations, active rows) per descent direction
         descents = []
@@ -593,7 +595,7 @@ def newton_cg_block(
                 fail(k, f"CG returned a non-descent direction (g.p = {slope:g})")
                 continue
             descents.append((k, p, slope, iters, count))
-        del idx, act, dd, hvp  # up to n entries per label: freed before the line search
+        del idx, act, hvp  # up to n entries per label: freed before the line search
         if not descents:
             return []
 

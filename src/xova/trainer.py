@@ -296,11 +296,7 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
     t_start, c_start = time.perf_counter(), time.thread_time()
     init_trace = None
     if init.kind == "aop":
-        # An overflowing <xbar, xbar> makes every aop start non-finite, which
-        # each label's solve reports as numerical_failure.
-        with np.errstate(over="ignore"):
-            xbar_sq = float(np.dot(stats.xbar, stats.xbar))
-            aop_pre = AopPrecompute(xbar=stats.xbar, xbar_sq=xbar_sq, n=stats.n)
+        aop_pre = AopPrecompute(xbar=stats.xbar, n=stats.n)
         s, t = init.resolved_aop(cfg.loss)
     elif init.kind == "ovap":
         # An overflow ends the shared solve with a failure on its trace and
@@ -325,11 +321,8 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
             signs = np.full(n, -1.0)
             signs[stats.positives[label]] = 1.0
             S.append(signs)
-            if init.kind == "aop":
-                p_count = int(stats.positives[label].size)
-                w0s.append(aop_init(stats.pbar.row(label), p_count, aop_pre, s, t))
-            else:
-                w0s.append(w_shared)
+            w0s.append(aop_init(stats.pbar.row(label), stats.positives[label].size, aop_pre, s, t)
+                       if init.kind == "aop" else w_shared)
             ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
             if not np.isfinite(ref):  # the means overflowed: one pass over X instead
                 problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
@@ -368,14 +361,15 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
 
     # The calling thread is one of the workers, so at one worker no thread
     # starts: training then allocates from the main thread's memory arena,
-    # which the scoring after it reuses. More threads than CPUs would only
-    # contend; the report keeps cfg.threads. A helper's error is raised here.
-    workers = min(cfg.threads, os.cpu_count() or 1)
+    # which the scoring after it reuses. More threads than the CPUs this
+    # process may run on would only contend; the report keeps cfg.threads.
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    workers = min(cfg.threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
         drain()
         for helper in helpers:
-            helper.result()
+            helper.result()  # a helper's error is raised here
     outcomes = [outcome for block in solved for outcome in block]
     idx_parts, val_parts, traces = zip(*outcomes) if outcomes else ((),) * 3
     model = OvaModel(

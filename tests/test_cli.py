@@ -119,7 +119,7 @@ class TestTrain:
         assert all(label["failure"] is None for label in report["labels"])
         assert report["init_params"] == {"s": 1.0, "t": -2.0}
         # the solver's fixed constants are not settings
-        assert list(report["solver"]) == ["eps_outer", "eps_cg", "max_outer", "max_cg"]
+        assert list(report["solver"]) == ["eps_outer", "eps_cg", "max_cg"]
         # the run's flags are all at their defaults but --init aop
         assert report["config_digest"] == TrainConfig(init=InitStrategy("aop")).digest()
         labels_csv = (workdir / "report.json.labels.csv").read_text().splitlines()
@@ -169,7 +169,8 @@ class TestTrain:
     def test_reproducible_across_threads(self, workdir, monkeypatch):
         # blocks of 3 labels: 10 labels make four blocks for four workers on any host
         monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 3)
-        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(trainer_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         rc1 = main(train_args(workdir, model="m1.model", **{"--threads": "1"}))
         rc2 = main(train_args(workdir, model="m2.model", **{"--threads": "4"}))
         assert rc1 == rc2 == 0
@@ -603,7 +604,10 @@ class TestDiagSummary:
         ([("zero", "squared-hinge"), ("zero", "logistic")],
          ["zero:squared-hinge", "zero:logistic"]),
         ([("aop", "logistic"), ("aop", "logistic")], ["aop:logistic", "aop:logistic#2"]),
-    ], ids=["by_init", "by_init_and_loss", "numbered"])
+        # a report's own string may end as a numbered name does
+        ([("aop", "sq"), ("aop", "sq"), ("aop", "sq#2"), ("aop", "sq")],
+         ["aop:sq", "aop:sq#2", "aop:sq#2#2", "aop:sq#3"]),
+    ], ids=["by_init", "by_init_and_loss", "numbered", "numbered_on_until_unused"])
     def test_method_names(self, runs, names):
         assert diag.method_names([{"init": i, "loss": l} for i, l in runs]) == names
 

@@ -234,7 +234,7 @@ class TestAop:
             pbar = SparseVector(nz.astype(np.int64), rng.uniform(0.1, 1.0, nz.size))
             n = int(rng.integers(5, 500))
             p_count = int(rng.integers(1, n))
-            pre = AopPrecompute(xbar=xbar, xbar_sq=float(xbar @ xbar), n=n)
+            pre = AopPrecompute(xbar=xbar, n=n)
             pd = pbar.to_dense(d)
             den = (xbar @ pd) ** 2 - (pd @ pd) * (xbar @ xbar)
             if abs(den) <= 1e-6 * (pd @ pd) * (xbar @ xbar):
@@ -254,7 +254,7 @@ class TestAop:
         dense = rng.uniform(0.1, 1.0, d) * (rng.random(d) < 0.5)
         nz = np.flatnonzero(dense)
         pbar = SparseVector(nz, dense[nz]) if nz.size else SparseVector.from_dict({0: 1.0})
-        pre = AopPrecompute(xbar=xbar, xbar_sq=float(xbar @ xbar), n=50)
+        pre = AopPrecompute(xbar=xbar, n=50)
         w0 = aop_init(pbar, 5, pre, 1.0, -2.0)
         basis = np.stack([pbar.to_dense(d), xbar])
         q, _ = np.linalg.qr(basis.T)
@@ -264,7 +264,7 @@ class TestAop:
     def test_index_dtype_does_not_change_bits(self, rng):
         d = 30
         xbar = rng.uniform(0.1, 1.0, d)
-        pre = AopPrecompute(xbar=xbar, xbar_sq=float(xbar @ xbar), n=50)
+        pre = AopPrecompute(xbar=xbar, n=50)
         nz = np.sort(rng.choice(d, size=12, replace=False))
         values = rng.uniform(0.1, 1.0, nz.size)
         w32 = aop_init(SparseVector(nz.astype(np.int32), values), 5, pre, 1.0, -2.0)
@@ -282,12 +282,26 @@ class TestAop:
         with pytest.raises(ConfigError):
             AopPrecompute(xbar=np.array([1.0, 0.0]), xbar_sq=5.0, n=3)
 
+    def test_precompute_derives_xbar_sq(self, rng):
+        for xbar in (rng.uniform(0.1, 1.0, 37), np.zeros(3), rng.normal(size=5) * 1e150):
+            pre = AopPrecompute(xbar=xbar, n=10)
+            assert pre.xbar_sq.hex() == float(np.dot(xbar, xbar)).hex()
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_xbar_sq_is_inf_without_a_warning(self):
+        # the overflow of <xbar, xbar> makes every aop start non-finite,
+        # which each label's solve reports
+        pre = AopPrecompute(xbar=np.array([1e200, 1.0]), n=3)
+        assert pre.xbar_sq == np.inf
+        # and a given infinite value is checked against it, without a warning too
+        assert AopPrecompute(xbar=pre.xbar, xbar_sq=np.inf, n=3).xbar_sq == np.inf
+
 
 class TestSparsityEffect:
     def test_active_fraction_below_one_for_every_label(self):
         ds = augment_bias(generate_synthetic(400, 40, 20, 1.2, 7))
         stats = compute_label_stats(ds)
-        pre = AopPrecompute(xbar=stats.xbar, xbar_sq=float(stats.xbar @ stats.xbar), n=stats.n)
+        pre = AopPrecompute(xbar=stats.xbar, n=stats.n)
         for j in range(ds.n_labels):
             pos = stats.positives[j]
             if pos.size == 0:

@@ -55,9 +55,8 @@ class TestConfig:
         assert cfg.ls_max_steps == 20
 
     def test_only_the_settable_knobs_are_fields(self):
-        assert [f.name for f in fields(SolverConfig)] == [
-            "eps_outer", "eps_cg", "max_outer", "max_cg"
-        ]
+        assert [f.name for f in fields(SolverConfig)] == ["eps_outer", "eps_cg", "max_cg"]
+        assert SolverConfig.max_outer == 100
         with pytest.raises(TypeError):
             SolverConfig(ls_beta=0.3)
         assert SolverConfig().ls_beta == 0.5
@@ -96,10 +95,10 @@ class TestConfig:
             BinaryProblem(make_matrix([{0: 1.0}], 1), np.ones(1), **bad)
 
     @pytest.mark.parametrize(
-        "bad", [{"max_outer": 0}, {"max_cg": 0}, {"max_outer": 2.5}, {"max_cg": 2.5}]
+        "bad", [{"max_cg": -1}, {"max_cg": 0}, {"max_cg": True}, {"max_cg": 2.5}]
     )
     def test_iteration_limits_validated(self, bad):
-        with pytest.raises(ConfigError, match="iteration limits"):
+        with pytest.raises(ConfigError, match="max_cg must be a whole number"):
             SolverConfig(**bad)
 
 
@@ -236,7 +235,7 @@ def block_kernels(problems, ws, ds, rows=None):
     G = solver_mod._gradient(X, np.stack(ws), idx, coef, buffers)
     DD = solver_mod._scatter(idx, dd, buffers.get("weights", (X.n_rows, len(problems))))
     rows = range(len(problems)) if rows is None else rows
-    H = solver_mod._hvp(X, DD, idx, dd, np.stack(ds), rows, buffers)
+    H = solver_mod._hvp(X, DD, idx, np.stack(ds), rows, buffers)
     return G, H, idx, dd
 
 
@@ -315,6 +314,30 @@ class TestActiveRows:
         ws = [np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0])]
         H = check(problems, ws, np.array([[0.5, -2.0], [1e160, 1.0]]), [0, 2])
         assert np.isfinite(H[0]).all() and H[1].tolist() == [1e160, 5.0]
+
+    def test_an_active_row_whose_weight_underflows_keeps_its_nan(self):
+        # under the logistic loss every row is active; row 0's curvature
+        # weight underflows to exactly 0 while <x_0, d> overflows, so its
+        # 0 * inf is NaN in the label's own sum too. The mend copies the
+        # label's active rows, not the rows whose weights are nonzero
+        X = make_matrix([{0: 1e160, 1: 1.0}, {1: 1.0}, {1: -1.0}, {0: 1.0, 1: 0.5}], 2)
+        p = BinaryProblem(X, np.array([1.0, 1.0, -1.0, -1.0]), LOG)
+        w = np.array([1e-150, 0.0])
+        m = margins(p, w)
+        act = active_set(LOG, m)
+        assert act.tolist() == [0, 1, 2, 3]
+        assert solver_mod._curvature(LOG, 1.0, m, act).tolist() == [0.0, 0.25, 0.25, 0.25]
+        d = np.array([1e160, 1.0])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(hessian_vec(p, w, d, act)).all()
+            # as the second label of a block whose first has weight 0.25 on
+            # every row, when CG iterates on the second alone
+            other = BinaryProblem(X, np.array([-1.0, 1.0, -1.0, 1.0]), LOG)
+            _, [h], _, _ = block_kernels([other, p], [np.zeros(2), w], [d], rows=[1])
+        assert np.isnan(h).all()
+        # the rows whose weights are nonzero would give a finite product
+        nonzero = X.submatrix(act[1:])
+        assert np.isfinite(d + nonzero.rmatvec(0.25 * nonzero.matvec(d))).all()
 
     def test_inactive_row_whose_squares_overflow(self, rng):
         p, w0 = overflowing_squares_problem(rng)
@@ -556,10 +579,10 @@ class TestNewtonCg:
         W, traces = solver_mod.newton_cg_block(X, SQH, 1.0, [], np.empty((0, 2)), SolverConfig(), [])
         assert W.shape == (0, 2) and traces == []
 
-    def test_a_label_at_max_outer_keeps_its_trace_row_gradient_norms(self, rng):
+    def test_a_label_at_max_outer_keeps_its_trace_row_gradient_norms(self, rng, monkeypatch):
         p = random_problem(rng, n=40, d=8, loss=SQH)
-        cfg = SolverConfig(eps_outer=1e-12, max_outer=2)
-        _, trace = newton_cg(p, np.zeros(8), cfg, grad0_ref(p))
+        monkeypatch.setattr(SolverConfig, "max_outer", 2)
+        _, trace = newton_cg(p, np.zeros(8), SolverConfig(eps_outer=1e-12), grad0_ref(p))
         assert trace.termination == TERM_MAX_OUTER and trace.outer_iters == 2
         # each row holds the norm at its step's start; the trace, at the last stop test
         assert trace.rows[0].grad_norm == grad0_ref(p)
@@ -577,7 +600,9 @@ class TestNewtonCg:
         p = random_problem(rng, n=40, d=8, loss=SQH)
         g0 = grad0_ref(p)
         cfg = SolverConfig(eps_outer=1e-6)
-        w_one, _ = newton_cg(p, np.zeros(8), replace(cfg, max_outer=1), g0)
+        with monkeypatch.context() as one_step:
+            one_step.setattr(SolverConfig, "max_outer", 1)
+            w_one, _ = newton_cg(p, np.zeros(8), cfg, g0)
         real, calls = solver_mod.cg_solve, []
 
         def second_call_fails(*args):
@@ -654,14 +679,16 @@ class TestNewtonCg:
         assert w_last.tobytes() == W[0].tobytes()
 
     @pytest.mark.parametrize("case", ["converged", "max_outer", "numerical_failure"])
-    def test_one_label_call_is_a_block_of_one(self, rng, case):
+    def test_one_label_call_is_a_block_of_one(self, rng, case, monkeypatch):
         if case == "numerical_failure":
             X = make_matrix([{0: 1e308}, {0: 1.0}], 1)
             p, ref = BinaryProblem(X, np.array([1.0, -1.0])), 1.0
         else:
             p = random_problem(rng, n=40, d=8, loss=SQH)
             ref = grad0_ref(p)
-        cfg = SolverConfig(max_outer=1) if case == "max_outer" else SolverConfig()
+        if case == "max_outer":
+            monkeypatch.setattr(SolverConfig, "max_outer", 1)
+        cfg = SolverConfig()
         w0 = np.zeros(p.dim)
         w, trace = newton_cg(p, w0, cfg, ref)
         W, [block] = solver_mod.newton_cg_block(

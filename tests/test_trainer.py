@@ -172,7 +172,8 @@ class TestTrainOva:
     def test_thread_determinism(self, small_data, tmp_path, monkeypatch):
         # blocks of 2 labels: 8 labels make four blocks for four workers on any host
         monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 2)
-        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(trainer_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         ds, stats = small_data
         m1, _ = train_ova(ds, stats, TrainConfig(threads=1))
         m4, _ = train_ova(ds, stats, TrainConfig(threads=4))
@@ -234,7 +235,12 @@ class TestTrainOva:
     @pytest.mark.parametrize("cpus, helpers", [(3, 2), (None, 0)])
     def test_the_helpers_are_clamped_to_the_cpu_count(self, small_data, recorded, monkeypatch,
                                                       cpus, helpers):
-        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: cpus)
+        if cpus is None:  # no affinity mask on the platform, and no CPU count
+            monkeypatch.delattr(trainer_mod.os, "sched_getaffinity", raising=False)
+        else:  # the CPUs the process may run on, not the host's, bound the workers
+            monkeypatch.setattr(trainer_mod.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: None if cpus is None else 2 * cpus)
         ds, stats = small_data
         cfg = TrainConfig(threads=10**6)
         _, report = train_ova(ds, stats, cfg)
@@ -245,8 +251,18 @@ class TestTrainOva:
         assert written["threads"] == 10**6
         assert written["config_digest"] == replace(cfg, threads=1).digest()
 
-    def test_an_error_in_a_helper_propagates(self, small_data, recorded, monkeypatch):
+    def test_without_an_affinity_mask_the_host_count_clamps(self, small_data, recorded,
+                                                             monkeypatch):
+        monkeypatch.delattr(trainer_mod.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 2)
+        ds, stats = small_data
+        train_ova(ds, stats, TrainConfig(threads=10**6))
+        assert recorded["sizes"] == [2]
+        assert recorded["submits"] == 1
+
+    def test_an_error_in_a_helper_propagates(self, small_data, recorded, monkeypatch):
+        monkeypatch.setattr(trainer_mod.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         caller, solving = threading.get_ident(), solver_mod.newton_cg_block
 
         def fails_off_the_caller(*args):
@@ -269,7 +285,8 @@ class TestTrainOva:
     def test_thread_count_changes_no_bit(self, small_data, kind, loss, monkeypatch):
         # blocks of 3 labels: 8 labels make three blocks for three workers on any host
         monkeypatch.setattr(trainer_mod, "_BLOCK_LABELS", 3)
-        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(trainer_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
         ds, stats = small_data
         untimed = {"wall_ms": 0.0, "cpu_ms": 0.0}
         runs = []
@@ -360,7 +377,9 @@ class TestTrainOva:
         cfg = TrainConfig(init=InitStrategy("zero"), clip_threshold=0.0)
         clean, clean_report = train_ova(ds, stats, cfg)
         assert clean_report.labels[2].outer_iters >= 2
-        one_step, _ = train_ova(ds, stats, replace(cfg, solver=replace(cfg.solver, max_outer=1)))
+        with monkeypatch.context() as capped:
+            capped.setattr(SolverConfig, "max_outer", 1)
+            one_step, _ = train_ova(ds, stats, cfg)
         real, calls = trainer_mod.solver_mod.cg_solve, []
 
         def label_2_fails_in_its_second_step(*args):
@@ -441,8 +460,8 @@ class TestTrainOva:
     @pytest.mark.parametrize(
         "kind, json_digest, csv_digest",
         [
-            ("ovap", "cfc69ba6c8253be1", "54ce41a1a6aa33ea"),
-            ("aop", "7164e7a6969b484e", "8f38972b2529a7a0"),
+            ("ovap", "cdabb7be5fb31303", "54ce41a1a6aa33ea"),
+            ("aop", "59102e553a6cd7c7", "8f38972b2529a7a0"),
         ],
     )
     def test_report_values_are_pinned(self, kind, json_digest, csv_digest, tmp_path):
@@ -621,8 +640,8 @@ class TestTrainOva:
     def test_default_digests_are_pinned(self):
         # a model's config_digest names its settings across versions; a new
         # or removed setting changes every digest
-        assert TrainConfig().digest() == "d9d21dbba16c"
-        assert TrainConfig(init=InitStrategy("aop")).digest() == "2f13c119c1a1"
+        assert TrainConfig().digest() == "0f8ebec13fd9"
+        assert TrainConfig(init=InitStrategy("aop")).digest() == "e34917460db6"
 
     @pytest.mark.parametrize(
         "whole, real",
@@ -652,9 +671,9 @@ class TestTrainOva:
             {"init": InitStrategy("bias", bias_scale=2.0)},
             {"init": InitStrategy("ovap", ovap_stop_rel=0.1)},
             {"init": InitStrategy("aop", aop_s=2.0)},
+            {"init": InitStrategy("aop", aop_t=-3.0)},
             {"solver": SolverConfig(eps_outer=0.02)},
             {"solver": SolverConfig(eps_cg=0.1)},
-            {"solver": SolverConfig(max_outer=7)},
             {"solver": SolverConfig(max_cg=9)},
             {"c": 2.0},
             {"clip_threshold": 0.0},
@@ -673,7 +692,7 @@ class TestTrainOva:
         keys = list(report)
         assert list(settings) == keys[keys.index("loss") : keys.index("threads") + 1]
         assert all(report[k] == v for k, v in settings.items())
-        assert list(settings["solver"]) == ["eps_outer", "eps_cg", "max_outer", "max_cg"]
+        assert list(settings["solver"]) == ["eps_outer", "eps_cg", "max_cg"]
 
     def test_stats_mismatch_rejected(self, small_data):
         ds, stats = small_data
