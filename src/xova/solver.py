@@ -19,15 +19,20 @@ label's +-1 signs; the labels move in lockstep, and each step makes one
 sparse product for the whole block where one label would make one of its
 own. The one-label API takes a :class:`BinaryProblem`, which checks its
 signs, loss and C; the block solver trusts the signs its callers build.
-Every product runs over the whole X with a literal 0 weight on a label's
-inactive rows. A step scatters its labels' gradient coefficients, and then
-their curvature weights, into an ``(n, b)`` array of zeros: the weights'
-one copy, kept through the step's CG, by which each HVP multiplies its
-product ``X D`` in place. A scipy sum starts at +0, so it is never -0, and a
-term of either signed zero leaves it unchanged: the bits are those of a sum
-over the active rows alone. The one exception is an inactive row whose
-square or ``<x_i, d>`` overflowed, as ``0 * inf`` is NaN; the label's column
-is then recomputed from a copy of its active rows, which leaves that row out.
+A step builds its labels' gradient coefficients, and then their curvature
+weights, at the cost of the block's active share (:func:`_weights`): where
+few rows are active, the gradient multiplies a sparse matrix of the active
+coefficients with X and reads no other row; otherwise the weights are an
+``(n, b)`` array with a literal 0, of either sign, on a label's inactive
+rows, written label by label over every row where most rows are active,
+else at the active rows alone. The curvature weights are that array's one
+copy, kept through the step's CG, by which each HVP multiplies its product
+``X D`` in place; the other products run over the whole X. A scipy sum
+starts at +0, so it is never -0, and a term of either signed zero leaves it
+unchanged: on every path the bits are those of a sum over the active rows
+alone. The one exception is an inactive row whose square or ``<x_i, d>``
+overflowed, as ``0 * inf`` is NaN; the label's column is then recomputed
+from a copy of its active rows, which leaves that row out.
 Everything else is per label, on that label's own contiguous rows
 (``np.dot``, ``np.linalg.norm`` and ``np.sum`` on one row, never a reduction
 along an axis), and a column of a scipy product sums in the same order as
@@ -53,7 +58,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,9 +228,12 @@ class Buffers:
     is asked for again, so it lives no longer than the step or the CG
     iteration that asked for it. The ``weights`` slot holds a step's
     curvature weights from its diagonal until its CG ends, for every HVP to
-    read, so nothing may ask for that slot in between. Nothing that outlives
-    a step, such as the margins, the iterates or a trace, is a view of a
-    slot. A set serves one thread at a time.
+    read, so nothing may ask for that slot in between. While a block's
+    weights are built label-major (:func:`_weights`), the ``product`` slot
+    holds their ``(b, n)`` rows, until the one transposed copy into
+    ``weights``. Nothing that outlives a step, such as the margins, the
+    iterates or a trace, is a view of a slot. A set serves one thread at a
+    time.
 
     The slots are views of one allocation. Freed at once when the worker is
     done, it raises glibc's dynamic mmap and trim thresholds above the
@@ -259,14 +267,52 @@ class Buffers:
 # pass a fresh set.
 
 
-def _scatter(
-    idx: Sequence[np.ndarray], values: Iterable[np.ndarray], out: np.ndarray
-) -> np.ndarray:
-    """Fill the ``(n, r)`` weights ``out``: column ``j`` holds ``values[j]``
-    at the rows ``idx[j]`` and a literal 0 on every other row."""
-    out.fill(0.0)
-    for j, (rows, vals) in enumerate(zip(idx, values)):
-        out[rows, j] = vals
+# The crossovers of _weights, in a block's active share sum_k |idx[k]| / (n r).
+# Times of one build of 16 labels, coefficients included, as a ratio to the
+# scatter path's, on random matrices of the bench workloads' shapes, n = 8,000
+# and 1,500 (benchmarks/test_weights.py; the table is in CHANGES.md). The
+# sparse gradient: 3.5% 0.74-0.81, 5% 0.80-0.94, 7.5% 0.88-1.11.
+_SPARSE_BELOW = 0.05
+# Label-major rows, gradient and curvature: 65% 0.98-1.17, 70% 0.92-0.99,
+# 75% 0.80-0.95, 100% 0.46-0.87.
+_DENSE_FROM = 0.75
+
+
+def _weights(
+    n: int, idx: Sequence[np.ndarray], values: Callable, buffers: Buffers, sparse: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``X.T``-side weights of a block of ``r`` labels: column ``j`` holds
+    ``values(j, idx[j])`` at label ``j``'s active rows ``idx[j]`` and a 0 on
+    every other row, for a ``values(j, rows)`` that is 0, of either sign, at
+    every inactive row. The cost follows the block's active share:
+
+    - below ``_SPARSE_BELOW``, where ``sparse`` allows it, the active entries
+      alone, as the arrays ``(indptr, rows, values)`` of an ``(r, n)`` CSR
+      (:meth:`SparseMatrix.rmatvec_sparse` reads no other row of X);
+    - from ``_DENSE_FROM``, each label's values over every row, written
+      label-major into the ``product`` slot and copied once, transposed, into
+      the ``(n, r)`` ``weights`` slot;
+    - between the two, the ``weights`` slot filled with 0 and each label's
+      active values written at their rows.
+
+    The dense forms are the ``weights`` slot, and differ only in the sign of
+    a zero, which no product reads (module docstring)."""
+    r, active = len(idx), sum(map(len, idx))
+    if sparse and active < _SPARSE_BELOW * n * r:
+        indptr = np.zeros(r + 1, dtype=np.int64)
+        np.cumsum([len(rows) for rows in idx], out=indptr[1:])
+        data = np.concatenate([values(j, rows) for j, rows in enumerate(idx)])
+        return indptr, np.concatenate(idx), data
+    out = buffers.get("weights", (n, r))
+    if active >= _DENSE_FROM * n * r:
+        label_major = buffers.get("product", (r, n))
+        for j in range(r):
+            label_major[j] = values(j, slice(None))
+        np.copyto(out, label_major.T)
+    else:
+        out.fill(0.0)
+        for j, rows in enumerate(idx):
+            out[rows, j] = values(j, rows)
     return out
 
 
@@ -293,9 +339,10 @@ def _mend_nan(
     holds a NaN: the curvature term of the diagonal, or with ``D`` that of
     the direction ``D[j]``. Column ``j`` belongs to the label ``k = rows[j]``:
     its active rows ``idx[k]``, with the weights ``DD[idx[k], k]`` that
-    :func:`_scatter` wrote. An inactive row's weight 0 times an overflowed
-    square or ``<x_i, d>`` is NaN, and the copy leaves that row out; a NaN
-    that the active rows make, the copy makes too, even where a weight is 0."""
+    :func:`_weights` wrote, the same on each of its paths. An inactive row's
+    weight 0 times an overflowed square or ``<x_i, d>`` is NaN, and the copy
+    leaves that row out; a NaN that the active rows make, the copy makes too,
+    even where a weight is 0."""
     if np.isnan(T).any():
         for j in np.flatnonzero(np.isnan(T).any(axis=0)):
             k = rows[j]
@@ -306,17 +353,20 @@ def _mend_nan(
                 T[:, j] = active.rmatvec(weights * active.matvec(D[j]))
 
 
-def _gradient(X: SparseMatrix, W: np.ndarray, idx, coef, buffers: Buffers) -> np.ndarray:
-    """Per row ``k`` of ``W``, ``w_k + sum_{i in idx[k]} coef[k]_i * x_i``."""
-    r = len(idx)
-    weights = _scatter(idx, coef, buffers.get("weights", (X.n_rows, r)))
-    T = X.rmatvec(weights, out=buffers.get("transposed", (X.n_cols, r)))
-    return np.add(W, T.T, out=buffers.get("gradient", W.shape))
+def _gradient(X: SparseMatrix, W: np.ndarray, idx, coef: Callable, buffers: Buffers) -> np.ndarray:
+    """Per row ``k`` of ``W``, ``w_k + sum_{i in idx[k]} coef(k, i) * x_i``,
+    with the weights that :func:`_weights` builds from ``coef``."""
+    weights = _weights(X.n_rows, idx, coef, buffers, sparse=True)
+    if isinstance(weights, tuple):
+        T = X.rmatvec_sparse(*weights, out=buffers.get("transposed", W.shape))
+    else:
+        T = X.rmatvec(weights, out=buffers.get("transposed", (X.n_cols, len(idx)))).T
+    return np.add(W, T, out=buffers.get("gradient", W.shape))
 
 
 def _diag(X: SparseMatrix, DD: np.ndarray, idx, buffers: Buffers) -> np.ndarray:
     """Per label ``k``, the Hessian's diagonal ``1 + sum_{i in idx[k]} DD[i, k]
-    * x_i^2``, with ``DD`` the scattered curvature weights (:func:`_scatter`)."""
+    * x_i^2``, with ``DD`` the curvature weights (:func:`_weights`)."""
     T = X.rmatvec_squared(DD, out=buffers.get("transposed", (X.n_cols, DD.shape[1])))
     _mend_nan(T, X, DD, idx, range(DD.shape[1]))
     return np.add(1.0, T.T, out=buffers.get("diag", T.T.shape))
@@ -328,7 +378,7 @@ def _hvp(
     """``d + sum_{i in idx[k]} DD[i, k] * <x_i, d> * x_i`` for each direction
     ``d`` of ``D``, whose row ``j`` belongs to the label ``k = rows[j]``.
     ``rows`` increase and index the columns of ``DD``, the curvature weights
-    scattered (:func:`_scatter`) and kept for the step's CG, and of ``idx``,
+    (:func:`_weights`) kept for the step's CG, and of ``idx``,
     which only a NaN column reads. The product ``X D`` is the one ``(n, r)``
     array it writes, multiplied by ``DD`` at once where every label of the step
     still iterates, else column by column (a gather ``DD[:, rows]`` is slower)."""
@@ -351,10 +401,13 @@ def objective(problem: BinaryProblem, w: DenseVector) -> float:
 
 def gradient(problem: BinaryProblem, w: DenseVector) -> DenseVector:
     """``w + C * sum phi'(margin_i) * y_i * x_i``, summed over every row."""
-    every = np.arange(problem.n)
-    coef = _grad_coef(problem.loss, problem.c, margins(problem, w), problem.signs, every)
+    m = margins(problem, w)
+
+    def coef(j: int, rows) -> np.ndarray:
+        return _grad_coef(problem.loss, problem.c, m, problem.signs, rows)
+
     buffers = Buffers(problem.n, problem.dim, 1)
-    return _gradient(problem.features, w[None], [every], [coef], buffers)[0]
+    return _gradient(problem.features, w[None], [np.arange(problem.n)], coef, buffers)[0]
 
 
 def hessian_vec(
@@ -366,9 +419,16 @@ def hessian_vec(
     The leading ``d`` is the L2-regularizer block; the label signs square
     away inside the curvature term.
     """
-    dd = _curvature(problem.loss, problem.c, margins(problem, w), active)
+    # phi'' is 0 at an infinite margin under either loss, so a row outside
+    # ``active`` weighs 0 where the weights are read at every row (_weights)
+    m = np.full(problem.n, np.inf)
+    m[active] = margins(problem, w)[active]
+
+    def dd(j: int, rows) -> np.ndarray:
+        return _curvature(problem.loss, problem.c, m, rows)
+
     buffers = Buffers(problem.n, problem.dim, 1)
-    DD = _scatter([active], [dd], buffers.get("weights", (problem.n, 1)))
+    DD = _weights(problem.n, [active], dd, buffers)
     return _hvp(problem.features, DD, [active], d[None], [0], buffers)[0]
 
 
@@ -560,7 +620,10 @@ def newton_cg_block(
         per-label value is keyed by its label or carries it."""
         # margins -> active set -> gradient -> stopping test
         idx = {k: losses.active_set(loss, M[k]) for k in live}
-        coef = (_grad_coef(loss, c, M[k], S[k], idx[k]) for k in live)
+
+        def coef(j: int, rows) -> np.ndarray:
+            return _grad_coef(loss, c, M[live[j]], S[live[j]], rows)
+
         G = dict(zip(live, _gradient(X, W[live], list(idx.values()), coef, buffers)))
         solving = []
         for k in live:
@@ -578,8 +641,7 @@ def newton_cg_block(
 
         # CG on the Newton systems; the weights slot keeps DD until CG ends
         act = [idx[k] for k in solving]
-        dd = (_curvature(loss, c, M[k], idx[k]) for k in solving)  # each is freed once scattered
-        DD = _scatter(act, dd, buffers.get("weights", (n, len(solving))))
+        DD = _weights(n, act, lambda j, rows: _curvature(loss, c, M[solving[j]], rows), buffers)
         diag = _diag(X, DD, act, buffers)
         hvp = functools.partial(_hvp, X, DD, act, buffers=buffers)
         cg = cg_solve(np.array([G[k] for k in solving]), hvp, cfg, diag, buffers)

@@ -192,6 +192,32 @@ class SparseMatrix:
             self._csc_sq = scipy.sparse.csr_matrix(squared, shape=self._csr.shape, copy=False).T
         return _product(self._csc_sq, coef, out)
 
+    def rmatvec_sparse(
+        self, indptr: np.ndarray, rows: np.ndarray, coef: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """``X.T @ C.T`` for the ``(r, n_rows)`` CSR block of coefficients
+        ``C`` whose arrays are ``(indptr, rows, coef)``, written densely as the
+        ``(r, n_cols)`` rows of ``out``: each row of ``C`` holds its columns
+        in increasing order, unchecked. It reads only the rows of X that ``C``
+        names, through the kernel that scipy's ``@`` calls for two CSR
+        matrices (``csr_matmat``). Each entry sums its terms in increasing row
+        order from +0, as :meth:`rmatvec`'s does, and an absent coefficient
+        would only add a signed zero to it: row ``j`` of ``out`` has the bits
+        of column ``j`` of ``rmatvec`` of ``C``'s dense transpose."""
+        r, dim = out.shape
+        # no more output entries than terms: the rows' nonzeros, at most
+        bound = min(r * dim, int((self.indptr[rows + 1] - self.indptr[rows]).sum()))
+        itype = np.int64 if bound > np.iinfo(np.int32).max else self.indices.dtype
+        X_indptr, X_indices = (np.asarray(a, dtype=itype) for a in (self.indptr, self.indices))
+        C_indptr, C_indices = np.empty(r + 1, dtype=itype), np.empty(bound, dtype=itype)
+        C_data = np.empty(bound)
+        _sparsetools.csr_matmat(r, dim, indptr.astype(itype, copy=False),
+                                rows.astype(itype, copy=False), coef,
+                                X_indptr, X_indices, self.data, C_indptr, C_indices, C_data)
+        out.fill(0.0)
+        _sparsetools.csr_todense(r, dim, C_indptr, C_indices, C_data, out)
+        return out
+
     def submatrix(self, rows: np.ndarray) -> "SparseMatrix":
         """Row-selection copy. Selecting every row returns ``self``."""
         rows = np.asarray(rows, dtype=np.int64)

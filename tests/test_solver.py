@@ -1,4 +1,5 @@
 import gc
+import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -181,6 +182,17 @@ class TestHessianVec:
         d = np.array([0.3, -0.7])
         np.testing.assert_allclose(hessian_vec(p, w, d, act), d)
 
+    @pytest.mark.parametrize("loss", [SQH, LOG])
+    def test_over_any_rows_given(self, loss, rng):
+        # 36 of 40 rows: the curvature weights are then read at every row,
+        # and the four rows left out must still weigh nothing
+        p = random_problem(rng, n=40, d=6, loss=loss)
+        w, d = rng.normal(0, 0.1, 6), rng.normal(size=6)
+        rows = np.sort(rng.choice(40, size=36, replace=False))
+        sub = p.features.submatrix(rows)
+        dd = solver_mod._curvature(loss, p.c, margins(p, w), rows)
+        assert np.array_equal(hessian_vec(p, w, d, rows), d + sub.rmatvec(dd * sub.matvec(d)))
+
     def test_direction_length_checked(self):
         p = BinaryProblem(make_matrix([{0: 1.0}], 2), np.array([1.0]))
         with pytest.raises(DimensionMismatchError, match="vector length 3 != n_cols 2"):
@@ -224,16 +236,22 @@ def other_labels(rng, p, count):
 def block_kernels(problems, ws, ds, rows=None):
     """Each label's active-row gradient, and the HVPs of the directions
     ``ds`` of the labels ``rows`` (every label by default), from one block
-    product each, with the curvature weights scattered once as a step does."""
+    product each, with the curvature weights built once as a step builds them."""
     X = problems[0].features
     m = [margins(q, w) for q, w in zip(problems, ws)]
     idx = [active_set(q.loss, mk) for q, mk in zip(problems, m)]
     labels = list(zip(problems, m, idx))
-    coef = [solver_mod._grad_coef(q.loss, q.c, mk, q.signs, i) for q, mk, i in labels]
     dd = [solver_mod._curvature(q.loss, q.c, mk, i) for q, mk, i in labels]
     buffers = solver_mod.Buffers(X.n_rows, X.n_cols, len(problems))
+
+    def coef(j, rows):
+        return solver_mod._grad_coef(problems[j].loss, problems[j].c, m[j], problems[j].signs, rows)
+
+    def curvature(j, rows):
+        return solver_mod._curvature(problems[j].loss, problems[j].c, m[j], rows)
+
     G = solver_mod._gradient(X, np.stack(ws), idx, coef, buffers)
-    DD = solver_mod._scatter(idx, dd, buffers.get("weights", (X.n_rows, len(problems))))
+    DD = solver_mod._weights(X.n_rows, idx, curvature, buffers)
     rows = range(len(problems)) if rows is None else rows
     H = solver_mod._hvp(X, DD, idx, np.stack(ds), rows, buffers)
     return G, H, idx, dd
@@ -363,6 +381,121 @@ class TestActiveRows:
         p, w0 = overflowing_squares_problem(rng)
         _, trace = newton_cg(p, w0, SolverConfig(), 1.0)
         assert trace.outer_iters > 0
+
+
+# (_SPARSE_BELOW, _DENSE_FROM) that force each path of solver._weights
+WEIGHT_PATHS = {"sparse": (np.inf, np.inf), "scatter": (0.0, np.inf), "dense": (0.0, 0.0)}
+# per named share of n rows, the active rows per label, and the path it takes
+SHARES = {
+    "none": (lambda n: 0, "sparse"),
+    "one_row": (lambda n: 1, "sparse"),
+    "below_sparse": (lambda n: math.ceil(solver_mod._SPARSE_BELOW * n) - 1, "sparse"),
+    "at_sparse": (lambda n: math.ceil(solver_mod._SPARSE_BELOW * n), "scatter"),
+    "below_dense": (lambda n: math.ceil(solver_mod._DENSE_FROM * n) - 1, "scatter"),
+    "at_dense": (lambda n: math.ceil(solver_mod._DENSE_FROM * n), "dense"),
+    "every_row": (lambda n: n, "dense"),
+}
+
+
+def force_path(monkeypatch, path):
+    below, dense_from = WEIGHT_PATHS[path]
+    monkeypatch.setattr(solver_mod, "_SPARSE_BELOW", below)
+    monkeypatch.setattr(solver_mod, "_DENSE_FROM", dense_from)
+
+
+def counted_block(rng, count, loss=SQH, n=200, b=3):
+    """``b`` labels over one ``n``-row matrix, each with ``count`` active rows
+    at random, two of which, where there are two, at a margin of +0 and of
+    -0. Column ``k`` holds label ``k``'s margins before its signs, and
+    ``w_k`` is its unit vector; the four other columns are random."""
+    dense = np.zeros((n, b + 4))
+    dense[:, b:] = rng.normal(size=(n, 4)) * (rng.random((n, 4)) < 0.6)
+    signs = rng.choice([-1.0, 1.0], size=(b, n))
+    for k in range(b):
+        active = rng.choice(n, size=count, replace=False)
+        dense[:, k] = 2.0 * signs[k]  # a margin of 2: inactive
+        dense[active, k] = rng.uniform(-1.0, 0.9, size=count)
+        dense[active[:2], k] = 0.0  # a margin of y * (+0)
+        signs[k, active[:2]] = [1.0, -1.0][:count]
+    X = make_matrix([{j: v for j, v in enumerate(row) if v != 0.0} for row in dense], b + 4)
+    problems = [BinaryProblem(X, y, loss) for y in signs]
+    return problems, list(np.eye(b + 4)[:b])
+
+
+def curvature_and_diag(problems, ws):
+    """A step's curvature weights over the block, and its diagonal, as bytes."""
+    X = problems[0].features
+    m = [margins(q, w) for q, w in zip(problems, ws)]
+    idx = [active_set(q.loss, mk) for q, mk in zip(problems, m)]
+
+    def curvature(j, rows):
+        return solver_mod._curvature(problems[j].loss, problems[j].c, m[j], rows)
+
+    buffers = solver_mod.Buffers(X.n_rows, X.n_cols, len(problems))
+    DD = solver_mod._weights(X.n_rows, idx, curvature, buffers)
+    return DD.tobytes(), solver_mod._diag(X, DD, idx, buffers).tobytes()
+
+
+class TestWeightPaths:
+    @pytest.mark.parametrize("share", SHARES)
+    def test_the_path_follows_the_share(self, share):
+        # a block of 3 labels over 200 rows; the curvature has no sparse path
+        count, path = SHARES[share][0](200), SHARES[share][1]
+        for sparse, want in ((True, path), (False, path.replace("sparse", "scatter"))):
+            calls = []
+
+            def values(j, rows):
+                calls.append(rows)
+                return np.zeros(200)[rows]
+
+            idx = [np.arange(count)] * 3
+            built = solver_mod._weights(200, idx, values, solver_mod.Buffers(200, 1, 3), sparse)
+            taken = ("sparse" if isinstance(built, tuple)
+                     else "dense" if isinstance(calls[0], slice) else "scatter")
+            assert taken == want
+
+    @pytest.mark.parametrize("loss, share", [(SQH, s) for s in SHARES] + [(LOG, "every_row")])
+    def test_every_path_has_the_bits_of_the_one_label_kernels(self, rng, monkeypatch, loss, share):
+        problems, ws = counted_block(rng, SHARES[share][0](200), loss)
+        ds = list(rng.normal(size=(len(problems), problems[0].dim)))
+        acts = [active_set(q.loss, margins(q, w)) for q, w in zip(problems, ws)]
+        if loss is SQH:
+            assert [a.size for a in acts] == [SHARES[share][0](200)] * 3
+        # the one-label kernels, each on the path its own share takes
+        want = [(gradient(q, w).tobytes(), hessian_vec(q, w, d, a).tobytes())
+                for q, w, d, a in zip(problems, ws, ds, acts)]
+        built = set()
+        for path in WEIGHT_PATHS:
+            force_path(monkeypatch, path)
+            G, H, _, dd = block_kernels(problems, ws, ds)
+            assert [(g.tobytes(), h.tobytes()) for g, h in zip(G, H)] == want
+            built.add(curvature_and_diag(problems, ws))
+        assert len(built) == 1
+        # the diagonal has the bits of a copy of each label's active rows
+        diag = np.frombuffer(built.pop()[1]).reshape(len(problems), -1)
+        for k, (q, a) in enumerate(zip(problems, acts)):
+            assert np.array_equal(diag[k], 1.0 + q.features.submatrix(a).rmatvec_squared(dd[k]))
+
+    def test_an_inactive_row_whose_square_overflows_mends_alike(self, rng, monkeypatch):
+        # row 0 is inactive for label 0, and its square and <x_0, d> overflow:
+        # the NaN that 0 * inf makes is mended to the same bits on every path
+        p, w0 = overflowing_squares_problem(rng)
+        others, other_ws = other_labels(rng, p, 2)
+        problems, ws = [p] + others, [w0] + other_ws
+        d = np.array([1e160, 1.0, 1.0])
+        act = active_set(SQH, margins(p, w0))
+        assert 0 not in act
+        want = hessian_vec(p, w0, d, act)
+        assert np.isfinite(want).all()
+        built = set()
+        for path in WEIGHT_PATHS:
+            force_path(monkeypatch, path)
+            G, H, _, _ = block_kernels(problems, ws, [d, d, -d])
+            assert H[0].tobytes() == want.tobytes()
+            assert G[0].tobytes() == gradient(p, w0).tobytes()
+            built.add((G.tobytes(), H.tobytes(), *curvature_and_diag(problems, ws)))
+        assert len(built) == 1
+        assert np.isfinite(np.frombuffer(built.pop()[3]).reshape(3, -1)[0]).all()
 
 
 def cg_one(g, hvp, cfg, diag):

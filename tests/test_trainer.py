@@ -463,6 +463,7 @@ class TestTrainOva:
             ("ovap", "cdabb7be5fb31303", "54ce41a1a6aa33ea"),
             ("aop", "59102e553a6cd7c7", "8f38972b2529a7a0"),
         ],
+        ids=["ovap", "aop"],
     )
     def test_report_values_are_pinned(self, kind, json_digest, csv_digest, tmp_path):
         # the report JSON and labels CSV, their timing values dropped, as
