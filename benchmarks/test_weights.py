@@ -1,6 +1,8 @@
-"""Kernel micro-bench: the three paths by which ``xova.solver._weights``
-builds a Newton step's ``X.T``-side weights, timed at the active shares
-around the solver's crossovers (``_SPARSE_BELOW`` and ``_DENSE_FROM``).
+"""Kernel micro-bench: the paths by which a Newton step builds its
+``X.T``-side weights, timed at the active shares around the solver's
+crossovers. ``xova.solver._gradient`` chooses its sparse product below
+``_SPARSE_BELOW``; ``xova.solver._weights`` chooses the label-major build
+from ``_DENSE_FROM`` and the scatter below it.
 
     PYTHONPATH=src python -m pytest benchmarks                         # the timings
     PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable  # each case once
@@ -10,9 +12,11 @@ one build for a block of ``b`` labels on a seeded random CSR matrix of one
 bench workload's shape, with one path forced through the crossovers:
 
 - ``gradient``: :func:`xova.solver._gradient`, the gradient coefficients
-  and the ``X.T`` product included, as the sparse path replaces both;
-- ``curvature``: the curvature weights that the diagonal and every HVP of
-  the step read.
+  and the ``X.T`` product included, as the sparse path replaces both; three
+  paths;
+- ``curvature``: :func:`xova.solver._weights`, the curvature weights that
+  the diagonal and every HVP of the step read; the scatter and the
+  label-major build, as it has no sparse path.
 
 Before it is timed, every case checks that its result has the bits of the
 scatter path's, so a timing that runs is also a correctness check.

@@ -19,20 +19,20 @@ label's +-1 signs; the labels move in lockstep, and each step makes one
 sparse product for the whole block where one label would make one of its
 own. The one-label API takes a :class:`BinaryProblem`, which checks its
 signs, loss and C; the block solver trusts the signs its callers build.
-A step builds its labels' gradient coefficients, and then their curvature
-weights, at the cost of the block's active share (:func:`_weights`): where
-few rows are active, the gradient multiplies a sparse matrix of the active
-coefficients with X and reads no other row; otherwise the weights are an
-``(n, b)`` array with a literal 0, of either sign, on a label's inactive
-rows, written label by label over every row where most rows are active,
-else at the active rows alone. The curvature weights are that array's one
-copy, kept through the step's CG, by which each HVP multiplies its product
-``X D`` in place; the other products run over the whole X. A scipy sum
-starts at +0, so it is never -0, and a term of either signed zero leaves it
-unchanged: on every path the bits are those of a sum over the active rows
-alone. The one exception is an inactive row whose square or ``<x_i, d>``
-overflowed, as ``0 * inf`` is NaN; the label's column is then recomputed
-from a copy of its active rows, which leaves that row out.
+A step builds its labels' gradient, and then their curvature weights, at
+the cost of the block's active share: where few rows are active,
+:func:`_gradient` multiplies the active coefficients alone with X and reads
+no other row; otherwise :func:`_weights` builds an ``(n, b)`` array with a
+literal 0, of either sign, on a label's inactive rows, written label by
+label over every row where most rows are active, else at the active rows
+alone. The curvature weights are always that array, kept through the
+step's CG, by which each HVP multiplies its product ``X D`` in place; the
+other products run over the whole X. A scipy sum starts at +0, so it is
+never -0, and a term of either signed zero leaves it unchanged: on every
+path the bits are those of a sum over the active rows alone. The one
+exception is an inactive row whose square or ``<x_i, d>`` overflowed, as
+``0 * inf`` is NaN; the label's column is then recomputed from a copy of
+its active rows, which leaves that row out.
 Everything else is per label, on that label's own contiguous rows
 (``np.dot``, ``np.linalg.norm`` and ``np.sum`` on one row, never a reduction
 along an axis), and a column of a scipy product sums in the same order as
@@ -267,44 +267,32 @@ class Buffers:
 # pass a fresh set.
 
 
-# The crossovers of _weights, in a block's active share sum_k |idx[k]| / (n r).
-# Times of one build of 16 labels, coefficients included, as a ratio to the
-# scatter path's, on random matrices of the bench workloads' shapes, n = 8,000
-# and 1,500 (benchmarks/test_weights.py; the table is in CHANGES.md). The
-# sparse gradient: 3.5% 0.74-0.81, 5% 0.80-0.94, 7.5% 0.88-1.11.
+# The crossovers of _gradient and _weights, in a block's active share
+# sum_k |idx[k]| / (n r). Times of one build of 16 labels, coefficients
+# included, as a ratio to the scatter path's, on random matrices of the bench
+# workloads' shapes, n = 8,000 and 1,500 (benchmarks/test_weights.py; the
+# table is in CHANGES.md). The sparse gradient: 3.5% 0.74-0.81, 5% 0.80-0.94,
+# 7.5% 0.88-1.11.
 _SPARSE_BELOW = 0.05
 # Label-major rows, gradient and curvature: 65% 0.98-1.17, 70% 0.92-0.99,
 # 75% 0.80-0.95, 100% 0.46-0.87.
 _DENSE_FROM = 0.75
 
 
-def _weights(
-    n: int, idx: Sequence[np.ndarray], values: Callable, buffers: Buffers, sparse: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``X.T``-side weights of a block of ``r`` labels: column ``j`` holds
-    ``values(j, idx[j])`` at label ``j``'s active rows ``idx[j]`` and a 0 on
-    every other row, for a ``values(j, rows)`` that is 0, of either sign, at
-    every inactive row. The cost follows the block's active share:
-
-    - below ``_SPARSE_BELOW``, where ``sparse`` allows it, the active entries
-      alone, as the arrays ``(indptr, rows, values)`` of an ``(r, n)`` CSR
-      (:meth:`SparseMatrix.rmatvec_sparse` reads no other row of X);
-    - from ``_DENSE_FROM``, each label's values over every row, written
-      label-major into the ``product`` slot and copied once, transposed, into
-      the ``(n, r)`` ``weights`` slot;
-    - between the two, the ``weights`` slot filled with 0 and each label's
-      active values written at their rows.
-
-    The dense forms are the ``weights`` slot, and differ only in the sign of
-    a zero, which no product reads (module docstring)."""
-    r, active = len(idx), sum(map(len, idx))
-    if sparse and active < _SPARSE_BELOW * n * r:
-        indptr = np.zeros(r + 1, dtype=np.int64)
-        np.cumsum([len(rows) for rows in idx], out=indptr[1:])
-        data = np.concatenate([values(j, rows) for j, rows in enumerate(idx)])
-        return indptr, np.concatenate(idx), data
+def _weights(n: int, idx: Sequence[np.ndarray], values: Callable, buffers: Buffers) -> np.ndarray:
+    """The ``X.T``-side weights of a block of ``r`` labels, as the ``(n, r)``
+    ``weights`` slot: column ``j`` holds ``values(j, idx[j])`` at label
+    ``j``'s active rows ``idx[j]`` and a 0 on every other row, for a
+    ``values(j, rows)`` that is 0, of either sign, at every inactive row.
+    From ``_DENSE_FROM`` of active share, each label's values over every
+    row, written label-major into the ``product`` slot and copied once,
+    transposed; below it, the slot filled with 0 and each label's active
+    values written at their rows. The two differ only in the sign of a zero,
+    which no product reads (module docstring). The curvature weights always
+    come from here; the gradient's where :func:`_gradient` is not sparse."""
+    r = len(idx)
     out = buffers.get("weights", (n, r))
-    if active >= _DENSE_FROM * n * r:
+    if sum(map(len, idx)) >= _DENSE_FROM * n * r:
         label_major = buffers.get("product", (r, n))
         for j in range(r):
             label_major[j] = values(j, slice(None))
@@ -354,13 +342,16 @@ def _mend_nan(
 
 
 def _gradient(X: SparseMatrix, W: np.ndarray, idx, coef: Callable, buffers: Buffers) -> np.ndarray:
-    """Per row ``k`` of ``W``, ``w_k + sum_{i in idx[k]} coef(k, i) * x_i``,
-    with the weights that :func:`_weights` builds from ``coef``."""
-    weights = _weights(X.n_rows, idx, coef, buffers, sparse=True)
-    if isinstance(weights, tuple):
-        T = X.rmatvec_sparse(*weights, out=buffers.get("transposed", W.shape))
+    """Per row ``k`` of ``W``, ``w_k + sum_{i in idx[k]} coef(k, i) * x_i``.
+    Below ``_SPARSE_BELOW`` of active share, the coefficients at the active
+    rows alone go to :meth:`SparseMatrix.rmatvec_sparse`, which reads no
+    other row of X; else ``X.T`` multiplies the weights of :func:`_weights`."""
+    if sum(map(len, idx)) < _SPARSE_BELOW * X.n_rows * len(idx):
+        coefs = [coef(j, rows) for j, rows in enumerate(idx)]
+        T = X.rmatvec_sparse(idx, coefs, out=buffers.get("transposed", W.shape))
     else:
-        T = X.rmatvec(weights, out=buffers.get("transposed", (X.n_cols, len(idx)))).T
+        weights = _weights(X.n_rows, idx, coef, buffers)
+        T = X.rmatvec(weights, out=buffers.get("transposed", W.shape[::-1])).T
     return np.add(W, T, out=buffers.get("gradient", W.shape))
 
 
@@ -579,6 +570,8 @@ def newton_cg_block(
     W = np.array(W0, dtype=np.float64)  # copies the starts, which may share one vector
     if W.shape != (b, X.n_cols):
         raise DimensionMismatchError(f"starts of shape {W.shape} for {b} labels of dim {X.n_cols}")
+    if len(grad0_refs) != b:
+        raise DimensionMismatchError(f"{len(grad0_refs)} stopping references for {b} labels")
     if not b:
         return W, []
     if buffers is None:

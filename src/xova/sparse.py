@@ -193,18 +193,21 @@ class SparseMatrix:
         return _product(self._csc_sq, coef, out)
 
     def rmatvec_sparse(
-        self, indptr: np.ndarray, rows: np.ndarray, coef: np.ndarray, out: np.ndarray
+        self, rows: Sequence[np.ndarray], coef: Sequence[np.ndarray], out: np.ndarray
     ) -> np.ndarray:
-        """``X.T @ C.T`` for the ``(r, n_rows)`` CSR block of coefficients
-        ``C`` whose arrays are ``(indptr, rows, coef)``, written densely as the
-        ``(r, n_cols)`` rows of ``out``: each row of ``C`` holds its columns
-        in increasing order, unchecked. It reads only the rows of X that ``C``
-        names, through the kernel that scipy's ``@`` calls for two CSR
-        matrices (``csr_matmat``). Each entry sums its terms in increasing row
-        order from +0, as :meth:`rmatvec`'s does, and an absent coefficient
-        would only add a signed zero to it: row ``j`` of ``out`` has the bits
-        of column ``j`` of ``rmatvec`` of ``C``'s dense transpose."""
+        """``X.T @ C`` for the ``(n_rows, r)`` coefficients ``C`` whose column
+        ``j`` holds ``coef[j]`` at the rows ``rows[j]`` (increasing,
+        unchecked) and 0 elsewhere, written as the ``(r, n_cols)`` rows of
+        ``out``. The columns of ``C`` become the rows of a CSR, in an index
+        dtype wide enough for the product, which scipy's kernel for two CSR
+        matrices (``csr_matmat``, which its ``@`` calls) multiplies with X: it
+        reads no row of X that ``rows`` does not name. Each entry sums its
+        terms in increasing row order from +0, as :meth:`rmatvec`'s does, and
+        an absent coefficient would only add a signed zero to it: row ``j`` of
+        ``out`` has the bits of column ``j`` of ``rmatvec`` of ``C``."""
         r, dim = out.shape
+        indptr = np.cumsum([0, *map(len, rows)])
+        rows, coef = np.concatenate(rows), np.concatenate(coef)
         # no more output entries than terms: the rows' nonzeros, at most
         bound = min(r * dim, int((self.indptr[rows + 1] - self.indptr[rows]).sum()))
         itype = np.int64 if bound > np.iinfo(np.int32).max else self.indices.dtype

@@ -108,6 +108,14 @@ class TestMacroBinaryPR:
         prec, rec = macro_binary_pr(model, test)
         assert prec == 1.0 and rec == 1.0
 
+    def test_label_with_only_false_positives_counted(self):
+        # label 1 has no test positives but predicts one: precision 0/1,
+        # recall 0/0 -> 0, and it counts in both means
+        model = model_from([{0: 1.0}, {0: 1.0}], dim=1)
+        test = dataset_from([{0: 1.0}], [[0]], 1, 2)
+        prec, rec = macro_binary_pr(model, test)
+        assert prec == 0.5 and rec == 0.5
+
     def test_predict_everything_positive(self):
         model = model_from([{0: 1.0}], dim=1)
         rows = [{0: 1.0}] * 10

@@ -438,21 +438,43 @@ def curvature_and_diag(problems, ws):
 
 class TestWeightPaths:
     @pytest.mark.parametrize("share", SHARES)
-    def test_the_path_follows_the_share(self, share):
-        # a block of 3 labels over 200 rows; the curvature has no sparse path
+    def test_the_path_follows_the_share(self, share, monkeypatch):
+        # a block of 3 labels over 200 rows. The path is read from the kernel
+        # that ran: the sparse product, else the rows at which each label's
+        # values were asked for, every row (a slice) on the label-major path.
+        # The gradient takes one of three paths; the curvature, which builds
+        # only the weights, one of two.
         count, path = SHARES[share][0](200), SHARES[share][1]
-        for sparse, want in ((True, path), (False, path.replace("sparse", "scatter"))):
-            calls = []
+        idx = [np.arange(count)] * 3
+        X, buffers = make_matrix([{0: 1.0}] * 200, 1), solver_mod.Buffers(200, 1, 3)
+        sparse_rows = []
+        product = SparseMatrix.rmatvec_sparse
+        monkeypatch.setattr(SparseMatrix, "rmatvec_sparse",
+                            lambda self, rows, *args, **kw:
+                            sparse_rows.append(rows) or product(self, rows, *args, **kw))
+
+        def taken(build) -> str:
+            calls, sparse_rows[:] = [], []
 
             def values(j, rows):
-                calls.append(rows)
+                calls.append((j, rows))
                 return np.zeros(200)[rows]
 
-            idx = [np.arange(count)] * 3
-            built = solver_mod._weights(200, idx, values, solver_mod.Buffers(200, 1, 3), sparse)
-            taken = ("sparse" if isinstance(built, tuple)
-                     else "dense" if isinstance(calls[0], slice) else "scatter")
-            assert taken == want
+            build(values)
+            assert [j for j, _ in calls] == [0, 1, 2]
+            if sparse_rows:
+                assert len(sparse_rows) == 1 and sparse_rows[0] is idx
+                assert all(r is i for (_, r), i in zip(calls, idx))
+                return "sparse"
+            if all(isinstance(rows, slice) for _, rows in calls):
+                return "dense"
+            assert all(r is i for (_, r), i in zip(calls, idx))
+            return "scatter"
+
+        assert taken(lambda values: solver_mod._gradient(
+            X, np.zeros((3, 1)), idx, values, buffers)) == path
+        assert taken(lambda values: solver_mod._weights(
+            200, idx, values, buffers)) == path.replace("sparse", "scatter")
 
     @pytest.mark.parametrize("loss, share", [(SQH, s) for s in SHARES] + [(LOG, "every_row")])
     def test_every_path_has_the_bits_of_the_one_label_kernels(self, rng, monkeypatch, loss, share):
@@ -888,6 +910,14 @@ class TestNewtonCg:
             solver_mod.newton_cg_block(
                 p.features, p.loss, p.c, [p.signs], np.zeros(shape), SolverConfig(), [1.0]
             )
+
+    @pytest.mark.parametrize("n_refs, b", [(3, 1), (1, 2)])
+    def test_one_stopping_reference_per_label(self, n_refs, b):
+        X = make_matrix([{0: 1.0}, {1: 1.0}], 2)
+        S, refs = [np.array([1.0, -1.0])] * b, [1.0] * n_refs
+        message = f"^{n_refs} stopping references for {b} labels"
+        with pytest.raises(DimensionMismatchError, match=message):
+            solver_mod.newton_cg_block(X, SQH, 1.0, S, np.zeros((b, 2)), SolverConfig(), refs)
 
     def test_signs_validated(self):
         X = make_matrix([{0: 1.0}], 1)

@@ -106,6 +106,8 @@ class TestSparseMatrix:
             SparseMatrix(np.array([0, 2**62, 2**63 - 1, -(2**63) + 1, 0]), [], [], 3)
         with pytest.raises(ValueError):
             SparseMatrix([0, 1], [5], [1.0], 3)  # column out of range
+        with pytest.raises(InvalidEntryError, match="index 3 out of range for 3 columns"):
+            SparseMatrix([0, 1], [3], [1.0], 3)  # one past the last column
         with pytest.raises(ValueError):
             SparseMatrix([0, 2], [1, 1], [1.0, 2.0], 3)  # duplicate within row
         with pytest.raises(ValueError):
@@ -243,6 +245,25 @@ class TestSparseMatrix:
                 assert into.tobytes() == (matrix @ part).tobytes()
             # a transposed (column-major) block gives the same bits
             assert block(np.asfortranarray(B)).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_rmatvec_sparse_has_the_bits_of_rmatvec(self, r):
+        # rows 0 and 1 agree in column 0, where label 0's coefficients cancel
+        # to a zero; its -0 coefficient at row 4 adds a signed zero to every
+        # column. Label 1 has no rows and label 2 one.
+        X = make_matrix([{0: 1.5, 2: 0.5}, {0: 1.5, 3: 2.0}, {1: -1.0, 2: 3.0}, {},
+                         {0: 1e-3, 1: 2.0, 3: -4.0}, {2: 7.0}], 4)
+        rows = [np.array([0, 1, 4]), np.array([], dtype=np.int64), np.array([5])][:r]
+        coef = [np.array([2.0, -2.0, -0.0]), np.array([]), np.array([0.25])][:r]
+        C = np.zeros((X.n_rows, r))
+        for j, (at, values) in enumerate(zip(rows, coef)):
+            C[at, j] = values
+        out = np.full((r, X.n_cols), np.nan)  # the product must not read it
+        assert X.rmatvec_sparse(rows, coef, out) is out
+        assert out.tobytes() == np.ascontiguousarray(X.rmatvec(C).T).tobytes()
+        assert out[0].tolist() == [0.0, 0.0, 1.0, -4.0] and not np.signbit(out[0, :2]).any()
+        if r == 3:
+            assert out[1:].tolist() == [[0.0] * 4, [0.0, 0.0, 1.75, 0.0]]
 
     @pytest.mark.parametrize("shape, order", [((300, 16), "F"), ((300, 15), "C"), ((300,), "C")])
     def test_an_output_that_does_not_fit_rejected(self, shape, order):
