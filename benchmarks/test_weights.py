@@ -9,7 +9,8 @@ from ``_DENSE_FROM`` and the scatter below it.
 
 It lives outside ``tests/``, so tier 1 never collects it. Each case times
 one build for a block of ``b`` labels on a seeded random CSR matrix of one
-bench workload's shape, with one path forced through the crossovers:
+bench workload's shape (``conftest.py``), with one path forced through the
+crossovers:
 
 - ``gradient``: :func:`xova.solver._gradient`, the gradient coefficients
   and the ``X.T`` product included, as the sparse path replaces both; three
@@ -22,47 +23,18 @@ Before it is timed, every case checks that its result has the bits of the
 scatter path's, so a timing that runs is also a correctness check.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
 import xova.solver as solver
-from xova.losses import MarginLoss, active_set
-from xova.sparse import SparseMatrix
+from xova.losses import MarginLoss
 
-SEED = 20
-# (rows, columns, mean nonzeros per row) of the bench workloads' training files
-SHAPES = {"tail": (8000, 2001, 3), "topic": (1500, 2501, 86)}
+from conftest import SHAPES, block
+
 SHARES = [0.001, 0.035, 0.05, 0.25, 0.5, 0.65, 0.75, 1.0]  # with both crossovers
 WIDTHS = [1, 16]
 # (_SPARSE_BELOW, _DENSE_FROM) that force each path
 FORCE = {"sparse": (np.inf, np.inf), "scatter": (0.0, np.inf), "dense": (0.0, 0.0)}
-
-
-@functools.cache
-def design(shape: str) -> SparseMatrix:
-    """A random matrix of the shape: 1 + Poisson(mean - 1) distinct columns per row."""
-    n, d, per_row = SHAPES[shape]
-    rng = np.random.default_rng(SEED)
-    rows = [np.sort(rng.choice(d, size=min(d, 1 + k), replace=False))
-            for k in rng.poisson(per_row - 1, size=n)]
-    return SparseMatrix.stack(rows, [rng.normal(size=len(r)) for r in rows], d)
-
-
-def block(shape: str, b: int, share: float):
-    """The matrix, and ``b`` labels' margins, signs, active rows and iterates:
-    each label has ``round(share * n)`` active rows (at least one), at random."""
-    X = design(shape)
-    n = X.n_rows
-    rng = np.random.default_rng([SEED, b, round(share * 1000)])
-    M = np.full((b, n), 2.0)  # past the margin: inactive
-    for m in M:
-        rows = rng.choice(n, size=max(1, round(share * n)), replace=False)
-        m[rows] = rng.uniform(-1.0, 1.0, size=rows.size)
-    S = rng.choice([-1.0, 1.0], size=(b, n))
-    idx = [active_set(MarginLoss.SQUARED_HINGE, m) for m in M]
-    return X, M, S, idx, rng.normal(size=(b, X.n_cols))
 
 
 def gradient(X, M, S, idx, W):

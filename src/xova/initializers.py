@@ -15,7 +15,7 @@ Four strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,21 +69,17 @@ class InitStrategy:
 
 @dataclass(frozen=True)
 class AopPrecompute:
-    """Dataset-level quantities shared by every label's aop solve. ``xbar_sq``
-    is ``<xbar, xbar>``, computed here when not given, else checked against
-    ``xbar``; where that overflows, it is infinite, without a warning."""
+    """Dataset-level quantities shared by every label's aop solve: the given mean
+    row ``xbar`` and row count ``n``, and ``xbar_sq = <xbar, xbar>``, always derived
+    here; where that overflows, it is infinite, without a warning."""
 
     xbar: DenseVector
     n: int
-    xbar_sq: float | None = None
+    xbar_sq: float = field(init=False)
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        expected = float(np.dot(self.xbar, self.xbar))
-        if self.xbar_sq is None:
-            object.__setattr__(self, "xbar_sq", expected)
-        elif abs(self.xbar_sq - expected) > 1e-12 * max(expected, 1.0):
-            raise ConfigError("xbar_sq is inconsistent with xbar")
+        object.__setattr__(self, "xbar_sq", float(np.dot(self.xbar, self.xbar)))
 
 
 def zero_init(dim: int) -> DenseVector:

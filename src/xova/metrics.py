@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset
-from .errors import ConfigError, DimensionMismatchError
-from .trainer import OvaModel, block_topk, score_blocks, write_csv, write_strict_json
+from .errors import DimensionMismatchError
+from .trainer import OvaModel, block_topk, check_k, score_blocks, write_csv, write_strict_json
 
 
 @dataclass
@@ -62,9 +62,7 @@ def evaluate(model: OvaModel, test: Dataset, ks: list[int]) -> EvalResult:
         raise DimensionMismatchError(
             f"test label count {test.n_labels} != model label count {model.n_labels}"
         )
-    ks = sorted(set(int(k) for k in ks))
-    if ks and (ks[0] < 1 or ks[-1] > model.n_labels):
-        raise ConfigError(f"k must lie in [1, {model.n_labels}], got {ks}")
+    ks = sorted({check_k(k, model.n_labels) for k in ks})
     kmax = ks[-1] if ks else 0
     l = model.n_labels
     hits = np.zeros(kmax, dtype=np.int64)  # relevant labels at each rank, over instances

@@ -75,15 +75,15 @@ TERM_NUMERICAL = "numerical_failure"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton-CG hyperparameters. The fields are what a caller sets; the class
-    constants are fixed: the outer-iteration cap and liblinear's line search
-    (Lin, Weng & Keerthi, JMLR 2008) and preconditioner (Hsia, Chiang & Lin, ACML 2018)."""
+    """Newton-CG hyperparameters. The fields are the tolerances (``xova train --eps``,
+    ``--eps-cg``); the class constants are fixed: the two iteration caps, and liblinear's line
+    search (Lin, Weng & Keerthi, JMLR 2008) and preconditioner (Hsia, Chiang & Lin, ACML 2018)."""
 
     eps_outer: float = 0.01  # stop when |grad| <= eps_outer * |grad at zero|
     eps_cg: float = 0.5  # relative preconditioned-residual tolerance
-    max_cg: int = 250
 
     max_outer: ClassVar[int] = 100  # a safety cap: a label that reaches it ends as max_outer
+    max_cg: ClassVar[int] = 250  # a safety cap on the CG iterations of one Newton step
     precond_alpha: ClassVar[float] = 0.01  # M = alpha * diag(H) + (1 - alpha) * I
     ls_beta: ClassVar[float] = 0.5  # backtracking shrink factor
     ls_eta: ClassVar[float] = 0.01  # sufficient-decrease slope fraction
@@ -92,9 +92,6 @@ class SolverConfig:
     def __post_init__(self):
         if not all(is_number(v) and 0.0 < v < np.inf for v in (self.eps_outer, self.eps_cg)):
             raise ConfigError("tolerances must be positive and finite")
-        # a limit that is not a whole number is never met: CG stops at iters == max_cg
-        if not (is_number(self.max_cg, whole=True) and self.max_cg >= 1):
-            raise ConfigError("the CG iteration limit max_cg must be a whole number >= 1")
 
 
 @dataclass(frozen=True)
@@ -437,9 +434,10 @@ def cg_solve(
     ``diag[k]`` is the diagonal of ``H_k``; the preconditioner is the mixed
     form ``M = precond_alpha * diag(H) + (1 - precond_alpha) * I``. A row
     stops once its preconditioned residual norm ``sqrt(r' M^-1 r)`` drops to
-    ``eps_cg`` times the preconditioned norm of its gradient, or at
-    ``max_cg``. ``hvp(D, rows)`` returns the products of the directions
-    ``D`` of the block rows ``rows`` that still iterate. A numerical failure
+    ``cfg.eps_cg`` times the preconditioned norm of its gradient, or at the
+    class constant ``SolverConfig.max_cg``. ``hvp(D, rows)`` returns the
+    products of the directions ``D`` of the block rows ``rows`` that still
+    iterate. A numerical failure
     stops its row alone; its message is the row's entry of ``errors``. The
     directions, the residuals and the answer's ``p`` are slots of ``buffers``.
     """

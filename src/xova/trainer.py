@@ -104,12 +104,11 @@ class TrainConfig:
     def settings(self) -> dict:
         """The settings as the report writes them, in its key order. Every
         real-valued one is a float, so 1 and 1.0 give one digest."""
-        eps = {"eps_outer": float(self.solver.eps_outer), "eps_cg": float(self.solver.eps_cg)}
         return {
             "loss": self.loss.token,
             "init": self.init.kind,
             "init_params": {k: float(v) for k, v in self.resolved_init_params().items()},
-            "solver": {**asdict(self.solver), **eps},
+            "solver": {k: float(v) for k, v in asdict(self.solver).items()},
             "c": float(self.c),
             "clip_threshold": float(self.clip_threshold),
             "threads": self.threads,
@@ -465,10 +464,18 @@ def block_topk(block: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
+def check_k(k, n_labels: int) -> int:
+    """``k`` as an int if it is a Python or numpy integer (not a bool) in [1, n_labels]."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ConfigError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n_labels:
+        raise ConfigError(f"k={k} out of range for {n_labels} labels")
+    return int(k)
+
+
 def predict_topk(model: OvaModel, X: SparseMatrix, k: int) -> list[list[tuple[int, float]]]:
     """Per row of ``X``, the k highest-scoring labels with scores, non-increasing."""
-    if not 1 <= k <= model.n_labels:
-        raise ConfigError(f"k={k} out of range for {model.n_labels} labels")
+    k = check_k(k, model.n_labels)
     out = []
     for _, block in score_blocks(model, X):
         top = block_topk(block, k)

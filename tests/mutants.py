@@ -79,6 +79,10 @@ MUTANTS = [
     Mutant("preconditioner_without_the_identity", SOLVER,
            "m_inv += 1.0 - cfg.precond_alpha", "m_inv += 0.0",
            (TEST_SOLVER, "tests/test_trainer.py")),
+    Mutant("gradient_coefficients_scaled_down", SOLVER,
+           "    return c * losses.dphi(loss, m[idx]) * signs[idx]",
+           "    return 0.9 * c * losses.dphi(loss, m[idx]) * signs[idx]",
+           ("tests/test_oracle.py",)),
     # initializers
     Mutant("aop_orthogonal_branch_uses_t", "src/xova/initializers.py",
            "u = s / aa", "u = t / aa",

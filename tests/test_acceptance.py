@@ -47,7 +47,7 @@ LOG = MarginLoss.LOGISTIC
 # tolerance 1e-4 is fixed by criterion 4; the conjugate-gradient solves are
 # run essentially to completion there so that the measured objective spread
 # reflects the shared minimum rather than inner-solver truncation.
-TIGHT = SolverConfig(eps_outer=1e-4, eps_cg=1e-8, max_cg=1000)
+TIGHT = SolverConfig(eps_outer=1e-4, eps_cg=1e-8)
 TIGHT_OUTER = SolverConfig(eps_outer=1e-4)
 
 _COSTS: dict[str, float] = {}
@@ -200,7 +200,7 @@ def test_criterion_3_aop_constraints():
             continue
         s = float(rng.uniform(0.2, 3.0))
         t = float(rng.uniform(-4.0, -0.2))
-        pre = AopPrecompute(xbar=xbar, xbar_sq=cc, n=n)
+        pre = AopPrecompute(xbar=xbar, n=n)
         w0 = aop_init(pbar, p_count, pre, s, t)
         nbar = (n * xbar - p_count * pd) / (n - p_count)
         worst = max(worst, abs(float(w0 @ pd) - s) / abs(s))
@@ -208,11 +208,11 @@ def test_criterion_3_aop_constraints():
         checked += 1
 
     # degenerate branch 1: means linearly dependent -> zero vector
-    pre = AopPrecompute(xbar=np.array([0.5, 0.25]), xbar_sq=0.3125, n=10)
+    pre = AopPrecompute(xbar=np.array([0.5, 0.25]), n=10)
     w_par = aop_init(SparseVector.from_dict({0: 1.0, 1: 0.5}), 2, pre, 1.0, -2.0)
     deg1_ok = bool(np.all(w_par == 0.0))
     # degenerate branch 2: orthogonal means -> substituted formulas
-    pre = AopPrecompute(xbar=np.array([0.0, 2.0]), xbar_sq=4.0, n=10)
+    pre = AopPrecompute(xbar=np.array([0.0, 2.0]), n=10)
     w_orth = aop_init(SparseVector.from_dict({0: 1.0}), 3, pre, 1.0, -2.0)
     u = 1.0 / 1.0
     v = (7 * -2.0 + 3 * 1.0) / (10 * 4.0)

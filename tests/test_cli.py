@@ -119,7 +119,7 @@ class TestTrain:
         assert all(label["failure"] is None for label in report["labels"])
         assert report["init_params"] == {"s": 1.0, "t": -2.0}
         # the solver's fixed constants are not settings
-        assert list(report["solver"]) == ["eps_outer", "eps_cg", "max_cg"]
+        assert list(report["solver"]) == ["eps_outer", "eps_cg"]
         # the run's flags are all at their defaults but --init aop
         assert report["config_digest"] == TrainConfig(init=InitStrategy("aop")).digest()
         labels_csv = (workdir / "report.json.labels.csv").read_text().splitlines()

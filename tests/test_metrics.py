@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ class TestPrecisionAtK:
         test = dataset_from([{0: 1.0}], [[]], 1, 1)
         with pytest.raises(ConfigError):
             precision_at_k(model, test, [2])
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "3", True, np.float64(2.0), np.True_],
+                             ids=["float", "whole_float", "str", "bool", "np_float", "np_bool"])
+    def test_k_that_is_not_an_integer_rejected(self, k):
+        # int(k) would have made 2.5 a 2, "3" a 3 and True a 1
+        model = model_from([{0: 1.0}, {0: 0.5}, {0: 0.2}], dim=1)
+        test = dataset_from([{0: 1.0}], [[0]], 1, 3)
+        with pytest.raises(ConfigError, match=re.escape(f"k must be an integer, got {k!r}")):
+            evaluate(model, test, [1, k])
+
+    def test_numpy_integer_k_accepted(self):
+        model = model_from([{0: 1.0}, {0: 0.5}, {0: 0.2}], dim=1)
+        test = dataset_from([{0: 1.0}], [[0]], 1, 3)
+        p_at = evaluate(model, test, [np.int64(2), np.int32(1)]).p_at
+        assert p_at == {1: 1.0, 2: 0.5}
+        assert all(type(k) is int for k in p_at)
 
     def test_cumulative_hits_monotone(self, rng):
         n_labels, dim = 12, 6
