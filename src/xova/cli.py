@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--init", choices=INIT_KINDS, default="aop")  # the library's default is zero
     p.add_argument("--bias-scale", type=float, default=defaults.init.bias_scale)
     p.add_argument("--ovap-stop", type=float, default=defaults.init.ovap_stop_rel)
-    p.add_argument("--aop-s", type=float, default=None)
+    p.add_argument("--aop-s", type=float, default=defaults.init.aop_s)
     p.add_argument("--aop-t", type=float, default=None, help="default " + ", ".join(
         f"{t:g} for {loss.token}" for loss, t in AOP_DEFAULT_T.items()))
     p.add_argument("--c", type=float, default=defaults.c, help="loss weight C")
@@ -151,10 +151,8 @@ def _cmd_train(args) -> int:
     if args.diag_out:
         report.write_json(args.diag_out)
         report.write_labels_csv(args.diag_out + ".labels.csv")
-    params = cfg.resolved_init_params()
-    param_str = (
-        "(" + ", ".join(f"{k}={v:g}" for k, v in params.items()) + ")" if params else ""
-    )
+    params = init.params(loss)
+    param_str = "(" + ", ".join(f"{k}={v:g}" for k, v in params.items()) + ")" if params else ""
     print(
         f"trained {len(report.labels)} labels [{loss.token}, init={init.kind}{param_str}] "
         f"in {elapsed:.2f} s, mean outer iterations {report.mean_outer_iters():.2f}, "

@@ -25,7 +25,8 @@ from itertools import accumulate, pairwise, repeat
 import numpy as np
 import scipy.sparse
 
-from .errors import ConfigError, DimensionMismatchError, InvalidEntryError, ParseError
+from .errors import (ConfigError, DimensionMismatchError, InvalidEntryError, ParseError, is_integer,
+                     is_number)
 from .sparse import DenseVector, SparseMatrix
 
 # Header counts stay below this, so a dimension plus the bias column fits in int64.
@@ -357,10 +358,11 @@ def generate_synthetic(
     The labels are approximately linearly separable apart from that noise,
     which is what the average-of-positives start assumes.
     """
-    if n < 1 or d < 1 or l < 1:
-        raise ConfigError("synthetic sizes must all be >= 1")
-    if not tail_exponent > 0:
-        raise ConfigError("tail_exponent must be > 0")
+    for name, value, low in (("n", n, 1), ("d", d, 1), ("l", l, 1), ("seed", seed, 0)):
+        if not (is_integer(value) and value >= low):
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not (is_number(tail_exponent) and tail_exponent > 0):
+        raise ConfigError(f"tail_exponent must be a number > 0, got {tail_exponent!r}")
     rng = np.random.default_rng(seed)
 
     head = max(1, math.ceil(n / 4))
@@ -430,8 +432,10 @@ def generate_synthetic(
 
 def split_dataset(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic row split into (train, test) with ``floor(frac * n)`` test rows."""
-    if not 0.0 <= test_fraction < 1.0:
-        raise ConfigError("test fraction must be in [0, 1)")
+    if not (is_number(test_fraction) and 0.0 <= test_fraction < 1.0):
+        raise ConfigError(f"test fraction must be a number in [0, 1), got {test_fraction!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     if ds.bias_index is not None:
         raise ConfigError("split before bias augmentation")
     n_test = int(math.floor(test_fraction * ds.n))

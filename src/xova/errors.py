@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and ``is_number``, the rule for a number.
+"""Exception types shared across the package, and the rules for a number and an integer.
 
 A numerical failure in a solve is not one of them: it is returned on the
 solve's trace (``SolverTrace.failure``).
 """
 
+import numbers
 import sys
 
 
@@ -53,3 +54,8 @@ def is_number(value, whole: bool = False) -> bool:
     if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
         return False
     return whole or isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, never a bool: a size, a count, a seed or a k."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -26,10 +26,9 @@ from .sparse import DenseVector, SparseMatrix, SparseVector
 
 INIT_KINDS = ("zero", "bias", "ovap", "aop")
 
-# Default margin targets for the average-of-positives start. The logistic
-# loss keeps pushing negatives past margin 1, so its negative-mean target
+# Default negative-mean margin targets of the average-of-positives start.
+# The logistic loss keeps pushing negatives past margin 1, so its target
 # sits further out.
-AOP_DEFAULT_S = 1.0
 AOP_DEFAULT_T = {MarginLoss.SQUARED_HINGE: -2.0, MarginLoss.LOGISTIC: -3.0}
 
 # Relative thresholds for the two degenerate branches of the aop solve.
@@ -39,16 +38,14 @@ _ORTHO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class InitStrategy:
-    """Which initializer to run, plus its hyperparameters.
-
-    ``aop_s`` / ``aop_t`` may be left as None to pick the per-loss defaults
-    at train time.
-    """
+    """Which initializer to run, plus its hyperparameters; :meth:`params`
+    resolves those of ``kind`` for a loss. ``aop_t`` left as None takes the
+    loss's default, ``AOP_DEFAULT_T``."""
 
     kind: str = "zero"
     bias_scale: float = 1.0
     ovap_stop_rel: float = 0.01
-    aop_s: float | None = None
+    aop_s: float = 1.0
     aop_t: float | None = None
 
     def __post_init__(self):
@@ -56,15 +53,21 @@ class InitStrategy:
             raise ConfigError(f"unknown init kind {self.kind!r}; expected one of {INIT_KINDS}")
         if not (is_number(self.bias_scale) and np.isfinite(self.bias_scale)):
             raise ConfigError("bias scale must be finite")
-        if not all(v is None or is_number(v) and np.isfinite(v) for v in (self.aop_s, self.aop_t)):
+        targets = (self.aop_s, 0.0 if self.aop_t is None else self.aop_t)
+        if not all(is_number(v) and np.isfinite(v) for v in targets):
             raise ConfigError("aop margin targets must be finite")
         if not (is_number(self.ovap_stop_rel) and 0.0 < self.ovap_stop_rel < 1.0):
             raise ConfigError("ovap stopping ratio must lie in (0, 1)")
 
-    def resolved_aop(self, loss: MarginLoss) -> tuple[float, float]:
-        s = AOP_DEFAULT_S if self.aop_s is None else self.aop_s
-        t = AOP_DEFAULT_T[loss] if self.aop_t is None else self.aop_t
-        return s, t
+    def params(self, loss: MarginLoss) -> dict:
+        """The parameters of ``kind`` under ``loss``, named as its initializer takes them."""
+        if self.kind == "bias":
+            return {"scale": self.bias_scale}
+        if self.kind == "ovap":
+            return {"stop_rel": self.ovap_stop_rel}
+        if self.kind == "aop":
+            return {"s": self.aop_s, "t": AOP_DEFAULT_T[loss] if self.aop_t is None else self.aop_t}
+        return {}
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,11 @@ def bias_init(dim: int, bias_index: int | None, scale: float) -> DenseVector:
 
 
 def ovap_solve(
-    X: SparseMatrix,
-    loss: MarginLoss,
-    c: float,
-    cfg: solver.SolverConfig,
-    stop_rel: float,
+    X: SparseMatrix, loss: MarginLoss, c: float, cfg: solver.SolverConfig, stop_rel: float
 ) -> tuple[DenseVector, solver.SolverTrace]:
     """Solve the virtual all-negative label over ``X`` from zero with a
-    loose criterion: one :func:`solver.newton_cg` call.
+    loose criterion ``stop_rel``: one :func:`solver.newton_cg` call, which
+    takes its stopping reference ``|grad(0)|`` by its own pass over X.
 
     The vector is computed once per dataset and reused as the starting
     vector for every label; the solver trace is returned with it. As in
@@ -117,9 +117,7 @@ def ovap_solve(
     the trace's ``failure`` says why.
     """
     problem = solver.BinaryProblem(X, np.full(X.n_rows, -1.0), loss, c)
-    w0 = zero_init(X.n_cols)
-    grad0_ref = solver.norm(solver.gradient(problem, w0))
-    return solver.newton_cg(problem, w0, replace(cfg, eps_outer=stop_rel), grad0_ref)
+    return solver.newton_cg(problem, zero_init(X.n_cols), replace(cfg, eps_outer=stop_rel))
 
 
 @np.errstate(over="ignore", invalid="ignore")

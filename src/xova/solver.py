@@ -157,7 +157,7 @@ class SolverTrace:
     """
 
     initial_loss: float = float("nan")
-    grad0_ref: float = float("nan")
+    grad0_ref: float = float("nan")  # |grad(0)|, given or taken (newton_cg_block)
     rows: list[TraceRow] = field(default_factory=list)
     termination: str = TERM_MAX_OUTER
     hvp_touches: int = 0  # sum over CG steps of the active-set size
@@ -517,23 +517,19 @@ def backtracking_search(
 
 
 def newton_cg(
-    problem: BinaryProblem,
-    w0: DenseVector,
-    cfg: SolverConfig,
-    grad0_ref: float,
+    problem: BinaryProblem, w0: DenseVector, cfg: SolverConfig
 ) -> tuple[DenseVector, SolverTrace]:
     """Minimize the regularized margin loss starting from ``w0``.
 
-    ``grad0_ref`` is the gradient norm at the zero vector for this problem;
-    the outer loop stops once ``|grad| <= eps_outer * grad0_ref``, so every
-    initialization strategy targets the same stopping surface; a reference
-    that is not finite is a numerical failure at the first test. The solve is
-    :func:`newton_cg_block` on a block of one, and its outcome is the
-    trace, whatever the termination: a numerical failure keeps the last
-    accepted iterate, and the trace's ``failure`` says why.
+    The outer loop stops once ``|grad| <= eps_outer * |grad(0)|``, the
+    gradient norm at the zero vector, which the solve takes by one pass over
+    X (:func:`newton_cg_block`), so every start targets the same stopping
+    surface. The solve is :func:`newton_cg_block` on a block of one, and its
+    outcome is the trace, whatever the termination: a numerical failure
+    keeps the last accepted iterate, and the trace's ``failure`` says why.
     """
     W, [trace] = newton_cg_block(
-        problem.features, problem.loss, problem.c, [problem.signs], w0[None], cfg, [grad0_ref]
+        problem.features, problem.loss, problem.c, [problem.signs], w0[None], cfg, [None]
     )
     return W[0], trace
 
@@ -546,12 +542,15 @@ def newton_cg_block(
     S: Sequence[np.ndarray],
     W0: np.ndarray | Sequence[DenseVector],
     cfg: SolverConfig,
-    grad0_refs: Sequence[float],
+    grad0_refs: Sequence[float | None],
     buffers: Buffers | None = None,
 ) -> tuple[np.ndarray, list[SolverTrace]]:
     """:func:`newton_cg` for a block of labels over one design matrix ``X``,
     loss and C, in lockstep, from the ``b`` starts ``W0`` (rows of length
-    ``dim``), with one stopping reference per label.
+    ``dim``). ``grad0_refs[k]`` is label ``k``'s stopping reference
+    ``|grad(0)|``, or None: the labels without one share one gradient pass
+    over X at w = 0, which gives each the bits of ``norm(gradient(p, 0))``.
+    A reference that is not finite is a numerical failure at the first test.
 
     ``S[k]`` holds label ``k``'s signs, unchecked: float64 of length ``n``,
     each +1 or -1, as the callers build them (:class:`BinaryProblem` is the
@@ -590,6 +589,14 @@ def newton_cg_block(
             traces[k].wall_ms += wall
             traces[k].cpu_ms += cpu
         clock[:] = now
+
+    at_zero = [k for k, ref in enumerate(grad0_refs) if ref is None]
+    if at_zero:  # |grad(0)| by one pass over X: every margin at w = 0 is 0
+        zero = np.zeros(n)
+        G0 = _gradient(X, np.zeros((len(at_zero), X.n_cols)), [np.arange(n)] * len(at_zero),
+                       lambda j, rows: _grad_coef(loss, c, zero, S[at_zero[j]], rows), buffers)
+        for k, g in zip(at_zero, G0):
+            traces[k].grad0_ref = norm(g)
 
     # the margins, once each row is multiplied by its signs: a copy, as the
     # product is a slot of the buffers and the margins outlive the step

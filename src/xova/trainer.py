@@ -30,7 +30,7 @@ from . import losses
 from . import solver as solver_mod
 from .dataio import MAX_COUNT, Dataset, LabelStats, dataset_digest, reject_non_finite
 from .errors import (ConfigError, DimensionMismatchError, InvalidEntryError, ModelFormatError,
-                     is_number)
+                     is_integer, is_number)
 from .initializers import (
     INIT_KINDS,
     AopPrecompute,
@@ -41,7 +41,7 @@ from .initializers import (
     zero_init,
 )
 from .losses import MarginLoss, parse_loss
-from .solver import BinaryProblem, SolverConfig, SolverTrace, TERM_NUMERICAL
+from .solver import SolverConfig, SolverTrace, TERM_NUMERICAL
 from .sparse import SparseMatrix
 
 MODEL_MAGIC = "xova"
@@ -82,24 +82,13 @@ class TrainConfig:
             raise ConfigError("thread count must be a whole number >= 1")
         if not (is_number(self.c) and 0.0 < self.c < np.inf):
             raise ConfigError("loss weight c must be finite and > 0")
-        if self.init.kind == "aop":
-            s, t = self.init.resolved_aop(self.loss)
-            if not s > t:
-                warnings.warn(
-                    f"aop margin targets s={s} <= t={t}; the positive mean should "
-                    "normally sit on the positive side of the negative mean",
-                    stacklevel=3,  # past the dataclass __init__, at the caller
-                )
-
-    def resolved_init_params(self) -> dict:
-        if self.init.kind == "bias":
-            return {"scale": self.init.bias_scale}
-        if self.init.kind == "ovap":
-            return {"stop_rel": self.init.ovap_stop_rel}
-        if self.init.kind == "aop":
-            s, t = self.init.resolved_aop(self.loss)
-            return {"s": s, "t": t}
-        return {}
+        params = self.init.params(self.loss)
+        if self.init.kind == "aop" and not params["s"] > params["t"]:
+            warnings.warn(
+                f"aop margin targets s={params['s']} <= t={params['t']}; the positive mean "
+                "should normally sit on the positive side of the negative mean",
+                stacklevel=3,  # past the dataclass __init__, at the caller
+            )
 
     def settings(self) -> dict:
         """The settings as the report writes them, in its key order. Every
@@ -107,7 +96,7 @@ class TrainConfig:
         return {
             "loss": self.loss.token,
             "init": self.init.kind,
-            "init_params": {k: float(v) for k, v in self.resolved_init_params().items()},
+            "init_params": {k: float(v) for k, v in self.init.params(self.loss).items()},
             "solver": {k: float(v) for k, v in asdict(self.solver).items()},
             "c": float(self.c),
             "clip_threshold": float(self.clip_threshold),
@@ -267,8 +256,8 @@ def grad0_closed_form(stats: LabelStats, label: int, loss: MarginLoss, c: float)
 
     Every margin at zero is 0, so ``grad(0) = C * phi'(0) * sum_i y_i x_i``,
     and the positives' and the negatives' sums follow from the means:
-    ``sum_i y_i x_i = 2 |P| pbar - n xbar``. Not finite, without a
-    warning, where the means overflow.
+    ``sum_i y_i x_i = 2 |P| pbar - n xbar``. Where the means overflow it is not
+    finite, without a warning, and :func:`train_ova` leaves it to the solver's pass.
     """
     pbar = stats.pbar.row(label)
     v = -float(stats.n) * stats.xbar
@@ -294,19 +283,19 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
 
     t_start, c_start = time.perf_counter(), time.thread_time()
     init_trace = None
+    params = init.params(cfg.loss)
     if init.kind == "aop":
         aop_pre = AopPrecompute(xbar=stats.xbar, n=stats.n)
-        s, t = init.resolved_aop(cfg.loss)
     elif init.kind == "ovap":
         # An overflow ends the shared solve with a failure on its trace and
         # its last accepted iterate: every label is still solved from it,
         # and those that fail are reported as numerical_failure.
-        w_shared, init_trace = ovap_solve(X, cfg.loss, cfg.c, cfg.solver, init.ovap_stop_rel)
+        w_shared, init_trace = ovap_solve(X, cfg.loss, cfg.c, cfg.solver, **params)
         # the shared solve's time, its set-up included
         init_trace.wall_ms = (time.perf_counter() - t_start) * 1e3
         init_trace.cpu_ms = (time.thread_time() - c_start) * 1e3
     elif init.kind == "bias":
-        w_shared = bias_init(ds.dim, ds.bias_index, init.bias_scale)
+        w_shared = bias_init(ds.dim, ds.bias_index, **params)
     else:
         w_shared = zero_init(ds.dim)
 
@@ -320,13 +309,10 @@ def train_ova(ds: Dataset, stats: LabelStats, cfg: TrainConfig) -> tuple[OvaMode
             signs = np.full(n, -1.0)
             signs[stats.positives[label]] = 1.0
             S.append(signs)
-            w0s.append(aop_init(stats.pbar.row(label), stats.positives[label].size, aop_pre, s, t)
-                       if init.kind == "aop" else w_shared)
+            w0s.append(aop_init(stats.pbar.row(label), stats.positives[label].size, aop_pre,
+                                **params) if init.kind == "aop" else w_shared)
             ref = grad0_closed_form(stats, label, cfg.loss, cfg.c)
-            if not np.isfinite(ref):  # the means overflowed: one pass over X instead
-                problem = BinaryProblem(X, signs, cfg.loss, cfg.c)
-                ref = solver_mod.norm(solver_mod.gradient(problem, zero_init(ds.dim)))
-            refs.append(ref)
+            refs.append(ref if np.isfinite(ref) else None)  # None: the solver's pass over X
             own.append((time.perf_counter() - t0, time.thread_time() - c0))
         W, traces = solver_mod.newton_cg_block(
             X, cfg.loss, cfg.c, S, w0s, cfg.solver, refs, buffers
@@ -466,7 +452,7 @@ def block_topk(block: np.ndarray, k: int) -> np.ndarray:
 
 def check_k(k, n_labels: int) -> int:
     """``k`` as an int if it is a Python or numpy integer (not a bool) in [1, n_labels]."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not is_integer(k):
         raise ConfigError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n_labels:
         raise ConfigError(f"k={k} out of range for {n_labels} labels")

@@ -79,6 +79,10 @@ MUTANTS = [
     Mutant("preconditioner_without_the_identity", SOLVER,
            "m_inv += 1.0 - cfg.precond_alpha", "m_inv += 0.0",
            (TEST_SOLVER, "tests/test_trainer.py")),
+    Mutant("given_references_ignored_for_the_pass", SOLVER,
+           "at_zero = [k for k, ref in enumerate(grad0_refs) if ref is None]",
+           "at_zero = list(range(b))",
+           (TEST_SOLVER,)),
     Mutant("gradient_coefficients_scaled_down", SOLVER,
            "    return c * losses.dphi(loss, m[idx]) * signs[idx]",
            "    return 0.9 * c * losses.dphi(loss, m[idx]) * signs[idx]",
@@ -86,6 +90,10 @@ MUTANTS = [
     # initializers
     Mutant("aop_orthogonal_branch_uses_t", "src/xova/initializers.py",
            "u = s / aa", "u = t / aa",
+           ("tests/test_initializers.py",)),
+    Mutant("aop_t_default_of_the_other_loss", "src/xova/initializers.py",
+           "AOP_DEFAULT_T[loss] if self.aop_t is None",
+           "AOP_DEFAULT_T[next(x for x in MarginLoss if x is not loss)] if self.aop_t is None",
            ("tests/test_initializers.py",)),
     Mutant("aop_positive_share_off_by_one", "src/xova/initializers.py",
            "alpha = p_count / pre.n", "alpha = p_count / (pre.n + 1)",
@@ -95,7 +103,7 @@ MUTANTS = [
            "np.abs(w) >= cfg.clip_threshold", "np.abs(w) > cfg.clip_threshold",
            ("tests/test_trainer.py",)),
     Mutant("no_pass_over_x_when_the_means_overflow", "src/xova/trainer.py",
-           "if not np.isfinite(ref):  # the means overflowed", "if False:  # the means overflowed",
+           "refs.append(ref if np.isfinite(ref) else None)", "refs.append(ref)",
            ("tests/test_trainer.py",)),
     # data I/O and the sparse checks
     Mutant("non_finite_values_accepted", "src/xova/dataio.py",

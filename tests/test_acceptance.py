@@ -169,8 +169,7 @@ def test_criterion_2_closed_form_solve():
     for n in (1, 10, 1000):
         X = make_matrix([{0: 1.0}] * n, 1)
         p = BinaryProblem(X, np.full(n, -1.0))
-        g0 = float(np.linalg.norm(gradient(p, np.zeros(1))))
-        w, _ = newton_cg(p, np.zeros(1), SolverConfig(), g0)
+        w, _ = newton_cg(p, np.zeros(1), SolverConfig())
         errs[n] = abs(w[0] - (-2.0 * n / (1 + 2.0 * n)))
     elapsed = time.perf_counter() - t0
     ok = all(e < 1e-2 for e in errs.values()) and elapsed < 1.0

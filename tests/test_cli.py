@@ -86,6 +86,14 @@ class TestSynth:
                    "--out", str(tmp_path / "x.txt")])
         assert rc == 1
 
+    def test_negative_seed_exit_1_with_one_line(self, tmp_path, capsys):
+        rc = main(["synth", "--n", "10", "--d", "5", "--l", "2", "--seed", "-1",
+                   "--out", str(tmp_path / "x.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "x.txt").exists()
+
 
 class TestTrain:
     def test_train_writes_model_and_report(self, workdir, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -417,6 +418,32 @@ class TestSyntheticGenerator:
         with pytest.raises(ConfigError):
             generate_synthetic(5, 3, 2, -1.0, 1)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((50, 10, 4, 1.2, -1), "seed must be an integer >= 0, got -1"),
+            ((50, 10, 4, 1.2, 1.5), "seed must be an integer >= 0, got 1.5"),
+            ((50, 10, 4, 1.2, "3"), "seed must be an integer >= 0, got '3'"),
+            ((50, 10, 4, 1.2, True), "seed must be an integer >= 0, got True"),
+            ((2.5, 10, 4, 1.2, 3), "n must be an integer >= 1, got 2.5"),
+            ((50, 10.0, 4, 1.2, 3), "d must be an integer >= 1, got 10.0"),
+            ((50, 10, False, 1.2, 3), "l must be an integer >= 1, got False"),
+            ((50, 10, 4, True, 3), "tail_exponent must be a number > 0, got True"),
+            ((50, 10, 4, "1.2", 3), "tail_exponent must be a number > 0, got '1.2'"),
+        ],
+        ids=["seed_negative", "seed_float", "seed_str", "seed_bool", "n_float", "d_float",
+             "l_bool", "tail_bool", "tail_str"],
+    )
+    def test_arguments_of_the_wrong_type_rejected(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(*args)
+
+    def test_numpy_integer_sizes_and_seeds_accepted(self):
+        a = generate_synthetic(np.int64(60), np.int32(10), np.int64(4), 1.2, np.uint32(3))
+        assert dataset_digest(a) == dataset_digest(generate_synthetic(60, 10, 4, 1.2, 3))
+        train, _ = split_dataset(a, np.float64(0.25), np.int64(3))
+        assert train.features == split_dataset(a, 0.25, 3)[0].features
+
 
 class TestDataset:
     def test_one_label_list_per_row(self):
@@ -460,6 +487,21 @@ class TestSplit:
     def test_fraction_out_of_range(self, fraction):
         with pytest.raises(ConfigError, match="test fraction"):
             split_dataset(generate_synthetic(20, 5, 3, 1.2, 1), fraction, 1)
+
+    @pytest.mark.parametrize(
+        "fraction, seed, message",
+        [
+            (0.2, -1, "seed must be an integer >= 0, got -1"),
+            (0.2, 1.0, "seed must be an integer >= 0, got 1.0"),
+            (0.2, False, "seed must be an integer >= 0, got False"),
+            ("0.2", 1, "test fraction must be a number in [0, 1), got '0.2'"),
+            (None, 1, "test fraction must be a number in [0, 1), got None"),
+        ],
+        ids=["seed_negative", "seed_float", "seed_bool", "fraction_str", "fraction_none"],
+    )
+    def test_arguments_of_the_wrong_type_rejected(self, fraction, seed, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            split_dataset(generate_synthetic(20, 5, 3, 1.2, 1), fraction, seed)
 
     def test_sizes_and_determinism(self):
         ds = generate_synthetic(200, 20, 10, 1.2, 9)

@@ -5,7 +5,7 @@ import xova.solver as solver_mod
 from xova.dataio import augment_bias, compute_label_stats, generate_synthetic
 from xova.errors import ConfigError
 from xova.initializers import (
-    AOP_DEFAULT_T,
+    INIT_KINDS,
     AopPrecompute,
     InitStrategy,
     aop_init,
@@ -50,22 +50,38 @@ class TestStrategy:
         with pytest.raises(ConfigError):
             InitStrategy(**bad)
 
-    def test_aop_defaults_per_loss(self):
-        st = InitStrategy(kind="aop")
-        assert st.resolved_aop(MarginLoss.SQUARED_HINGE) == (1.0, -2.0)
-        assert st.resolved_aop(MarginLoss.LOGISTIC) == (1.0, -3.0)
-        assert AOP_DEFAULT_T[MarginLoss.LOGISTIC] == -3.0
+    @pytest.mark.parametrize("loss", list(MarginLoss), ids=lambda loss: loss.token)
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_params_by_default(self, kind, loss):
+        t = {MarginLoss.SQUARED_HINGE: -2.0, MarginLoss.LOGISTIC: -3.0}[loss]
+        expected = {"zero": {}, "bias": {"scale": 1.0}, "ovap": {"stop_rel": 0.01},
+                    "aop": {"s": 1.0, "t": t}}[kind]
+        assert InitStrategy(kind).params(loss) == expected
 
-    def test_explicit_override(self):
-        st = InitStrategy(kind="aop", aop_s=2.0, aop_t=-1.0)
-        assert st.resolved_aop(MarginLoss.LOGISTIC) == (2.0, -1.0)
+    @pytest.mark.parametrize("loss", list(MarginLoss), ids=lambda loss: loss.token)
+    @pytest.mark.parametrize(
+        "kind, given, expected",
+        [
+            ("zero", {"bias_scale": 2.0, "aop_s": 2.0}, {}),
+            ("bias", {"bias_scale": 2.0}, {"scale": 2.0}),
+            ("ovap", {"ovap_stop_rel": 0.1}, {"stop_rel": 0.1}),
+            ("aop", {"aop_s": 2.0, "aop_t": -1.0}, {"s": 2.0, "t": -1.0}),
+        ],
+        ids=INIT_KINDS,
+    )
+    def test_params_given(self, kind, given, expected, loss):
+        assert InitStrategy(kind, **given).params(loss) == expected
+
+    def test_aop_s_is_a_number(self):
+        with pytest.raises(ConfigError, match="aop margin targets must be finite"):
+            InitStrategy("aop", aop_s=None)
 
     def test_s_not_greater_than_t_warns(self, recwarn):
         st = InitStrategy(kind="aop", aop_s=-3.0, aop_t=-1.0)
-        assert st.resolved_aop(MarginLoss.SQUARED_HINGE) == (-3.0, -1.0)
+        assert st.params(MarginLoss.SQUARED_HINGE) == {"s": -3.0, "t": -1.0}
         assert len(recwarn) == 0  # resolving the targets is pure
         cfg = TrainConfig(init=st)
-        assert cfg.resolved_init_params() == {"s": -3.0, "t": -1.0}
+        assert cfg.settings()["init_params"] == {"s": -3.0, "t": -1.0}
         assert cfg.digest()
         [w] = recwarn.list  # once, at construction
         assert issubclass(w.category, UserWarning) and "margin targets" in str(w.message)
@@ -163,18 +179,19 @@ class TestOvap:
         calls = []
         real = solver_mod.newton_cg
 
-        def spy(problem, w0, cfg, grad0_ref):
-            calls.append((problem, w0, cfg, grad0_ref))
-            return real(problem, w0, cfg, grad0_ref)
+        def spy(problem, w0, cfg):
+            calls.append((problem, w0, cfg))
+            return real(problem, w0, cfg)
 
         monkeypatch.setattr(solver_mod, "newton_cg", spy)
         X = make_matrix([{0: 1.0, 1: 2.0}, {1: 1.0}], 2)
         w, trace = ovap_solve(X, MarginLoss.LOGISTIC, 0.5, SolverConfig(), 0.1)
-        [(problem, w0, cfg, grad0_ref)] = calls
+        [(problem, w0, cfg)] = calls
         assert problem.signs.tolist() == [-1.0, -1.0]
         assert (problem.features, problem.loss, problem.c) == (X, MarginLoss.LOGISTIC, 0.5)
         assert w0.tolist() == [0.0, 0.0] and cfg.eps_outer == 0.1
-        assert grad0_ref == float(np.linalg.norm(gradient(problem, np.zeros(2))))
+        # the shared trace's stopping reference is the solver's pass over X
+        assert trace.grad0_ref == float(np.linalg.norm(gradient(problem, np.zeros(2))))
         assert trace.outer_iters > 0
 
 

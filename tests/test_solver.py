@@ -45,6 +45,14 @@ def grad0_ref(problem):
     return float(np.linalg.norm(gradient(problem, np.zeros(problem.dim))))
 
 
+def solve_with_ref(p, w0, cfg, ref):
+    """``newton_cg`` with the stopping reference ``ref`` in place of its pass over X."""
+    W, [trace] = solver_mod.newton_cg_block(
+        p.features, p.loss, p.c, [p.signs], w0[None], cfg, [ref]
+    )
+    return W[0], trace
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig()
@@ -353,7 +361,7 @@ class TestActiveRows:
 
     def test_inactive_row_whose_squares_overflow(self, rng):
         p, w0 = overflowing_squares_problem(rng)
-        w, trace = newton_cg(p, w0, SolverConfig(), 1.0)
+        w, trace = solve_with_ref(p, w0, SolverConfig(), 1.0)
         assert trace.outer_iters > 0
         # the same label beside two others, in one block
         others, _ = other_labels(rng, p, 2)
@@ -373,7 +381,7 @@ class TestActiveRows:
         # the squares overflow to inf quietly; the diagonal's fallback to a
         # copy of the active rows handles the 0 * inf
         p, w0 = overflowing_squares_problem(rng)
-        _, trace = newton_cg(p, w0, SolverConfig(), 1.0)
+        _, trace = solve_with_ref(p, w0, SolverConfig(), 1.0)
         assert trace.outer_iters > 0
 
 
@@ -617,14 +625,14 @@ class TestNewtonCg:
     @pytest.mark.parametrize("n", [1, 10, 1000])
     def test_closed_form_all_negative(self, n):
         p = all_negative_1d(n)
-        w, trace = newton_cg(p, np.zeros(1), SolverConfig(), grad0_ref(p))
+        w, trace = newton_cg(p, np.zeros(1), SolverConfig())
         assert abs(w[0] - (-2.0 * n / (1 + 2.0 * n))) < 1e-2
         assert trace.termination == TERM_CONVERGED
 
     def test_already_optimal_returns_unchanged(self):
         p = all_negative_1d(4)
-        w_star, _ = newton_cg(p, np.zeros(1), SolverConfig(eps_outer=1e-8), grad0_ref(p))
-        w, trace = newton_cg(p, w_star, SolverConfig(), grad0_ref(p))
+        w_star, _ = newton_cg(p, np.zeros(1), SolverConfig(eps_outer=1e-8))
+        w, trace = newton_cg(p, w_star, SolverConfig())
         assert trace.outer_iters == 0
         np.testing.assert_array_equal(w, w_star)
 
@@ -638,13 +646,13 @@ class TestNewtonCg:
             rows.append({1: rng.uniform(1.5, 2.5), 2: 1.0})
             signs.append(-1.0)
         p = BinaryProblem(make_matrix(rows, 3), np.array(signs))
-        w, trace = newton_cg(p, np.zeros(3), SolverConfig(), grad0_ref(p))
+        w, trace = newton_cg(p, np.zeros(3), SolverConfig())
         assert trace.termination == TERM_CONVERGED
         assert np.min(margins(p, w)) >= 1.0 - 0.1
 
     def test_loss_sequence_non_increasing(self, rng):
         p = random_problem(rng, n=60, d=12, loss=SQH)
-        _, trace = newton_cg(p, rng.normal(0, 1, 12), SolverConfig(eps_outer=1e-5), grad0_ref(p))
+        _, trace = newton_cg(p, rng.normal(0, 1, 12), SolverConfig(eps_outer=1e-5))
         losses = trace.losses()
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
@@ -654,22 +662,20 @@ class TestNewtonCg:
 
         for loss in (SQH, LOG):
             p = random_problem(rng, n=50, d=10, loss=loss)
-            g0 = grad0_ref(p)
             cfg = SolverConfig(eps_outer=1e-6)
-            w_active, _ = newton_cg(p, np.zeros(10), cfg, g0)
+            w_active, _ = newton_cg(p, np.zeros(10), cfg)
             with monkeypatch.context() as mp:
                 mp.setattr(losses_mod, "active_set", every_row)
-                w_full, _ = newton_cg(p, np.zeros(10), cfg, g0)
+                w_full, _ = newton_cg(p, np.zeros(10), cfg)
             fa = objective(p, w_active)
             ff = objective(p, w_full)
             assert abs(fa - ff) <= 1e-10 * max(1.0, abs(fa))
 
     def test_init_independence_small(self, rng):
         p = random_problem(rng, n=40, d=8, loss=SQH)
-        g0 = grad0_ref(p)
         cfg = SolverConfig(eps_outer=1e-4, eps_cg=1e-8)
-        w1, _ = newton_cg(p, np.zeros(8), cfg, g0)
-        w2, _ = newton_cg(p, rng.normal(0, 2, 8), cfg, g0)
+        w1, _ = newton_cg(p, np.zeros(8), cfg)
+        w2, _ = newton_cg(p, rng.normal(0, 2, 8), cfg)
         f1, f2 = objective(p, w1), objective(p, w2)
         assert abs(f1 - f2) <= 1e-3 * max(abs(f1), abs(f2))
 
@@ -683,14 +689,14 @@ class TestNewtonCg:
 
         monkeypatch.setattr(losses_mod, "active_set", counting)
         p = random_problem(rng, n=40, d=8, loss=SQH)
-        _, trace = newton_cg(p, np.zeros(8), SolverConfig(), grad0_ref(p))
+        _, trace = newton_cg(p, np.zeros(8), SolverConfig())
         assert trace.termination == TERM_CONVERGED
         # once per gradient: every accepted step, plus the final stopping test
         assert calls["n"] == trace.outer_iters + 1
 
     def test_trace_bookkeeping(self, rng):
         p = random_problem(rng, n=50, d=10, loss=SQH)
-        _, trace = newton_cg(p, np.zeros(10), SolverConfig(), grad0_ref(p))
+        _, trace = newton_cg(p, np.zeros(10), SolverConfig())
         assert trace.hvp_touches == sum(r.cg_iters * r.active_count for r in trace.rows)
         assert all(0 < r.step_size <= 1.0 for r in trace.rows)
         assert all(0 <= r.active_fraction <= 1.0 for r in trace.rows)
@@ -699,14 +705,14 @@ class TestNewtonCg:
     def test_non_finite_data_is_a_numerical_failure(self):
         X = make_matrix([{0: 1e308}, {0: 1.0}], 1)
         p = BinaryProblem(X, np.array([1.0, -1.0]))
-        _, trace = newton_cg(p, np.zeros(1), SolverConfig(), 1.0)
+        _, trace = solve_with_ref(p, np.zeros(1), SolverConfig(), 1.0)
         assert trace.termination == TERM_NUMERICAL
 
     @pytest.mark.parametrize("ref", [np.inf, np.nan])
     def test_a_non_finite_reference_is_a_numerical_failure(self, ref):
         # |grad| <= eps * inf would hold at any finite gradient, and nan never
         p = BinaryProblem(make_matrix([{0: 1.0}, {0: 2.0}], 1), np.array([1.0, -1.0]))
-        w, trace = newton_cg(p, np.array([0.5]), SolverConfig(), ref)
+        w, trace = solve_with_ref(p, np.array([0.5]), SolverConfig(), ref)
         assert trace.termination == TERM_NUMERICAL
         assert trace.failure == "non-finite stopping reference"
         assert trace.outer_iters == 0 and np.isfinite(trace.final_grad_norm)
@@ -716,7 +722,7 @@ class TestNewtonCg:
         # |grad(0)| = 2e160 is finite; the curvature 2e320 is not, so CG fails
         X = make_matrix([{0: 1e160}, {0: 1.0}], 1)
         p = BinaryProblem(X, np.array([1.0, -1.0]))
-        w, trace = newton_cg(p, np.zeros(1), SolverConfig(), 2e160)
+        w, trace = solve_with_ref(p, np.zeros(1), SolverConfig(), 2e160)
         assert trace.failure == (
             "zero preconditioned gradient in CG: the Hessian diagonal is too large"
         )
@@ -731,7 +737,7 @@ class TestNewtonCg:
     def test_a_label_at_max_outer_keeps_its_trace_row_gradient_norms(self, rng, monkeypatch):
         p = random_problem(rng, n=40, d=8, loss=SQH)
         monkeypatch.setattr(SolverConfig, "max_outer", 2)
-        _, trace = newton_cg(p, np.zeros(8), SolverConfig(eps_outer=1e-12), grad0_ref(p))
+        _, trace = newton_cg(p, np.zeros(8), SolverConfig(eps_outer=1e-12))
         assert trace.termination == TERM_MAX_OUTER and trace.outer_iters == 2
         # each row holds the norm at its step's start; the trace, at the last stop test
         assert trace.rows[0].grad_norm == grad0_ref(p)
@@ -740,18 +746,17 @@ class TestNewtonCg:
     def test_an_overflowing_start_keeps_a_nan_initial_loss(self):
         # the labels CSV writes nan, not inf, for a start with no finite objective
         p = BinaryProblem(make_matrix([{0: 1.0}, {0: 1.0}], 1), np.array([1.0, -1.0]))
-        w, trace = newton_cg(p, np.array([1e200]), SolverConfig(), 1.0)
+        w, trace = solve_with_ref(p, np.array([1e200]), SolverConfig(), 1.0)
         assert trace.failure == "non-finite objective at the initial point"
         assert np.isnan(trace.initial_loss) and np.isnan(trace.final_loss)
         assert w.tolist() == [1e200]
 
     def test_cg_failure_keeps_accepted_steps(self, rng, monkeypatch):
         p = random_problem(rng, n=40, d=8, loss=SQH)
-        g0 = grad0_ref(p)
         cfg = SolverConfig(eps_outer=1e-6)
         with monkeypatch.context() as one_step:
             one_step.setattr(SolverConfig, "max_outer", 1)
-            w_one, _ = newton_cg(p, np.zeros(8), cfg, g0)
+            w_one, _ = newton_cg(p, np.zeros(8), cfg)
         real, calls = solver_mod.cg_solve, []
 
         def second_call_fails(*args):
@@ -762,7 +767,7 @@ class TestNewtonCg:
             return result
 
         monkeypatch.setattr(solver_mod, "cg_solve", second_call_fails)
-        w_last, trace = newton_cg(p, np.zeros(8), cfg, g0)
+        w_last, trace = newton_cg(p, np.zeros(8), cfg)
         np.testing.assert_array_equal(w_last, w_one)
         assert trace.outer_iters == 1
 
@@ -799,7 +804,7 @@ class TestNewtonCg:
         )
         p = random_problem(rng, n=40, d=8, loss=SQH)
         w0 = rng.normal(size=8)
-        w, trace = newton_cg(p, w0, SolverConfig(), grad0_ref(p))
+        w, trace = newton_cg(p, w0, SolverConfig())
         assert trace.termination == TERM_NUMERICAL
         assert trace.failure.startswith("CG returned a non-descent direction (g.p = ")
         assert trace.outer_iters == 0
@@ -820,7 +825,7 @@ class TestNewtonCg:
 
         monkeypatch.setattr(solver_mod, "cg_solve", fails)
         monkeypatch.setattr(solver_mod, "newton_cg_block", spy)
-        w_last, trace_out = newton_cg(p, rng.normal(size=8), SolverConfig(), grad0_ref(p))
+        w_last, trace_out = newton_cg(p, rng.normal(size=8), SolverConfig())
         [(W, [trace])] = returned
         assert trace.failure == "injected CG failure"
         assert trace_out is trace
@@ -829,9 +834,10 @@ class TestNewtonCg:
 
     @pytest.mark.parametrize("case", ["converged", "max_outer", "numerical_failure"])
     def test_one_label_call_is_a_block_of_one(self, rng, case, monkeypatch):
+        # the block is given the pass's reference where it is finite
         if case == "numerical_failure":
             X = make_matrix([{0: 1e308}, {0: 1.0}], 1)
-            p, ref = BinaryProblem(X, np.array([1.0, -1.0])), 1.0
+            p, ref = BinaryProblem(X, np.array([1.0, -1.0])), None
         else:
             p = random_problem(rng, n=40, d=8, loss=SQH)
             ref = grad0_ref(p)
@@ -839,7 +845,7 @@ class TestNewtonCg:
             monkeypatch.setattr(SolverConfig, "max_outer", 1)
         cfg = SolverConfig()
         w0 = np.zeros(p.dim)
-        w, trace = newton_cg(p, w0, cfg, ref)
+        w, trace = newton_cg(p, w0, cfg)
         W, [block] = solver_mod.newton_cg_block(
             p.features, p.loss, p.c, [p.signs], w0[None], cfg, [ref]
         )
@@ -871,7 +877,7 @@ class TestNewtonCg:
         for loss in (SQH, LOG):
             p = random_problem(rng, n=50, d=10, loss=loss)
             start = rng.normal(0, 3, 10)
-            _, trace = newton_cg(p, start, SolverConfig(eps_outer=1e-6), grad0_ref(p))
+            _, trace = newton_cg(p, start, SolverConfig(eps_outer=1e-6))
             rows += trace.rows
         assert any(r.step_size < 1.0 for r in rows)  # some step took more than one trial
         assert np.array([r.loss for r in rows]).tobytes() == np.array(accepted).tobytes()
@@ -883,7 +889,7 @@ class TestNewtonCg:
         gc.collect()
         gc.disable()
         try:
-            newton_cg(p, rng.normal(0, 3, 10), SolverConfig(eps_outer=1e-6), grad0_ref(p))
+            newton_cg(p, rng.normal(0, 3, 10), SolverConfig(eps_outer=1e-6))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -894,7 +900,7 @@ class TestNewtonCg:
         monkeypatch.setattr(
             solver_mod, "backtracking_search", lambda *a, **k: (0.0, False)
         )
-        _, trace = newton_cg(p, np.zeros(5), SolverConfig(), grad0_ref(p))
+        _, trace = newton_cg(p, np.zeros(5), SolverConfig())
         assert trace.termination == TERM_LINE_SEARCH
 
     @pytest.mark.parametrize("shape", [(2, 2), (1, 3)])
@@ -912,6 +918,51 @@ class TestNewtonCg:
         message = f"^{n_refs} stopping references for {b} labels"
         with pytest.raises(DimensionMismatchError, match=message):
             solver_mod.newton_cg_block(X, SQH, 1.0, S, np.zeros((b, 2)), SolverConfig(), refs)
+
+    @pytest.mark.parametrize("loss", [SQH, LOG], ids=["squared-hinge", "logistic"])
+    def test_the_reference_is_the_pass_over_x(self, rng, loss):
+        p = random_problem(rng, n=60, d=9, loss=loss, c=0.7)
+        _, trace = newton_cg(p, rng.normal(size=9), SolverConfig())
+        assert trace.grad0_ref == grad0_ref(p)  # bit for bit
+        assert trace.termination == TERM_CONVERGED
+
+    @pytest.mark.parametrize("loss", [SQH, LOG], ids=["squared-hinge", "logistic"])
+    def test_a_block_takes_the_pass_where_no_reference_is_given(self, rng, loss):
+        p = random_problem(rng, n=60, d=9, loss=loss)
+        others, _ = other_labels(rng, p, 2)
+        problems, r = [p] + others, 0.5 * grad0_ref(others[0])
+        W0 = rng.normal(size=(3, 9))
+        W, traces = solver_mod.newton_cg_block(
+            p.features, loss, p.c, [q.signs for q in problems], W0, SolverConfig(), [None, r, None]
+        )
+        assert [t.grad0_ref for t in traces] == [grad0_ref(p), r, grad0_ref(others[1])]
+        for k, q in enumerate(problems):
+            ref = r if k == 1 else grad0_ref(q)
+            w_alone, alone = solve_with_ref(q, W0[k], SolverConfig(), ref)
+            assert W[k].tobytes() == w_alone.tobytes()
+            assert untimed(traces[k]) == untimed(alone)
+
+    def test_given_references_make_no_pass(self, rng, monkeypatch):
+        # at max_outer 0 a solve makes one gradient for its stopping test and
+        # stops; the labels without a reference share one more
+        p = random_problem(rng, n=60, d=9, loss=SQH)
+        others, _ = other_labels(rng, p, 2)
+        S = [q.signs for q in [p] + others]
+        calls = []
+        real = solver_mod._gradient
+
+        def spy(X, W, *args):
+            calls.append(len(W))
+            return real(X, W, *args)
+
+        monkeypatch.setattr(solver_mod, "_gradient", spy)
+        monkeypatch.setattr(SolverConfig, "max_outer", 0)
+        W0 = np.zeros((3, 9))
+        solver_mod.newton_cg_block(p.features, SQH, 1.0, S, W0, SolverConfig(), [1.0, 2.0, 3.0])
+        assert calls == [3]
+        calls.clear()
+        solver_mod.newton_cg_block(p.features, SQH, 1.0, S, W0, SolverConfig(), [None, 2.0, None])
+        assert calls == [2, 3]
 
     def test_signs_validated(self):
         X = make_matrix([{0: 1.0}], 1)
@@ -985,7 +1036,7 @@ class TestBuffers:
 
 def _start_overflows():
     p = BinaryProblem(make_matrix([{0: 1.0}, {0: 1.0}], 1), np.array([1.0, -1.0]))
-    w, trace = newton_cg(p, np.array([1e200]), SolverConfig(), 1.0)
+    w, trace = solve_with_ref(p, np.array([1e200]), SolverConfig(), 1.0)
     assert trace.failure == "non-finite objective at the initial point"
     assert w.tolist() == [1e200]
 

@@ -63,8 +63,7 @@ class TestTrainOva:
         signs = np.full(ds.n, -1.0)
         signs[stats.positives[j]] = 1.0
         p = BinaryProblem(ds.features, signs, cfg.loss, cfg.c)
-        g0 = float(np.linalg.norm(gradient(p, np.zeros(ds.dim))))
-        w_ref, trace = newton_cg(p, np.zeros(ds.dim), cfg.solver, g0)
+        w_ref, trace = newton_cg(p, np.zeros(ds.dim), cfg.solver)
         np.testing.assert_array_equal(model.weights.row(j).to_dense(ds.dim), w_ref)
         row = report.labels[j]
         assert row.outer_iters == trace.outer_iters
@@ -738,14 +737,15 @@ class TestGrad0ClosedForm:
         real = solver_mod.newton_cg_block
 
         def spy(X, loss, c, S, W0, solver_cfg, refs, buffers):
-            seen.append(refs)
+            seen.append(list(refs))
             return real(X, loss, c, S, W0, solver_cfg, refs, buffers)
 
         monkeypatch.setattr(solver_mod, "newton_cg_block", spy)
-        train_ova(ds, stats, cfg)
-        [[ref]] = seen
+        _, report = train_ova(ds, stats, cfg)
+        assert seen == [[None]]  # the solver takes the reference
         problem = BinaryProblem(X, np.array([1.0, -1.0]), cfg.loss, cfg.c)
-        assert ref == float(np.linalg.norm(gradient(problem, np.zeros(2)))) == pytest.approx(0.2)
+        ref = float(np.linalg.norm(gradient(problem, np.zeros(2))))
+        assert report.labels[0].grad0_ref == ref == pytest.approx(0.2)
 
 
 def scores(model, rows):
